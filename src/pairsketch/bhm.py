@@ -25,7 +25,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidParamsError, ParseError, ValidationError
+from .errors import InvalidParamsError, InvariantError, ParseError, ValidationError
 from .permutation import PermutationSpec, SwapStage
 from .sketch import (
     QueryOutcome,
@@ -288,7 +288,9 @@ def terminal_slabs(inst: BhmInstance) -> list[TerminalSlab]:
             slabs.append(TerminalSlab(Fraction(1, 2 * n0), candidate))
             slabs.append(TerminalSlab(Fraction(1, 2 * n0), None))  # Minus aborts
     slabs.append(TerminalSlab(trace.survival, None))
-    assert sum(s.prob for s in slabs) == 1
+    mass = sum(s.prob for s in slabs)
+    if mass != 1:
+        raise InvariantError(f"terminal slabs carry mass {mass}, not 1")
     return slabs
 
 

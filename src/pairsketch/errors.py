@@ -48,3 +48,7 @@ class ConfigError(PairsketchError):
 
 class ValidationError(PairsketchError):
     """A parsed stream or instance violates a structural requirement."""
+
+
+class InvariantError(PairsketchError):
+    """An exact internal identity (a law's mass, a survival product) failed: a bug."""

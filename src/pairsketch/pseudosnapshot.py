@@ -17,7 +17,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CapacityError, InvalidParamsError, InvalidQueryError
+from .errors import (
+    CapacityError,
+    InvalidParamsError,
+    InvalidQueryError,
+    InvariantError,
+)
 from .heavy_edges import DirectedEdgeStream
 from .permutation import CyclicShift, PermutationSpec, SwapStage
 from .sketch import (
@@ -333,14 +338,6 @@ class ScriptPlan:
 
     def initial_members(self) -> range:
         return range(self.big_m)
-
-    def script(self) -> tuple:
-        ops = []
-        for plan in self.edge_plans:
-            ops.extend(plan.updates)
-            ops.extend(q for q, _ in plan.queries)
-            ops.extend(plan.cleanups)
-        return tuple(ops)
 
 
 class _Plan:
@@ -793,7 +790,9 @@ def terminal_law(
             add(("Minus", entry, -plus_val), Fraction(1, 2 * big_m))
     reason = "Capacity" if plan.capacity_edge is not None else "StreamEnd"
     add((reason, None, 0), trace.survival)
-    assert sum(atoms.values()) == 1
+    mass = sum(atoms.values())
+    if mass != 1:
+        raise InvariantError(f"snapshot law carries mass {mass}, not 1")
     return SnapshotLaw(ell, big_m, atoms)
 
 

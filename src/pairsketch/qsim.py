@@ -21,7 +21,13 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidInitError, InvalidQueryError, ScriptError, TooLargeError
+from .errors import (
+    InvalidInitError,
+    InvalidQueryError,
+    InvariantError,
+    ScriptError,
+    TooLargeError,
+)
 from .permutation import PermutationSpec
 from .sketch import QueryOne, QueryOutcome, QueryPair, ScriptOp, Update
 from .universe import UniverseSpec
@@ -179,7 +185,8 @@ def enumerate_distribution(
         dist = _enumerate_quantum(universe, members, script)
     else:
         raise ScriptError(f"unknown backend {backend!r}")
-    assert abs(dist.total() - 1.0) < 1e-9, "enumeration lost probability mass"
+    if abs(dist.total() - 1.0) >= 1e-9:
+        raise InvariantError(f"enumeration lost probability mass: total {dist.total()}")
     return dist
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -35,6 +36,8 @@ import numpy as np
 from .errors import (
     InvalidInitError,
     InvalidQueryError,
+    InvariantError,
+    PermutationError,
     ScriptError,
     SketchDestroyedError,
 )
@@ -56,15 +59,51 @@ class _MemberStore:
     """Member ids grouped into buckets by block and leading coordinates.
 
     Semantically a plain set of ids; the grouping lets a cyclic shift rewrite
-    one bucket instead of scanning every member.
+    only the buckets its selection names instead of scanning every member.
+    Construction raises ``InvalidInitError`` on an empty member set, a repeated
+    id or an id outside the universe; a contiguous ``range`` is checked at its
+    endpoints and inserted block by block instead of id by id.
     """
 
     __slots__ = ("_layouts", "buckets", "count")
 
-    def __init__(self, universe: UniverseSpec) -> None:
+    def __init__(self, universe: UniverseSpec, members: Iterable[int]) -> None:
         self._layouts = universe.layout()
         self.buckets: dict[tuple, set[int]] = {}
         self.count = 0
+        if isinstance(members, range) and members.step == 1 and members:
+            self._fill_range(universe, members)
+        else:
+            seen = set()
+            for eid in members:
+                if not universe.contains_id(eid):
+                    raise InvalidInitError(f"member id {eid!r} outside universe")
+                if eid in seen:
+                    raise InvalidInitError(f"member id {eid} repeated")
+                seen.add(eid)
+                self.add(eid)
+        if self.count == 0:
+            raise InvalidInitError("initial member set is empty")
+
+    def _fill_range(self, universe: UniverseSpec, ids: range) -> None:
+        """Insert a nonempty contiguous id range, one ``set.update`` per depth-0 block.
+
+        Rejects the same id the per-id loop would reject first.
+        """
+        for eid in (ids.start, ids.stop - 1):
+            if not universe.contains_id(eid):
+                bad = eid if eid == ids.start else universe.size
+                raise InvalidInitError(f"member id {bad!r} outside universe")
+        for bi, lay in enumerate(self._layouts):
+            lo, hi = max(ids.start, lay.offset), min(ids.stop, lay.end)
+            if lo >= hi:
+                continue
+            if lay.depth == 0:
+                self.buckets.setdefault((bi,), set()).update(range(lo, hi))
+                self.count += hi - lo
+            else:
+                for eid in range(lo, hi):
+                    self.add(eid)
 
     def _key(self, eid: int) -> tuple:
         for bi, lay in enumerate(self._layouts):
@@ -90,7 +129,20 @@ class _MemberStore:
             out |= bucket
         return out
 
-    def apply_swap(self, mapping: dict[int, int], pairs) -> None:
+    def apply(self, perm: PermutationSpec) -> None:
+        """Relabel every member by ``perm``; raise if the member count changes."""
+        before = self.count
+        for stage, comp in zip(perm.stages, perm._compiled):  # type: ignore[attr-defined]
+            if isinstance(comp, dict):
+                self.apply_swap(stage.pairs)
+            else:
+                self.apply_shift(comp)
+        if self.count != before:
+            raise PermutationError(
+                f"update changed the member count from {before} to {self.count}"
+            )
+
+    def apply_swap(self, pairs) -> None:
         for a, b in pairs:
             in_a = a in self
             in_b = b in self
@@ -103,31 +155,32 @@ class _MemberStore:
 
     def apply_shift(self, comp: _CompiledShift) -> None:
         depth = self._layouts[comp.block_index].depth
-        prefix_sel = comp.select[:depth]
+        # look up only the buckets the selection names; None selects a whole factor
+        prefix = [
+            range(size) if sel is None else sel
+            for sel, size in zip(comp.select[:depth], comp.sizes)
+        ]
         rest_sel = comp.select[depth:]
         rest_strides = comp.strides[depth:-1]
         rest_sizes = comp.sizes[depth:-1]
-        for key, bucket in list(self.buckets.items()):
-            if key[0] != comp.block_index:
+        whole = all(sel is None for sel in rest_sel)
+        for key in product((comp.block_index,), *prefix):
+            bucket = self.buckets.get(key)
+            if not bucket:
                 continue
-            if any(
-                sel is not None and key[1 + j] not in sel
-                for j, sel in enumerate(prefix_sel)
-            ):
-                continue
-            if all(sel is None for sel in rest_sel):
-                self.buckets[key] = {comp.shift_id(e) for e in bucket}
-                continue
-            moved = set()
-            kept = set()
-            for eid in bucket:
-                local = eid - comp.offset
-                hit = all(
-                    sel is None or local // st % sz in sel
-                    for sel, st, sz in zip(rest_sel, rest_strides, rest_sizes)
-                )
-                (moved if hit else kept).add(comp.shift_id(eid) if hit else eid)
-            self.buckets[key] = moved | kept
+            if whole:
+                new = {comp.shift_id(e) for e in bucket}
+            else:
+                new = set()
+                for eid in bucket:
+                    local = eid - comp.offset
+                    hit = all(
+                        sel is None or local // st % sz in sel
+                        for sel, st, sz in zip(rest_sel, rest_strides, rest_sizes)
+                    )
+                    new.add(comp.shift_id(eid) if hit else eid)
+            self.count += len(new) - len(bucket)
+            self.buckets[key] = new
 
 
 class SketchHandle:
@@ -146,18 +199,7 @@ class SketchHandle:
         self.handle_id = handle_id
         self._rng = rng
         self._outcome: QueryOutcome | None = None
-        store = _MemberStore(universe)
-        seen = set()
-        for eid in members:
-            if not universe.contains_id(eid):
-                raise InvalidInitError(f"member id {eid!r} outside universe")
-            if eid in seen:
-                raise InvalidInitError(f"member id {eid} repeated")
-            seen.add(eid)
-            store.add(eid)
-        if store.count == 0:
-            raise InvalidInitError("initial member set is empty")
-        self._store = store
+        self._store = _MemberStore(universe, members)
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -192,13 +234,7 @@ class SketchHandle:
         self._require_alive()
         if perm.universe != self.universe:
             raise ScriptError("permutation universe does not match handle universe")
-        before = self._store.count
-        for stage, comp in zip(perm.stages, perm._compiled):  # type: ignore[attr-defined]
-            if isinstance(comp, dict):
-                self._store.apply_swap(comp, stage.pairs)
-            else:
-                self._store.apply_shift(comp)
-        assert self._store.count == before, "update changed the member count"
+        self._store.apply(perm)
 
     def _destroy(self, outcome: QueryOutcome) -> QueryOutcome:
         self._outcome = outcome
@@ -338,39 +374,50 @@ def replay_noiseless(
 
     Returns the surviving member set, the probability that a real run reaches
     the end without a query firing, and per-query presence facts. Conditioned
-    on no fire, a real handle holds exactly ``survivors`` afterwards.
+    on no fire, a real handle holds exactly ``survivors`` afterwards. Members,
+    updates and query endpoints are validated as :func:`create` and the
+    handle's operations validate them.
     """
-    current = set(members)
-    if not current:
-        raise InvalidInitError("initial member set is empty")
-    initial_size = len(current)
+    store = _MemberStore(universe, members)
+    initial_size = store.count
     survival = Fraction(1)
     steps: list[ReplayStep] = []
     for i, op in enumerate(script):
         if isinstance(op, Update):
-            current = op.perm.permute_set(current)
+            if op.perm.universe != universe:
+                raise ScriptError("permutation universe does not match replay universe")
+            store.apply(op.perm)
             continue
-        n = len(current)
+        n = store.count
         if isinstance(op, QueryOne):
-            present = op.x in current
+            if not universe.contains_id(op.x):
+                raise InvalidQueryError(f"query endpoint {op.x!r} outside universe")
+            present = op.x in store
             steps.append(ReplayStep(i, "one", op.x, None, present, False, n))
             if present:
                 survival *= Fraction(n - 1, n)
-                current.discard(op.x)
+                store.remove(op.x)
         elif isinstance(op, QueryPair):
+            if not universe.contains_id(op.x) or not universe.contains_id(op.y):
+                raise InvalidQueryError(
+                    f"query endpoint outside universe: ({op.x!r}, {op.y!r})"
+                )
             if op.x == op.y:
                 raise InvalidQueryError("pair query endpoints must differ")
-            px = op.x in current
-            py = op.y in current
+            px = op.x in store
+            py = op.y in store
             steps.append(ReplayStep(i, "pair", op.x, op.y, px, py, n))
             if px and py:
                 survival *= Fraction(n - 2, n)
-                current.discard(op.x)
-                current.discard(op.y)
+                store.remove(op.x)
+                store.remove(op.y)
             elif px or py:
                 survival *= Fraction(n - 1, n)
-                current.discard(op.x if px else op.y)
+                store.remove(op.x if px else op.y)
         else:
             raise ScriptError(f"unknown script op {op!r}")
-    assert survival == Fraction(len(current), initial_size)
-    return ReplayTrace(frozenset(current), survival, tuple(steps))
+    if survival != Fraction(store.count, initial_size):
+        raise InvariantError(
+            f"replay survival {survival} != {store.count}/{initial_size} survivors"
+        )
+    return ReplayTrace(frozenset(store.snapshot()), survival, tuple(steps))

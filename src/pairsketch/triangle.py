@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParamsError, ParseError, ValidationError
+from .errors import InvalidParamsError, InvariantError, ParseError, ValidationError
 from .permutation import PermutationSpec, SwapStage
 from .sketch import QueryOutcome, create
 from .universe import Block, IntRange, UniverseSpec
@@ -312,22 +312,24 @@ def sample_outputs(
         arrivals[u].append(ell)
         arrivals[v].append(ell)
 
-    last = np.zeros((trials, n + 1), dtype=np.int64)
+    # vertex-major, so each per-vertex read last[u] is one contiguous row
+    last = np.zeros((n + 1, trials), dtype=np.int64)
     p_plus = np.zeros(trials)
     p_minus = np.zeros(trials)
     inv_k = 1.0 / k
     for ell, (u, v, arr_u, arr_v, (cn_u, cn_v)) in enumerate(prep, start=1):
         sel = rng.random(trials) < inv_k
-        alive_u = arr_u.size - np.searchsorted(arr_u, last[:, u])
-        alive_v = arr_v.size - np.searchsorted(arr_v, last[:, v])
+        last_u, last_v = last[u], last[v]
+        alive_u = arr_u.size - np.searchsorted(arr_u, last_u)
+        alive_v = arr_v.size - np.searchsorted(arr_v, last_v)
         both = np.zeros(trials, dtype=np.int64)
         for awu, awv in zip(cn_u, cn_v):
-            both += (last[:, u] <= awu) & (last[:, v] <= awv)
+            both += (last_u <= awu) & (last_v <= awv)
         single = alive_u + alive_v - 2 * both
         p_plus += sel * (both / m + single / (4 * m))
         p_minus += sel * (single / (4 * m))
-        last[sel, u] = ell
-        last[sel, v] = ell
+        last_u[sel] = ell
+        last_v[sel] = ell
 
     draw = rng.random(trials)
     km = k * m
@@ -369,7 +371,9 @@ def exact_output_distribution(stream: EdgeStream, k: int) -> dict[int, Fraction]
         law[-km] = law.get(-km, Fraction(0)) + p_pattern * pm
         law[0] = law.get(0, Fraction(0)) + p_pattern * (1 - pp - pm)
     law = {x: p for x, p in law.items() if p}
-    assert sum(law.values()) == 1
+    mass = sum(law.values())
+    if mass != 1:
+        raise InvariantError(f"triangle law carries mass {mass}, not 1")
     return law
 
 

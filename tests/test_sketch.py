@@ -1,8 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
@@ -18,6 +19,8 @@ from pairsketch import (
     QueryOne,
     QueryOutcome,
     QueryPair,
+    ReplayStep,
+    ReplayTrace,
     SketchDestroyedError,
     SwapStage,
     UniverseSpec,
@@ -160,6 +163,13 @@ GRID = UniverseSpec(
         Block("scratch", (IntRange(0, 9),)),
     )
 )
+# same ids, one bucket per block: shifts select members inside a bucket
+FLAT_GRID = UniverseSpec(
+    (
+        Block("stack", (IntRange(1, 3), Labels(("H", "T")), IntRange(0, 4))),
+        Block("scratch", (IntRange(0, 9),)),
+    )
+)
 
 
 def test_update_applies_stages_in_order():
@@ -214,7 +224,7 @@ def test_overlapping_swap_pairs_rejected():
 
 
 @st.composite
-def grid_perms(draw):
+def grid_perms(draw, universe=GRID):
     n_stages = draw(st.integers(1, 3))
     stages = []
     for _ in range(n_stages):
@@ -232,7 +242,7 @@ def grid_perms(draw):
                     (None if verts is None else frozenset(verts), None if labels is None else frozenset(labels)),
                 )
             )
-    return PermutationSpec(GRID, tuple(stages))
+    return PermutationSpec(universe, tuple(stages))
 
 
 @settings(max_examples=150, deadline=None)
@@ -243,7 +253,110 @@ def test_bucketed_update_matches_per_element_application(perm, members):
     assert h.debug_members() == perm.permute_set(set(members))
 
 
+def _create_outcome(universe, members):
+    """(members, size) of a fresh handle, or (error type, message)."""
+    try:
+        h = create(universe, members)
+    except InvalidInitError as exc:
+        return type(exc), str(exc)
+    return h.debug_members(), h.size
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-3, GRID.size + 3), st.integers(-3, GRID.size + 3), st.sampled_from([1, 2, -1]))
+@example(GRID.size - 12, GRID.size, 1)  # stack (bucketed) and scratch (depth 0)
+@example(0, 0, 1)
+@example(-1, 3, 1)
+@example(GRID.size - 2, GRID.size + 4, 1)
+def test_range_create_matches_list_create(start, stop, step):
+    ids = range(start, stop, step)
+    assert _create_outcome(GRID, ids) == _create_outcome(GRID, list(ids))
+
+
+def _tampered_shift():
+    """A rotation whose compiled modulus spans the whole block, so a selected
+    row wraps onto an unselected one and two members collide."""
+    plane = UniverseSpec((Block("p", (IntRange(0, 3), IntRange(0, 4))),))
+    perm = PermutationSpec(plane, (CyclicShift("p", 1, (frozenset({1}),)),))
+    (comp,) = perm._compiled
+    bad = dataclasses.replace(comp, mod=20, amount=5)
+    object.__setattr__(perm, "_compiled", (bad,))
+    return plane, perm, [plane.encode("p", (1, 0)), plane.encode("p", (2, 0))]
+
+
+def test_update_count_check_fires_on_a_tampered_stage():
+    plane, perm, members = _tampered_shift()
+    with pytest.raises(PermutationError, match="member count"):
+        create(plane, members).update(perm)
+    with pytest.raises(PermutationError, match="member count"):
+        replay_noiseless(plane, members, [Update(perm)])
+
+
 # -- noiseless replay ----------------------------------------------------------
+
+
+def _reference_replay(universe, members, script):
+    """Per-element noiseless replay through ``PermutationSpec.permute_set``."""
+    current = set(members)
+    initial_size = len(current)
+    survival = Fraction(1)
+    steps = []
+    for i, op in enumerate(script):
+        if isinstance(op, Update):
+            current = op.perm.permute_set(current)
+            continue
+        n = len(current)
+        if isinstance(op, QueryOne):
+            present = op.x in current
+            steps.append(ReplayStep(i, "one", op.x, None, present, False, n))
+            if present:
+                survival *= Fraction(n - 1, n)
+                current.discard(op.x)
+        else:
+            px, py = op.x in current, op.y in current
+            steps.append(ReplayStep(i, "pair", op.x, op.y, px, py, n))
+            if px or py:
+                survival *= Fraction(n - px - py, n)
+                current -= {op.x, op.y}
+    assert survival == Fraction(len(current), initial_size)
+    return ReplayTrace(frozenset(current), survival, tuple(steps))
+
+
+def grid_scripts(universe):
+    ids = st.integers(0, universe.size - 1)
+    return st.lists(
+        st.one_of(
+            st.builds(Update, grid_perms(universe)),
+            st.builds(QueryOne, ids),
+            st.builds(QueryPair, ids, ids).filter(lambda q: q.x != q.y),
+        ),
+        max_size=10,
+    )
+
+
+@pytest.mark.parametrize("universe", [GRID, FLAT_GRID], ids=["bucketed", "flat"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_store_replay_matches_per_element_reference(universe, data):
+    members = data.draw(st.sets(st.integers(0, universe.size - 1), min_size=1, max_size=20))
+    script = data.draw(grid_scripts(universe))
+    assert replay_noiseless(universe, sorted(members), script) == _reference_replay(
+        universe, members, script
+    )
+
+
+def test_replay_validates_members_like_create():
+    for members in ([], [0, 16], [3, 3]):
+        with pytest.raises(InvalidInitError):
+            replay_noiseless(LINE, members, [])
+    with pytest.raises(InvalidInitError):
+        replay_noiseless(LINE, range(10, 17), [])
+
+
+def test_replay_rejects_query_endpoints_outside_universe():
+    for op in (QueryOne(16), QueryOne(-1), QueryPair(0, 16), QueryPair(99, 1)):
+        with pytest.raises(InvalidQueryError):
+            replay_noiseless(LINE, [0, 1, 2], [op])
 
 
 def test_replay_pair_hit_example():

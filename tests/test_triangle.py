@@ -215,6 +215,68 @@ def test_sampler_matches_exact_law():
             assert abs(freq - float(p)) < 4.5 * se, (k, x, freq, float(p))
 
 
+def _sample_outputs_trial_major(stream, k, master_seed, trials):
+    """The sampler with its state laid out (trials, n + 1); test reference."""
+    m = stream.m
+    out = np.zeros(trials, dtype=np.int32)
+    if m == 0 or trials == 0:
+        return out
+    n = stream.n
+    rng = np.random.default_rng(np.random.SeedSequence([master_seed, 3]))
+    nbr_arrival = [dict() for _ in range(n + 1)]
+    arrivals = [[] for _ in range(n + 1)]
+    prep = []
+    for ell, (u, v) in enumerate(stream.edges, start=1):
+        common = sorted(nbr_arrival[u].keys() & nbr_arrival[v].keys())
+        cn_u = np.array([nbr_arrival[u][w] for w in common], dtype=np.int64)
+        cn_v = np.array([nbr_arrival[v][w] for w in common], dtype=np.int64)
+        prep.append((u, v, np.array(arrivals[u], dtype=np.int64),
+                     np.array(arrivals[v], dtype=np.int64), cn_u, cn_v))
+        nbr_arrival[u][v] = nbr_arrival[v][u] = ell
+        arrivals[u].append(ell)
+        arrivals[v].append(ell)
+    last = np.zeros((trials, n + 1), dtype=np.int64)
+    p_plus = np.zeros(trials)
+    p_minus = np.zeros(trials)
+    inv_k = 1.0 / k
+    for ell, (u, v, arr_u, arr_v, cn_u, cn_v) in enumerate(prep, start=1):
+        sel = rng.random(trials) < inv_k
+        alive_u = arr_u.size - np.searchsorted(arr_u, last[:, u])
+        alive_v = arr_v.size - np.searchsorted(arr_v, last[:, v])
+        both = np.zeros(trials, dtype=np.int64)
+        for awu, awv in zip(cn_u, cn_v):
+            both += (last[:, u] <= awu) & (last[:, v] <= awv)
+        single = alive_u + alive_v - 2 * both
+        p_plus += sel * (both / m + single / (4 * m))
+        p_minus += sel * (single / (4 * m))
+        last[sel, u] = ell
+        last[sel, v] = ell
+    draw = rng.random(trials)
+    km = k * m
+    out[draw < p_plus] = km
+    out[(draw >= p_plus) & (draw < p_plus + p_minus)] = -km
+    return out
+
+
+@pytest.mark.parametrize(
+    "stream, k, seed, trials",
+    [
+        (K3, 1, 0, 1000),
+        (K3, 3, 5, 1000),
+        (random_stream(12, 0.5, 3), 2, 11, 4000),
+        (random_stream(30, 0.3, 1), 2, 7, 4000),
+        (random_stream(200, 0.05, 2), 5, 13, 1000),
+        (EdgeStream(4, ()), 2, 0, 10),
+    ],
+    ids=["k3-k1", "k3-k3", "n12", "n30", "n200", "empty"],
+)
+def test_vertex_major_sampler_equals_trial_major_reference(stream, k, seed, trials):
+    assert np.array_equal(
+        sample_outputs(stream, k, seed, trials),
+        _sample_outputs_trial_major(stream, k, seed, trials),
+    )
+
+
 def test_sampler_mean_tracks_oracle_on_larger_graph():
     stream = random_stream(20, 0.3, 6)
     k = 3
