@@ -1,7 +1,9 @@
 """Check the stochastic and quantum backends agree on random scripts.
 
-enumerate_distribution supports two engines.  The stochastic one walks
-the branching process directly with exact rational arithmetic.  The
+enumerate_distribution supports two engines.  The stochastic one is the
+noiseless replay plus the fire law: it runs the script once with every
+query missing and reads each query's exact fire probability off its
+presence pattern and the initial size, in rational arithmetic.  The
 quantum one prepares a uniform superposition over the member set,
 applies each update as a permutation of basis states, and realises
 queries as projective measurements.  Their outcome laws should match to

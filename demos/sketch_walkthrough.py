@@ -44,8 +44,8 @@ except ps.SketchDestroyedError as exc:
 
 # --- exact outcome laws ---------------------------------------------------
 
-# enumerate_distribution walks every branch of a script and returns the
-# exact probability of each outcome tuple, as Fractions.
+# enumerate_distribution returns the exact probability of each outcome
+# tuple of a script, as Fractions.
 print()
 print("law of query_one(4) on T = {2, 3, 4}:")
 dist = ps.enumerate_distribution(U, [vid(2), vid(3), vid(4)], [ps.QueryOne(vid(4))])

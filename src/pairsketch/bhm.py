@@ -25,7 +25,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidParamsError, InvariantError, ParseError, ValidationError
+from .errors import InvalidParamsError, InvariantError, ValidationError
 from .permutation import PermutationSpec, SwapStage
 from .sketch import (
     QueryOutcome,
@@ -35,6 +35,7 @@ from .sketch import (
     Update,
     create,
     replay_noiseless,
+    sample_atoms,
 )
 from .universe import Block, IntRange, UniverseSpec
 
@@ -271,22 +272,18 @@ def terminal_slabs(inst: BhmInstance) -> list[TerminalSlab]:
 
     Misses delete deterministically, so the probability that the k-th query
     fires is a function of the initial size and that query's presence pattern
-    alone; everything else telescopes away.
+    alone; everything else telescopes away. A Plus hit yields the candidate
+    bit, a Minus hit aborts.
     """
     universe = bhm_universe(inst.n)
     script, meta = build_script(inst)
     trace: ReplayTrace = replay_noiseless(universe, initial_members(universe, inst.n), script)
     later = _later_corrections(inst)
-    n0 = 2 * inst.n
     slabs: list[TerminalSlab] = []
-    for step, (ei, a, b) in zip(trace.steps, meta):
-        z = inst.z[ei]
-        candidate = a ^ b ^ z ^ later[ei]
-        if step.present_count == 2:
-            slabs.append(TerminalSlab(Fraction(2, n0), candidate))
-        elif step.present_count == 1:
-            slabs.append(TerminalSlab(Fraction(1, 2 * n0), candidate))
-            slabs.append(TerminalSlab(Fraction(1, 2 * n0), None))  # Minus aborts
+    for k, outcome, p in trace.fire_atoms():
+        ei, a, b = meta[k]
+        output = a ^ b ^ inst.z[ei] ^ later[ei] if outcome is QueryOutcome.PLUS else None
+        slabs.append(TerminalSlab(p, output))
     slabs.append(TerminalSlab(trace.survival, None))
     mass = sum(s.prob for s in slabs)
     if mass != 1:
@@ -298,11 +295,8 @@ def sample_outputs(inst: BhmInstance, master_seed: int, trials: int) -> np.ndarr
     """Vectorized draws from the exact run_single distribution (-1 codes None)."""
     slabs = terminal_slabs(inst)
     outs = np.array([-1 if s.output is None else s.output for s in slabs], dtype=np.int8)
-    cum = np.cumsum([float(s.prob) for s in slabs])
-    cum[-1] = 1.0
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, 1]))
-    idx = np.searchsorted(cum, rng.random(trials), side="right")
-    return outs[idx]
+    return outs[sample_atoms([s.prob for s in slabs], rng, trials)]
 
 
 def sample_majority(
@@ -317,61 +311,3 @@ def sample_majority(
     ones = (draws == 1).sum(axis=1)
     zeros = (draws == 0).sum(axis=1)
     return (ones > zeros).astype(np.int8)
-
-
-# -- file format ---------------------------------------------------------------
-
-
-def write_instance(inst: BhmInstance, path) -> None:
-    """Text form: header "n alpha b", then stream lines "V v bit" / "E u v z"."""
-    lines = [f"{inst.n} {inst.alpha} {inst.b}"]
-    for item in inst.stream:
-        if isinstance(item, VertexBit):
-            lines.append(f"V {item.v} {item.bit}")
-        else:
-            lines.append(f"E {item.u} {item.v} {item.z}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_instance(path) -> BhmInstance:
-    with open(path, encoding="ascii") as fh:
-        raw = fh.read().splitlines()
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
-    if not lines:
-        raise ParseError(f"{path}: empty stream file")
-    lno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3:
-        raise ParseError(f"{path}:{lno}: header must be 'n alpha b'")
-    try:
-        n = int(parts[0])
-        alpha = Fraction(parts[1])
-        b = int(parts[2])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"{path}:{lno}: bad header: {exc}") from None
-    stream: list[StreamItem] = []
-    x: dict[int, int] = {}
-    edges: list[tuple[int, int]] = []
-    zs: list[int] = []
-    for lno, ln in lines[1:]:
-        parts = ln.split()
-        try:
-            if parts[0] == "V" and len(parts) == 3:
-                v, bit = int(parts[1]), int(parts[2])
-                stream.append(VertexBit(v, bit))
-                x[v] = bit
-            elif parts[0] == "E" and len(parts) == 4:
-                u, v, z = int(parts[1]), int(parts[2]), int(parts[3])
-                stream.append(EdgeLabel(u, v, z))
-                edges.append((u, v))
-                zs.append(z)
-            else:
-                raise ParseError(f"{path}:{lno}: expected 'V v bit' or 'E u v z'")
-        except ValueError:
-            raise ParseError(f"{path}:{lno}: non-integer field in {ln!r}") from None
-    missing = [v for v in range(1, n + 1) if v not in x]
-    if missing:
-        raise ValidationError(f"{path}: no vertex-bit line for vertex {missing[0]}")
-    xs = tuple(x[v] for v in range(1, n + 1))
-    return BhmInstance(n, alpha, tuple(edges), tuple(zs), xs, b, tuple(stream))

@@ -31,8 +31,8 @@ from . import bhm as _bhm
 from . import heavy_edges as _heavy
 from . import pseudosnapshot as _snap
 from . import triangle as _tri
-from .bhm import BhmInstance
-from .errors import ConfigError, InvalidParamsError
+from .bhm import BhmInstance, EdgeLabel, VertexBit
+from .errors import ConfigError, InvalidParamsError, ParseError, ValidationError
 from .heavy_edges import DirectedEdgeStream
 from .permutation import CyclicShift, PermutationSpec, swap_perm
 from .qsim import enumerate_distribution
@@ -212,30 +212,114 @@ def parse_stream(path: str | os.PathLike, kind: str = "auto"):
     The two graph formats are textually identical, so "auto" can only
     distinguish the three-field matching header; a two-field header defaults
     to an undirected stream and callers that need direction must say so.
+    A malformed file raises ``ParseError`` naming the path and, where one is
+    at fault, the line.
     """
+    if kind not in ("auto", "bhm", "directed", "undirected"):
+        raise ConfigError(f"unknown stream kind {kind!r}")
+    lines = _read_lines(path)
     if kind == "auto":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().split()
-        kind = "bhm" if len(header) == 3 else "undirected"
+        kind = "bhm" if len(lines[0][1].split()) == 3 else "undirected"
     if kind == "bhm":
-        return _bhm.read_instance(path)
-    if kind == "directed":
-        return _heavy.read_stream(path)
-    if kind == "undirected":
-        return _tri.read_stream(path)
-    raise ConfigError(f"unknown stream kind {kind!r}")
+        return _parse_bhm(path, lines)
+    return _parse_edge_list(path, lines, DirectedEdgeStream if kind == "directed" else EdgeStream)
+
+
+def _read_lines(path) -> list[tuple[int, str]]:
+    """Nonblank lines of an ASCII text file, stripped, with 1-based numbers."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one are ASCII; a stand-in for the bad byte
+        # makes the line count end on the line that holds it
+        lno = len((data[: exc.start] + b"?").decode("ascii").splitlines())
+        raise ParseError(f"{path}:{lno}: non-ASCII byte 0x{data[exc.start]:02x}") from None
+    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines()) if ln.strip()]
+    if not lines:
+        raise ParseError(f"{path}: empty stream file")
+    return lines
+
+
+def _parse_edge_list(path, lines, cls):
+    """Header "n m", then one "u v" line per edge in arrival order."""
+    lno, header = lines[0]
+    parts = header.split()
+    if len(parts) != 2:
+        raise ParseError(f"{path}:{lno}: header must be 'n m'")
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError(f"{path}:{lno}: non-integer header field") from None
+    edges = []
+    for lno, ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lno}: expected 'u v'")
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ParseError(f"{path}:{lno}: non-integer field in {ln!r}") from None
+    if len(edges) != m:
+        raise ParseError(f"{path}: header promises {m} edges, found {len(edges)}")
+    return cls(n, tuple(edges))
+
+
+def _parse_bhm(path, lines) -> BhmInstance:
+    """Header "n alpha b", then stream lines "V v bit" / "E u v z"."""
+    lno, header = lines[0]
+    parts = header.split()
+    if len(parts) != 3:
+        raise ParseError(f"{path}:{lno}: header must be 'n alpha b'")
+    try:
+        n = int(parts[0])
+        alpha = Fraction(parts[1])
+        b = int(parts[2])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"{path}:{lno}: bad header: {exc}") from None
+    stream: list = []
+    x: dict[int, int] = {}
+    edges: list[tuple[int, int]] = []
+    zs: list[int] = []
+    for lno, ln in lines[1:]:
+        parts = ln.split()
+        try:
+            if parts[0] == "V" and len(parts) == 3:
+                v, bit = int(parts[1]), int(parts[2])
+                stream.append(VertexBit(v, bit))
+                x[v] = bit
+            elif parts[0] == "E" and len(parts) == 4:
+                u, v, z = int(parts[1]), int(parts[2]), int(parts[3])
+                stream.append(EdgeLabel(u, v, z))
+                edges.append((u, v))
+                zs.append(z)
+            else:
+                raise ParseError(f"{path}:{lno}: expected 'V v bit' or 'E u v z'")
+        except ValueError:
+            raise ParseError(f"{path}:{lno}: non-integer field in {ln!r}") from None
+    missing = [v for v in range(1, n + 1) if v not in x]
+    if missing:
+        raise ValidationError(f"{path}: no vertex-bit line for vertex {missing[0]}")
+    xs = tuple(x[v] for v in range(1, n + 1))
+    return BhmInstance(n, alpha, tuple(edges), tuple(zs), xs, b, tuple(stream))
 
 
 def write_instance(obj, path: str | os.PathLike) -> None:
-    """Write any of the three instance types in its documented text format."""
+    """Write any of the three instance types in the text format ``parse_stream`` reads."""
     if isinstance(obj, BhmInstance):
-        _bhm.write_instance(obj, path)
-    elif isinstance(obj, DirectedEdgeStream):
-        _heavy.write_stream(obj, path)
-    elif isinstance(obj, EdgeStream):
-        _tri.write_stream(obj, path)
+        lines = [f"{obj.n} {obj.alpha} {obj.b}"]
+        for item in obj.stream:
+            if isinstance(item, VertexBit):
+                lines.append(f"V {item.v} {item.bit}")
+            else:
+                lines.append(f"E {item.u} {item.v} {item.z}")
+    elif isinstance(obj, (DirectedEdgeStream, EdgeStream)):
+        lines = [f"{obj.n} {obj.m}"] + [f"{u} {v}" for u, v in obj.edges]
     else:
         raise ConfigError(f"cannot write a {type(obj).__name__} as an instance file")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # -- instance generators -----------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParamsError, ParseError, ValidationError
+from .errors import InvalidParamsError, ValidationError
 from .permutation import CyclicShift, PermutationSpec, SwapStage
 from .sketch import (
     QueryOutcome,
@@ -33,6 +33,7 @@ from .sketch import (
     Update,
     create,
     replay_noiseless,
+    sample_atoms,
 )
 from .universe import Block, IntRange, Labels, UniverseSpec
 
@@ -250,8 +251,8 @@ def terminal_law(stream: DirectedEdgeStream, d_H: int, d_T: int) -> HeavyLaw:
     """Exact output law, derived by replaying the real op sequence noiselessly.
 
     The trajectory is fully deterministic, so each query's unconditional fire
-    probability depends only on the initial size 4m and its presence pattern:
-    1/(2m) for both present, 1/(8m) per sign for one present.
+    probability depends only on the initial size 4m and its presence pattern;
+    the replay's fire atoms sum to the Plus and Minus masses.
     """
     _check_thresholds(stream, d_H, d_T)
     m = stream.m
@@ -260,32 +261,19 @@ def terminal_law(stream: DirectedEdgeStream, d_H: int, d_T: int) -> HeavyLaw:
     universe, script = build_script(stream, d_H, d_T)
     scratch_off = universe.block_offset("scratch")
     trace = replay_noiseless(universe, range(scratch_off, scratch_off + 4 * m), script)
-    p_plus = Fraction(0)
-    p_minus = Fraction(0)
-    for step in trace.steps:
-        if step.present_count == 2:
-            p_plus += Fraction(2, 4 * m)
-        elif step.present_count == 1:
-            p_plus += Fraction(1, 8 * m)
-            p_minus += Fraction(1, 8 * m)
-    return HeavyLaw(m, p_plus, p_minus)
+    mass = {QueryOutcome.PLUS: Fraction(0), QueryOutcome.MINUS: Fraction(0)}
+    for _, outcome, p in trace.fire_atoms():
+        mass[outcome] += p
+    return HeavyLaw(m, mass[QueryOutcome.PLUS], mass[QueryOutcome.MINUS])
 
 
 def sample_outputs(
     stream: DirectedEdgeStream, d_H: int, d_T: int, master_seed: int, trials: int
 ) -> np.ndarray:
     """Vectorized draws from the exact run_single output law."""
-    law = terminal_law(stream, d_H, d_T)
-    out = np.zeros(trials, dtype=np.int32)
-    if law.m == 0 or trials == 0:
-        return out
+    outs, probs = zip(*terminal_law(stream, d_H, d_T).atoms().items())
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, 4]))
-    draw = rng.random(trials)
-    pp = float(law.p_plus)
-    pm = float(law.p_minus)
-    out[draw < pp] = 2 * law.m
-    out[(draw >= pp) & (draw < pp + pm)] = -2 * law.m
-    return out
+    return np.array(outs, dtype=np.int32)[sample_atoms(probs, rng, trials)]
 
 
 def estimate_sampled(
@@ -301,42 +289,3 @@ def estimate_sampled(
     if copies is None:
         copies = math.ceil(12 / params.eps**2)
     return float(np.mean(sample_outputs(stream, params.d_H, params.d_T, seed, copies)))
-
-
-# -- file format --------------------------------------------------------------------
-
-
-def write_stream(stream: DirectedEdgeStream, path) -> None:
-    """Text form: header "n m", then one "u v" line (directed u -> v) per edge."""
-    lines = [f"{stream.n} {stream.m}"]
-    lines += [f"{u} {v}" for u, v in stream.edges]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_stream(path) -> DirectedEdgeStream:
-    with open(path, encoding="ascii") as fh:
-        raw = fh.read().splitlines()
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
-    if not lines:
-        raise ParseError(f"{path}: empty stream file")
-    lno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise ParseError(f"{path}:{lno}: header must be 'n m'")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(f"{path}:{lno}: non-integer header field") from None
-    edges = []
-    for lno, ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(f"{path}:{lno}: expected 'u v'")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise ParseError(f"{path}:{lno}: non-integer field in {ln!r}") from None
-    if len(edges) != m:
-        raise ParseError(f"{path}: header promises {m} edges, found {len(edges)}")
-    return DirectedEdgeStream(n, tuple(edges))

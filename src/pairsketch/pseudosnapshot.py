@@ -29,10 +29,10 @@ from .sketch import (
     QueryOne,
     QueryOutcome,
     QueryPair,
-    SketchHandle,
     Update,
     create,
     replay_noiseless,
+    sample_atoms,
 )
 from .universe import Block, IntRange, Labels, UniverseSpec
 
@@ -198,8 +198,11 @@ class EdgeLocalStats:
     bias: Fraction
 
     def __post_init__(self):
-        assert self.pseudobias <= 1
-        assert self.d_before >= 1
+        if self.pseudobias > 1 or self.d_before < 1:
+            raise InvariantError(
+                f"edge {self.edge_index} vertex {self.vertex}: pseudobias "
+                f"{self.pseudobias} > 1 or degree {self.d_before} < 1"
+            )
 
 
 def pseudobias_exact(
@@ -362,7 +365,8 @@ class _Plan:
         self.universe = snapshot_universe(stream.n, stream.m, params)
         self._stack_off = self.universe.block_offset("stack")
         # scratch ids are 0..M-1; the cursor doubles as the next scratch id
-        assert self.universe.block_offset("scratch") == 0
+        if self.universe.block_offset("scratch") != 0:
+            raise InvariantError("the scratch block must come first in the universe")
         self._s_copy = self.positions
         self._s_fam = self.copies * self.positions
         self._s_vert = len(FAMILIES) * self._s_fam
@@ -397,7 +401,8 @@ class _Plan:
                 k += 1
         self.cursor += need
         self.tops[(w, fam)] += r
-        assert self.tops[(w, fam)] < self.positions
+        if self.tops[(w, fam)] >= self.positions:
+            raise InvariantError(f"stack ({w}, {fam}) grew past {self.positions} positions")
         return Update(PermutationSpec(self.universe, (shift, SwapStage(tuple(pairs)))))
 
     def edge_updates(self, u: int, v: int, fa: bool, fb: bool) -> list[Update]:
@@ -439,7 +444,8 @@ class _Plan:
                 for x, ex, ey in quads:
                     seen.update((ex, ey))
                     out.append((QueryPair(ex, ey), (x, i, j)))
-        assert len(seen) == 8 * k * k, "query_edge pairs must be disjoint"
+        if len(seen) != 8 * k * k:
+            raise InvariantError("the edge's pair queries must touch disjoint elements")
         return out
 
     def edge_cleanups(self, u: int, v: int) -> list[QueryOne]:
@@ -571,7 +577,8 @@ class PseudosnapshotEstimate:
 
     def __post_init__(self):
         nonzero = sum(1 for row in self.entries for val in row if val)
-        assert nonzero <= 1
+        if nonzero > 1:
+            raise InvariantError(f"a single run set {nonzero} estimate entries")
 
     def as_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=float)
@@ -647,42 +654,6 @@ def run_single(
     return _zero_estimate(ell, "StreamEnd")
 
 
-class SnapshotRun:
-    """Live handle plus plan state, exposing the three primitive moves.
-
-    Mainly for poking at the primitives directly; `run_single` drives the
-    same operations through a prebuilt plan.
-    """
-
-    def __init__(self, stream, hashes, grid, params, seed, *, handle_id=0):
-        self.plan = _Plan(stream, hashes, grid, params)
-        self.params = params
-        self.handle = create(
-            self.plan.universe,
-            range(self.plan.big_m),
-            master_seed=seed,
-            handle_id=handle_id,
-        )
-
-    def inc(self, family: str, vertex: int, r: int) -> None:
-        self.handle.update(self.plan.inc_update(family, vertex, r).perm)
-
-    def query_edge(self, u: int, v: int):
-        """First non-Bot among the 4k^2 pair queries, as (x, i, j, sign)."""
-        for op, (x, i, j) in self.plan.edge_queries(u, v):
-            outcome = self.handle.query_pair(op.x, op.y)
-            if outcome is not QueryOutcome.BOT:
-                return (x, i, j, 1 if outcome is QueryOutcome.PLUS else -1)
-        return None
-
-    def cleanup(self, u: int, v: int) -> bool:
-        """True when a cleanup query fires, which ends the whole run."""
-        for op in self.plan.edge_cleanups(u, v):
-            if self.handle.query_one(op.x) is not QueryOutcome.BOT:
-                return True
-        return False
-
-
 # ---------------------------------------------------------------------------
 # exact terminal law via noiseless replay
 # ---------------------------------------------------------------------------
@@ -712,14 +683,11 @@ class SnapshotLaw:
     def sample(self, master_seed: int, trials: int):
         """Vectorized draws: arrays (row, col, value), row/col -1 for none."""
         keys = sorted(self.atoms, key=repr)
-        probs = np.array([float(self.atoms[k]) for k in keys])
         rows = np.array([k[1][0] if k[1] else -1 for k in keys], dtype=np.int64)
         cols = np.array([k[1][1] if k[1] else -1 for k in keys], dtype=np.int64)
         vals = np.array([k[2] for k in keys], dtype=np.int64)
-        cum = np.cumsum(probs)
-        cum[-1] = 1.0
         rng = np.random.default_rng(np.random.SeedSequence([master_seed, 6]))
-        idx = np.searchsorted(cum, rng.random(trials), side="right")
+        idx = sample_atoms([self.atoms[k] for k in keys], rng, trials)
         return rows[idx], cols[idx], vals[idx]
 
 
@@ -739,23 +707,19 @@ def terminal_law(
         plan = build_plan(stream, hashes, grid, params)
     if not plan.hash_budget_ok:
         return SnapshotLaw(ell, plan.big_m, {("HashBudget", None, 0): Fraction(1)})
-    tags = {}
+    # one tag per query, in replay order: the hit coordinates, or None for a cleanup
+    tags: list[tuple[int, int, int, int] | None] = []
     ops = []
-    pos = 0
     for eplan in plan.edge_plans:
         ops.extend(eplan.updates)
-        pos += len(eplan.updates)
         for op, (x, i, j) in eplan.queries:
-            tags[pos] = ("qe", eplan.edge_index, x, i, j)
+            tags.append((eplan.edge_index, x, i, j))
             ops.append(op)
-            pos += 1
         for op in eplan.cleanups:
-            tags[pos] = ("cl", eplan.edge_index)
+            tags.append(None)
             ops.append(op)
-            pos += 1
     trace = replay_noiseless(plan.universe, plan.initial_members(), tuple(ops))
-    big_m = plan.big_m
-    half = big_m // 2
+    half = plan.big_m // 2
     stage = _ClassicalStage(stream, hashes, grid, params)
     entry_cache: dict[tuple[int, int, int], tuple[int, int] | None] = {}
     atoms: dict[tuple[str, tuple[int, int] | None, int], Fraction] = {}
@@ -763,18 +727,12 @@ def terminal_law(
     def add(key, p):
         atoms[key] = atoms.get(key, Fraction(0)) + p
 
-    for step in trace.steps:
-        tag = tags.get(step.op_index)
+    for k, outcome, p in trace.fire_atoms():
+        tag = tags[k]
         if tag is None:
+            add(("Cleanup", None, 0), p)
             continue
-        if tag[0] == "cl":
-            if step.present_x:
-                add(("Cleanup", None, 0), Fraction(1, big_m))
-            continue
-        _, edge_index, x, i, j = tag
-        present = step.present_x + step.present_y
-        if present == 0:
-            continue
+        edge_index, x, i, j = tag
         key = (edge_index, i, j)
         if key not in entry_cache:
             entry_cache[key] = stage.entry(edge_index, i, j)
@@ -783,17 +741,14 @@ def terminal_law(
         # an out-of-class hit still terminates, but its output is the zero
         # matrix, so the law keys it by what a run can actually show
         plus_val = sgn_x * half if entry is not None else 0
-        if present == 2:
-            add(("Plus", entry, plus_val), Fraction(2, big_m))
-        else:
-            add(("Plus", entry, plus_val), Fraction(1, 2 * big_m))
-            add(("Minus", entry, -plus_val), Fraction(1, 2 * big_m))
+        value = plus_val if outcome is QueryOutcome.PLUS else -plus_val
+        add((outcome.value, entry, value), p)
     reason = "Capacity" if plan.capacity_edge is not None else "StreamEnd"
     add((reason, None, 0), trace.survival)
     mass = sum(atoms.values())
     if mass != 1:
         raise InvariantError(f"snapshot law carries mass {mass}, not 1")
-    return SnapshotLaw(ell, big_m, atoms)
+    return SnapshotLaw(ell, plan.big_m, atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +803,8 @@ def lemma_expectation(
         qualifying += 1
         su = pseudobias_exact(stream, hashes, grid, k, u)
         sv = pseudobias_exact(stream, hashes, grid, k, v)
-        assert su.d_rounded == d_a and sv.d_rounded == d_b
+        if su.d_rounded != d_a or sv.d_rounded != d_b:
+            raise InvariantError(f"edge {k}: rounded degrees leave the target classes")
         iu = params.bin_of(su.pseudobias)
         iv = params.bin_of(sv.pseudobias)
         if iu is None or iv is None:
@@ -911,152 +867,3 @@ def estimate_sampled(
     total = np.zeros((ell, ell))
     np.add.at(total, (rows[rows >= 0], cols[rows >= 0]), vals[rows >= 0])
     return total / copies
-
-
-# ---------------------------------------------------------------------------
-# the stack mirror (independent bookkeeping of the member set)
-# ---------------------------------------------------------------------------
-
-
-class StackMirror:
-    """Predicts the member set after each edge without touching a sketch.
-
-    Keeps one alive-position set per (vertex, family); increments shift and
-    bottom-fill it, the edge's queries then wipe every threshold-aligned
-    position of both endpoints. Also checks the closed-form interval shape:
-    with no subsample fires the stack is a bottom segment, otherwise a full
-    bottom plus one suffix slab per fire with shared offsets.
-    """
-
-    def __init__(self, stream, hashes, grid, params):
-        params.validate_with(grid, hashes)
-        self.stream = stream
-        self.params = params
-        self.kappa = params.kappa
-        self.copies = 2 * params.kappa**2
-        a_idx, b_idx = params.class_pair
-        self.d_a, self.d_a1 = grid.levels[a_idx], grid.levels[a_idx + 1]
-        self.d_b, self.d_b1 = grid.levels[b_idx], grid.levels[b_idx + 1]
-        self.big_m = params.capacity_c * params.kappa**3 * stream.m
-        self.universe = snapshot_universe(stream.n, stream.m, params)
-        self._plan_for_ids = _Plan(stream, hashes, grid, params)
-        self.sets = {
-            (w, fam): set() for w in range(1, stream.n + 1) for fam in FAMILIES
-        }
-        self.cursor = 0
-        self.r = [0] * (stream.n + 1)
-        self.big_r_ab = [0] * (stream.n + 1)
-        self.big_r_cd = [0] * (stream.n + 1)
-        self.fa = tuple(hashes.f(self.d_a, k) for k in range(1, stream.m + 1))
-        self.fb = tuple(hashes.f(self.d_b, k) for k in range(1, stream.m + 1))
-        self.edge_ptr = 0
-        self.capacity_hit = False
-
-    def _inc(self, w, fam, r):
-        need = self.copies * r
-        if self.cursor + need > self.big_m:
-            self.capacity_hit = True
-            return False
-        s = self.sets[(w, fam)]
-        self.sets[(w, fam)] = {p + r for p in s} | set(range(1, r + 1))
-        self.cursor += need
-        return True
-
-    def step(self) -> int:
-        """Process the next edge; returns its 1-based index."""
-        if self.capacity_hit or self.edge_ptr >= self.stream.m:
-            raise CapacityError("no more edges to mirror")
-        k = self.edge_ptr + 1
-        u, v = self.stream.edges[self.edge_ptr]
-        for w in (u, v):
-            for fam in FAMILIES:
-                if not self._inc(w, fam, 1):
-                    return k
-        if self.fa[k - 1]:
-            for fam in ("A", "B"):
-                if not self._inc(u, fam, self.d_a1):
-                    return k
-        if self.fb[k - 1]:
-            for fam in ("C", "D"):
-                if not self._inc(u, fam, self.d_b1):
-                    return k
-        for w in (u, v):
-            for fam, base, step_ in (
-                ("A", self.d_a, self.d_a1),
-                ("B", self.d_a1, self.d_a1),
-                ("C", self.d_b, self.d_b1),
-                ("D", self.d_b1, self.d_b1),
-            ):
-                s = self.sets[(w, fam)]
-                if s:
-                    top = max(s)
-                    wipe = set(range(base, top + 1, step_))
-                    s.difference_update(wipe)
-        for w in (u, v):
-            self.r[w] += 1
-        self.big_r_ab[u] += self.fa[k - 1]
-        self.big_r_cd[u] += self.fb[k - 1]
-        self.edge_ptr = k
-        return k
-
-    def expected_members(self) -> set[int]:
-        members = set(range(self.cursor, self.big_m))
-        for (w, fam), positions in self.sets.items():
-            for copy in range(1, self.copies + 1):
-                for p in positions:
-                    members.add(self._plan_for_ids.slot(w, fam, copy, p))
-        return members
-
-    def check_stack_form(self, w: int) -> None:
-        """Asserts the interval-union shape for both stack pairs of w."""
-        self._check_pair(
-            self.sets[(w, "A")], self.sets[(w, "B")],
-            self.d_a, self.d_a1, self.r[w], self.big_r_ab[w],
-        )
-        self._check_pair(
-            self.sets[(w, "C")], self.sets[(w, "D")],
-            self.d_b, self.d_b1, self.r[w], self.big_r_cd[w],
-        )
-
-    def _check_pair(self, s_e, s_f, d_lo, d_hi, r, big_r):
-        if big_r == 0:
-            assert s_e == set(range(1, min(r, d_lo - 1) + 1)), (s_e, r, d_lo)
-            assert s_f == set(range(1, min(r, d_hi - 1) + 1)), (s_f, r, d_hi)
-            return
-        assert s_e >= set(range(1, d_lo)), "bottom of the low stack must be full"
-        assert s_f >= set(range(1, d_hi)), "bottom of the high stack must be full"
-
-        def slab_constraints(s, bases_ends):
-            """Per slab, the set of admissible offsets rho in [1, r]."""
-            allowed = []
-            covered = set(range(1, bases_ends[0][0] + 1)) - {bases_ends[0][0]}
-            for base, end in bases_ends:
-                slab = {p for p in s if base <= p < end}
-                expect_all = set(range(base + 1, end))
-                if slab:
-                    start = min(slab)
-                    if slab != set(range(start, end)):
-                        raise AssertionError(f"slab {slab} is not a suffix of [{base}, {end})")
-                    rho = start - base
-                    allowed.append({rho} if 1 <= rho <= r else set())
-                else:
-                    allowed.append(set(range(end - base, r + 1)))
-                covered |= expect_all | {base}
-            stray = {p for p in s if p >= bases_ends[0][0]} - covered
-            if stray:
-                raise AssertionError(f"positions {stray} outside every slab")
-            return allowed
-
-        e_slabs = [
-            (d_lo + (i - 1) * d_hi, d_lo + i * d_hi) for i in range(1, big_r)
-        ] + [(d_lo + (big_r - 1) * d_hi, big_r * d_hi + min(r + 1, d_lo))]
-        f_slabs = [
-            (i * d_hi, (i + 1) * d_hi) for i in range(1, big_r)
-        ] + [(big_r * d_hi, big_r * d_hi + min(r + 1, d_hi))]
-        allowed_e = slab_constraints(s_e, e_slabs)
-        allowed_f = slab_constraints(s_f, f_slabs)
-        for i, (ae, af) in enumerate(zip(allowed_e, allowed_f), start=1):
-            if not (ae & af):
-                raise AssertionError(
-                    f"no shared offset for slab {i}: {ae} vs {af}"
-                )

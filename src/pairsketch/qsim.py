@@ -7,10 +7,14 @@ pair query at (x, y) measures with the two projectors onto
 ``(|x> +- |y>)/sqrt(2)``. The Bot outcome is the complement: it zeroes the
 queried coordinates and renormalizes.
 
-``enumerate_distribution`` walks every branch of a script under either the
-stochastic member-set semantics (exact rationals) or the state-vector
-semantics (floats), and returns the distribution over outcome sequences. The
-two backends agree to within numerical error; the equivalence tests pin that
+``enumerate_distribution`` returns the distribution over outcome sequences
+of a script under either the stochastic member-set semantics (exact
+rationals) or the state-vector semantics (floats). The stochastic backend is
+the noiseless replay plus the fire law from ``pairsketch.sketch``: since a
+fire ends the run and misses delete deterministically, one all-miss
+trajectory yields every outcome sequence. The quantum backend walks every
+measurement branch of the state vector independently of that law. The two
+backends agree to within numerical error; the equivalence tests pin that
 down to total-variation 1e-9.
 """
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import (
     TooLargeError,
 )
 from .permutation import PermutationSpec
-from .sketch import QueryOne, QueryOutcome, QueryPair, ScriptOp, Update
+from .sketch import QueryOne, QueryOutcome, QueryPair, ScriptOp, Update, replay_noiseless
 from .universe import UniverseSpec
 
 #: Branches thinner than this are dropped by the float backend.
@@ -191,80 +195,16 @@ def enumerate_distribution(
 
 
 def _enumerate_stochastic(universe, members, script) -> OutcomeDistribution:
-    ids = frozenset(members)
-    if not ids:
-        raise InvalidInitError("initial member set is empty")
-    for eid in ids:
-        if not universe.contains_id(eid):
-            raise InvalidInitError(f"member id {eid!r} outside universe")
-    out: dict[tuple[str, ...], Fraction] = {}
-
-    def record(prefix: tuple[str, ...], p: Fraction) -> None:
-        out[prefix] = out.get(prefix, Fraction(0)) + p
-
-    stack = [(ids, Fraction(1), 0, ())]
-    while stack:
-        current, p, i, prefix = stack.pop()
-        if i == len(script):
-            record(prefix, p)
-            continue
-        op = script[i]
-        if isinstance(op, Update):
-            if op.perm.universe != universe:
-                raise ScriptError("permutation universe does not match")
-            stack.append((frozenset(op.perm.permute_set(set(current))), p, i + 1, prefix))
-        elif isinstance(op, QueryOne):
-            _check_endpoint_ids(universe, op.x)
-            n = len(current)
-            if n and op.x in current:
-                record(prefix + (QueryOutcome.IN.value,), p * Fraction(1, n))
-                if n > 1:
-                    stack.append(
-                        (current - {op.x}, p * Fraction(n - 1, n), i + 1, prefix + ("Bot",))
-                    )
-            else:
-                stack.append((current, p, i + 1, prefix + ("Bot",)))
-        elif isinstance(op, QueryPair):
-            _check_endpoint_ids(universe, op.x)
-            _check_endpoint_ids(universe, op.y)
-            if op.x == op.y:
-                raise InvalidQueryError("pair query endpoints must differ")
-            n = len(current)
-            in_x = op.x in current
-            in_y = op.y in current
-            if in_x and in_y:
-                record(prefix + (QueryOutcome.PLUS.value,), p * Fraction(2, n))
-                if n > 2:
-                    stack.append(
-                        (
-                            current - {op.x, op.y},
-                            p * Fraction(n - 2, n),
-                            i + 1,
-                            prefix + ("Bot",),
-                        )
-                    )
-            elif in_x or in_y:
-                record(prefix + (QueryOutcome.PLUS.value,), p * Fraction(1, 2 * n))
-                record(prefix + (QueryOutcome.MINUS.value,), p * Fraction(1, 2 * n))
-                if n > 1:
-                    stack.append(
-                        (
-                            current - {op.x, op.y},
-                            p * Fraction(n - 1, n),
-                            i + 1,
-                            prefix + ("Bot",),
-                        )
-                    )
-            else:
-                stack.append((current, p, i + 1, prefix + ("Bot",)))
-        else:
-            raise ScriptError(f"unknown script op {op!r}")
+    """The noiseless replay plus the fire law: a fire ends the run, so the
+    k-th query firing is the sequence of k Bots and its outcome, and the
+    all-miss sequence carries the survival probability."""
+    trace = replay_noiseless(universe, members, script)
+    out = {
+        ("Bot",) * k + (outcome.value,): p for k, outcome, p in trace.fire_atoms()
+    }
+    if trace.survival:
+        out[("Bot",) * len(trace.steps)] = trace.survival
     return OutcomeDistribution(out)
-
-
-def _check_endpoint_ids(universe: UniverseSpec, x: int) -> None:
-    if not universe.contains_id(x):
-        raise InvalidQueryError(f"query endpoint {x!r} outside universe")
 
 
 def _enumerate_quantum(universe, members, script) -> OutcomeDistribution:

@@ -17,11 +17,15 @@ fires, the handle is destroyed and every further operation raises
 ``SketchDestroyedError``. A sketch whose member set has been whittled down to
 nothing keeps answering ``Bot``.
 
+``FIRE_LAW`` states these rules once; the live handle, the noiseless replay
+and every exact law built on the replay read it from there.
+
 The useful consequence of these laws is reorderability: misses delete
 deterministically, so the member set conditioned on "no fire yet" is exactly
 the set a noiseless replay produces, and the unconditional probability that a
-given query fires depends only on the initial size. ``replay_noiseless``
-exposes that deterministic trajectory.
+given query fires depends only on the initial size and its presence pattern.
+``replay_noiseless`` exposes that deterministic trajectory and
+``ReplayTrace.fire_atoms`` the resulting fire probabilities.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -53,6 +57,38 @@ class QueryOutcome(enum.Enum):
 
     def fires(self) -> bool:
         return self is not QueryOutcome.BOT
+
+
+#: The query law. (pair query?, present endpoint count) -> (scale, atoms): with
+#: |T| members before the query, each atom (outcome, weight) fires with
+#: probability weight / (scale * |T|); otherwise the query misses and deletes
+#: its present endpoints.
+FIRE_LAW: dict[tuple[bool, int], tuple[int, tuple[tuple[QueryOutcome, int], ...]]] = {
+    (False, 0): (1, ()),
+    (False, 1): (1, ((QueryOutcome.IN, 1),)),
+    (True, 0): (1, ()),
+    (True, 1): (2, ((QueryOutcome.PLUS, 1), (QueryOutcome.MINUS, 1))),
+    (True, 2): (1, ((QueryOutcome.PLUS, 2),)),
+}
+
+
+def sample_atoms(probs: Sequence, rng: np.random.Generator, trials: int) -> np.ndarray:
+    """Indices of ``trials`` independent draws from atoms with these probabilities.
+
+    The last cumulative bound is pinned to 1, so float rounding in the
+    probabilities can never leave a draw past the final atom.
+    """
+    cum = np.cumsum([float(p) for p in probs])
+    cum[-1] = 1.0
+    return np.searchsorted(cum, rng.random(trials), side="right")
+
+
+def _check_query(universe: UniverseSpec, *endpoints: int) -> None:
+    for eid in endpoints:
+        if not universe.contains_id(eid):
+            raise InvalidQueryError(f"query endpoint {eid!r} outside universe")
+    if len(endpoints) == 2 and endpoints[0] == endpoints[1]:
+        raise InvalidQueryError(f"pair query endpoints must differ, got {endpoints[0]} twice")
 
 
 class _MemberStore:
@@ -122,6 +158,20 @@ class _MemberStore:
     def remove(self, eid: int) -> None:
         self.buckets[self._key(eid)].remove(eid)
         self.count -= 1
+
+    def take(self, x: int, y: int | None = None) -> tuple[int, bool, bool]:
+        """The miss branch of a query: delete the present endpoints.
+
+        Returns (size before, x present, y present).
+        """
+        size = self.count
+        present_x = x in self
+        if present_x:
+            self.remove(x)
+        present_y = y is not None and y in self
+        if present_y:
+            self.remove(y)
+        return size, present_x, present_y
 
     def snapshot(self) -> set[int]:
         out: set[int] = set()
@@ -241,43 +291,31 @@ class SketchHandle:
         self._store = None  # type: ignore[assignment]
         return outcome
 
+    def _fire(self, pair: bool, size: int, present: int) -> QueryOutcome:
+        scale, atoms = FIRE_LAW[pair, present]
+        if atoms:
+            u = self._rng.random() * scale * size
+            acc = 0
+            for outcome, weight in atoms:
+                acc += weight
+                if u < acc:
+                    return self._destroy(outcome)
+        return QueryOutcome.BOT
+
+    # A query takes the miss branch first; a fire then discards the store, so
+    # deleting the endpoints beforehand changes nothing observable.
+
     def query_one(self, x: int) -> QueryOutcome:
         self._require_alive()
-        if not self.universe.contains_id(x):
-            raise InvalidQueryError(f"query endpoint {x!r} outside universe")
-        store = self._store
-        if store.count == 0 or x not in store:
-            return QueryOutcome.BOT
-        if self._rng.random() * store.count < 1.0:
-            return self._destroy(QueryOutcome.IN)
-        store.remove(x)
-        return QueryOutcome.BOT
+        _check_query(self.universe, x)
+        size, present, _ = self._store.take(x)
+        return self._fire(False, size, present)
 
     def query_pair(self, x: int, y: int) -> QueryOutcome:
         self._require_alive()
-        if not self.universe.contains_id(x) or not self.universe.contains_id(y):
-            raise InvalidQueryError(f"query endpoint outside universe: ({x!r}, {y!r})")
-        if x == y:
-            raise InvalidQueryError(f"pair query endpoints must differ, got {x} twice")
-        store = self._store
-        n = store.count
-        in_x = x in store
-        in_y = y in store
-        if n == 0 or (not in_x and not in_y):
-            return QueryOutcome.BOT
-        if in_x and in_y:
-            if self._rng.random() * n < 2.0:
-                return self._destroy(QueryOutcome.PLUS)
-            store.remove(x)
-            store.remove(y)
-            return QueryOutcome.BOT
-        u = self._rng.random() * 2 * n
-        if u < 1.0:
-            return self._destroy(QueryOutcome.PLUS)
-        if u < 2.0:
-            return self._destroy(QueryOutcome.MINUS)
-        store.remove(x if in_x else y)
-        return QueryOutcome.BOT
+        _check_query(self.universe, x, y)
+        size, present_x, present_y = self._store.take(x, y)
+        return self._fire(True, size, present_x + present_y)
 
     def add_via_dummy(self, dummy: int, target: int) -> None:
         """Swap a scratch member into a new identity (the only way to 'insert')."""
@@ -364,6 +402,20 @@ class ReplayTrace:
     survival: Fraction
     steps: tuple[ReplayStep, ...]
 
+    def fire_atoms(self) -> Iterator[tuple[int, QueryOutcome, Fraction]]:
+        """Yield (query position in ``steps``, outcome, unconditional probability).
+
+        The probability is weight / (scale * |T0|) from ``FIRE_LAW``: reaching
+        a query without a fire has probability |T|/|T0|, which cancels the
+        |T| of the query's own law. Updates keep the size, so |T0| is the
+        size before the first query. Together with ``survival`` the atoms
+        carry the whole outcome law of the script.
+        """
+        for k, step in enumerate(self.steps):
+            scale, atoms = FIRE_LAW[step.kind == "pair", step.present_count]
+            for outcome, weight in atoms:
+                yield k, outcome, Fraction(weight, scale * self.steps[0].size_before)
+
 
 def replay_noiseless(
     universe: UniverseSpec,
@@ -376,7 +428,8 @@ def replay_noiseless(
     the end without a query firing, and per-query presence facts. Conditioned
     on no fire, a real handle holds exactly ``survivors`` afterwards. Members,
     updates and query endpoints are validated as :func:`create` and the
-    handle's operations validate them.
+    handle's operations validate them, including ops that a real run could
+    only reach with probability zero.
     """
     store = _MemberStore(universe, members)
     initial_size = store.count
@@ -388,34 +441,21 @@ def replay_noiseless(
                 raise ScriptError("permutation universe does not match replay universe")
             store.apply(op.perm)
             continue
-        n = store.count
         if isinstance(op, QueryOne):
-            if not universe.contains_id(op.x):
-                raise InvalidQueryError(f"query endpoint {op.x!r} outside universe")
-            present = op.x in store
-            steps.append(ReplayStep(i, "one", op.x, None, present, False, n))
-            if present:
-                survival *= Fraction(n - 1, n)
-                store.remove(op.x)
+            _check_query(universe, op.x)
+            size, present_x, present_y = store.take(op.x)
+            step = ReplayStep(i, "one", op.x, None, present_x, present_y, size)
         elif isinstance(op, QueryPair):
-            if not universe.contains_id(op.x) or not universe.contains_id(op.y):
-                raise InvalidQueryError(
-                    f"query endpoint outside universe: ({op.x!r}, {op.y!r})"
-                )
-            if op.x == op.y:
-                raise InvalidQueryError("pair query endpoints must differ")
-            px = op.x in store
-            py = op.y in store
-            steps.append(ReplayStep(i, "pair", op.x, op.y, px, py, n))
-            if px and py:
-                survival *= Fraction(n - 2, n)
-                store.remove(op.x)
-                store.remove(op.y)
-            elif px or py:
-                survival *= Fraction(n - 1, n)
-                store.remove(op.x if px else op.y)
+            _check_query(universe, op.x, op.y)
+            size, present_x, present_y = store.take(op.x, op.y)
+            step = ReplayStep(i, "pair", op.x, op.y, present_x, present_y, size)
         else:
             raise ScriptError(f"unknown script op {op!r}")
+        steps.append(step)
+        scale, atoms = FIRE_LAW[step.kind == "pair", step.present_count]
+        if atoms:
+            fired = sum(weight for _, weight in atoms)
+            survival *= 1 - Fraction(fired, scale * step.size_before)
     if survival != Fraction(store.count, initial_size):
         raise InvariantError(
             f"replay survival {survival} != {store.count}/{initial_size} survivors"

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParamsError, InvariantError, ParseError, ValidationError
+from .errors import InvalidParamsError, InvariantError, ValidationError
 from .permutation import PermutationSpec, SwapStage
 from .sketch import QueryOutcome, create
 from .universe import Block, IntRange, UniverseSpec
@@ -136,9 +136,7 @@ def oracle_t_split(stream: EdgeStream, k: int) -> TriangleOracleReport:
         rows.append((apex, v, w, d_v, d_w, t_less))
         total_less += t_less
     T = len(rows)
-    report = TriangleOracleReport(T, total_less, T - total_less, tuple(rows))
-    assert report.T_less + report.T_greater == report.T
-    return report
+    return TriangleOracleReport(T, total_less, T - total_less, tuple(rows))
 
 
 # -- estimator -------------------------------------------------------------------
@@ -409,42 +407,3 @@ def _pattern_fire_probs(
             last[u] = ell
             last[v] = ell
     return pp, pm
-
-
-# -- file format --------------------------------------------------------------------
-
-
-def write_stream(stream: EdgeStream, path) -> None:
-    """Text form: header "n m", then one "u v" line per edge in arrival order."""
-    lines = [f"{stream.n} {stream.m}"]
-    lines += [f"{u} {v}" for u, v in stream.edges]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_stream(path) -> EdgeStream:
-    with open(path, encoding="ascii") as fh:
-        raw = fh.read().splitlines()
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
-    if not lines:
-        raise ParseError(f"{path}: empty stream file")
-    lno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise ParseError(f"{path}:{lno}: header must be 'n m'")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(f"{path}:{lno}: non-integer header field") from None
-    edges = []
-    for lno, ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(f"{path}:{lno}: expected 'u v'")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise ParseError(f"{path}:{lno}: non-integer field in {ln!r}") from None
-    if len(edges) != m:
-        raise ParseError(f"{path}: header promises {m} edges, found {len(edges)}")
-    return EdgeStream(n, tuple(edges))

@@ -36,6 +36,7 @@ from pairsketch.harness import (
 )
 from pairsketch.heavy_edges import DirectedEdgeStream
 from pairsketch.triangle import EdgeStream
+from snapshot_reference import StackMirror
 
 K3 = EdgeStream(3, ((1, 2), (1, 3), (2, 3)))
 STAR = DirectedEdgeStream(4, ((3, 1), (3, 2), (3, 4)))
@@ -419,7 +420,7 @@ def test_criterion_7_pseudosnapshot(files):
         ids = [x for op, _ in edge_plan.queries for x in (op.x, op.y)]
         assert len(ids) == len(set(ids)) == 8 * params.kappa**2
 
-    mirror = ps.StackMirror(stream, hashes, grid, params)
+    mirror = StackMirror(stream, hashes, grid, params)
     expected = []
     while mirror.edge_ptr < stream.m:
         k = mirror.step()

@@ -15,15 +15,14 @@ from pairsketch.bhm import (
     default_copies,
     generate_instance,
     initial_members,
-    read_instance,
     run_majority,
     run_single,
     sample_majority,
     sample_outputs,
     terminal_slabs,
-    write_instance,
 )
 from pairsketch.errors import ParseError
+from pairsketch.harness import parse_stream, write_instance
 from pairsketch.sketch import replay_noiseless
 
 
@@ -170,7 +169,7 @@ def test_file_roundtrip(tmp_path):
     inst = generate_instance(8, Fraction(1, 4), 1, seed=17)
     path = tmp_path / "inst.bhm"
     write_instance(inst, path)
-    back = read_instance(path)
+    back = parse_stream(path, "bhm")
     assert back == inst
 
 
@@ -178,17 +177,17 @@ def test_parse_errors_name_the_line(tmp_path):
     path = tmp_path / "bad.bhm"
     path.write_text("4 1/4\n")
     with pytest.raises(ParseError) as err:
-        read_instance(path)
+        parse_stream(path, "bhm")
     assert ":1:" in str(err.value)
 
     path.write_text("4 1/4 0\nV 1 0\nQ 2 0\n")
     with pytest.raises(ParseError) as err:
-        read_instance(path)
+        parse_stream(path, "bhm")
     assert ":3:" in str(err.value)
 
     path.write_text("4 1/4 0\nV 1 zero\n")
     with pytest.raises(ParseError) as err:
-        read_instance(path)
+        parse_stream(path, "bhm")
     assert ":2:" in str(err.value)
 
 
@@ -200,4 +199,4 @@ def test_missing_vertex_bit_is_a_validation_error(tmp_path):
     dropped = [ln for ln in lines if not ln.startswith("V 2 ")]
     path.write_text("\n".join(dropped) + "\n")
     with pytest.raises(ValidationError):
-        read_instance(path)
+        parse_stream(path, "bhm")

@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pairsketch import ConfigError, InvalidParamsError
+from pairsketch import ConfigError, InvalidParamsError, ParseError
 from pairsketch.bhm import BhmInstance
+from pairsketch.cli import main
 from pairsketch.harness import (
     ExperimentConfig,
     Report,
@@ -140,6 +141,57 @@ def test_parse_stream_dispatch(tmp_path):
     assert isinstance(parse_stream(p_tri), EdgeStream)
     with pytest.raises(ConfigError):
         parse_stream(p_tri, "sideways")
+
+
+EDGE_LIST_KINDS = {"undirected": EdgeStream, "directed": DirectedEdgeStream}
+
+
+@pytest.mark.parametrize("kind", sorted(EDGE_LIST_KINDS))
+def test_edge_list_file_roundtrip(tmp_path, kind):
+    gnp, _ = generate_graph("gnp", {"n": 9, "p": 0.4}, 14)
+    stream = EDGE_LIST_KINDS[kind](gnp.n, gnp.edges)
+    path = tmp_path / "g.edges"
+    write_instance(stream, path)
+    assert parse_stream(path, kind) == stream
+
+
+@pytest.mark.parametrize("kind", sorted(EDGE_LIST_KINDS))
+def test_edge_list_parse_errors(tmp_path, kind):
+    path = tmp_path / "bad.edges"
+    for text, where in (
+        ("3\n", ":1:"),
+        ("3 2\n1 2\n", "promises 2"),
+        ("3 1\n1 x\n", ":2:"),
+        ("5 2\n1 2\n3 x\n", ":3:"),
+        ("5 2\n1 2\n3 4 5\n", ":3:"),
+        ("\n \n", "empty"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            parse_stream(path, kind)
+        assert where in str(err.value)
+
+
+@pytest.mark.parametrize("kind", ["auto", "bhm", "directed", "undirected"])
+def test_non_ascii_bytes_are_parse_errors_naming_the_line(tmp_path, kind):
+    path = tmp_path / "bad.txt"
+    for data, where in (
+        (b"3 2\n1 2\n2 \xc3\xa9\n", ":3:"),
+        (b"\xff\n", ":1:"),
+        (b"3 1\r\n\r\n1 \x80\n", ":3:"),
+    ):
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            parse_stream(path, kind)
+        assert where in str(err.value)
+
+
+def test_cli_reports_a_malformed_stream_and_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.edges"
+    path.write_bytes(b"3 2\n1 2\n2 \xc3\xa9\n")
+    assert main(["triangle", "--stream", str(path), "--k", "1", "--trials", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{path}:3:" in err
 
 
 # -- reports -------------------------------------------------------------------------

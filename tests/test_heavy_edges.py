@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pairsketch import InvalidParamsError, ValidationError, enumerate_distribution
-from pairsketch.errors import ParseError
 from pairsketch.heavy_edges import (
     DirectedEdgeStream,
     HeavyParams,
@@ -14,11 +13,9 @@ from pairsketch.heavy_edges import (
     estimate_sampled,
     heavy_universe,
     oracle_heavy_count,
-    read_stream,
     run_single,
     sample_outputs,
     terminal_law,
-    write_stream,
 )
 
 STAR = DirectedEdgeStream(4, ((3, 1), (3, 2), (3, 4)))
@@ -234,24 +231,3 @@ def test_estimate_all_light_and_all_heavy():
     est = estimate_sampled(stream, HeavyParams(1, 1, 0.5), seed=3, copies=100_000)
     sigma = 2 * stream.m / np.sqrt(100_000)
     assert abs(est - stream.m) < 4 * sigma
-
-
-# -- files ----------------------------------------------------------------------------
-
-
-def test_stream_file_roundtrip(tmp_path):
-    stream = random_directed(7, 15, 23)
-    path = tmp_path / "d.edges"
-    write_stream(stream, path)
-    assert read_stream(path) == stream
-
-
-def test_parse_errors(tmp_path):
-    path = tmp_path / "bad.edges"
-    path.write_text("5\n")
-    with pytest.raises(ParseError):
-        read_stream(path)
-    path.write_text("5 2\n1 2\n3 x\n")
-    with pytest.raises(ParseError) as err:
-        read_stream(path)
-    assert ":3:" in str(err.value)

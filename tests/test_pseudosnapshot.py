@@ -19,8 +19,6 @@ from pairsketch.pseudosnapshot import (
     HashOracles,
     ScriptPlan,
     SnapshotParams,
-    SnapshotRun,
-    StackMirror,
     _Plan,
     build_plan,
     estimate_sampled,
@@ -30,6 +28,7 @@ from pairsketch.pseudosnapshot import (
     run_single,
     terminal_law,
 )
+from snapshot_reference import SnapshotRun, StackMirror
 
 
 def random_directed(n: int, m: int, seed: int) -> DirectedEdgeStream:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from pairsketch import (
     Block,
     IntRange,
+    InvalidInitError,
+    InvalidQueryError,
     QueryOne,
     QueryPair,
     TooLargeError,
@@ -21,6 +23,7 @@ from pairsketch import (
     swap_perm,
 )
 from pairsketch.qsim import _branches_one, _branches_pair
+from test_sketch import GRID, grid_scripts
 
 EIGHT = UniverseSpec((Block("v", (IntRange(1, 8),)),))
 
@@ -182,3 +185,115 @@ def test_backends_agree_in_total_variation(members, script):
     classical = enumerate_distribution(EIGHT, sorted(members), script)
     quantum = enumerate_distribution(EIGHT, sorted(members), script, "quantum")
     assert classical.tv(quantum) <= 1e-9
+
+
+# -- stochastic backend vs the frozenset branch walk ----------------------------
+
+
+def _reference_branch_walk(universe, members, script):
+    """Exact outcome law by walking every branch over frozenset member sets.
+
+    This was the stochastic backend before it became the noiseless replay
+    plus the fire law. It only validates the ops it reaches.
+    """
+    ids = frozenset(members)
+    out = {}
+
+    def record(prefix, p):
+        out[prefix] = out.get(prefix, Fraction(0)) + p
+
+    stack = [(ids, Fraction(1), 0, ())]
+    while stack:
+        current, p, i, prefix = stack.pop()
+        if i == len(script):
+            record(prefix, p)
+            continue
+        op = script[i]
+        if isinstance(op, Update):
+            assert op.perm.universe == universe
+            stack.append((frozenset(op.perm.permute_set(set(current))), p, i + 1, prefix))
+        elif isinstance(op, QueryOne):
+            assert universe.contains_id(op.x)
+            n = len(current)
+            if n and op.x in current:
+                record(prefix + ("In",), p * Fraction(1, n))
+                if n > 1:
+                    stack.append((current - {op.x}, p * Fraction(n - 1, n), i + 1, prefix + ("Bot",)))
+            else:
+                stack.append((current, p, i + 1, prefix + ("Bot",)))
+        else:
+            assert universe.contains_id(op.x) and universe.contains_id(op.y) and op.x != op.y
+            n = len(current)
+            in_x = op.x in current
+            in_y = op.y in current
+            if in_x and in_y:
+                record(prefix + ("Plus",), p * Fraction(2, n))
+                if n > 2:
+                    stack.append(
+                        (current - {op.x, op.y}, p * Fraction(n - 2, n), i + 1, prefix + ("Bot",))
+                    )
+            elif in_x or in_y:
+                record(prefix + ("Plus",), p * Fraction(1, 2 * n))
+                record(prefix + ("Minus",), p * Fraction(1, 2 * n))
+                if n > 1:
+                    stack.append(
+                        (current - {op.x, op.y}, p * Fraction(n - 1, n), i + 1, prefix + ("Bot",))
+                    )
+            else:
+                stack.append((current, p, i + 1, prefix + ("Bot",)))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(0, 7), min_size=1, max_size=6), small_scripts())
+def test_stochastic_backend_equals_branch_walk_on_eight(members, script):
+    dist = enumerate_distribution(EIGHT, sorted(members), script)
+    assert dist.entries == _reference_branch_walk(EIGHT, members, script)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.integers(0, GRID.size - 1), min_size=1, max_size=12), grid_scripts(GRID))
+def test_stochastic_backend_equals_branch_walk_on_grid(members, script):
+    dist = enumerate_distribution(GRID, sorted(members), script)
+    assert dist.entries == _reference_branch_walk(GRID, members, script)
+
+
+def test_whittled_to_one_member_fires_with_certainty():
+    for script, want in (
+        ([QueryOne(vid(1)), QueryOne(vid(2)), QueryOne(vid(3))],
+         {("In",): Fraction(1, 2), ("Bot", "In"): Fraction(1, 2)}),
+        ([QueryOne(vid(1)), QueryPair(vid(2), vid(5))],
+         {("In",): Fraction(1, 2), ("Bot", "Plus"): Fraction(1, 4),
+          ("Bot", "Minus"): Fraction(1, 4)}),
+    ):
+        members = [vid(1), vid(2)]
+        dist = enumerate_distribution(EIGHT, members, script)
+        assert dist.entries == want == _reference_branch_walk(EIGHT, members, script)
+
+
+def test_queries_on_an_emptied_store():
+    # the pair empties the store and fires with certainty; the replay goes on
+    # querying the empty store, whose queries carry no fire atoms
+    members = [vid(1), vid(2)]
+    script = [QueryPair(vid(1), vid(2)), QueryOne(vid(1)), QueryPair(vid(3), vid(2))]
+    dist = enumerate_distribution(EIGHT, members, script)
+    assert dist.entries == {("Plus",): Fraction(1)}
+    assert dist.entries == _reference_branch_walk(EIGHT, members, script)
+
+
+def test_ops_after_a_certain_fire_are_still_validated():
+    # a run never reaches the second query, so the branch walk and the quantum
+    # backend never look at it; the stochastic backend's replay validates it
+    members = [vid(1)]
+    script = [QueryOne(vid(1)), QueryOne(99)]
+    assert _reference_branch_walk(EIGHT, members, script) == {("In",): Fraction(1)}
+    assert enumerate_distribution(EIGHT, members, script, "quantum").prob(("In",)) == 1.0
+    with pytest.raises(InvalidQueryError):
+        enumerate_distribution(EIGHT, members, script)
+
+
+@pytest.mark.parametrize("backend", ["stochastic", "quantum"])
+def test_repeated_members_are_rejected(backend):
+    with pytest.raises(InvalidInitError):
+        enumerate_distribution(EIGHT, [1, 1, 2], [QueryOne(1)], backend)
+

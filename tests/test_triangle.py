@@ -13,7 +13,6 @@ from pairsketch import (
     replay_noiseless,
     swap_perm,
 )
-from pairsketch.errors import ParseError
 from pairsketch.triangle import (
     EdgeStream,
     TriangleParams,
@@ -23,11 +22,9 @@ from pairsketch.triangle import (
     estimate_sampled,
     exact_output_distribution,
     oracle_t_split,
-    read_stream,
     run_single,
     sample_outputs,
     triangle_universe,
-    write_stream,
 )
 
 K3 = EdgeStream(3, ((1, 2), (1, 3), (2, 3)))
@@ -360,28 +357,3 @@ def test_estimate_sampled_agrees_with_oracle():
     est = estimate_sampled(stream, params, master_seed=8)
     sigma = k * stream.m / np.sqrt(60_000)
     assert abs(est - float(rep.T_less)) < 4 * sigma
-
-
-# -- files -------------------------------------------------------------------------
-
-
-def test_stream_file_roundtrip(tmp_path):
-    stream = random_stream(9, 0.4, 14)
-    path = tmp_path / "g.edges"
-    write_stream(stream, path)
-    assert read_stream(path) == stream
-
-
-def test_stream_parse_errors(tmp_path):
-    path = tmp_path / "bad.edges"
-    path.write_text("3\n")
-    with pytest.raises(ParseError):
-        read_stream(path)
-    path.write_text("3 2\n1 2\n")
-    with pytest.raises(ParseError) as err:
-        read_stream(path)
-    assert "promises 2" in str(err.value)
-    path.write_text("3 1\n1 x\n")
-    with pytest.raises(ParseError) as err:
-        read_stream(path)
-    assert ":2:" in str(err.value)
