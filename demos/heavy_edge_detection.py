@@ -20,7 +20,7 @@ print("star stream, d_H = 2, d_T = 1: true qualifying count =", count)
 
 law = heavy_edges.terminal_law(star, 2, 1)
 print("terminal law: mean %s over %d atoms, P[+%d] = %s, P[-%d] = %s"
-      % (law.mean, len(law.atoms()), law.m, law.p_plus, law.m, law.p_minus))
+      % (law.mean, len(law.atoms()), law.value, law.p_plus, law.value, law.p_minus))
 assert law.mean == count
 
 outs = heavy_edges.sample_outputs(star, 2, 1, master_seed=1, trials=30_000)

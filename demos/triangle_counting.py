@@ -1,10 +1,13 @@
-"""Counting light triangles in an edge stream with one sketch per run.
+"""Counting damped triangles in an edge stream with one sketch per run.
 
-Each run seeds a sketch with k tokens per vertex and replays the edge
-stream as a fixed query script. The signed output X is engineered so
-that E[X] equals T_less, the number of triangles whose newest edge
-closes against a low degree wedge (fewer than k earlier common
-neighbours). Triangles above that cutoff cancel out of the expectation.
+Each run starts a sketch on 2m scratch members and replays the edge
+stream: every edge is selected with probability 1/k, a selected edge
+probes the sketch with one pair query per vertex, and then every edge
+swaps two scratch members into its own pair. The signed output X is
+engineered so that E[X] equals T_less = sum over triangles of
+(1 - 1/k)^(d_v + d_w), where d_v and d_w count the edges that arrive at
+the closing edge's endpoints between the wedge and the closing edge.
+The rest of T, T_greater, cancels out of the expectation.
 """
 
 import numpy as np
@@ -13,11 +16,10 @@ from pairsketch import triangle
 
 # Warm up on the smallest possible case.
 K3 = triangle.EdgeStream(3, ((1, 2), (1, 3), (2, 3)))
-law = triangle.exact_output_distribution(K3, 1)
-mean = sum(x * p for x, p in law.items())
-print("K3 with k = 1: exact output law", dict(sorted(law.items())))
-print("  mean =", mean, "(one triangle, as expected)")
-assert mean == 1
+law = triangle.terminal_law(K3, 1)
+print("K3 with k = 1: exact output law", dict(sorted(law.atoms().items())))
+print("  mean =", law.mean, "(one triangle, as expected)")
+assert law.mean == 1
 
 # A denser random graph.
 rng = np.random.default_rng(3)
@@ -34,6 +36,10 @@ print("random graph: n = %d, m = %d edges" % (stream.n, stream.m))
 print("true triangle count T = %s, split at k = %d: T_less = %s, T_greater = %s"
       % (report.T, k, report.T_less, report.T_greater))
 assert report.T_less + report.T_greater == report.T
+law = triangle.terminal_law(stream, k)
+print("exact law: P[+%d] = %.4f, P[-%d] = %.4f, mean %s"
+      % (law.value, float(law.p_plus), law.value, float(law.p_minus), law.mean))
+assert law.mean == report.T_less
 
 trials = 60_000
 outs = triangle.sample_outputs(stream, k, master_seed=17, trials=trials)

@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--copies", type=int, default=None, help="votes per committee")
     common(p, 200_000)
 
-    p = sub.add_parser("triangle", help="count triangles closed within k arrivals")
+    p = sub.add_parser("triangle", help="estimate the damped triangle count T_less")
     p.add_argument("--stream", required=True, help="undirected stream file")
     p.add_argument("--k", type=int, required=True)
     common(p, 200_000)

@@ -477,6 +477,7 @@ def _run_bhm(inst: BhmInstance, params, trials, seed):
 def _run_triangle(stream: EdgeStream, params, trials, seed):
     k = int(params["k"])
     report = _tri.oracle_t_split(stream, k)
+    law = _tri.terminal_law(stream, k)
     outs = _tri.sample_outputs(stream, k, seed, trials)
     mean = float(outs.mean())
     svar = float(outs.var(ddof=1)) if trials > 1 else 0.0
@@ -489,6 +490,7 @@ def _run_triangle(stream: EdgeStream, params, trials, seed):
         "mean_matches_t_less": _within(gate),
         "outputs_bounded_by_km": max_abs <= k * stream.m,
         "split_sums_to_t": report.T_less + report.T_greater == report.T,
+        "law_mean_is_t_less": law.mean == report.T_less,
     }
     results = {
         "n": stream.n,
@@ -497,6 +499,7 @@ def _run_triangle(stream: EdgeStream, params, trials, seed):
         "T": report.T,
         "T_less": report.T_less,
         "T_greater": report.T_greater,
+        "law_mean": law.mean,
         "mean": mean,
         "sample_variance": svar,
         "ci_half_width": 4 * sigma,

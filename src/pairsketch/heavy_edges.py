@@ -30,10 +30,10 @@ from .sketch import (
     QueryOutcome,
     QueryPair,
     ScriptOp,
+    ThreeAtomLaw,
     Update,
     create,
     replay_noiseless,
-    sample_atoms,
 )
 from .universe import Block, IntRange, Labels, UniverseSpec
 
@@ -226,28 +226,7 @@ def estimate(
 # -- exact terminal law ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeavyLaw:
-    """Exact three-atom output law of run_single."""
-
-    m: int
-    p_plus: Fraction
-    p_minus: Fraction
-
-    @property
-    def mean(self) -> Fraction:
-        return 2 * self.m * (self.p_plus - self.p_minus)
-
-    def atoms(self) -> dict[int, Fraction]:
-        out = {
-            2 * self.m: self.p_plus,
-            -2 * self.m: self.p_minus,
-            0: 1 - self.p_plus - self.p_minus,
-        }
-        return {x: p for x, p in out.items() if p}
-
-
-def terminal_law(stream: DirectedEdgeStream, d_H: int, d_T: int) -> HeavyLaw:
+def terminal_law(stream: DirectedEdgeStream, d_H: int, d_T: int) -> ThreeAtomLaw:
     """Exact output law, derived by replaying the real op sequence noiselessly.
 
     The trajectory is fully deterministic, so each query's unconditional fire
@@ -257,23 +236,22 @@ def terminal_law(stream: DirectedEdgeStream, d_H: int, d_T: int) -> HeavyLaw:
     _check_thresholds(stream, d_H, d_T)
     m = stream.m
     if m == 0:
-        return HeavyLaw(0, Fraction(0), Fraction(0))
+        return ThreeAtomLaw(0, Fraction(0), Fraction(0))
     universe, script = build_script(stream, d_H, d_T)
     scratch_off = universe.block_offset("scratch")
     trace = replay_noiseless(universe, range(scratch_off, scratch_off + 4 * m), script)
     mass = {QueryOutcome.PLUS: Fraction(0), QueryOutcome.MINUS: Fraction(0)}
     for _, outcome, p in trace.fire_atoms():
         mass[outcome] += p
-    return HeavyLaw(m, mass[QueryOutcome.PLUS], mass[QueryOutcome.MINUS])
+    return ThreeAtomLaw(2 * m, mass[QueryOutcome.PLUS], mass[QueryOutcome.MINUS])
 
 
 def sample_outputs(
     stream: DirectedEdgeStream, d_H: int, d_T: int, master_seed: int, trials: int
 ) -> np.ndarray:
     """Vectorized draws from the exact run_single output law."""
-    outs, probs = zip(*terminal_law(stream, d_H, d_T).atoms().items())
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, 4]))
-    return np.array(outs, dtype=np.int32)[sample_atoms(probs, rng, trials)]
+    return terminal_law(stream, d_H, d_T).sample(rng, trials)
 
 
 def estimate_sampled(

@@ -27,13 +27,20 @@ import numpy as np
 
 from .errors import (
     InvalidInitError,
-    InvalidQueryError,
     InvariantError,
     ScriptError,
     TooLargeError,
 )
 from .permutation import PermutationSpec
-from .sketch import QueryOne, QueryOutcome, QueryPair, ScriptOp, Update, replay_noiseless
+from .sketch import (
+    QueryOne,
+    QueryOutcome,
+    QueryPair,
+    ScriptOp,
+    Update,
+    _check_query,
+    replay_noiseless,
+)
 from .universe import UniverseSpec
 
 #: Branches thinner than this are dropped by the float backend.
@@ -76,13 +83,8 @@ def qs_apply_permutation(sv: StateVector, perm: PermutationSpec) -> StateVector:
     return StateVector(sv.universe, out)
 
 
-def _check_endpoint(sv: StateVector, x: int) -> None:
-    if not sv.universe.contains_id(x):
-        raise InvalidQueryError(f"query endpoint {x!r} outside universe")
-
-
 def _branches_one(sv: StateVector, x: int) -> list[tuple[QueryOutcome, float, StateVector | None]]:
-    _check_endpoint(sv, x)
+    _check_query(sv.universe, x)
     p_in = float(abs(sv.amps[x]) ** 2)
     branches: list[tuple[QueryOutcome, float, StateVector | None]] = []
     if p_in > PRUNE_EPS:
@@ -98,10 +100,7 @@ def _branches_one(sv: StateVector, x: int) -> list[tuple[QueryOutcome, float, St
 def _branches_pair(
     sv: StateVector, x: int, y: int
 ) -> list[tuple[QueryOutcome, float, StateVector | None]]:
-    _check_endpoint(sv, x)
-    _check_endpoint(sv, y)
-    if x == y:
-        raise InvalidQueryError(f"pair query endpoints must differ, got {x} twice")
+    _check_query(sv.universe, x, y)
     a, b = sv.amps[x], sv.amps[y]
     p_plus = float(abs(a + b) ** 2) / 2.0
     p_minus = float(abs(a - b) ** 2) / 2.0
@@ -208,7 +207,19 @@ def _enumerate_stochastic(universe, members, script) -> OutcomeDistribution:
 
 
 def _enumerate_quantum(universe, members, script) -> OutcomeDistribution:
+    """Walk every measurement branch; the whole script is validated first, as
+    the replay validates it, so ops that no branch reaches are checked too."""
     sv0 = qs_create(universe, members)
+    for op in script:
+        if isinstance(op, Update):
+            if op.perm.universe != universe:
+                raise ScriptError("permutation universe does not match state universe")
+        elif isinstance(op, QueryOne):
+            _check_query(universe, op.x)
+        elif isinstance(op, QueryPair):
+            _check_query(universe, op.x, op.y)
+        else:
+            raise ScriptError(f"unknown script op {op!r}")
     out: dict[tuple[str, ...], float] = {}
 
     def record(prefix: tuple[str, ...], p: float) -> None:
@@ -226,10 +237,8 @@ def _enumerate_quantum(universe, members, script) -> OutcomeDistribution:
             continue
         if isinstance(op, QueryOne):
             branches = _branches_one(sv, op.x)
-        elif isinstance(op, QueryPair):
-            branches = _branches_pair(sv, op.x, op.y)
         else:
-            raise ScriptError(f"unknown script op {op!r}")
+            branches = _branches_pair(sv, op.x, op.y)
         for outcome, q, nxt in branches:
             pq = p * q
             if pq <= PRUNE_EPS:

@@ -18,7 +18,7 @@ fires, the handle is destroyed and every further operation raises
 nothing keeps answering ``Bot``.
 
 ``FIRE_LAW`` states these rules once; the live handle, the noiseless replay
-and every exact law built on the replay read it from there.
+and every exact estimator law read it from there (``fire_probs``).
 
 The useful consequence of these laws is reorderability: misses delete
 deterministically, so the member set conditioned on "no fire yet" is exactly
@@ -72,6 +72,13 @@ FIRE_LAW: dict[tuple[bool, int], tuple[int, tuple[tuple[QueryOutcome, int], ...]
 }
 
 
+def fire_probs(pair: bool, present: int, size: int) -> Iterator[tuple[QueryOutcome, Fraction]]:
+    """(outcome, probability) for each way a query fires at |T| = ``size``."""
+    scale, atoms = FIRE_LAW[pair, present]
+    for outcome, weight in atoms:
+        yield outcome, Fraction(weight, scale * size)
+
+
 def sample_atoms(probs: Sequence, rng: np.random.Generator, trials: int) -> np.ndarray:
     """Indices of ``trials`` independent draws from atoms with these probabilities.
 
@@ -81,6 +88,32 @@ def sample_atoms(probs: Sequence, rng: np.random.Generator, trials: int) -> np.n
     cum = np.cumsum([float(p) for p in probs])
     cum[-1] = 1.0
     return np.searchsorted(cum, rng.random(trials), side="right")
+
+
+@dataclass(frozen=True)
+class ThreeAtomLaw:
+    """Exact law of an estimator run that outputs +value, -value or 0."""
+
+    value: int
+    p_plus: Fraction
+    p_minus: Fraction
+
+    @property
+    def mean(self) -> Fraction:
+        return self.value * (self.p_plus - self.p_minus)
+
+    def atoms(self) -> dict[int, Fraction]:
+        out = {
+            self.value: self.p_plus,
+            -self.value: self.p_minus,
+            0: 1 - self.p_plus - self.p_minus,
+        }
+        return {x: p for x, p in out.items() if p}
+
+    def sample(self, rng: np.random.Generator, trials: int) -> np.ndarray:
+        """``trials`` independent int32 outputs drawn with ``sample_atoms``."""
+        outs, probs = zip(*self.atoms().items())
+        return np.array(outs, dtype=np.int32)[sample_atoms(probs, rng, trials)]
 
 
 def _check_query(universe: UniverseSpec, *endpoints: int) -> None:
@@ -412,9 +445,10 @@ class ReplayTrace:
         carry the whole outcome law of the script.
         """
         for k, step in enumerate(self.steps):
-            scale, atoms = FIRE_LAW[step.kind == "pair", step.present_count]
-            for outcome, weight in atoms:
-                yield k, outcome, Fraction(weight, scale * self.steps[0].size_before)
+            for outcome, p in fire_probs(
+                step.kind == "pair", step.present_count, self.steps[0].size_before
+            ):
+                yield k, outcome, p
 
 
 def replay_noiseless(
@@ -452,10 +486,9 @@ def replay_noiseless(
         else:
             raise ScriptError(f"unknown script op {op!r}")
         steps.append(step)
-        scale, atoms = FIRE_LAW[step.kind == "pair", step.present_count]
-        if atoms:
-            fired = sum(weight for _, weight in atoms)
-            survival *= 1 - Fraction(fired, scale * step.size_before)
+        survival *= 1 - sum(
+            p for _, p in fire_probs(step.kind == "pair", step.present_count, step.size_before)
+        )
     if survival != Fraction(store.count, initial_size):
         raise InvariantError(
             f"replay survival {survival} != {store.count}/{initial_size} survivors"

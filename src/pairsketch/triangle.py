@@ -1,32 +1,34 @@
-"""Streaming estimator for recent-closure triangle counts.
+"""Streaming estimator for damped triangle counts (Kallaugher, FOCS 2021).
 
-A triangle closes when its last edge arrives. If edges are sampled for
-querying with period k, a triangle effectively counts only when no sampled
-edge lands on its closing endpoints between the wedge's arrivals and the
-closing edge; the damping factor per triangle is (1 - 1/k) raised to the
-number of such interposed incident edges. ``oracle_t_split`` computes the
-resulting split T = T_less + T_greater exactly; ``run_single`` implements the
-sketch-based estimator whose expectation is exactly T_less.
+A triangle closes when its last edge arrives. Write its apex a and its
+closing edge (v, w), with {a, v} arriving before {a, w}; d_v counts the
+v-edges that arrive strictly between {a, v} and the closing edge, and d_w
+the w-edges strictly between {a, w} and the closing edge. With sampling
+period k, ``oracle_t_split`` computes the split T = T_less + T_greater
+exactly, where T_less = sum over triangles of (1 - 1/k)^(d_v + d_w).
+``run_single`` implements the sketch-based estimator whose expectation is
+exactly T_less, and ``terminal_law`` gives its exact output law.
 
-The estimator keeps one sketch over ordered vertex pairs plus a scratch
-block. Arrived edges occupy both orientations (u, v) and (v, u); each edge,
-with probability 1/k, is probed by pair queries ((w, u), (w, v)) over all
-vertices w before it is inserted. A Plus hit reports +k*m, a Minus hit
--k*m, and a full pass 0.
+The estimator starts one sketch on 2m scratch members of a universe of
+ordered vertex pairs plus scratch. Each edge (u, v) is selected with
+probability 1/k; a selected edge is first probed by the pair queries
+((w, u), (w, v)) over all vertices w. Every edge then swaps two scratch
+members into (u, v) and (v, u). A Plus hit reports +k*m, a Minus hit -k*m,
+and a full pass 0.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParamsError, InvariantError, ValidationError
+from .errors import InvalidParamsError, ValidationError
 from .permutation import PermutationSpec, SwapStage
-from .sketch import QueryOutcome, create
+from .sketch import QueryOutcome, ThreeAtomLaw, create, fire_probs
 from .universe import Block, IntRange, UniverseSpec
 
 
@@ -100,43 +102,31 @@ def choose_k(T_prime: float, m: int, Delta_E: float) -> int:
 
 
 def oracle_t_split(stream: EdgeStream, k: int) -> TriangleOracleReport:
-    """Brute-force exact triangle split, in rational arithmetic."""
+    """Exact triangle split in rational arithmetic.
+
+    Each triangle is found once, at its closing edge, through its apex: an
+    earlier neighbour of both endpoints. ``per_triangle`` rows are
+    (apex, v, w, d_v, d_w, weight), ordered by the triangle's sorted vertices.
+    """
     if k < 1:
         raise InvalidParamsError(f"k must be >= 1, got {k}")
-    arrival: dict[frozenset[int], int] = {
-        frozenset(e): i + 1 for i, e in enumerate(stream.edges)
-    }
-    incident: dict[int, list[int]] = {v: [] for v in range(1, stream.n + 1)}
-    adj: dict[int, set[int]] = {v: set() for v in range(1, stream.n + 1)}
-    for i, (u, v) in enumerate(stream.edges):
-        incident[u].append(i + 1)
-        incident[v].append(i + 1)
-        adj[u].add(v)
-        adj[v].add(u)
-
-    def between(vertex: int, lo: int, hi: int) -> int:
-        return sum(1 for a in incident[vertex] if lo < a < hi)
-
+    arrival: list[dict[int, int]] = [{} for _ in range(stream.n + 1)]
+    incident: list[list[int]] = [[] for _ in range(stream.n + 1)]
     damp = Fraction(k - 1, k)
-    rows = []
-    total_less = Fraction(0)
-    for x, y, z in combinations(range(1, stream.n + 1), 3):
-        if y not in adj[x] or z not in adj[x] or z not in adj[y]:
-            continue
-        ordered = sorted(
-            ((arrival[frozenset((a, b))], a, b) for a, b in ((x, y), (x, z), (y, z)))
-        )
-        (a1, p1, q1), (a2, p2, q2), (a3, _, _) = ordered
-        apex = ({p1, q1} & {p2, q2}).pop()
-        v = ({p1, q1} - {apex}).pop()
-        w = ({p2, q2} - {apex}).pop()
-        d_v = between(v, a1, a3)
-        d_w = between(w, a2, a3)
-        t_less = damp ** (d_v + d_w)
-        rows.append((apex, v, w, d_v, d_w, t_less))
-        total_less += t_less
-    T = len(rows)
-    return TriangleOracleReport(T, total_less, T - total_less, tuple(rows))
+    rows = {}
+    for a3, (x, y) in enumerate(stream.edges, start=1):
+        for apex in arrival[x].keys() & arrival[y].keys():
+            (a1, v), (a2, w) = sorted(((arrival[x][apex], x), (arrival[y][apex], y)))
+            d_v = len(incident[v]) - bisect_right(incident[v], a1)
+            d_w = len(incident[w]) - bisect_right(incident[w], a2)
+            rows[tuple(sorted((apex, x, y)))] = (apex, v, w, d_v, d_w, damp ** (d_v + d_w))
+        arrival[x][y] = arrival[y][x] = a3
+        incident[x].append(a3)
+        incident[y].append(a3)
+    per_triangle = tuple(rows[key] for key in sorted(rows))
+    total_less = sum((row[5] for row in per_triangle), Fraction(0))
+    T = len(per_triangle)
+    return TriangleOracleReport(T, total_less, T - total_less, per_triangle)
 
 
 # -- estimator -------------------------------------------------------------------
@@ -259,151 +249,58 @@ def _repetitions(stream: EdgeStream, params: TriangleParams) -> tuple[int, int]:
     return copies, groups
 
 
-# -- exact vectorized sampling ----------------------------------------------------
+# -- exact terminal law ------------------------------------------------------------
+
+
+def terminal_law(stream: EdgeStream, k: int) -> ThreeAtomLaw:
+    """Exact output law of run_single, from one pass over the stream.
+
+    Edge ell = (u, v) is selected with probability 1/k, independently of the
+    earlier selections that fix which pairs are present when it queries.
+    (w, u) is present at ell iff {w, u} arrived earlier and none of the d
+    u-edges strictly between them was selected: probability q^d, q = 1 - 1/k.
+    A u-window and a v-window share no edge, so for a common earlier
+    neighbour w both pairs are present with probability q^(d_u(w) + d_v(w)).
+    Summed over w, that is B; summed over all earlier neighbours of u alone,
+    A_u = sum of q^i for i below u's earlier degree. So ell contributes
+    (1/k) * [B * P(both) + (A_u + A_v - 2B) * P(one)] to each sign, with
+    P(.) the fire probabilities of ``FIRE_LAW`` at |T0| = 2m.
+    """
+    if k < 1:
+        raise InvalidParamsError(f"k must be >= 1, got {k}")
+    m = stream.m
+    if m == 0:
+        return ThreeAtomLaw(0, Fraction(0), Fraction(0))
+    q = 1 - Fraction(1, k)
+    powers = [Fraction(1)]
+    rank: list[dict[int, int]] = [{} for _ in range(stream.n + 1)]  # neighbour -> edge rank
+    reach = [Fraction(0)] * (stream.n + 1)  # A_x over x's edges so far
+    # present count -> sum over edges of E[such queries | the edge is selected]
+    expected = {2: Fraction(0), 1: Fraction(0)}
+    for u, v in stream.edges:
+        ru, rv = rank[u], rank[v]
+        both = Fraction(0)
+        for w in ru.keys() & rv.keys():
+            d = len(ru) - 1 - ru[w] + len(rv) - 1 - rv[w]
+            while len(powers) <= d:
+                powers.append(powers[-1] * q)
+            both += powers[d]
+        expected[2] += both
+        expected[1] += reach[u] + reach[v] - 2 * both
+        ru[v] = len(ru)
+        rv[u] = len(rv)
+        reach[u] = 1 + q * reach[u]
+        reach[v] = 1 + q * reach[v]
+    mass = {QueryOutcome.PLUS: Fraction(0), QueryOutcome.MINUS: Fraction(0)}
+    for present, count in expected.items():
+        for outcome, p in fire_probs(True, present, 2 * m):
+            mass[outcome] += count * p / k
+    return ThreeAtomLaw(k * m, mass[QueryOutcome.PLUS], mass[QueryOutcome.MINUS])
 
 
 def sample_outputs(
     stream: EdgeStream, k: int, master_seed: int, trials: int
 ) -> np.ndarray:
-    """Draw ``trials`` independent run_single outputs from their exact law.
-
-    For a fixed selection pattern the run is a deterministic script, so each
-    query's unconditional fire probability is pinned by the initial size 2m
-    and its presence pattern: 1/m for a both-present pair, 1/(4m) per sign
-    for a one-present pair. The per-trial work is therefore: draw the
-    selection pattern, count both-present and one-present queries via the
-    last-selected-incident-edge state, and draw one uniform against the
-    resulting three-atom law. Presence of (w, u) at edge ell holds exactly
-    when {w, u} arrived earlier and no selected edge incident to u lies
-    strictly between.
-    """
-    if k < 1:
-        raise InvalidParamsError(f"k must be >= 1, got {k}")
-    m = stream.m
-    out = np.zeros(trials, dtype=np.int32)
-    if m == 0 or trials == 0:
-        return out
-    n = stream.n
+    """Draw ``trials`` independent run_single outputs from ``terminal_law``."""
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, 3]))
-
-    # static arrival structure
-    nbr_arrival: list[dict[int, int]] = [dict() for _ in range(n + 1)]
-    arrivals: list[list[int]] = [[] for _ in range(n + 1)]
-    prep = []
-    for ell, (u, v) in enumerate(stream.edges, start=1):
-        common = nbr_arrival[u].keys() & nbr_arrival[v].keys()
-        cn = (
-            np.array([nbr_arrival[u][w] for w in sorted(common)], dtype=np.int64),
-            np.array([nbr_arrival[v][w] for w in sorted(common)], dtype=np.int64),
-        )
-        prep.append(
-            (
-                u,
-                v,
-                np.array(arrivals[u], dtype=np.int64),
-                np.array(arrivals[v], dtype=np.int64),
-                cn,
-            )
-        )
-        nbr_arrival[u][v] = ell
-        nbr_arrival[v][u] = ell
-        arrivals[u].append(ell)
-        arrivals[v].append(ell)
-
-    # vertex-major, so each per-vertex read last[u] is one contiguous row
-    last = np.zeros((n + 1, trials), dtype=np.int64)
-    p_plus = np.zeros(trials)
-    p_minus = np.zeros(trials)
-    inv_k = 1.0 / k
-    for ell, (u, v, arr_u, arr_v, (cn_u, cn_v)) in enumerate(prep, start=1):
-        sel = rng.random(trials) < inv_k
-        last_u, last_v = last[u], last[v]
-        alive_u = arr_u.size - np.searchsorted(arr_u, last_u)
-        alive_v = arr_v.size - np.searchsorted(arr_v, last_v)
-        both = np.zeros(trials, dtype=np.int64)
-        for awu, awv in zip(cn_u, cn_v):
-            both += (last_u <= awu) & (last_v <= awv)
-        single = alive_u + alive_v - 2 * both
-        p_plus += sel * (both / m + single / (4 * m))
-        p_minus += sel * (single / (4 * m))
-        last_u[sel] = ell
-        last_v[sel] = ell
-
-    draw = rng.random(trials)
-    km = k * m
-    out[draw < p_plus] = km
-    out[(draw >= p_plus) & (draw < p_plus + p_minus)] = -km
-    return out
-
-
-def exact_output_distribution(stream: EdgeStream, k: int) -> dict[int, Fraction]:
-    """Exact law of run_single by averaging over all selection patterns.
-
-    Exponential in m; meant for tiny fixtures where it cross-checks both the
-    sketch enumeration and the vectorized sampler.
-    """
-    m = stream.m
-    if k < 1:
-        raise InvalidParamsError(f"k must be >= 1, got {k}")
-    law: dict[int, Fraction] = {}
-    if m == 0:
-        return {0: Fraction(1)}
-    if m > 16:
-        raise InvalidParamsError("exact law is exponential in m; use m <= 16")
-    p_sel = Fraction(1, k)
-    nbr_arrival: list[dict[int, int]] = [dict() for _ in range(stream.n + 1)]
-    for ell, (u, v) in enumerate(stream.edges, start=1):
-        nbr_arrival[u][v] = ell
-        nbr_arrival[v][u] = ell
-
-    for mask in range(2**m):
-        pattern = tuple((mask >> i) & 1 == 1 for i in range(m))
-        p_pattern = Fraction(1)
-        for bit in pattern:
-            p_pattern *= p_sel if bit else 1 - p_sel
-        if p_pattern == 0:
-            continue
-        pp, pm = _pattern_fire_probs(stream, pattern, nbr_arrival)
-        km = k * m
-        law[km] = law.get(km, Fraction(0)) + p_pattern * pp
-        law[-km] = law.get(-km, Fraction(0)) + p_pattern * pm
-        law[0] = law.get(0, Fraction(0)) + p_pattern * (1 - pp - pm)
-    law = {x: p for x, p in law.items() if p}
-    mass = sum(law.values())
-    if mass != 1:
-        raise InvariantError(f"triangle law carries mass {mass}, not 1")
-    return law
-
-
-def _pattern_fire_probs(
-    stream: EdgeStream,
-    pattern: Sequence[bool],
-    nbr_arrival: list[dict[int, int]] | None = None,
-) -> tuple[Fraction, Fraction]:
-    """Exact (P[Plus], P[Minus]) for one fixed selection pattern."""
-    if nbr_arrival is None:
-        nbr_arrival = [dict() for _ in range(stream.n + 1)]
-        for ell, (u, v) in enumerate(stream.edges, start=1):
-            nbr_arrival[u][v] = ell
-            nbr_arrival[v][u] = ell
-    m = stream.m
-    last = [0] * (stream.n + 1)
-    pp = Fraction(0)
-    pm = Fraction(0)
-    for ell, (u, v) in enumerate(stream.edges, start=1):
-        if pattern[ell - 1]:
-            both = single = 0
-            for w in range(1, stream.n + 1):
-                au = nbr_arrival[u].get(w)
-                av = nbr_arrival[v].get(w)
-                oku = au is not None and au < ell and last[u] <= au
-                okv = av is not None and av < ell and last[v] <= av
-                if oku and okv:
-                    both += 1
-                elif oku or okv:
-                    single += 1
-            pp += Fraction(both, m) + Fraction(single, 4 * m)
-            pm += Fraction(single, 4 * m)
-            last[u] = ell
-            last[v] = ell
-    return pp, pm
+    return terminal_law(stream, k).sample(rng, trials)

@@ -259,7 +259,9 @@ def test_triangle_experiment_is_exact_on_k3(tmp_path):
     assert report.results["T"] == 1
     assert report.results["T_less"] == Fraction(1)
     assert report.results["T_greater"] == Fraction(0)
+    assert report.results["law_mean"] == Fraction(1)
     assert report.verdicts["split_sums_to_t"]
+    assert report.verdicts["law_mean_is_t_less"]
     assert report.passed
 
 

@@ -12,6 +12,7 @@ from pairsketch import (
     InvalidQueryError,
     QueryOne,
     QueryPair,
+    ScriptError,
     TooLargeError,
     UniverseSpec,
     Update,
@@ -282,14 +283,22 @@ def test_queries_on_an_emptied_store():
 
 
 def test_ops_after_a_certain_fire_are_still_validated():
-    # a run never reaches the second query, so the branch walk and the quantum
-    # backend never look at it; the stochastic backend's replay validates it
+    # a run never reaches the second query, and the branch walk never looks at
+    # it; both backends validate the whole script anyway
     members = [vid(1)]
     script = [QueryOne(vid(1)), QueryOne(99)]
     assert _reference_branch_walk(EIGHT, members, script) == {("In",): Fraction(1)}
-    assert enumerate_distribution(EIGHT, members, script, "quantum").prob(("In",)) == 1.0
-    with pytest.raises(InvalidQueryError):
-        enumerate_distribution(EIGHT, members, script)
+    for backend in ("stochastic", "quantum"):
+        with pytest.raises(InvalidQueryError, match="99"):
+            enumerate_distribution(EIGHT, members, script, backend)
+        with pytest.raises(InvalidQueryError, match="must differ"):
+            enumerate_distribution(
+                EIGHT, members, [QueryOne(vid(1)), QueryPair(vid(2), vid(2))], backend
+            )
+        with pytest.raises(ScriptError):
+            enumerate_distribution(
+                EIGHT, members, [QueryOne(vid(1)), Update(swap_perm(GRID, (0, 1)))], backend
+            )
 
 
 @pytest.mark.parametrize("backend", ["stochastic", "quantum"])

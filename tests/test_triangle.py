@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,14 +16,13 @@ from pairsketch import (
 from pairsketch.triangle import (
     EdgeStream,
     TriangleParams,
-    _pattern_fire_probs,
     choose_k,
     estimate,
     estimate_sampled,
-    exact_output_distribution,
     oracle_t_split,
     run_single,
     sample_outputs,
+    terminal_law,
     triangle_universe,
 )
 
@@ -35,6 +34,93 @@ def random_stream(n, p, seed):
     edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
     rng.shuffle(edges)
     return EdgeStream(n, tuple((int(u), int(v)) for u, v in edges))
+
+
+# -- references ------------------------------------------------------------------
+
+
+def exact_output_distribution(stream, k):
+    """Exact law of run_single by averaging over all 2^m selection patterns."""
+    m = stream.m
+    if m == 0:
+        return {0: Fraction(1)}
+    assert m <= 16, "exponential in m"
+    p_sel = Fraction(1, k)
+    nbr_arrival = _nbr_arrival(stream)
+    law = {}
+    km = k * m
+    for mask in range(2**m):
+        pattern = tuple((mask >> i) & 1 == 1 for i in range(m))
+        p_pattern = Fraction(1)
+        for bit in pattern:
+            p_pattern *= p_sel if bit else 1 - p_sel
+        if p_pattern == 0:
+            continue
+        pp, pm = _pattern_fire_probs(stream, pattern, nbr_arrival)
+        law[km] = law.get(km, Fraction(0)) + p_pattern * pp
+        law[-km] = law.get(-km, Fraction(0)) + p_pattern * pm
+        law[0] = law.get(0, Fraction(0)) + p_pattern * (1 - pp - pm)
+    law = {x: p for x, p in law.items() if p}
+    assert sum(law.values()) == 1
+    return law
+
+
+def _nbr_arrival(stream):
+    nbr_arrival = [dict() for _ in range(stream.n + 1)]
+    for ell, (u, v) in enumerate(stream.edges, start=1):
+        nbr_arrival[u][v] = ell
+        nbr_arrival[v][u] = ell
+    return nbr_arrival
+
+
+def _pattern_fire_probs(stream, pattern, nbr_arrival=None):
+    """Exact (P[Plus], P[Minus]) for one fixed selection pattern."""
+    if nbr_arrival is None:
+        nbr_arrival = _nbr_arrival(stream)
+    m = stream.m
+    last = [0] * (stream.n + 1)
+    pp = Fraction(0)
+    pm = Fraction(0)
+    for ell, (u, v) in enumerate(stream.edges, start=1):
+        if pattern[ell - 1]:
+            both = single = 0
+            for w in range(1, stream.n + 1):
+                au = nbr_arrival[u].get(w)
+                av = nbr_arrival[v].get(w)
+                oku = au is not None and au < ell and last[u] <= au
+                okv = av is not None and av < ell and last[v] <= av
+                if oku and okv:
+                    both += 1
+                elif oku or okv:
+                    single += 1
+            pp += Fraction(both, m) + Fraction(single, 4 * m)
+            pm += Fraction(single, 4 * m)
+            last[u] = ell
+            last[v] = ell
+    return pp, pm
+
+
+def _oracle_by_triples(stream, k):
+    """The split by looping over all C(n, 3) vertex triples: (T_less, rows)."""
+    arrival = {frozenset(e): i + 1 for i, e in enumerate(stream.edges)}
+    incident = {v: [] for v in range(1, stream.n + 1)}
+    for i, (u, v) in enumerate(stream.edges):
+        incident[u].append(i + 1)
+        incident[v].append(i + 1)
+    damp = Fraction(k - 1, k)
+    rows = []
+    for tri in combinations(range(1, stream.n + 1), 3):
+        pairs = [frozenset(p) for p in combinations(tri, 2)]
+        if not all(p in arrival for p in pairs):
+            continue
+        (a1, e1), (a2, e2), (a3, _) = sorted((arrival[p], p) for p in pairs)
+        (apex,) = e1 & e2
+        (v,) = e1 - {apex}
+        (w,) = e2 - {apex}
+        d_v = sum(1 for a in incident[v] if a1 < a < a3)
+        d_w = sum(1 for a in incident[w] if a2 < a < a3)
+        rows.append((apex, v, w, d_v, d_w, damp ** (d_v + d_w)))
+    return sum((row[5] for row in rows), Fraction(0)), tuple(rows)
 
 
 # -- stream validation ---------------------------------------------------------
@@ -83,13 +169,14 @@ def test_oracle_one_interposed_edge_halves_at_k2():
 
 
 def test_oracle_split_is_exact_on_random_graphs():
-    for seed in range(5):
-        stream = random_stream(10, 0.45, seed)
+    for n, p, seed in [(10, 0.45, s) for s in range(5)] + [(40, 0.2, 1), (60, 0.15, 2)]:
+        stream = random_stream(n, p, seed)
         for k in (1, 2, 3, 7):
             rep = oracle_t_split(stream, k)
             assert rep.T_less + rep.T_greater == rep.T
             assert all(0 <= row[5] <= 1 for row in rep.per_triangle)
             assert len(rep.per_triangle) == rep.T
+            assert (rep.T_less, rep.per_triangle) == _oracle_by_triples(stream, k)
 
 
 def test_choose_k():
@@ -159,6 +246,7 @@ def test_k3_exact_distribution_via_enumeration():
     expect = sum(x * p for x, p in agg.items())
     assert expect == 1  # == oracle T_less for k=1
     assert exact_output_distribution(K3, 1) == {k: v for k, v in agg.items() if v}
+    assert terminal_law(K3, 1).atoms() == agg
 
 
 def test_exact_law_expectation_equals_oracle_everywhere():
@@ -177,6 +265,34 @@ def test_exact_law_expectation_equals_oracle_everywhere():
             assert mean == oracle_t_split(stream, k).T_less
 
 
+SMALL_STREAMS = [
+    K3,
+    EdgeStream(4, ()),
+    EdgeStream(2, ((1, 2),)),
+    EdgeStream(4, ((1, 2), (1, 3), (2, 4), (2, 3))),
+    EdgeStream(4, tuple(combinations(range(1, 5), 2))),
+    EdgeStream(8, ((1, 2), (3, 4), (5, 6), (7, 8))),
+    EdgeStream(5, ((1, 2), (1, 3), (2, 3), (3, 4), (2, 4), (1, 4))),
+] + [random_stream(n, 0.55, seed) for n in (5, 6, 7) for seed in range(8)]
+SMALL_STREAMS = [s for s in SMALL_STREAMS if s.m <= 12]  # the enumeration is 2^m
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_terminal_law_equals_pattern_enumeration(k):
+    for stream in SMALL_STREAMS:
+        assert terminal_law(stream, k).atoms() == exact_output_distribution(stream, k), stream
+
+
+def test_terminal_law_mean_is_t_less_at_scale():
+    for n, p in ((12, 0.5), (30, 0.3), (60, 0.15), (200, 0.05)):
+        stream = random_stream(n, p, n)
+        for k in (1, 2, 5):
+            law = terminal_law(stream, k)
+            assert law.value == k * stream.m
+            assert k * stream.m * (law.p_plus - law.p_minus) == oracle_t_split(stream, k).T_less
+            assert law.p_plus >= 0 and law.p_minus >= 0 and law.p_plus + law.p_minus <= 1
+
+
 # -- run_single and sampler -------------------------------------------------------
 
 
@@ -191,7 +307,7 @@ def test_run_single_outputs_bounded_and_deterministic():
 def test_run_single_frequencies_match_exact_law():
     stream = random_stream(6, 0.55, 4)
     k = 2
-    law = exact_output_distribution(stream, k)
+    law = terminal_law(stream, k).atoms()
     trials = 4000
     outs = np.array([run_single(stream, k, 31, handle_id=i) for i in range(trials)])
     for x, p in law.items():
@@ -213,7 +329,7 @@ def test_sampler_matches_exact_law():
 
 
 def _sample_outputs_trial_major(stream, k, master_seed, trials):
-    """The sampler with its state laid out (trials, n + 1); test reference."""
+    """Per-trial simulation of the selection pattern; a reference for the law."""
     m = stream.m
     out = np.zeros(trials, dtype=np.int32)
     if m == 0 or trials == 0:
@@ -267,11 +383,14 @@ def _sample_outputs_trial_major(stream, k, master_seed, trials):
     ],
     ids=["k3-k1", "k3-k3", "n12", "n30", "n200", "empty"],
 )
-def test_vertex_major_sampler_equals_trial_major_reference(stream, k, seed, trials):
-    assert np.array_equal(
-        sample_outputs(stream, k, seed, trials),
-        _sample_outputs_trial_major(stream, k, seed, trials),
-    )
+def test_trial_major_reference_matches_terminal_law(stream, k, seed, trials):
+    law = terminal_law(stream, k).atoms()
+    draws = _sample_outputs_trial_major(stream, k, seed, trials)
+    assert set(np.unique(draws)) <= set(law)
+    for x, p in law.items():
+        freq = float(np.mean(draws == x))
+        se = float(np.sqrt(float(p) * (1 - float(p)) / trials))
+        assert abs(freq - float(p)) <= 4 * se, (x, freq, float(p))
 
 
 def test_sampler_mean_tracks_oracle_on_larger_graph():
@@ -337,8 +456,7 @@ def test_estimate_empty_stream_is_zero():
 
 def test_disjoint_edges_cancel_in_expectation():
     stream = EdgeStream(8, ((1, 2), (3, 4), (5, 6), (7, 8)))
-    law = exact_output_distribution(stream, 2)
-    assert sum(x * p for x, p in law.items()) == 0
+    assert terminal_law(stream, 2).mean == 0
     est = estimate_sampled(
         stream,
         TriangleParams(k=2, T_prime=1, Delta_E=1, eps=0.5, delta=0.5,
