@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -219,24 +219,8 @@ def run_single(inst: BhmInstance, *, master_seed: int = 0, handle_id: int = 0) -
     return candidate
 
 
-def _majority_vote(outputs: Sequence[int | None]) -> int:
-    ones = sum(1 for o in outputs if o == 1)
-    zeros = sum(1 for o in outputs if o == 0)
-    return 1 if ones > zeros else 0
-
-
 def default_copies(alpha: Fraction) -> int:
     return math.ceil(Fraction(48) / Fraction(alpha))
-
-
-def run_majority(
-    inst: BhmInstance, *, master_seed: int = 0, copies: int | None = None
-) -> int:
-    """Majority vote over independent runs; ties and empty votes resolve to 0."""
-    if copies is None:
-        copies = default_copies(inst.alpha)
-    outs = [run_single(inst, master_seed=master_seed, handle_id=i) for i in range(copies)]
-    return _majority_vote(outs)
 
 
 # -- exact terminal distribution ---------------------------------------------
@@ -252,18 +236,14 @@ class TerminalSlab:
 
 def _later_corrections(inst: BhmInstance) -> list[int]:
     """Per edge: XOR of endpoint bits that arrive after the edge in the stream."""
-    out = []
-    for i, e in enumerate(inst.matching):
-        pos = next(
-            j
-            for j, item in enumerate(inst.stream)
-            if isinstance(item, EdgeLabel) and (item.u, item.v) == e
-        )
-        later = 0
-        for item in inst.stream[pos + 1 :]:
-            if isinstance(item, VertexBit) and item.v in e:
-                later ^= item.bit
-        out.append(later)
+    edge_index = {e: i for i, e in enumerate(inst.matching)}
+    later_bits = [0] * (inst.n + 1)
+    out = [0] * inst.m
+    for item in reversed(inst.stream):
+        if isinstance(item, VertexBit):
+            later_bits[item.v] ^= item.bit
+        else:
+            out[edge_index[(item.u, item.v)]] = later_bits[item.u] ^ later_bits[item.v]
     return out
 
 

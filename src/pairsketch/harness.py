@@ -287,6 +287,10 @@ def _parse_bhm(path, lines) -> BhmInstance:
         try:
             if parts[0] == "V" and len(parts) == 3:
                 v, bit = int(parts[1]), int(parts[2])
+                if not 1 <= v <= n:
+                    raise ParseError(f"{path}:{lno}: vertex {v} outside [1, {n}]")
+                if v in x:
+                    raise ParseError(f"{path}:{lno}: second bit line for vertex {v}")
                 stream.append(VertexBit(v, bit))
                 x[v] = bit
             elif parts[0] == "E" and len(parts) == 4:
@@ -298,9 +302,13 @@ def _parse_bhm(path, lines) -> BhmInstance:
                 raise ParseError(f"{path}:{lno}: expected 'V v bit' or 'E u v z'")
         except ValueError:
             raise ParseError(f"{path}:{lno}: non-integer field in {ln!r}") from None
-    missing = [v for v in range(1, n + 1) if v not in x]
-    if missing:
-        raise ValidationError(f"{path}: no vertex-bit line for vertex {missing[0]}")
+        if int(parts[-1]) not in (0, 1):
+            raise ParseError(f"{path}:{lno}: {parts[-1]} is not a bit")
+    if len(x) < n:
+        # every V line names a distinct vertex of [1, n], so one of the
+        # first len(x) + 1 vertices has none
+        missing = next(v for v in range(1, len(x) + 2) if v not in x)
+        raise ValidationError(f"{path}: no vertex-bit line for vertex {missing}")
     xs = tuple(x[v] for v in range(1, n + 1))
     return BhmInstance(n, alpha, tuple(edges), tuple(zs), xs, b, tuple(stream))
 
@@ -424,6 +432,9 @@ def _within(gate: dict[str, float]) -> bool:
 
 
 def _run_bhm(inst: BhmInstance, params, trials, seed):
+    meta_trials, copies = params.get("meta_trials", 0), params.get("copies")
+    if meta_trials < 0 or (copies is not None and copies < 1):
+        raise ConfigError(f"need meta_trials >= 0 and copies >= 1, got {meta_trials}, {copies}")
     slabs = _bhm.terminal_slabs(inst)
     p_correct = sum((s.prob for s in slabs if s.output == inst.b), Fraction(0))
     p_wrong = sum((s.prob for s in slabs if s.output == 1 - inst.b), Fraction(0))
@@ -459,9 +470,7 @@ def _run_bhm(inst: BhmInstance, params, trials, seed):
         "sigma_wrong": sigma_w,
     }
 
-    meta_trials = params.get("meta_trials", 0)
     if meta_trials:
-        copies = params.get("copies")
         votes = _bhm.sample_majority(inst, trial_seed(seed, 1), meta_trials, copies)
         success = float(np.mean(votes == inst.b))
         sigma_m = math.sqrt(max(success * (1 - success), 1e-12) / meta_trials)

@@ -153,13 +153,6 @@ class PermutationSpec:
                     eid = comp.shift_id(eid)
         return eid
 
-    def permute_set(self, ids: set[int]) -> set[int]:
-        """Image of a member set; reference implementation for the handle fast path."""
-        out = {self.apply(e) for e in ids}
-        if len(out) != len(ids):
-            raise PermutationError("permutation collapsed distinct ids")
-        return out
-
     def as_mapping_array(self) -> np.ndarray:
         """Dense id -> image array (for the state-vector backend)."""
         n = self.universe.size

@@ -71,6 +71,9 @@ class DegreeGrid:
         e = _to_fraction(eps)
         if n < 1:
             raise InvalidParamsError("n must be positive")
+        # the powers of 1 + eps^3 below only grow past n when eps > 0
+        if not (0 < e <= 1):
+            raise InvalidParamsError("eps must be in (0, 1]")
         step = 1 + e**3
         levels = []
         power = Fraction(1)
@@ -179,7 +182,7 @@ class SnapshotParams:
 
 
 # ---------------------------------------------------------------------------
-# exact pseudobias and snapshot oracles (full-stream scans, no sketch)
+# exact pseudobias and snapshot oracles (one arrival table per call, no sketch)
 # ---------------------------------------------------------------------------
 
 
@@ -205,6 +208,55 @@ class EdgeLocalStats:
             )
 
 
+def _pseudobias(hashes, vertex, d, sampled, d_after, dout_after) -> tuple[Fraction, Fraction]:
+    """(dout_sampled, pseudobias) at rounded degree d, `sampled` out-edges fired f(d, .)."""
+    dout_sampled = Fraction(2 * d * sampled, hashes.kappa)
+    raw = 2 * (dout_sampled + dout_after) / (d + d_after) - 1 + hashes.g(vertex)
+    return dout_sampled, min(raw, Fraction(1))
+
+
+class _Arrivals:
+    """Each vertex's incident and out-edge indices in stream order, from one
+    pass; its degree counts through or after any edge are two bisects."""
+
+    def __init__(self, stream: DirectedEdgeStream):
+        self.incident: list[list[int]] = [[] for _ in range(stream.n + 1)]
+        self.out: list[list[int]] = [[] for _ in range(stream.n + 1)]
+        for k, (u, v) in enumerate(stream.edges, start=1):
+            self.incident[u].append(k)
+            self.incident[v].append(k)
+            self.out[u].append(k)
+
+    def after(self, edge_index: int, vertex: int) -> tuple[int, int]:
+        """(d_after, dout_after): the vertex's edges, and out-edges, after the edge."""
+        inc, out = self.incident[vertex], self.out[vertex]
+        return len(inc) - bisect_right(inc, edge_index), len(out) - bisect_right(out, edge_index)
+
+    def stats(self, hashes, grid, edge_index: int, vertex: int) -> EdgeLocalStats:
+        inc, out = self.incident[vertex], self.out[vertex]
+        d_after, dout_after = self.after(edge_index, vertex)
+        d_before, dout_before = len(inc) - d_after, len(out) - dout_after
+        i_tilde = grid.index_for_degree(d_before)
+        d_rounded = grid.levels[i_tilde]
+        sampled = sum(hashes.f(d_rounded, k) for k in out[:dout_before])
+        dout_sampled, pseudobias = _pseudobias(
+            hashes, vertex, d_rounded, sampled, d_after, dout_after
+        )
+        return EdgeLocalStats(
+            edge_index=edge_index,
+            vertex=vertex,
+            d_before=d_before,
+            dout_before=dout_before,
+            d_after=d_after,
+            dout_after=dout_after,
+            i_tilde=i_tilde,
+            d_rounded=d_rounded,
+            dout_sampled=dout_sampled,
+            pseudobias=pseudobias,
+            bias=Fraction(2 * len(out) - len(inc), len(inc)),
+        )
+
+
 def pseudobias_exact(
     stream: DirectedEdgeStream,
     hashes: HashOracles,
@@ -222,44 +274,7 @@ def pseudobias_exact(
     u, v = stream.edges[edge_index - 1]
     if vertex not in (u, v):
         raise InvalidQueryError(f"vertex {vertex} is not an endpoint of edge {edge_index}")
-    d_before = dout_before = d_after = dout_after = 0
-    sampled = 0
-    d_total = dout_total = 0
-    for k, (x, y) in enumerate(stream.edges, start=1):
-        if vertex not in (x, y):
-            continue
-        d_total += 1
-        dout_total += x == vertex
-        if k <= edge_index:
-            d_before += 1
-            dout_before += x == vertex
-        else:
-            d_after += 1
-            dout_after += x == vertex
-    i_tilde = grid.index_for_degree(d_before)
-    d_rounded = grid.levels[i_tilde]
-    for k, (x, y) in enumerate(stream.edges, start=1):
-        if k <= edge_index and x == vertex and hashes.f(d_rounded, k):
-            sampled += 1
-    dout_sampled = Fraction(2 * d_rounded * sampled, hashes.kappa)
-    raw = (
-        2 * (dout_sampled + dout_after) / (d_rounded + d_after)
-        - 1
-        + hashes.g(vertex)
-    )
-    return EdgeLocalStats(
-        edge_index=edge_index,
-        vertex=vertex,
-        d_before=d_before,
-        dout_before=dout_before,
-        d_after=d_after,
-        dout_after=dout_after,
-        i_tilde=i_tilde,
-        d_rounded=d_rounded,
-        dout_sampled=dout_sampled,
-        pseudobias=min(raw, Fraction(1)),
-        bias=Fraction(2 * dout_total - d_total, d_total),
-    )
+    return _Arrivals(stream).stats(hashes, grid, edge_index, vertex)
 
 
 def pseudosnapshot_exact(
@@ -282,12 +297,12 @@ def pseudosnapshot_exact(
     a_idx, b_idx = params.class_pair
     d_a, d_a1 = grid.levels[a_idx], grid.levels[a_idx + 1]
     d_b, d_b1 = grid.levels[b_idx], grid.levels[b_idx + 1]
+    arrivals = _Arrivals(stream)
     for k, (u, v) in enumerate(stream.edges, start=1):
-        su = pseudobias_exact(stream, hashes, grid, k, u)
-        sv = pseudobias_exact(stream, hashes, grid, k, v)
-        if restricted:
-            if not (d_a <= su.d_before < d_a1 and d_b <= sv.d_before < d_b1):
-                continue
+        su = arrivals.stats(hashes, grid, k, u)
+        sv = arrivals.stats(hashes, grid, k, v)
+        if restricted and not (d_a <= su.d_before < d_a1 and d_b <= sv.d_before < d_b1):
+            continue
         iu = params.bin_of(su.pseudobias)
         iv = params.bin_of(sv.pseudobias)
         if iu is None or iv is None:
@@ -515,47 +530,24 @@ class _ClassicalStage:
     """Maps a query hit (edge, i, j) to the estimate entry it selects.
 
     After a hit the estimator watches the rest of the stream, so the
-    after-the-edge degree counts are exact; the before counts are read off
-    the hit coordinates.
+    after-the-edge degree counts are exact; they come from the arrival table.
+    The before counts are read off the hit coordinates: a hit at (i, j) puts
+    the head at rounded degree d_a with i - 1 sampled out-edges, and the tail
+    at d_b with j - 1.
     """
 
     def __init__(self, stream, hashes, grid, params):
         a_idx, b_idx = params.class_pair
         self.d_a, self.d_b = grid.levels[a_idx], grid.levels[b_idx]
-        self.kappa = params.kappa
         self.params = params
         self.hashes = hashes
         self.stream = stream
-
-    def after_counts(self, edge_index: int, vertex: int) -> tuple[int, int]:
-        d_after = dout_after = 0
-        for k in range(edge_index + 1, self.stream.m + 1):
-            x, y = self.stream.edges[k - 1]
-            if vertex in (x, y):
-                d_after += 1
-                dout_after += x == vertex
-        return d_after, dout_after
+        self.arrivals = _Arrivals(stream)
 
     def entry(self, edge_index: int, i: int, j: int) -> tuple[int, int] | None:
         u, v = self.stream.edges[edge_index - 1]
-        da_u, douta_u = self.after_counts(edge_index, u)
-        da_v, douta_v = self.after_counts(edge_index, v)
-        bu = min(
-            2
-            * (Fraction(2 * self.d_a * (i - 1), self.kappa) + douta_u)
-            / (self.d_a + da_u)
-            - 1
-            + self.hashes.g(u),
-            Fraction(1),
-        )
-        bv = min(
-            2
-            * (Fraction(2 * self.d_b * (j - 1), self.kappa) + douta_v)
-            / (self.d_b + da_v)
-            - 1
-            + self.hashes.g(v),
-            Fraction(1),
-        )
+        _, bu = _pseudobias(self.hashes, u, self.d_a, i - 1, *self.arrivals.after(edge_index, u))
+        _, bv = _pseudobias(self.hashes, v, self.d_b, j - 1, *self.arrivals.after(edge_index, v))
         iu = self.params.bin_of(bu)
         iv = self.params.bin_of(bv)
         if iu is None or iv is None:
@@ -790,6 +782,7 @@ def lemma_expectation(
     fired_a = [0] * (stream.n + 1)
     fired_b = [0] * (stream.n + 1)
     in_class = qualifying = 0
+    arrivals = _Arrivals(stream)
     for k, (u, v) in enumerate(stream.edges, start=1):
         deg[u] += 1
         deg[v] += 1
@@ -801,8 +794,8 @@ def lemma_expectation(
         if fired_a[u] + 1 > params.kappa or fired_b[v] + 1 > params.kappa:
             continue
         qualifying += 1
-        su = pseudobias_exact(stream, hashes, grid, k, u)
-        sv = pseudobias_exact(stream, hashes, grid, k, v)
+        su = arrivals.stats(hashes, grid, k, u)
+        sv = arrivals.stats(hashes, grid, k, v)
         if su.d_rounded != d_a or sv.d_rounded != d_b:
             raise InvariantError(f"edge {k}: rounded degrees leave the target classes")
         iu = params.bin_of(su.pseudobias)

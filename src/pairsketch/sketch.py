@@ -350,13 +350,6 @@ class SketchHandle:
         size, present_x, present_y = self._store.take(x, y)
         return self._fire(True, size, present_x + present_y)
 
-    def add_via_dummy(self, dummy: int, target: int) -> None:
-        """Swap a scratch member into a new identity (the only way to 'insert')."""
-        self._require_alive()
-        from .permutation import swap_perm
-
-        self.update(swap_perm(self.universe, (dummy, target)))
-
 
 def create(
     universe: UniverseSpec,

@@ -1,26 +1,29 @@
+import re
+import tracemalloc
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from pairsketch import InvalidParamsError, ValidationError, enumerate_distribution
 from pairsketch.bhm import (
+    INTERLEAVINGS,
     BhmInstance,
     EdgeLabel,
     VertexBit,
     _later_corrections,
-    _majority_vote,
     bhm_universe,
     build_script,
     default_copies,
     generate_instance,
     initial_members,
-    run_majority,
     run_single,
     sample_majority,
     sample_outputs,
     terminal_slabs,
 )
+from pairsketch.cli import main
 from pairsketch.errors import ParseError
 from pairsketch.harness import parse_stream, write_instance
 from pairsketch.sketch import replay_noiseless
@@ -58,6 +61,20 @@ def test_inconsistent_label_names_the_edge():
 def test_default_copies():
     assert default_copies(Fraction(1, 4)) == 192
     assert default_copies(Fraction(1, 2)) == 96
+
+
+def _majority_vote(outputs: Sequence[int | None]) -> int:
+    ones = sum(1 for o in outputs if o == 1)
+    zeros = sum(1 for o in outputs if o == 0)
+    return 1 if ones > zeros else 0
+
+
+def run_majority(inst: BhmInstance, *, master_seed: int = 0, copies: int | None = None) -> int:
+    """Majority vote over independent live runs; ties and empty votes resolve to 0."""
+    if copies is None:
+        copies = default_copies(inst.alpha)
+    outs = [run_single(inst, master_seed=master_seed, handle_id=i) for i in range(copies)]
+    return _majority_vote(outs)
 
 
 def test_majority_vote_resolves_ties_to_zero():
@@ -122,6 +139,35 @@ def test_slabs_match_exhaustive_enumeration():
     assert agg == _terminal_probs(inst)
     assert agg[True] == Fraction(1, 2)
     assert agg[False] == Fraction(1, 4)
+
+
+def _later_corrections_by_scan(inst):
+    """Per edge, a scan of the stream after it: the reference for the backward walk."""
+    out = []
+    for e in inst.matching:
+        pos = next(
+            j
+            for j, item in enumerate(inst.stream)
+            if isinstance(item, EdgeLabel) and (item.u, item.v) == e
+        )
+        later = 0
+        for item in inst.stream[pos + 1 :]:
+            if isinstance(item, VertexBit) and item.v in e:
+                later ^= item.bit
+        out.append(later)
+    return out
+
+
+@pytest.mark.parametrize("interleaving", INTERLEAVINGS)
+def test_later_corrections_equal_a_scan(interleaving):
+    seen = set()
+    for seed in range(8):
+        inst = generate_instance(40, Fraction(1, 4), seed % 2, seed=seed, interleaving=interleaving)
+        later = _later_corrections(inst)
+        assert later == _later_corrections_by_scan(inst)
+        seen.update(later)
+    # bits-first leaves nothing to correct; the other orders flip some edges
+    assert seen == ({0} if interleaving == "bits-first" else {0, 1})
 
 
 def test_run_single_matches_sampler_frequencies():
@@ -189,6 +235,40 @@ def test_parse_errors_name_the_line(tmp_path):
     with pytest.raises(ParseError) as err:
         parse_stream(path, "bhm")
     assert ":2:" in str(err.value)
+
+    for body, line, why in (
+        ("V 1 0\nV 5 0\n", 3, "outside [1, 4]"),
+        ("V 1 0\nV 2 1\nV 1 1\n", 4, "second bit line"),
+        ("V 1 5\n", 2, "5 is not a bit"),
+        ("V 1 0\nE 1 2 3\n", 3, "3 is not a bit"),
+    ):
+        path.write_text("4 1/4 0\n" + body)
+        with pytest.raises(ParseError, match=f":{line}: .*{re.escape(why)}"):
+            parse_stream(path, "bhm")
+
+
+def test_missing_vertex_check_memory_is_bounded_by_the_file(tmp_path):
+    # the header alone promises 4 million vertices; the scan for the first
+    # missing one must look at the listed vertices, not at all n
+    path = tmp_path / "huge.bhm"
+    path.write_text("4000000 1/4 0\nV 1 0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="vertex 2$"):
+            parse_stream(path, "bhm")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "flags", [["--meta-trials", "5", "--copies", "-1"], ["--meta-trials", "-5"]]
+)
+def test_cli_rejects_bad_committee_params(flags, capsys):
+    argv = ["bhm", "--n", "16", "--alpha", "1/4", "--trials", "100", *flags]
+    assert main(argv) == 2
+    assert "error: need meta_trials >= 0 and copies >= 1" in capsys.readouterr().err
 
 
 def test_missing_vertex_bit_is_a_validation_error(tmp_path):

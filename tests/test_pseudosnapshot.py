@@ -1,6 +1,10 @@
 """Degree-class snapshot estimator: oracles, mechanics, and the exact law."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from pairsketch import (
 from pairsketch.heavy_edges import DirectedEdgeStream
 from pairsketch.pseudosnapshot import (
     DegreeGrid,
+    EdgeLocalStats,
     HashOracles,
     ScriptPlan,
     SnapshotParams,
@@ -100,6 +105,24 @@ def test_grid_properties(n, eps_num):
             assert d < grid.levels[i + 1]
 
 
+@pytest.mark.parametrize("eps", ["0", "-1/2"])
+def test_nonpositive_eps_exits_2_instead_of_looping(eps, tmp_path):
+    # a grid step 1 + eps^3 <= 1 never climbs to n, so a missing check hangs;
+    # the subprocess timeout turns that hang into a failure
+    path = tmp_path / "d.txt"
+    path.write_text("3 2\n1 2\n2 3\n")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    cmd = [
+        sys.executable, "-m", "pairsketch.cli", "snapshot", "--stream", str(path), "--kappa", "1",
+        f"--eps={eps}", "--thresholds=-1", "--alpha", "0", "--beta", "0",
+    ]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=5)
+    assert done.returncode == 2
+    assert "error: eps must be in (0, 1]" in done.stderr
+
+
 # -- hash oracles ----------------------------------------------------------
 
 
@@ -172,6 +195,60 @@ def test_pseudobias_rejects_non_endpoint():
         pseudobias_exact(FIX_STREAM, FIX_HASHES, FIX_GRID, 1, 12)
     with pytest.raises(InvalidQueryError):
         pseudobias_exact(FIX_STREAM, FIX_HASHES, FIX_GRID, 0, 2)
+
+
+def _stats_by_scan(stream, hashes, grid, edge_index, vertex):
+    """Per-call scans of the whole stream: the reference for the arrival table."""
+    d_before = dout_before = d_after = dout_after = sampled = 0
+    for k, (x, y) in enumerate(stream.edges, start=1):
+        if vertex not in (x, y):
+            continue
+        if k <= edge_index:
+            d_before += 1
+            dout_before += x == vertex
+        else:
+            d_after += 1
+            dout_after += x == vertex
+    i_tilde = grid.index_for_degree(d_before)
+    d_rounded = grid.levels[i_tilde]
+    for k, (x, y) in enumerate(stream.edges, start=1):
+        if k <= edge_index and x == vertex and hashes.f(d_rounded, k):
+            sampled += 1
+    dout_sampled = Fraction(2 * d_rounded * sampled, hashes.kappa)
+    raw = 2 * (dout_sampled + dout_after) / (d_rounded + d_after) - 1 + hashes.g(vertex)
+    d_total = d_before + d_after
+    return EdgeLocalStats(
+        edge_index=edge_index,
+        vertex=vertex,
+        d_before=d_before,
+        dout_before=dout_before,
+        d_after=d_after,
+        dout_after=dout_after,
+        i_tilde=i_tilde,
+        d_rounded=d_rounded,
+        dout_sampled=dout_sampled,
+        pseudobias=min(raw, Fraction(1)),
+        bias=Fraction(2 * (dout_before + dout_after) - d_total, d_total),
+    )
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(2, 9),
+    m=st.integers(1, 30),
+    hseed=st.integers(0, 50),
+    kappa=st.integers(1, 3),
+    eps=st.sampled_from(["1/4", "1/2", "1"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_pseudobias_equals_per_call_scan(seed, n, m, hseed, kappa, eps):
+    stream = random_directed(n, min(m, n * (n - 1)), seed)
+    grid = DegreeGrid.from_eps(n, eps)
+    hashes = HashOracles(seed=hseed, kappa=kappa, eps=eps)
+    for k, (u, v) in enumerate(stream.edges, start=1):
+        for w in (u, v):
+            got = pseudobias_exact(stream, hashes, grid, k, w)
+            assert got == _stats_by_scan(stream, hashes, grid, k, w)
 
 
 def test_pseudobias_hand_example():
@@ -266,6 +343,24 @@ def test_snapshot_double_entry(restricted):
         assert ours == [[0, 1], [2, 0]]
     else:
         assert ours == [[4, 6], [8, 6]]
+    # the law-versus-lemma tests share the arrival table and the pseudobias
+    # formula with this oracle, so the scan by hand is their independent check
+    rng = np.random.default_rng(17)
+    thresholds = [("-1",), ("-1", "0"), ("-1/2", "0", "1/2")]
+    for trial in range(40):
+        n, m, kappa = int(rng.integers(3, 11)), int(rng.integers(1, 41)), int(rng.integers(1, 3))
+        stream = random_directed(n, min(m, n * (n - 1)), trial)
+        grid = DegreeGrid.from_eps(n, "1/2")
+        hashes = HashOracles(seed=trial, kappa=kappa, eps="1/2")
+        top = len(grid.levels) - 1
+        params = SnapshotParams(
+            kappa=kappa,
+            eps="1/2",
+            thresholds=thresholds[trial % 3],
+            class_pair=(int(rng.integers(top)), int(rng.integers(top))),
+        )
+        ours = pseudosnapshot_exact(stream, hashes, grid, params, restricted=restricted)
+        assert ours == _snapshot_by_hand(stream, hashes, grid, params, restricted)
 
 
 def test_snapshot_single_edge_and_empty():
@@ -478,6 +573,22 @@ def test_bias_bound_against_restricted_exact(fix_law):
             gap += diff
     assert gap <= oracle.nonqualifying
     assert gap == 1  # exactly the one crowded-out edge in this fixture
+
+
+def test_bias_bound_is_tight_at_scale():
+    """n = 1000, m = 10^4: one arrival table per oracle call keeps this exact
+    check fast, and this instance meets the bound with equality."""
+    stream = random_directed(1000, 10_000, 5)
+    grid = DegreeGrid.from_eps(1000, "1/2")
+    hashes = HashOracles(seed=7, kappa=2, eps="1/2")
+    params = SnapshotParams(kappa=2, eps="1/2", thresholds=("-1", "0"), class_pair=(3, 1))
+    oracle = lemma_expectation(stream, hashes, grid, params)
+    restricted = pseudosnapshot_exact(stream, hashes, grid, params, restricted=True)
+    gaps = [
+        restricted[a][b] - oracle.expectation[a][b] for a in range(2) for b in range(2)
+    ]
+    assert min(gaps) >= 0
+    assert sum(gaps) == oracle.nonqualifying == 10
 
 
 @given(

@@ -24,6 +24,7 @@ from pairsketch import (
     swap_perm,
 )
 from pairsketch.qsim import _branches_one, _branches_pair
+from permutation_reference import permute_set
 from test_sketch import GRID, grid_scripts
 
 EIGHT = UniverseSpec((Block("v", (IntRange(1, 8),)),))
@@ -212,7 +213,7 @@ def _reference_branch_walk(universe, members, script):
         op = script[i]
         if isinstance(op, Update):
             assert op.perm.universe == universe
-            stack.append((frozenset(op.perm.permute_set(set(current))), p, i + 1, prefix))
+            stack.append((frozenset(permute_set(op.perm, set(current))), p, i + 1, prefix))
         elif isinstance(op, QueryOne):
             assert universe.contains_id(op.x)
             n = len(current)

@@ -30,6 +30,7 @@ from pairsketch import (
     run_script,
     swap_perm,
 )
+from permutation_reference import permute_set
 
 LINE = UniverseSpec((Block("v", (IntRange(0, 15),)),))
 
@@ -149,9 +150,14 @@ def test_same_seed_same_trajectory():
     assert c in d
 
 
+def add_via_dummy(handle, dummy: int, target: int) -> None:
+    """Swap a scratch member into a new identity (the only way to 'insert')."""
+    handle.update(swap_perm(handle.universe, (dummy, target)))
+
+
 def test_add_via_dummy_swaps_identity():
     h = fresh([0, 1])
-    h.add_via_dummy(0, 9)
+    add_via_dummy(h, 0, 9)
     assert h.debug_members() == {1, 9}
 
 
@@ -250,7 +256,7 @@ def grid_perms(draw, universe=GRID):
 def test_bucketed_update_matches_per_element_application(perm, members):
     h = create(GRID, sorted(members))
     h.update(perm)
-    assert h.debug_members() == perm.permute_set(set(members))
+    assert h.debug_members() == permute_set(perm, set(members))
 
 
 def _create_outcome(universe, members):
@@ -296,14 +302,14 @@ def test_update_count_check_fires_on_a_tampered_stage():
 
 
 def _reference_replay(universe, members, script):
-    """Per-element noiseless replay through ``PermutationSpec.permute_set``."""
+    """Per-element noiseless replay through ``permute_set``."""
     current = set(members)
     initial_size = len(current)
     survival = Fraction(1)
     steps = []
     for i, op in enumerate(script):
         if isinstance(op, Update):
-            current = op.perm.permute_set(current)
+            current = permute_set(op.perm, current)
             continue
         n = len(current)
         if isinstance(op, QueryOne):
