@@ -162,28 +162,30 @@ def _flip_perm(universe: UniverseSpec, v: int) -> PermutationSpec:
     return PermutationSpec(universe, (SwapStage(pairs),))
 
 
-def build_script(inst: BhmInstance) -> tuple[list[ScriptOp], list[tuple[int, int, int]]]:
-    """Script realizing a run, plus (edge index, a, b) metadata per pair query."""
-    universe = bhm_universe(inst.n)
-    script: list[ScriptOp] = []
-    meta: list[tuple[int, int, int]] = []
+def _protocol_ops(inst: BhmInstance, universe: UniverseSpec):
+    """The run's sketch operations in stream order, built one at a time.
+
+    Yields (perm, None) for a bit flip and ((x, y), (edge index, a, b)) for a
+    pair query. Laziness lets a live run stop building operations at its hit.
+    """
     edge_index = {e: i for i, e in enumerate(inst.matching)}
+    encode = universe.encode
     for item in inst.stream:
         if isinstance(item, VertexBit):
             if item.bit == 1:
-                script.append(Update(_flip_perm(universe, item.v)))
+                yield _flip_perm(universe, item.v), None
         else:
             ei = edge_index[(item.u, item.v)]
             for a, b in QUERY_ORDER:
-                t = a ^ b
-                script.append(
-                    QueryPair(
-                        universe.encode("cell", (item.u, a, t)),
-                        universe.encode("cell", (item.v, b, t)),
-                    )
-                )
-                meta.append((ei, a, b))
-    return script, meta
+                pair = encode("cell", (item.u, a, a ^ b)), encode("cell", (item.v, b, a ^ b))
+                yield pair, (ei, a, b)
+
+
+def build_script(inst: BhmInstance) -> tuple[list[ScriptOp], list[tuple[int, int, int]]]:
+    """Script realizing a run, plus (edge index, a, b) metadata per pair query."""
+    ops = list(_protocol_ops(inst, bhm_universe(inst.n)))
+    script = [Update(op) if tag is None else QueryPair(*op) for op, tag in ops]
+    return script, [tag for _, tag in ops if tag is not None]
 
 
 def run_single(inst: BhmInstance, *, master_seed: int = 0, handle_id: int = 0) -> int | None:
@@ -192,31 +194,17 @@ def run_single(inst: BhmInstance, *, master_seed: int = 0, handle_id: int = 0) -
     handle = create(
         universe, initial_members(universe, inst.n), master_seed=master_seed, handle_id=handle_id
     )
-    candidate: int | None = None
-    pending: set[int] = set()
-    for item in inst.stream:
-        if isinstance(item, VertexBit):
-            if candidate is not None:
-                if item.v in pending:
-                    candidate ^= item.bit
-            elif item.bit == 1:
-                handle.update(_flip_perm(universe, item.v))
+    for op, tag in _protocol_ops(inst, universe):
+        if tag is None:
+            handle.update(op)
             continue
-        if candidate is not None:
-            continue
-        for a, b in QUERY_ORDER:
-            t = a ^ b
-            out = handle.query_pair(
-                universe.encode("cell", (item.u, a, t)),
-                universe.encode("cell", (item.v, b, t)),
-            )
-            if out is QueryOutcome.PLUS:
-                candidate = a ^ b ^ item.z
-                pending = {item.u, item.v}
-                break
-            if out is QueryOutcome.MINUS:
-                return None
-    return candidate
+        out = handle.query_pair(*op)
+        if out is QueryOutcome.PLUS:
+            ei, a, b = tag
+            return a ^ b ^ inst.z[ei] ^ _later_corrections(inst)[ei]
+        if out is QueryOutcome.MINUS:
+            return None
+    return None
 
 
 def default_copies(alpha: Fraction) -> int:

@@ -2,7 +2,9 @@
 
 Exit status is 0 exactly when every verdict in the produced report passed
 (``gen`` always exits 0 on success). Four-sigma gate lines print the oracle
-value, the sample mean, and the sigma the gate used, pass or fail.
+value, the sample mean, and the sigma the gate used, pass or fail; sigma is
+the standard error, at the trial count, of the exact law the trials sample
+(the bhm majority vote has no exact law yet and uses its sampled one).
 """
 from __future__ import annotations
 

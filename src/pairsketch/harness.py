@@ -5,7 +5,8 @@ generator spec), parameters, a trial count, and a master seed.
 ``run_experiment`` dispatches to the matching estimator, compares Monte-Carlo
 aggregates against the exact oracles at a four-sigma gate, and returns a
 ``Report`` whose JSON form is canonical: the same config and seed always
-produce the same bytes.
+produce the same bytes. A gate's sigma is the standard error, at the trial
+count, of the exact law the draws come from (bhm's majority vote: sampled).
 
 Per-trial randomness is keyed by ``SeedSequence([master_seed, index])`` (or by
 a single vectorized stream drawn from the master seed), so the numbers do not
@@ -282,6 +283,7 @@ def _parse_bhm(path, lines) -> BhmInstance:
     x: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
     zs: list[int] = []
+    matched: dict[int, int] = {}  # vertex -> line of the E line that matched it
     for lno, ln in lines[1:]:
         parts = ln.split()
         try:
@@ -295,6 +297,16 @@ def _parse_bhm(path, lines) -> BhmInstance:
                 x[v] = bit
             elif parts[0] == "E" and len(parts) == 4:
                 u, v, z = int(parts[1]), int(parts[2]), int(parts[3])
+                if not (1 <= u <= n and 1 <= v <= n) or u == v:
+                    raise ParseError(
+                        f"{path}:{lno}: ({u}, {v}) is not a vertex pair in [1, {n}]"
+                    )
+                for w in (u, v):
+                    if w in matched:
+                        raise ParseError(
+                            f"{path}:{lno}: vertex {w} already matched on line {matched[w]}"
+                        )
+                matched.update({u: lno, v: lno})
                 stream.append(EdgeLabel(u, v, z))
                 edges.append((u, v))
                 zs.append(z)
@@ -423,8 +435,16 @@ def _load_instance(config: ExperimentConfig):
 # four-sigma comparison used, so failures can print oracle, mean, and sigma.
 
 
-def _gate(oracle: float, value: float, sigma: float) -> dict[str, float]:
-    return {"oracle": float(oracle), "value": float(value), "sigma": float(sigma)}
+def _law_gate(oracle, atoms, total, trials: int) -> dict[str, float]:
+    """Gate of ``trials`` draws, summing to ``total``, from the exact law ``atoms``.
+
+    ``atoms`` are (value, probability) pairs. Sigma is the law's standard error
+    sqrt(Var/trials), moments in Fractions: outcomes never drawn still count.
+    """
+    mean = sum((x * p for x, p in atoms if x), Fraction(0))
+    var = sum((x * x * p for x, p in atoms if x), Fraction(0)) - mean**2
+    sigma = math.sqrt(var / trials)
+    return {"oracle": float(oracle), "value": float(total) / trials, "sigma": sigma}
 
 
 def _within(gate: dict[str, float]) -> bool:
@@ -436,23 +456,20 @@ def _run_bhm(inst: BhmInstance, params, trials, seed):
     if meta_trials < 0 or (copies is not None and copies < 1):
         raise ConfigError(f"need meta_trials >= 0 and copies >= 1, got {meta_trials}, {copies}")
     slabs = _bhm.terminal_slabs(inst)
-    p_correct = sum((s.prob for s in slabs if s.output == inst.b), Fraction(0))
-    p_wrong = sum((s.prob for s in slabs if s.output == 1 - inst.b), Fraction(0))
+    correct = [(s.output == inst.b, s.prob) for s in slabs]
+    wrong = [(s.output == 1 - inst.b, s.prob) for s in slabs]
+    p_correct = sum((p for hit, p in correct if hit), Fraction(0))
+    p_wrong = sum((p for hit, p in wrong if hit), Fraction(0))
     outs = _bhm.sample_outputs(inst, seed, trials)
-    freq_correct = float(np.mean(outs == inst.b))
-    freq_wrong = float(np.mean(outs == 1 - inst.b))
-    alpha = float(inst.alpha)
-    sigma_c = math.sqrt(alpha * (1 - alpha) / trials)
-    bound_w = alpha / 2
-    sigma_w = math.sqrt(bound_w * (1 - bound_w) / trials)
+    g_correct = _law_gate(inst.alpha, correct, np.count_nonzero(outs == inst.b), trials)
+    g_wrong = _law_gate(inst.alpha / 2, wrong, np.count_nonzero(outs == 1 - inst.b), trials)
 
-    gates = {
-        "correct_freq_matches_alpha": _gate(alpha, freq_correct, sigma_c),
-        "wrong_freq_at_most_half_alpha": _gate(bound_w, freq_wrong, sigma_w),
-    }
+    gates = {"correct_freq_matches_alpha": g_correct, "wrong_freq_at_most_half_alpha": g_wrong}
     verdicts = {
-        "correct_freq_matches_alpha": _within(gates["correct_freq_matches_alpha"]),
-        "wrong_freq_at_most_half_alpha": freq_wrong <= bound_w + 4 * sigma_w,
+        "correct_freq_matches_alpha": _within(g_correct),
+        "wrong_freq_at_most_half_alpha": (
+            g_wrong["value"] <= g_wrong["oracle"] + 4 * g_wrong["sigma"]
+        ),
         "exact_correct_prob_is_alpha": p_correct == inst.alpha,
         "exact_wrong_prob_at_most_half_alpha": p_wrong <= inst.alpha / 2,
     }
@@ -463,22 +480,25 @@ def _run_bhm(inst: BhmInstance, params, trials, seed):
         "b": inst.b,
         "exact_p_correct": p_correct,
         "exact_p_wrong": p_wrong,
-        "freq_correct": freq_correct,
-        "freq_wrong": freq_wrong,
+        "freq_correct": g_correct["value"],
+        "freq_wrong": g_wrong["value"],
         "freq_abort": float(np.mean(outs == -1)),
-        "sigma_correct": sigma_c,
-        "sigma_wrong": sigma_w,
+        "sigma_correct": g_correct["sigma"],
+        "sigma_wrong": g_wrong["sigma"],
     }
 
     if meta_trials:
         votes = _bhm.sample_majority(inst, trial_seed(seed, 1), meta_trials, copies)
         success = float(np.mean(votes == inst.b))
+        # sampled: the exact majority law would be a convolution over the copies
         sigma_m = math.sqrt(max(success * (1 - success), 1e-12) / meta_trials)
         results["majority_success"] = success
         results["majority_sigma"] = sigma_m
         results["majority_copies"] = copies or _bhm.default_copies(inst.alpha)
         results["meta_trials"] = meta_trials
-        gates["majority_success_at_least_two_thirds"] = _gate(2 / 3, success, sigma_m)
+        gates["majority_success_at_least_two_thirds"] = {
+            "oracle": 2 / 3, "value": success, "sigma": sigma_m
+        }
         verdicts["majority_success_at_least_two_thirds"] = success >= 2 / 3 - 4 * sigma_m
     return results, verdicts, gates
 
@@ -488,13 +508,9 @@ def _run_triangle(stream: EdgeStream, params, trials, seed):
     report = _tri.oracle_t_split(stream, k)
     law = _tri.terminal_law(stream, k)
     outs = _tri.sample_outputs(stream, k, seed, trials)
-    mean = float(outs.mean())
-    svar = float(outs.var(ddof=1)) if trials > 1 else 0.0
-    sigma = math.sqrt(svar / trials)
-    oracle = float(report.T_less)
-    max_abs = int(np.max(np.abs(outs))) if trials else 0
+    gate = _law_gate(report.T_less, law.atoms().items(), outs.sum(dtype=np.int64), trials)
+    max_abs = int(np.max(np.abs(outs)))
 
-    gate = _gate(oracle, mean, sigma)
     verdicts = {
         "mean_matches_t_less": _within(gate),
         "outputs_bounded_by_km": max_abs <= k * stream.m,
@@ -509,9 +525,8 @@ def _run_triangle(stream: EdgeStream, params, trials, seed):
         "T_less": report.T_less,
         "T_greater": report.T_greater,
         "law_mean": law.mean,
-        "mean": mean,
-        "sample_variance": svar,
-        "ci_half_width": 4 * sigma,
+        "mean": gate["value"],
+        "ci_half_width": 4 * gate["sigma"],
         "max_abs_output": max_abs,
         "km_bound": k * stream.m,
     }
@@ -523,11 +538,7 @@ def _run_heavy(stream: DirectedEdgeStream, params, trials, seed):
     count = _heavy.oracle_heavy_count(stream, d_h, d_t)
     law = _heavy.terminal_law(stream, d_h, d_t)
     outs = _heavy.sample_outputs(stream, d_h, d_t, seed, trials)
-    mean = float(outs.mean())
-    svar = float(outs.var(ddof=1)) if trials > 1 else 0.0
-    sigma = math.sqrt(svar / trials)
-
-    gate = _gate(count, mean, sigma)
+    gate = _law_gate(count, law.atoms().items(), outs.sum(dtype=np.int64), trials)
     verdicts = {
         "mean_matches_count": _within(gate),
         "law_mean_is_count": law.mean == count,
@@ -539,9 +550,8 @@ def _run_heavy(stream: DirectedEdgeStream, params, trials, seed):
         "d_T": d_t,
         "heavy_count": count,
         "law_mean": law.mean,
-        "mean": mean,
-        "sample_variance": svar,
-        "ci_half_width": 4 * sigma,
+        "mean": gate["value"],
+        "ci_half_width": 4 * gate["sigma"],
     }
     return results, verdicts, {"mean_matches_count": gate}
 
@@ -557,56 +567,33 @@ def _run_snapshot(stream: DirectedEdgeStream, params, trials, seed):
     )
     grid = _snap.DegreeGrid.from_eps(stream.n, sp.eps)
     hashes = _snap.HashOracles(int(params.get("hash_seed", seed)), sp.kappa, sp.eps)
-    sp.validate_with(grid, hashes)
-
     plan = _snap.build_plan(stream, hashes, grid, sp)
     law = _snap.terminal_law(stream, hashes, grid, sp, plan=plan)
     oracle = _snap.lemma_expectation(stream, hashes, grid, sp)
-    expect = law.expectation()
-    law_matches = all(
-        expect[a][b] == oracle.expectation[a][b]
-        for a in range(sp.ell)
-        for b in range(sp.ell)
-    )
+    ell = sp.ell
+    cells = [(a, b) for a in range(ell) for b in range(ell)]
 
     rows, cols, vals = law.sample(seed, trials)
-    ell = sp.ell
-    sums = np.zeros((ell, ell))
-    sqsums = np.zeros((ell, ell))
-    live = rows >= 0
-    np.add.at(sums, (rows[live], cols[live]), vals[live])
-    np.add.at(sqsums, (rows[live], cols[live]), vals[live].astype(np.float64) ** 2)
-    means = sums / trials
-    svars = (sqsums - trials * means**2) / max(trials - 1, 1)
-    sigmas = np.sqrt(np.maximum(svars, 0.0) / trials)
-
-    gates = {}
-    all_within = True
-    worst = None
-    for a in range(ell):
-        for b in range(ell):
-            g = _gate(float(oracle.expectation[a][b]), float(means[a][b]), float(sigmas[a][b]))
-            ok = _within(g)
-            all_within = all_within and ok
-            if worst is None or abs(g["value"] - g["oracle"]) > abs(
-                worst["value"] - worst["oracle"]
-            ):
-                worst = g
-    gates["entry_means_match_expectation"] = worst or _gate(0.0, 0.0, 0.0)
+    live = rows >= 0  # one pass tallies every entry
+    sums = np.bincount(rows[live] * ell + cols[live], vals[live], ell * ell).reshape(ell, ell)
+    gates = {
+        (a, b): _law_gate(
+            oracle.expectation[a][b],
+            [(v if e == (a, b) else 0, p) for (_, e, v), p in law.atoms.items()],
+            sums[a, b],
+            trials,
+        )
+        for a, b in cells
+    }
+    # the entry nearest to (or furthest past) its four-sigma band
+    worst = max(gates.values(), key=lambda g: abs(g["value"] - g["oracle"]) - 4 * g["sigma"])
 
     restricted = _snap.pseudosnapshot_exact(stream, hashes, grid, sp, restricted=True)
-    gaps = [
-        [restricted[a][b] - oracle.expectation[a][b] for b in range(ell)]
-        for a in range(ell)
-    ]
-    bias_ok = all(g >= 0 for row in gaps for g in row) and (
-        sum(g for row in gaps for g in row) <= oracle.nonqualifying
-    )
-
+    gaps = [restricted[a][b] - oracle.expectation[a][b] for a, b in cells]
     verdicts = {
-        "entry_means_match_expectation": all_within,
-        "law_matches_lemma_oracle": law_matches,
-        "bias_within_nonqualifying_bound": bias_ok,
+        "entry_means_match_expectation": _within(worst),
+        "law_matches_lemma_oracle": law.expectation() == [list(r) for r in oracle.expectation],
+        "bias_within_nonqualifying_bound": min(gaps) >= 0 and sum(gaps) <= oracle.nonqualifying,
     }
     results = {
         "n": stream.n,
@@ -615,15 +602,15 @@ def _run_snapshot(stream: DirectedEdgeStream, params, trials, seed):
         "eps": sp.eps,
         "ell": ell,
         "big_m": plan.big_m,
-        "expectation": [[oracle.expectation[a][b] for b in range(ell)] for a in range(ell)],
-        "entry_means": [[float(means[a][b]) for b in range(ell)] for a in range(ell)],
-        "entry_sigmas": [[float(sigmas[a][b]) for b in range(ell)] for a in range(ell)],
+        "expectation": [list(row) for row in oracle.expectation],
+        "entry_means": [[gates[a, b]["value"] for b in range(ell)] for a in range(ell)],
+        "entry_sigmas": [[gates[a, b]["sigma"] for b in range(ell)] for a in range(ell)],
         "restricted_counts": [list(r) for r in restricted],
         "in_class": oracle.in_class,
         "qualifying": oracle.qualifying,
         "nonqualifying": oracle.nonqualifying,
     }
-    return results, verdicts, gates
+    return results, verdicts, {"entry_means_match_expectation": worst}
 
 
 def random_script(
@@ -678,7 +665,7 @@ def _run_equivalence(_instance, params, trials, seed):
         max_tv = max(max_tv, classical.tv(quantum))
         covered.add(subsets[i % len(subsets)])
 
-    gate = _gate(0.0, max_tv, tolerance / 4)
+    gate = {"oracle": 0.0, "value": max_tv, "sigma": tolerance / 4}
     verdicts = {
         "max_tv_within_tolerance": max_tv <= tolerance,
         "every_subset_exercised": len(covered) == len(subsets),

@@ -168,7 +168,8 @@ class SnapshotParams:
             return None
         return bisect_right(self.thresholds, value) - 1
 
-    def validate_with(self, grid: DegreeGrid, hashes: HashOracles) -> None:
+    def validate_with(self, grid: DegreeGrid, hashes: HashOracles) -> tuple[int, int, int, int]:
+        """Check params against grid and hashes; return the class window (d_a, d_a1, d_b, d_b1)."""
         a, b = self.class_pair
         top = len(grid.levels) - 1
         if not (0 <= a < top and 0 <= b < top):
@@ -179,6 +180,7 @@ class SnapshotParams:
             raise InvalidParamsError("eps disagrees between params, grid, hashes")
         if self.kappa != hashes.kappa:
             raise InvalidParamsError("kappa disagrees between params and hashes")
+        return grid.levels[a], grid.levels[a + 1], grid.levels[b], grid.levels[b + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +233,10 @@ class _Arrivals:
         """(d_after, dout_after): the vertex's edges, and out-edges, after the edge."""
         inc, out = self.incident[vertex], self.out[vertex]
         return len(inc) - bisect_right(inc, edge_index), len(out) - bisect_right(out, edge_index)
+
+    def degree(self, edge_index: int, vertex: int) -> int:
+        """The vertex's degree through the edge."""
+        return bisect_right(self.incident[vertex], edge_index)
 
     def stats(self, hashes, grid, edge_index: int, vertex: int) -> EdgeLocalStats:
         inc, out = self.incident[vertex], self.out[vertex]
@@ -291,18 +297,17 @@ def pseudosnapshot_exact(
     fall in the target classes are counted. Edges whose pseudobias lands
     below every threshold belong to no class and count nowhere.
     """
-    params.validate_with(grid, hashes)
+    d_a, d_a1, d_b, d_b1 = params.validate_with(grid, hashes)
     ell = params.ell
     out = [[0] * ell for _ in range(ell)]
-    a_idx, b_idx = params.class_pair
-    d_a, d_a1 = grid.levels[a_idx], grid.levels[a_idx + 1]
-    d_b, d_b1 = grid.levels[b_idx], grid.levels[b_idx + 1]
     arrivals = _Arrivals(stream)
     for k, (u, v) in enumerate(stream.edges, start=1):
+        if restricted and not (
+            d_a <= arrivals.degree(k, u) < d_a1 and d_b <= arrivals.degree(k, v) < d_b1
+        ):
+            continue
         su = arrivals.stats(hashes, grid, k, u)
         sv = arrivals.stats(hashes, grid, k, v)
-        if restricted and not (d_a <= su.d_before < d_a1 and d_b <= sv.d_before < d_b1):
-            continue
         iu = params.bin_of(su.pseudobias)
         iv = params.bin_of(sv.pseudobias)
         if iu is None or iv is None:
@@ -366,14 +371,11 @@ class _Plan:
     """
 
     def __init__(self, stream, hashes, grid, params):
-        params.validate_with(grid, hashes)
+        self.d_a, self.d_a1, self.d_b, self.d_b1 = params.validate_with(grid, hashes)
         if grid.levels[-1] != stream.n:
             raise InvalidParamsError("grid was built for a different n")
         self.kappa = params.kappa
         self.copies = 2 * params.kappa**2
-        a_idx, b_idx = params.class_pair
-        self.d_a, self.d_a1 = grid.levels[a_idx], grid.levels[a_idx + 1]
-        self.d_b, self.d_b1 = grid.levels[b_idx], grid.levels[b_idx + 1]
         self.n, self.m = stream.n, stream.m
         self.big_m = params.capacity_c * params.kappa**3 * stream.m
         self.positions = self.big_m * self.n
@@ -537,8 +539,7 @@ class _ClassicalStage:
     """
 
     def __init__(self, stream, hashes, grid, params):
-        a_idx, b_idx = params.class_pair
-        self.d_a, self.d_b = grid.levels[a_idx], grid.levels[b_idx]
+        self.d_a, _, self.d_b, _ = params.validate_with(grid, hashes)
         self.params = params
         self.hashes = hashes
         self.stream = stream
@@ -772,23 +773,17 @@ def lemma_expectation(
     grid: DegreeGrid,
     params: SnapshotParams,
 ) -> SnapshotOracle:
-    params.validate_with(grid, hashes)
+    d_a, d_a1, d_b, d_b1 = params.validate_with(grid, hashes)
     ell = params.ell
-    a_idx, b_idx = params.class_pair
-    d_a, d_a1 = grid.levels[a_idx], grid.levels[a_idx + 1]
-    d_b, d_b1 = grid.levels[b_idx], grid.levels[b_idx + 1]
     out = [[0] * ell for _ in range(ell)]
-    deg = [0] * (stream.n + 1)
     fired_a = [0] * (stream.n + 1)
     fired_b = [0] * (stream.n + 1)
     in_class = qualifying = 0
     arrivals = _Arrivals(stream)
     for k, (u, v) in enumerate(stream.edges, start=1):
-        deg[u] += 1
-        deg[v] += 1
         fired_a[u] += hashes.f(d_a, k)
         fired_b[u] += hashes.f(d_b, k)
-        if not (d_a <= deg[u] < d_a1 and d_b <= deg[v] < d_b1):
+        if not (d_a <= arrivals.degree(k, u) < d_a1 and d_b <= arrivals.degree(k, v) < d_b1):
             continue
         in_class += 1
         if fired_a[u] + 1 > params.kappa or fired_b[v] + 1 > params.kappa:

@@ -6,9 +6,10 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from pairsketch import InvalidParamsError, ValidationError, enumerate_distribution
+from pairsketch import InvalidParamsError, ValidationError, bhm, enumerate_distribution
 from pairsketch.bhm import (
     INTERLEAVINGS,
+    QUERY_ORDER,
     BhmInstance,
     EdgeLabel,
     VertexBit,
@@ -26,7 +27,7 @@ from pairsketch.bhm import (
 from pairsketch.cli import main
 from pairsketch.errors import ParseError
 from pairsketch.harness import parse_stream, write_instance
-from pairsketch.sketch import replay_noiseless
+from pairsketch.sketch import QueryOutcome, create, replay_noiseless
 
 
 def test_generate_instance_is_consistent():
@@ -204,6 +205,68 @@ def test_majority_recovers_the_hidden_bit():
     assert float(np.mean(maj == 1)) > 2 / 3
 
 
+def _run_single_by_loop(inst, master_seed, handle_id):
+    """The stream loop run_single used to be: flips and pair queries written
+    out inline, and the hit's correction gathered from the rest of the stream."""
+    universe = bhm_universe(inst.n)
+    handle = create(
+        universe, initial_members(universe, inst.n), master_seed=master_seed, handle_id=handle_id
+    )
+    candidate = None
+    pending = set()
+    for item in inst.stream:
+        if isinstance(item, VertexBit):
+            if candidate is not None:
+                if item.v in pending:
+                    candidate ^= item.bit
+            elif item.bit == 1:
+                handle.update(bhm._flip_perm(universe, item.v))
+            continue
+        if candidate is not None:
+            continue
+        for a, b in QUERY_ORDER:
+            t = a ^ b
+            out = handle.query_pair(
+                universe.encode("cell", (item.u, a, t)),
+                universe.encode("cell", (item.v, b, t)),
+            )
+            if out is QueryOutcome.PLUS:
+                candidate = a ^ b ^ item.z
+                pending = {item.u, item.v}
+                break
+            if out is QueryOutcome.MINUS:
+                return None
+    return candidate
+
+
+@pytest.mark.parametrize("interleaving", INTERLEAVINGS)
+def test_run_single_equals_the_stream_loop(interleaving):
+    outputs = set()
+    for seed in range(4):
+        inst = generate_instance(8, Fraction(1, 4), seed % 2, seed=seed, interleaving=interleaving)
+        for handle_id in range(60):
+            out = run_single(inst, master_seed=seed, handle_id=handle_id)
+            assert out == _run_single_by_loop(inst, seed, handle_id)
+            outputs.add(out)
+    assert outputs == {0, 1, None}
+
+
+def test_live_run_builds_no_flip_after_its_hit(monkeypatch):
+    # edges first: every flip comes after every query, so a run that hits
+    # must stop before it builds a single flip permutation
+    inst = generate_instance(8, Fraction(1, 4), 1, seed=5, interleaving="edges-first")
+    built = []
+    flip = bhm._flip_perm
+    monkeypatch.setattr(bhm, "_flip_perm", lambda *args: built.append(args) or flip(*args))
+    hits = 0
+    for handle_id in range(60):
+        built.clear()
+        if run_single(inst, master_seed=1, handle_id=handle_id) is not None:
+            hits += 1
+            assert built == []
+    assert hits > 0
+
+
 def test_run_single_is_deterministic_per_seed():
     inst = generate_instance(8, Fraction(1, 4), 0, seed=13)
     a = [run_single(inst, master_seed=3, handle_id=i) for i in range(40)]
@@ -241,6 +304,11 @@ def test_parse_errors_name_the_line(tmp_path):
         ("V 1 0\nV 2 1\nV 1 1\n", 4, "second bit line"),
         ("V 1 5\n", 2, "5 is not a bit"),
         ("V 1 0\nE 1 2 3\n", 3, "3 is not a bit"),
+        ("V 1 0\nE 1 9 0\n", 3, "(1, 9) is not a vertex pair in [1, 4]"),
+        ("E 0 2 0\n", 2, "(0, 2) is not a vertex pair"),
+        ("V 1 0\nE 2 2 0\n", 3, "(2, 2) is not a vertex pair"),
+        ("E 1 2 0\nV 1 0\nE 3 2 1\n", 4, "vertex 2 already matched on line 2"),
+        ("E 1 2 0\nE 1 2 0\n", 3, "vertex 1 already matched on line 2"),
     ):
         path.write_text("4 1/4 0\n" + body)
         with pytest.raises(ParseError, match=f":{line}: .*{re.escape(why)}"):

@@ -1,9 +1,12 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from pairsketch import ConfigError, InvalidParamsError, ParseError
+from pairsketch import heavy_edges
+from pairsketch import pseudosnapshot as ps
 from pairsketch.bhm import BhmInstance
 from pairsketch.cli import main
 from pairsketch.harness import (
@@ -273,6 +276,10 @@ def test_heavy_experiment_reports_gate_numbers(tmp_path):
     gate = report.results["gates"]["mean_matches_count"]
     assert gate["oracle"] == report.results["heavy_count"]
     assert abs(gate["value"] - gate["oracle"]) <= 4 * gate["sigma"]
+    # sigma is the exact law's standard error at 4000 trials
+    law = heavy_edges.terminal_law(parse_stream(path, "directed"), 2, 1)
+    var = sum(x * x * p for x, p in law.atoms().items()) - law.mean**2
+    assert gate["sigma"] == math.sqrt(var / 4000)
     assert report.passed
 
 
@@ -286,6 +293,64 @@ def test_snapshot_experiment_small(tmp_path):
     assert report.verdicts["law_matches_lemma_oracle"]
     assert report.verdicts["bias_within_nonqualifying_bound"]
     assert report.results["ell"] == 1
+
+
+# The first ten edges of the 12-vertex stream that the benchmark's estimators
+# workload draws for its snapshot experiment at seed 11, with criterion 7's
+# settings: an instance whose law puts tiny mass on large entry values.
+BENCH_SNAPSHOT = DirectedEdgeStream(
+    12, ((11, 9), (4, 10), (7, 11), (9, 4), (9, 8), (3, 2), (4, 11), (11, 7), (12, 6), (9, 2))
+)
+SNAPSHOT_PARAMS = {"kappa": 2, "eps": "1/2", "thresholds": ["-1", "0"], "alpha": 3,
+                   "beta": 1, "hash_seed": 7}
+
+
+@pytest.mark.parametrize("trials", [1, 50])
+def test_snapshot_entry_sigma_is_positive_exactly_where_the_law_has_mass(tmp_path, trials):
+    path = tmp_path / "s.txt"
+    write_instance(BENCH_SNAPSHOT, path)
+    thresholds = ("-1", "-1/2", "0", "1/2")
+    sp = ps.SnapshotParams(kappa=2, eps="1/2", thresholds=thresholds, class_pair=(3, 1))
+    law = ps.terminal_law(
+        BENCH_SNAPSHOT, ps.HashOracles(7, 2, "1/2"), ps.DegreeGrid.from_eps(12, "1/2"), sp
+    )
+    charged = {e for (_, e, v), p in law.atoms.items() if e is not None and v and p}
+    cells = {(a, b) for a in range(4) for b in range(4)}
+    assert set() < charged < cells
+    params = dict(SNAPSHOT_PARAMS, thresholds=list(thresholds))
+    for seed in range(5):
+        report = run_experiment(ExperimentConfig("snapshot", params, trials, seed, str(path)))
+        assert report.verdicts["law_matches_lemma_oracle"]
+        res = report.results
+        sigmas = res["entry_sigmas"]
+        assert {(a, b) for a, b in cells if sigmas[a][b] > 0} == charged
+        # the reported gate is the entry with the least room in its band
+        def margin(cell):
+            a, b = cell
+            return abs(res["entry_means"][a][b] - res["expectation"][a][b]) - 4 * sigmas[a][b]
+
+        a, b = max(sorted(cells), key=margin)
+        assert res["gates"]["entry_means_match_expectation"] == {
+            "oracle": res["expectation"][a][b],
+            "value": res["entry_means"][a][b],
+            "sigma": sigmas[a][b],
+        }
+        assert report.verdicts["entry_means_match_expectation"] == (margin((a, b)) <= 0)
+
+
+def test_snapshot_gate_rarely_fails_at_few_trials(tmp_path):
+    # an entry the draws never hit still has the law's sigma, so a rare large
+    # draw in another seed's run is not judged against a zero-width band
+    path = tmp_path / "s.txt"
+    write_instance(BENCH_SNAPSHOT, path)
+    failed = [
+        seed
+        for seed in range(40)
+        if not run_experiment(
+            ExperimentConfig("snapshot", SNAPSHOT_PARAMS, 200, seed, str(path))
+        ).verdicts["entry_means_match_expectation"]
+    ]
+    assert len(failed) <= 1, failed
 
 
 def test_missing_params_become_config_errors(tmp_path):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairsketch import (
@@ -24,6 +24,7 @@ from pairsketch.pseudosnapshot import (
     HashOracles,
     ScriptPlan,
     SnapshotParams,
+    _Arrivals,
     _Plan,
     build_plan,
     estimate_sampled,
@@ -575,7 +576,7 @@ def test_bias_bound_against_restricted_exact(fix_law):
     assert gap == 1  # exactly the one crowded-out edge in this fixture
 
 
-def test_bias_bound_is_tight_at_scale():
+def test_bias_bound_is_tight_at_scale(monkeypatch):
     """n = 1000, m = 10^4: one arrival table per oracle call keeps this exact
     check fast, and this instance meets the bound with equality."""
     stream = random_directed(1000, 10_000, 5)
@@ -583,7 +584,12 @@ def test_bias_bound_is_tight_at_scale():
     hashes = HashOracles(seed=7, kappa=2, eps="1/2")
     params = SnapshotParams(kappa=2, eps="1/2", thresholds=("-1", "0"), class_pair=(3, 1))
     oracle = lemma_expectation(stream, hashes, grid, params)
+    # the restricted count decides each edge's class before it hashes
+    stats = _Arrivals.stats
+    calls = []
+    monkeypatch.setattr(_Arrivals, "stats", lambda *a: calls.append(a) or stats(*a))
     restricted = pseudosnapshot_exact(stream, hashes, grid, params, restricted=True)
+    assert len(calls) == 2 * oracle.in_class == 164
     gaps = [
         restricted[a][b] - oracle.expectation[a][b] for a in range(2) for b in range(2)
     ]
@@ -596,23 +602,26 @@ def test_bias_bound_is_tight_at_scale():
     n=st.integers(3, 6),
     m=st.integers(1, 6),
     hseed=st.integers(0, 50),
+    kappa=st.sampled_from([1, 2]),
+    pair=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    thresholds=st.sampled_from([("-1", "0"), ("-1", "-1/2", "0", "1/2")]),
 )
+@example(seed=3, n=6, m=4, hseed=3, kappa=2, pair=(0, 0), thresholds=("-1", "-1/2", "0", "1/2"))
 @settings(max_examples=25, deadline=None)
-def test_law_equals_lemma_on_random_instances(seed, n, m, hseed):
+def test_law_equals_lemma_on_random_instances(seed, n, m, hseed, kappa, pair, thresholds):
     m = min(m, n * (n - 1))
     stream = random_directed(n, m, seed)
     grid = DegreeGrid.from_eps(n, "0.5")
-    hashes = HashOracles(seed=hseed, kappa=1, eps="0.5")
+    hashes = HashOracles(seed=hseed, kappa=kappa, eps="0.5")
+    classes = len(grid.levels) - 1
     params = SnapshotParams(
-        kappa=1, eps="0.5", thresholds=("-1", "0"), class_pair=(0, len(grid.levels) - 2)
+        kappa=kappa, eps="0.5", thresholds=thresholds,
+        class_pair=(pair[0] % classes, pair[1] % classes),
     )
     law = terminal_law(stream, hashes, grid, params)
     oracle = lemma_expectation(stream, hashes, grid, params)
-    exp = law.expectation()
     assert sum(law.atoms.values()) == 1
-    for a in range(2):
-        for b in range(2):
-            assert exp[a][b] == oracle.expectation[a][b]
+    assert law.expectation() == [list(row) for row in oracle.expectation]
 
 
 def test_run_single_frequencies_match_law():

@@ -31,3 +31,9 @@ def test_law_consumers_leave_sampling_to_the_sketch_module():
             node.attr for node in ast.walk(_tree(name)) if isinstance(node, ast.Attribute)
         }
         assert not attrs & {"cumsum", "searchsorted"}, name
+
+
+def test_harness_takes_gate_sigmas_from_exact_laws():
+    # a gate's sigma is the exact law's standard error, never a sample statistic
+    text = (SRC / "harness.py").read_text(encoding="utf-8")
+    assert [w for w in (".var(", ".std(", "ddof", "sqsums") if w in text] == []
