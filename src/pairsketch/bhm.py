@@ -88,15 +88,15 @@ class BhmInstance:
         if self.b not in (0, 1):
             raise ValidationError("b must be a bit")
         used: set[int] = set()
-        for (u, v), z in zip(self.matching, self.z):
+        for i, ((u, v), z) in enumerate(zip(self.matching, self.z)):
             if not (1 <= u <= n and 1 <= v <= n) or u == v:
-                raise ValidationError(f"edge ({u}, {v}) is not a valid vertex pair")
+                raise ValidationError(f"edge ({u}, {v}) is not a valid vertex pair", i)
             if u in used or v in used:
-                raise ValidationError(f"edge ({u}, {v}) reuses a matched vertex")
+                raise ValidationError(f"edge ({u}, {v}) reuses a matched vertex", i)
             used |= {u, v}
             if z != self.x[u - 1] ^ self.x[v - 1] ^ self.b:
                 raise ValidationError(
-                    f"edge ({u}, {v}) has label {z}, inconsistent with its endpoints"
+                    f"edge ({u}, {v}) has label {z}, inconsistent with its endpoints", i
                 )
         want: list[StreamItem] = [VertexBit(v, self.x[v - 1]) for v in range(1, n + 1)]
         want += [EdgeLabel(u, v, z) for (u, v), z in zip(self.matching, self.z)]
@@ -150,15 +150,17 @@ def bhm_universe(n: int) -> UniverseSpec:
     return UniverseSpec((Block("cell", (IntRange(1, n), IntRange(0, 1), IntRange(0, 1))),))
 
 
+def _cell(v: int, a: int, t: int) -> int:
+    """Id of cell (v, a, t): the one block is row-major with factor sizes (n, 2, 2)."""
+    return 4 * (v - 1) + 2 * a + t
+
+
 def initial_members(universe: UniverseSpec, n: int) -> list[int]:
-    return [universe.encode("cell", (v, 0, t)) for v in range(1, n + 1) for t in (0, 1)]
+    return [_cell(v, 0, t) for v in range(1, n + 1) for t in (0, 1)]
 
 
 def _flip_perm(universe: UniverseSpec, v: int) -> PermutationSpec:
-    pairs = tuple(
-        (universe.encode("cell", (v, 0, t)), universe.encode("cell", (v, 1, t)))
-        for t in (0, 1)
-    )
+    pairs = ((_cell(v, 0, 0), _cell(v, 1, 0)), (_cell(v, 0, 1), _cell(v, 1, 1)))
     return PermutationSpec(universe, (SwapStage(pairs),))
 
 
@@ -169,7 +171,6 @@ def _protocol_ops(inst: BhmInstance, universe: UniverseSpec):
     pair query. Laziness lets a live run stop building operations at its hit.
     """
     edge_index = {e: i for i, e in enumerate(inst.matching)}
-    encode = universe.encode
     for item in inst.stream:
         if isinstance(item, VertexBit):
             if item.bit == 1:
@@ -177,7 +178,7 @@ def _protocol_ops(inst: BhmInstance, universe: UniverseSpec):
         else:
             ei = edge_index[(item.u, item.v)]
             for a, b in QUERY_ORDER:
-                pair = encode("cell", (item.u, a, a ^ b)), encode("cell", (item.v, b, a ^ b))
+                pair = _cell(item.u, a, a ^ b), _cell(item.v, b, a ^ b)
                 yield pair, (ei, a, b)
 
 

@@ -47,7 +47,15 @@ class ConfigError(PairsketchError):
 
 
 class ValidationError(PairsketchError):
-    """A parsed stream or instance violates a structural requirement."""
+    """A parsed stream or instance violates a structural requirement.
+
+    ``item`` is the 0-based index of the edge at fault, when one edge is, so a
+    file reader can name the line that holds it.
+    """
+
+    def __init__(self, message: str, item: int | None = None) -> None:
+        super().__init__(message)
+        self.item = item
 
 
 class InvariantError(PairsketchError):

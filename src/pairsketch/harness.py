@@ -264,7 +264,12 @@ def _parse_edge_list(path, lines, cls):
             raise ParseError(f"{path}:{lno}: non-integer field in {ln!r}") from None
     if len(edges) != m:
         raise ParseError(f"{path}: header promises {m} edges, found {len(edges)}")
-    return cls(n, tuple(edges))
+    try:
+        return cls(n, tuple(edges))
+    except ValidationError as exc:
+        # a fault of no single edge is the header's vertex count
+        at = lines[0 if exc.item is None else exc.item + 1][0]
+        raise ParseError(f"{path}:{at}: {exc}") from None
 
 
 def _parse_bhm(path, lines) -> BhmInstance:
@@ -279,11 +284,14 @@ def _parse_bhm(path, lines) -> BhmInstance:
         b = int(parts[2])
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{path}:{lno}: bad header: {exc}") from None
+    if b not in (0, 1):
+        raise ParseError(f"{path}:{lno}: hidden bit {b} is not a bit")
     stream: list = []
     x: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
     zs: list[int] = []
     matched: dict[int, int] = {}  # vertex -> line of the E line that matched it
+    edge_lines: list[int] = []
     for lno, ln in lines[1:]:
         parts = ln.split()
         try:
@@ -307,6 +315,7 @@ def _parse_bhm(path, lines) -> BhmInstance:
                             f"{path}:{lno}: vertex {w} already matched on line {matched[w]}"
                         )
                 matched.update({u: lno, v: lno})
+                edge_lines.append(lno)
                 stream.append(EdgeLabel(u, v, z))
                 edges.append((u, v))
                 zs.append(z)
@@ -322,7 +331,13 @@ def _parse_bhm(path, lines) -> BhmInstance:
         missing = next(v for v in range(1, len(x) + 2) if v not in x)
         raise ValidationError(f"{path}: no vertex-bit line for vertex {missing}")
     xs = tuple(x[v] for v in range(1, n + 1))
-    return BhmInstance(n, alpha, tuple(edges), tuple(zs), xs, b, tuple(stream))
+    try:
+        return BhmInstance(n, alpha, tuple(edges), tuple(zs), xs, b, tuple(stream))
+    except InvalidParamsError as exc:  # n and alpha come from the header alone
+        raise ParseError(f"{path}:{lines[0][0]}: {exc}") from None
+    except ValidationError as exc:
+        at = f"{path}" if exc.item is None else f"{path}:{edge_lines[exc.item]}"
+        raise ParseError(f"{at}: {exc}") from None
 
 
 def write_instance(obj, path: str | os.PathLike) -> None:

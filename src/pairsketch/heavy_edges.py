@@ -59,11 +59,11 @@ class DirectedEdgeStream:
         seen: set[tuple[int, int]] = set()
         for i, (u, v) in enumerate(self.edges):
             if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValidationError(f"edge {i + 1} ({u}, {v}) leaves [1, {self.n}]")
+                raise ValidationError(f"edge {i + 1} ({u}, {v}) leaves [1, {self.n}]", i)
             if u == v:
-                raise ValidationError(f"edge {i + 1} is a self-loop at {u}")
+                raise ValidationError(f"edge {i + 1} is a self-loop at {u}", i)
             if (u, v) in seen:
-                raise ValidationError(f"edge {i + 1} ({u} -> {v}) repeats")
+                raise ValidationError(f"edge {i + 1} ({u} -> {v}) repeats", i)
             seen.add((u, v))
 
     @property

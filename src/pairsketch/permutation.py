@@ -97,10 +97,13 @@ class PermutationSpec:
         object.__setattr__(self, "_compiled", tuple(compiled))
 
     def _compile_swap(self, stage: SwapStage) -> dict[int, int]:
+        # SwapStage made every id a plain int, so a range check is check_id
+        size = self.universe.size
         mapping: dict[int, int] = {}
         for a, b in stage.pairs:
-            self.universe.check_id(a)
-            self.universe.check_id(b)
+            for eid in (a, b):
+                if not 0 <= eid < size:
+                    raise PermutationError(f"id {eid!r} outside universe of size {size}")
             if a == b:
                 raise PermutationError(f"swap pair ({a}, {b}) is degenerate")
             if a in mapping or b in mapping:
@@ -111,8 +114,7 @@ class PermutationSpec:
 
     def _compile_shift(self, stage: CyclicShift) -> _CompiledShift:
         try:
-            block = self.universe.block(stage.block)
-            offset = self.universe.block_offset(stage.block)
+            block_index, block, offset = self.universe.entry(stage.block)
         except KeyError as exc:
             raise PermutationError(str(exc)) from None
         if len(stage.select) != len(block.factors) - 1:
@@ -129,14 +131,14 @@ class PermutationSpec:
                     select.append(frozenset(factor.index(v) for v in sel))
                 except ValueError as exc:
                     raise PermutationError(str(exc)) from None
-        block_index = [b.name for b in self.universe.blocks].index(stage.block)
-        mod = block.factors[-1].size
+        lay = self.universe.layout()[block_index]
+        mod = lay.sizes[-1]
         return _CompiledShift(
             block_index=block_index,
             offset=offset,
-            end=offset + block.size,
-            strides=block.strides(),
-            sizes=tuple(f.size for f in block.factors),
+            end=lay.end,
+            strides=lay.strides,
+            sizes=lay.sizes,
             select=tuple(select),
             mod=mod,
             amount=stage.amount % mod,

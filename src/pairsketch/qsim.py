@@ -84,7 +84,7 @@ def qs_apply_permutation(sv: StateVector, perm: PermutationSpec) -> StateVector:
 
 
 def _branches_one(sv: StateVector, x: int) -> list[tuple[QueryOutcome, float, StateVector | None]]:
-    _check_query(sv.universe, x)
+    _check_query(len(sv.amps), x)
     p_in = float(abs(sv.amps[x]) ** 2)
     branches: list[tuple[QueryOutcome, float, StateVector | None]] = []
     if p_in > PRUNE_EPS:
@@ -100,7 +100,7 @@ def _branches_one(sv: StateVector, x: int) -> list[tuple[QueryOutcome, float, St
 def _branches_pair(
     sv: StateVector, x: int, y: int
 ) -> list[tuple[QueryOutcome, float, StateVector | None]]:
-    _check_query(sv.universe, x, y)
+    _check_query(len(sv.amps), x, y)
     a, b = sv.amps[x], sv.amps[y]
     p_plus = float(abs(a + b) ** 2) / 2.0
     p_minus = float(abs(a - b) ** 2) / 2.0
@@ -210,14 +210,15 @@ def _enumerate_quantum(universe, members, script) -> OutcomeDistribution:
     """Walk every measurement branch; the whole script is validated first, as
     the replay validates it, so ops that no branch reaches are checked too."""
     sv0 = qs_create(universe, members)
+    size = universe.size
     for op in script:
         if isinstance(op, Update):
             if op.perm.universe != universe:
                 raise ScriptError("permutation universe does not match state universe")
         elif isinstance(op, QueryOne):
-            _check_query(universe, op.x)
+            _check_query(size, op.x)
         elif isinstance(op, QueryPair):
-            _check_query(universe, op.x, op.y)
+            _check_query(size, op.x, op.y)
         else:
             raise ScriptError(f"unknown script op {op!r}")
     out: dict[tuple[str, ...], float] = {}

@@ -116,9 +116,13 @@ class ThreeAtomLaw:
         return np.array(outs, dtype=np.int32)[sample_atoms(probs, rng, trials)]
 
 
-def _check_query(universe: UniverseSpec, *endpoints: int) -> None:
+def _check_query(size: int, *endpoints: int) -> None:
+    """Raise unless every endpoint is an int id below ``size`` and a pair's differ.
+
+    Callers read ``universe.size`` once and pass it in.
+    """
     for eid in endpoints:
-        if not universe.contains_id(eid):
+        if not (isinstance(eid, int) and not isinstance(eid, bool) and 0 <= eid < size):
             raise InvalidQueryError(f"query endpoint {eid!r} outside universe")
     if len(endpoints) == 2 and endpoints[0] == endpoints[1]:
         raise InvalidQueryError(f"pair query endpoints must differ, got {endpoints[0]} twice")
@@ -127,31 +131,31 @@ def _check_query(universe: UniverseSpec, *endpoints: int) -> None:
 class _MemberStore:
     """Member ids grouped into buckets by block and leading coordinates.
 
-    Semantically a plain set of ids; the grouping lets a cyclic shift rewrite
-    only the buckets its selection names instead of scanning every member.
+    Semantically a plain set of ids, held flat in ``ids``, which answers
+    membership; the grouping lets a cyclic shift rewrite only the buckets its
+    selection names instead of scanning every member. Bucket keys are
+    computed only when an id is added or removed.
     Construction raises ``InvalidInitError`` on an empty member set, a repeated
     id or an id outside the universe; a contiguous ``range`` is checked at its
     endpoints and inserted block by block instead of id by id.
     """
 
-    __slots__ = ("_layouts", "buckets", "count")
+    __slots__ = ("_layouts", "buckets", "ids")
 
     def __init__(self, universe: UniverseSpec, members: Iterable[int]) -> None:
         self._layouts = universe.layout()
         self.buckets: dict[tuple, set[int]] = {}
-        self.count = 0
+        self.ids: set[int] = set()
         if isinstance(members, range) and members.step == 1 and members:
             self._fill_range(universe, members)
         else:
-            seen = set()
             for eid in members:
                 if not universe.contains_id(eid):
                     raise InvalidInitError(f"member id {eid!r} outside universe")
-                if eid in seen:
+                if eid in self.ids:
                     raise InvalidInitError(f"member id {eid} repeated")
-                seen.add(eid)
                 self.add(eid)
-        if self.count == 0:
+        if not self.ids:
             raise InvalidInitError("initial member set is empty")
 
     def _fill_range(self, universe: UniverseSpec, ids: range) -> None:
@@ -169,7 +173,7 @@ class _MemberStore:
                 continue
             if lay.depth == 0:
                 self.buckets.setdefault((bi,), set()).update(range(lo, hi))
-                self.count += hi - lo
+                self.ids.update(range(lo, hi))
             else:
                 for eid in range(lo, hi):
                     self.add(eid)
@@ -180,37 +184,35 @@ class _MemberStore:
                 return lay.bucket_key(bi, eid)
         raise ValueError(f"id {eid} out of range")
 
-    def __contains__(self, eid: int) -> bool:
-        bucket = self.buckets.get(self._key(eid))
-        return bucket is not None and eid in bucket
+    @property
+    def count(self) -> int:
+        return len(self.ids)
 
     def add(self, eid: int) -> None:
         self.buckets.setdefault(self._key(eid), set()).add(eid)
-        self.count += 1
+        self.ids.add(eid)
 
     def remove(self, eid: int) -> None:
         self.buckets[self._key(eid)].remove(eid)
-        self.count -= 1
+        self.ids.remove(eid)
 
     def take(self, x: int, y: int | None = None) -> tuple[int, bool, bool]:
         """The miss branch of a query: delete the present endpoints.
 
         Returns (size before, x present, y present).
         """
-        size = self.count
-        present_x = x in self
+        ids = self.ids
+        size = len(ids)
+        present_x = x in ids
         if present_x:
             self.remove(x)
-        present_y = y is not None and y in self
+        present_y = y is not None and y in ids
         if present_y:
             self.remove(y)
         return size, present_x, present_y
 
     def snapshot(self) -> set[int]:
-        out: set[int] = set()
-        for bucket in self.buckets.values():
-            out |= bucket
-        return out
+        return set(self.ids)
 
     def apply(self, perm: PermutationSpec) -> None:
         """Relabel every member by ``perm``; raise if the member count changes."""
@@ -226,9 +228,10 @@ class _MemberStore:
             )
 
     def apply_swap(self, pairs) -> None:
+        ids = self.ids
         for a, b in pairs:
-            in_a = a in self
-            in_b = b in self
+            in_a = a in ids
+            in_b = b in ids
             if in_a and not in_b:
                 self.remove(a)
                 self.add(b)
@@ -262,14 +265,15 @@ class _MemberStore:
                         for sel, st, sz in zip(rest_sel, rest_strides, rest_sizes)
                     )
                     new.add(comp.shift_id(eid) if hit else eid)
-            self.count += len(new) - len(bucket)
+            self.ids -= bucket
+            self.ids |= new
             self.buckets[key] = new
 
 
 class SketchHandle:
     """Live sketch state. Create via :func:`create`."""
 
-    __slots__ = ("universe", "handle_id", "_store", "_rng", "_outcome")
+    __slots__ = ("universe", "handle_id", "_size", "_store", "_rng", "_outcome")
 
     def __init__(
         self,
@@ -280,6 +284,7 @@ class SketchHandle:
     ) -> None:
         self.universe = universe
         self.handle_id = handle_id
+        self._size = universe.size  # read once; queries check endpoints against it
         self._rng = rng
         self._outcome: QueryOutcome | None = None
         self._store = _MemberStore(universe, members)
@@ -340,13 +345,13 @@ class SketchHandle:
 
     def query_one(self, x: int) -> QueryOutcome:
         self._require_alive()
-        _check_query(self.universe, x)
+        _check_query(self._size, x)
         size, present, _ = self._store.take(x)
         return self._fire(False, size, present)
 
     def query_pair(self, x: int, y: int) -> QueryOutcome:
         self._require_alive()
-        _check_query(self.universe, x, y)
+        _check_query(self._size, x, y)
         size, present_x, present_y = self._store.take(x, y)
         return self._fire(True, size, present_x + present_y)
 
@@ -459,6 +464,7 @@ def replay_noiseless(
     only reach with probability zero.
     """
     store = _MemberStore(universe, members)
+    universe_size = universe.size
     initial_size = store.count
     survival = Fraction(1)
     steps: list[ReplayStep] = []
@@ -469,11 +475,11 @@ def replay_noiseless(
             store.apply(op.perm)
             continue
         if isinstance(op, QueryOne):
-            _check_query(universe, op.x)
+            _check_query(universe_size, op.x)
             size, present_x, present_y = store.take(op.x)
             step = ReplayStep(i, "one", op.x, None, present_x, present_y, size)
         elif isinstance(op, QueryPair):
-            _check_query(universe, op.x, op.y)
+            _check_query(universe_size, op.x, op.y)
             size, present_x, present_y = store.take(op.x, op.y)
             step = ReplayStep(i, "pair", op.x, op.y, present_x, present_y, size)
         else:

@@ -48,12 +48,12 @@ class EdgeStream:
         seen: set[frozenset[int]] = set()
         for i, (u, v) in enumerate(self.edges):
             if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValidationError(f"edge {i + 1} ({u}, {v}) leaves [1, {self.n}]")
+                raise ValidationError(f"edge {i + 1} ({u}, {v}) leaves [1, {self.n}]", i)
             if u == v:
-                raise ValidationError(f"edge {i + 1} is a self-loop at {u}")
+                raise ValidationError(f"edge {i + 1} is a self-loop at {u}", i)
             key = frozenset((u, v))
             if key in seen:
-                raise ValidationError(f"edge {i + 1} ({u}, {v}) repeats an earlier edge")
+                raise ValidationError(f"edge {i + 1} ({u}, {v}) repeats an earlier edge", i)
             seen.add(key)
 
     @property

@@ -8,10 +8,16 @@ order, so the LAST factor of a block is the fastest-varying one.
 
 Example: a block with factors (IntRange(1, 2), Labels(("H", "T"))) encodes
 (1, "H") -> 0, (1, "T") -> 1, (2, "H") -> 2, (2, "T") -> 3.
+
+The geometry is computed once per object: a block's strides, and a universe's
+per-block layout and name -> (block index, block, offset) table, are cached
+on first use, so ``block``, ``block_offset``, ``encode`` and ``layout`` are
+lookups.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from typing import Union
 
@@ -99,11 +105,15 @@ class Block:
     def size(self) -> int:
         return prod(f.size for f in self.factors)
 
-    def strides(self) -> tuple[int, ...]:
+    @cached_property
+    def _strides(self) -> tuple[int, ...]:
         out = [1] * len(self.factors)
         for j in range(len(self.factors) - 2, -1, -1):
             out[j] = out[j + 1] * self.factors[j + 1].size
         return tuple(out)
+
+    def strides(self) -> tuple[int, ...]:
+        return self._strides
 
     def local_index(self, values: tuple) -> int:
         if len(values) != len(self.factors):
@@ -140,22 +150,29 @@ class UniverseSpec:
     def size(self) -> int:
         return sum(b.size for b in self.blocks)
 
+    @cached_property
+    def _table(self) -> dict[str, tuple[int, Block, int]]:
+        return {
+            b.name: (i, b, lay.offset)
+            for i, (b, lay) in enumerate(zip(self.blocks, self.layout()))
+        }
+
+    def entry(self, name: str) -> tuple[int, Block, int]:
+        """(block index, block, offset) of the block called ``name``."""
+        try:
+            return self._table[name]
+        except KeyError:
+            raise KeyError(f"no block named {name!r}") from None
+
     def block(self, name: str) -> Block:
-        for b in self.blocks:
-            if b.name == name:
-                return b
-        raise KeyError(f"no block named {name!r}")
+        return self.entry(name)[1]
 
     def block_offset(self, name: str) -> int:
-        off = 0
-        for b in self.blocks:
-            if b.name == name:
-                return off
-            off += b.size
-        raise KeyError(f"no block named {name!r}")
+        return self.entry(name)[2]
 
     def encode(self, block_name: str, values: tuple) -> int:
-        return self.block_offset(block_name) + self.block(block_name).local_index(values)
+        _, block, offset = self.entry(block_name)
+        return offset + block.local_index(values)
 
     def decode(self, eid: int) -> tuple[str, tuple]:
         off = 0
@@ -174,6 +191,10 @@ class UniverseSpec:
 
     def layout(self) -> tuple[_BlockLayout, ...]:
         """Precomputed (offset, strides, sizes, depth) per block, for hot paths."""
+        return self._layout
+
+    @cached_property
+    def _layout(self) -> tuple[_BlockLayout, ...]:
         out = []
         off = 0
         for b in self.blocks:

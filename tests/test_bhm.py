@@ -13,7 +13,10 @@ from pairsketch.bhm import (
     BhmInstance,
     EdgeLabel,
     VertexBit,
+    _cell,
+    _flip_perm,
     _later_corrections,
+    _protocol_ops,
     bhm_universe,
     build_script,
     default_copies,
@@ -27,6 +30,7 @@ from pairsketch.bhm import (
 from pairsketch.cli import main
 from pairsketch.errors import ParseError
 from pairsketch.harness import parse_stream, write_instance
+from pairsketch.permutation import PermutationSpec, SwapStage
 from pairsketch.sketch import QueryOutcome, create, replay_noiseless
 
 
@@ -309,10 +313,31 @@ def test_parse_errors_name_the_line(tmp_path):
         ("V 1 0\nE 2 2 0\n", 3, "(2, 2) is not a vertex pair"),
         ("E 1 2 0\nV 1 0\nE 3 2 1\n", 4, "vertex 2 already matched on line 2"),
         ("E 1 2 0\nE 1 2 0\n", 3, "vertex 1 already matched on line 2"),
+        # labels are checked against the V bits and b once the file is read
+        ("V 1 1\nV 2 0\nV 3 0\nE 1 2 0\nV 4 0\n", 5, "(1, 2) has label 0, inconsistent"),
     ):
         path.write_text("4 1/4 0\n" + body)
-        with pytest.raises(ParseError, match=f":{line}: .*{re.escape(why)}"):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{line}: .*{re.escape(why)}"):
             parse_stream(path, "bhm")
+
+
+def test_header_and_edge_count_errors_name_the_file(tmp_path):
+    path = tmp_path / "bad.bhm"
+    bits = "V 1 0\nV 2 0\nV 3 0\nV 4 0\n"
+    for text, where, why in (
+        # one line at fault: the header
+        ("4 1/4 2\n" + bits, ":1:", "hidden bit 2 is not a bit"),
+        ("4 3/4 0\n" + bits, ":1:", "need alpha*n a positive integer"),
+        ("4 1/3 0\n" + bits, ":1:", "need alpha*n a positive integer"),
+        ("0 1/4 0\n", ":1:", "need alpha*n a positive integer"),
+        # alpha*n against the number of E lines: no one line is at fault
+        ("4 1/4 0\n" + bits, ":", "expected 1 matching edges"),
+        ("4 1/2 0\n" + bits + "E 1 2 0\n", ":", "expected 2 matching edges"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            parse_stream(path, "bhm")
+        assert str(err.value).startswith(f"{path}{where} ") and why in str(err.value)
 
 
 def test_missing_vertex_check_memory_is_bounded_by_the_file(tmp_path):
@@ -348,3 +373,47 @@ def test_missing_vertex_bit_is_a_validation_error(tmp_path):
     path.write_text("\n".join(dropped) + "\n")
     with pytest.raises(ValidationError):
         parse_stream(path, "bhm")
+
+
+# -- arithmetic cell ids against the validating encoder ---------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_cell_ids_equal_the_universe_encoding(n):
+    universe = bhm_universe(n)
+    for v in range(1, n + 1):
+        for a in (0, 1):
+            for t in (0, 1):
+                assert _cell(v, a, t) == universe.encode("cell", (v, a, t))
+    assert initial_members(universe, n) == [
+        universe.encode("cell", (v, 0, t)) for v in range(1, n + 1) for t in (0, 1)
+    ]
+
+
+def _encoded_protocol_ops(inst):
+    """The protocol's operations built with ``UniverseSpec.encode``, one id at a time."""
+    universe = bhm_universe(inst.n)
+
+    def cell(*values):
+        return universe.encode("cell", values)
+
+    edge_index = {e: i for i, e in enumerate(inst.matching)}
+    for item in inst.stream:
+        if isinstance(item, VertexBit):
+            if item.bit == 1:
+                pairs = tuple((cell(item.v, 0, t), cell(item.v, 1, t)) for t in (0, 1))
+                yield PermutationSpec(universe, (SwapStage(pairs),)), None
+        else:
+            for a, b in QUERY_ORDER:
+                pair = cell(item.u, a, a ^ b), cell(item.v, b, a ^ b)
+                yield pair, (edge_index[(item.u, item.v)], a, b)
+
+
+@pytest.mark.parametrize("interleaving", INTERLEAVINGS)
+def test_protocol_ops_equal_an_encoded_reference(interleaving):
+    inst = generate_instance(12, Fraction(1, 4), 1, seed=8, interleaving=interleaving)
+    ops = list(_protocol_ops(inst, bhm_universe(inst.n)))
+    assert ops == list(_encoded_protocol_ops(inst))
+    assert _flip_perm(bhm_universe(inst.n), 3) == PermutationSpec(
+        bhm_universe(inst.n), (SwapStage(((8, 10), (9, 11))),)
+    )

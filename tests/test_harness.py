@@ -168,11 +168,18 @@ def test_edge_list_parse_errors(tmp_path, kind):
         ("5 2\n1 2\n3 x\n", ":3:"),
         ("5 2\n1 2\n3 4 5\n", ":3:"),
         ("\n \n", "empty"),
+        # the stream's own checks, named by the line that breaks them
+        ("3 2\n1 2\n1 9\n", ":3: edge 2 (1, 9) leaves [1, 3]"),
+        ("3 2\n1 2\n\n0 3\n", ":4: edge 2 (0, 3) leaves [1, 3]"),
+        ("3 2\n1 2\n2 2\n", ":3: edge 2 is a self-loop at 2"),
+        ("3 3\n1 2\n2 3\n1 2\n", ":4: edge 3 (1"),  # repeats, in either kind
+        ("0 1\n1 2\n", ":1: vertex count 0 must be positive"),
+        ("-2 0\n", ":1: vertex count -2 must be positive"),
     ):
         path.write_text(text)
         with pytest.raises(ParseError) as err:
             parse_stream(path, kind)
-        assert where in str(err.value)
+        assert str(err.value).startswith(str(path)) and where in str(err.value)
 
 
 @pytest.mark.parametrize("kind", ["auto", "bhm", "directed", "undirected"])

@@ -26,10 +26,12 @@ from pairsketch import (
     UniverseSpec,
     Update,
     create,
+    enumerate_distribution,
     replay_noiseless,
     run_script,
     swap_perm,
 )
+from pairsketch.sketch import _MemberStore
 from permutation_reference import permute_set
 
 LINE = UniverseSpec((Block("v", (IntRange(0, 15),)),))
@@ -444,3 +446,50 @@ def test_disjoint_batch_outcomes_are_order_independent():
     table = np.array([[t.get(k, 0) for k in keys] for t in counts])
     _, p, _, _ = chi2_contingency(table)
     assert p > 0.001, f"order dependence detected (p={p})"
+
+
+# -- flat membership and the one size read -------------------------------------
+
+
+@pytest.mark.parametrize("universe", [GRID, FLAT_GRID], ids=["bucketed", "flat"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_store_ids_stay_the_union_of_the_buckets(universe, data):
+    members = data.draw(st.sets(st.integers(0, universe.size - 1), min_size=1, max_size=20))
+    script = data.draw(grid_scripts(universe))
+    store = _MemberStore(universe, sorted(members))
+    for op in script:
+        if isinstance(op, Update):
+            store.apply(op.perm)
+        elif isinstance(op, QueryOne):
+            store.take(op.x)
+        else:
+            store.take(op.x, op.y)
+        union = set()
+        for key, bucket in store.buckets.items():
+            assert all(store._key(eid) == key for eid in bucket)
+            union |= bucket
+        assert store.ids == union and store.count == len(union)
+
+
+BAD_ENDPOINTS = [True, False, -1, LINE.size, np.int64(3), 2.0]
+
+
+@pytest.mark.parametrize("bad", BAD_ENDPOINTS, ids=repr)
+def test_bad_query_endpoints_raise_the_same_error_everywhere(bad):
+    want = f"query endpoint {bad!r} outside universe"
+    scripts = ([QueryOne(bad)], [QueryPair(bad, 1)], [QueryPair(1, bad)])
+    for script in scripts:
+        with pytest.raises(InvalidQueryError) as live:
+            run_script(fresh([0, 1, 2]), script)
+        with pytest.raises(InvalidQueryError) as replay:
+            replay_noiseless(LINE, [0, 1, 2], script)
+        with pytest.raises(InvalidQueryError) as quantum:
+            enumerate_distribution(LINE, [0, 1, 2], script, "quantum")
+        assert str(live.value) == str(replay.value) == str(quantum.value) == want
+
+
+def test_swap_compile_names_the_id_outside_the_universe():
+    for pair, bad in (((0, LINE.size), LINE.size), ((-1, 0), -1), ((3, 99), 99)):
+        with pytest.raises(PermutationError, match=f"^id {bad} outside universe of size 16$"):
+            swap_perm(LINE, pair)

@@ -37,3 +37,48 @@ def test_harness_takes_gate_sigmas_from_exact_laws():
     # a gate's sigma is the exact law's standard error, never a sample statistic
     text = (SRC / "harness.py").read_text(encoding="utf-8")
     assert [w for w in (".var(", ".std(", "ddof", "sqsums") if w in text] == []
+
+
+def test_estimators_compute_ids_without_the_validating_encoder():
+    # a string's .encode() is fine; UniverseSpec.encode validates per call
+    for name in ("bhm.py", "heavy_edges.py", "triangle.py", "pseudosnapshot.py"):
+        calls = [
+            node.lineno
+            for node in ast.walk(_tree(name))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "encode"
+            and not isinstance(node.func.value, (ast.Constant, ast.JoinedStr))
+        ]
+        assert calls == [], name
+
+
+def _functions(name, *qualnames):
+    """The function definitions ``qualnames`` (``Class.method`` or ``function``) of a module."""
+    out = {}
+    for node in _tree(name).body:
+        if isinstance(node, ast.FunctionDef):
+            out[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    out[f"{node.name}.{item.name}"] = item
+    return [out[q] for q in qualnames]
+
+
+def test_query_paths_check_endpoints_against_a_size_read_once():
+    # contains_id recomputes the universe size on every call
+    funcs = _functions(
+        "sketch.py",
+        "SketchHandle.query_one",
+        "SketchHandle.query_pair",
+        "_check_query",
+        "replay_noiseless",
+    )
+    for func in funcs:
+        names = {
+            node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(func)
+            if isinstance(node, (ast.Attribute, ast.Name))
+        }
+        assert "contains_id" not in names, func.name

@@ -85,3 +85,62 @@ def test_encode_decode_roundtrip(u, data):
 def test_ids_cover_all_tuples_once(u):
     seen = {u.decode(eid) for eid in range(u.size)}
     assert len(seen) == u.size
+
+
+# -- the cached tables against the per-call loops they replace ----------------
+
+
+def _ref_block(u, name):
+    for b in u.blocks:
+        if b.name == name:
+            return b
+    raise KeyError(name)
+
+
+def _ref_block_offset(u, name):
+    off = 0
+    for b in u.blocks:
+        if b.name == name:
+            return off
+        off += b.size
+    raise KeyError(name)
+
+
+def _ref_strides(block):
+    out = [1] * len(block.factors)
+    for j in range(len(block.factors) - 2, -1, -1):
+        out[j] = out[j + 1] * block.factors[j + 1].size
+    return tuple(out)
+
+
+def _ref_layout(u):
+    out = []
+    off = 0
+    for b in u.blocks:
+        sizes = tuple(f.size for f in b.factors)
+        out.append((off, off + b.size, _ref_strides(b), sizes, b.bucket_depth))
+        off += b.size
+    return out
+
+
+@given(universes(), st.data())
+def test_tables_match_the_per_call_loops(u, data):
+    for i, b in enumerate(u.blocks):
+        assert u.block(b.name) is _ref_block(u, b.name)
+        assert u.block_offset(b.name) == _ref_block_offset(u, b.name)
+        assert u.entry(b.name) == (i, b, _ref_block_offset(u, b.name))
+        assert b.strides() == _ref_strides(b)
+    layout = [(lay.offset, lay.end, lay.strides, lay.sizes, lay.depth) for lay in u.layout()]
+    assert layout == _ref_layout(u)
+    assert u.layout() is u.layout()
+    eid = data.draw(st.integers(0, u.size - 1))
+    name, values = u.decode(eid)
+    block = _ref_block(u, name)
+    assert u.encode(name, values) == _ref_block_offset(u, name) + block.local_index(values)
+
+
+def test_unknown_block_names_still_raise_key_error():
+    u = UniverseSpec((Block("v", (IntRange(1, 4),)),))
+    for lookup in (u.block, u.block_offset, u.entry, lambda name: u.encode(name, (1,))):
+        with pytest.raises(KeyError, match="no block named 'w'"):
+            lookup("w")
