@@ -278,6 +278,9 @@ def _parse_bhm(path, lines) -> BhmInstance:
     parts = header.split()
     if len(parts) != 3:
         raise ParseError(f"{path}:{lno}: header must be 'n alpha b'")
+    if "e" in parts[1].lower():
+        # Fraction would expand the exponent into an integer of that many digits
+        raise ParseError(f"{path}:{lno}: alpha {parts[1][:20]!r} has an exponent")
     try:
         n = int(parts[0])
         alpha = Fraction(parts[1])

@@ -107,7 +107,6 @@ def heavy_universe(stream: DirectedEdgeStream) -> UniverseSpec:
             Block(
                 "stack",
                 (IntRange(1, stream.n), Labels(("H", "T")), IntRange(0, 2 * stream.n - 1)),
-                bucket_depth=2,
             ),
             Block("scratch", (IntRange(1, 4 * stream.m),)),
         )

@@ -9,11 +9,15 @@ kinds cover everything the streaming algorithms need:
   match a selection (``None`` entries match everything).
 
 Both kinds are bijections by construction. A ``CyclicShift`` only constrains
-coordinates it does not move, so the matched set is closed under the shift.
+coordinates it does not move, so the matched set is a union of cyclic lines
+(see ``pairsketch.universe``) and closed under the shift. This module is the
+only one that reads a selection: compiling a shift turns it into the first
+ids of the lines it rotates.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Union
 
 import numpy as np
@@ -56,20 +60,16 @@ Stage = Union[SwapStage, CyclicShift]
 
 @dataclass(frozen=True)
 class _CompiledShift:
-    block_index: int
+    """Rotate each cyclic line named in ``lines`` by ``amount`` (mod ``mod``)."""
+
     offset: int
     end: int
-    strides: tuple[int, ...]
-    sizes: tuple[int, ...]
-    select: tuple[frozenset[int] | None, ...]  # index space, one per leading axis
     mod: int
     amount: int
+    lines: frozenset[int]  # first id of every selected line
 
-    def matches(self, local: int) -> bool:
-        for j, sel in enumerate(self.select):
-            if sel is not None and local // self.strides[j] % self.sizes[j] not in sel:
-                return False
-        return True
+    def line_of(self, eid: int) -> int:
+        return eid - (eid - self.offset) % self.mod
 
     def shift_id(self, eid: int) -> int:
         local = eid - self.offset
@@ -122,27 +122,21 @@ class PermutationSpec:
                 f"block {stage.block!r} needs {len(block.factors) - 1} selection "
                 f"entries, got {len(stage.select)}"
             )
-        select = []
+        axes = []
         for factor, sel in zip(block.factors, stage.select):
             if sel is None:
-                select.append(None)
+                axes.append(range(factor.size))
             else:
                 try:
-                    select.append(frozenset(factor.index(v) for v in sel))
+                    axes.append({factor.index(v) for v in sel})
                 except ValueError as exc:
                     raise PermutationError(str(exc)) from None
         lay = self.universe.layout()[block_index]
-        mod = lay.sizes[-1]
-        return _CompiledShift(
-            block_index=block_index,
-            offset=offset,
-            end=lay.end,
-            strides=lay.strides,
-            sizes=lay.sizes,
-            select=tuple(select),
-            mod=mod,
-            amount=stage.amount % mod,
+        lines = frozenset(
+            offset + sum(i * stride for i, stride in zip(idx, lay.strides))
+            for idx in product(*axes)
         )
+        return _CompiledShift(offset, lay.end, lay.mod, stage.amount % lay.mod, lines)
 
     def apply(self, eid: int) -> int:
         """Image of a single element id under the full permutation."""
@@ -150,9 +144,8 @@ class PermutationSpec:
         for comp in self._compiled:  # type: ignore[attr-defined]
             if isinstance(comp, dict):
                 eid = comp.get(eid, eid)
-            else:
-                if comp.offset <= eid < comp.end and comp.matches(eid - comp.offset):
-                    eid = comp.shift_id(eid)
+            elif comp.offset <= eid < comp.end and comp.line_of(eid) in comp.lines:
+                eid = comp.shift_id(eid)
         return eid
 
     def as_mapping_array(self) -> np.ndarray:

@@ -335,7 +335,6 @@ def snapshot_universe(n: int, m: int, params: SnapshotParams) -> UniverseSpec:
                     IntRange(1, copies),
                     IntRange(0, big_m * n - 1),
                 ),
-                bucket_depth=3,
             ),
         )
     )

@@ -118,30 +118,6 @@ def _branches_pair(
     return branches
 
 
-def qs_measure_one(
-    sv: StateVector, x: int, rng: np.random.Generator
-) -> tuple[QueryOutcome, StateVector | None]:
-    return _sample_branch(_branches_one(sv, x), rng)
-
-
-def qs_measure_pair(
-    sv: StateVector, x: int, y: int, rng: np.random.Generator
-) -> tuple[QueryOutcome, StateVector | None]:
-    return _sample_branch(_branches_pair(sv, x, y), rng)
-
-
-def _sample_branch(branches, rng: np.random.Generator):
-    u = rng.random()
-    acc = 0.0
-    for outcome, p, nxt in branches:
-        acc += p
-        if u < acc:
-            return outcome, nxt
-    # Numerical slack: fall back to the heaviest branch.
-    outcome, _, nxt = max(branches, key=lambda t: t[1])
-    return outcome, nxt
-
-
 # -- exact enumeration -------------------------------------------------------
 
 Probability = Union[Fraction, float]

@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -129,22 +128,22 @@ def _check_query(size: int, *endpoints: int) -> None:
 
 
 class _MemberStore:
-    """Member ids grouped into buckets by block and leading coordinates.
+    """Member ids grouped into buckets by cyclic line.
 
     Semantically a plain set of ids, held flat in ``ids``, which answers
-    membership; the grouping lets a cyclic shift rewrite only the buckets its
-    selection names instead of scanning every member. Bucket keys are
-    computed only when an id is added or removed.
+    membership. ``buckets`` maps the first id of a cyclic line (see
+    ``pairsketch.universe``) to the members on that line, so a cyclic shift
+    rewrites only the lines it names instead of scanning every member.
     Construction raises ``InvalidInitError`` on an empty member set, a repeated
     id or an id outside the universe; a contiguous ``range`` is checked at its
-    endpoints and inserted block by block instead of id by id.
+    endpoints and inserted line by line instead of id by id.
     """
 
     __slots__ = ("_layouts", "buckets", "ids")
 
     def __init__(self, universe: UniverseSpec, members: Iterable[int]) -> None:
         self._layouts = universe.layout()
-        self.buckets: dict[tuple, set[int]] = {}
+        self.buckets: dict[int, set[int]] = {}
         self.ids: set[int] = set()
         if isinstance(members, range) and members.step == 1 and members:
             self._fill_range(universe, members)
@@ -159,7 +158,7 @@ class _MemberStore:
             raise InvalidInitError("initial member set is empty")
 
     def _fill_range(self, universe: UniverseSpec, ids: range) -> None:
-        """Insert a nonempty contiguous id range, one ``set.update`` per depth-0 block.
+        """Insert a nonempty contiguous id range, one ``set.update`` per line.
 
         Rejects the same id the per-id loop would reject first.
         """
@@ -167,21 +166,16 @@ class _MemberStore:
             if not universe.contains_id(eid):
                 bad = eid if eid == ids.start else universe.size
                 raise InvalidInitError(f"member id {bad!r} outside universe")
-        for bi, lay in enumerate(self._layouts):
+        for lay in self._layouts:
             lo, hi = max(ids.start, lay.offset), min(ids.stop, lay.end)
-            if lo >= hi:
-                continue
-            if lay.depth == 0:
-                self.buckets.setdefault((bi,), set()).update(range(lo, hi))
-                self.ids.update(range(lo, hi))
-            else:
-                for eid in range(lo, hi):
-                    self.add(eid)
+            for line in range(lay.line(lo), hi, lay.mod):
+                self.buckets[line] = set(range(max(lo, line), min(hi, line + lay.mod)))
+        self.ids.update(ids)
 
-    def _key(self, eid: int) -> tuple:
-        for bi, lay in enumerate(self._layouts):
+    def _line(self, eid: int) -> int:
+        for lay in self._layouts:
             if eid < lay.end:
-                return lay.bucket_key(bi, eid)
+                return lay.line(eid)
         raise ValueError(f"id {eid} out of range")
 
     @property
@@ -189,11 +183,11 @@ class _MemberStore:
         return len(self.ids)
 
     def add(self, eid: int) -> None:
-        self.buckets.setdefault(self._key(eid), set()).add(eid)
+        self.buckets.setdefault(self._line(eid), set()).add(eid)
         self.ids.add(eid)
 
     def remove(self, eid: int) -> None:
-        self.buckets[self._key(eid)].remove(eid)
+        self.buckets[self._line(eid)].remove(eid)
         self.ids.remove(eid)
 
     def take(self, x: int, y: int | None = None) -> tuple[int, bool, bool]:
@@ -240,34 +234,14 @@ class _MemberStore:
                 self.add(a)
 
     def apply_shift(self, comp: _CompiledShift) -> None:
-        depth = self._layouts[comp.block_index].depth
-        # look up only the buckets the selection names; None selects a whole factor
-        prefix = [
-            range(size) if sel is None else sel
-            for sel, size in zip(comp.select[:depth], comp.sizes)
-        ]
-        rest_sel = comp.select[depth:]
-        rest_strides = comp.strides[depth:-1]
-        rest_sizes = comp.sizes[depth:-1]
-        whole = all(sel is None for sel in rest_sel)
-        for key in product((comp.block_index,), *prefix):
-            bucket = self.buckets.get(key)
-            if not bucket:
-                continue
-            if whole:
+        buckets, ids = self.buckets, self.ids
+        for line in comp.lines:
+            bucket = buckets.get(line)
+            if bucket:
                 new = {comp.shift_id(e) for e in bucket}
-            else:
-                new = set()
-                for eid in bucket:
-                    local = eid - comp.offset
-                    hit = all(
-                        sel is None or local // st % sz in sel
-                        for sel, st, sz in zip(rest_sel, rest_strides, rest_sizes)
-                    )
-                    new.add(comp.shift_id(eid) if hit else eid)
-            self.ids -= bucket
-            self.ids |= new
-            self.buckets[key] = new
+                ids -= bucket
+                ids |= new
+                buckets[line] = new
 
 
 class SketchHandle:

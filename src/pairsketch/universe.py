@@ -9,6 +9,10 @@ order, so the LAST factor of a block is the fastest-varying one.
 Example: a block with factors (IntRange(1, 2), Labels(("H", "T"))) encodes
 (1, "H") -> 0, (1, "T") -> 1, (2, "H") -> 2, (2, "T") -> 3.
 
+A *cyclic line* is the set of ids of one block that differ only in the last
+coordinate; it is named by its first id. Cyclic shifts rotate whole lines, and
+sketch handles group their members by line.
+
 The geometry is computed once per object: a block's strides, and a universe's
 per-block layout and name -> (block index, block, offset) table, are cached
 on first use, so ``block``, ``block_offset``, ``encode`` and ``layout`` are
@@ -81,25 +85,14 @@ Factor = Union[IntRange, Labels]
 
 @dataclass(frozen=True)
 class Block:
-    """A named cartesian product of factors.
-
-    ``bucket_depth`` is a storage hint only: sketch handles group members of
-    this block by their first ``bucket_depth`` coordinates so that cyclic
-    shifts touch one group instead of scanning every member. Semantics never
-    depend on it.
-    """
+    """A named cartesian product of factors."""
 
     name: str
     factors: tuple[Factor, ...]
-    bucket_depth: int = 0
 
     def __post_init__(self) -> None:
         if not self.factors:
             raise ValueError(f"block {self.name!r} has no factors")
-        if not 0 <= self.bucket_depth < len(self.factors):
-            raise ValueError(
-                f"bucket_depth {self.bucket_depth} invalid for block {self.name!r}"
-            )
 
     @property
     def size(self) -> int:
@@ -190,7 +183,7 @@ class UniverseSpec:
             raise PermutationError(f"id {eid!r} outside universe of size {self.size}")
 
     def layout(self) -> tuple[_BlockLayout, ...]:
-        """Precomputed (offset, strides, sizes, depth) per block, for hot paths."""
+        """Precomputed (offset, end, strides, mod) per block, for hot paths."""
         return self._layout
 
     @cached_property
@@ -198,30 +191,20 @@ class UniverseSpec:
         out = []
         off = 0
         for b in self.blocks:
-            out.append(
-                _BlockLayout(
-                    offset=off,
-                    end=off + b.size,
-                    strides=b.strides(),
-                    sizes=tuple(f.size for f in b.factors),
-                    depth=b.bucket_depth,
-                )
-            )
+            out.append(_BlockLayout(off, off + b.size, b.strides(), b.factors[-1].size))
             off += b.size
         return tuple(out)
 
 
 @dataclass(frozen=True)
 class _BlockLayout:
+    """Where a block's ids lie; ``mod`` is the length of its cyclic lines."""
+
     offset: int
     end: int
     strides: tuple[int, ...]
-    sizes: tuple[int, ...]
-    depth: int
+    mod: int
 
-    def bucket_key(self, block_index: int, eid: int) -> tuple:
-        local = eid - self.offset
-        key = [block_index]
-        for j in range(self.depth):
-            key.append(local // self.strides[j] % self.sizes[j])
-        return tuple(key)
+    def line(self, eid: int) -> int:
+        """First id of the cyclic line that holds ``eid``."""
+        return eid - (eid - self.offset) % self.mod

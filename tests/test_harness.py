@@ -1,4 +1,6 @@
 import math
+import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -180,6 +182,34 @@ def test_edge_list_parse_errors(tmp_path, kind):
         with pytest.raises(ParseError) as err:
             parse_stream(path, kind)
         assert str(err.value).startswith(str(path)) and where in str(err.value)
+
+
+def test_bhm_alpha_with_an_exponent_fails_fast(tmp_path):
+    path = tmp_path / "bad.bhm"
+    path.write_text("4 1e4000000 0\n")
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:1: alpha .* exponent"):
+        parse_stream(path, "bhm")
+    assert time.perf_counter() - start < 0.1
+    for text in ("4 1E2 0\n", "4 2.5e-1 0\n"):
+        path.write_text(text)
+        with pytest.raises(ParseError, match=":1: alpha"):
+            parse_stream(path, "bhm")
+
+
+@pytest.mark.parametrize("text", ["1/4", "0.25", "1"])
+def test_bhm_alpha_reads_fractions_decimals_and_integers(tmp_path, text):
+    inst, _ = generate_graph("matching", {"n": 8, "alpha": "1/4", "b": 1}, 2)
+    path = tmp_path / "ok.bhm"
+    write_instance(inst, path)
+    head, rest = path.read_text().split("\n", 1)
+    n, _, b = head.split()
+    path.write_text(f"{n} {text} {b}\n{rest}")
+    if Fraction(text) == inst.alpha:
+        assert parse_stream(path, "bhm").alpha == inst.alpha
+    else:  # read as a number, then refused by the instance's own check
+        with pytest.raises(ParseError, match=":1: .*alpha=1$"):
+            parse_stream(path, "bhm")
 
 
 @pytest.mark.parametrize("kind", ["auto", "bhm", "directed", "undirected"])

@@ -33,6 +33,7 @@ from pairsketch import (
 )
 from pairsketch.sketch import _MemberStore
 from permutation_reference import permute_set
+from test_universe import universes
 
 LINE = UniverseSpec((Block("v", (IntRange(0, 15),)),))
 
@@ -167,13 +168,6 @@ def test_add_via_dummy_swaps_identity():
 
 GRID = UniverseSpec(
     (
-        Block("stack", (IntRange(1, 3), Labels(("H", "T")), IntRange(0, 4)), bucket_depth=2),
-        Block("scratch", (IntRange(0, 9),)),
-    )
-)
-# same ids, one bucket per block: shifts select members inside a bucket
-FLAT_GRID = UniverseSpec(
-    (
         Block("stack", (IntRange(1, 3), Labels(("H", "T")), IntRange(0, 4))),
         Block("scratch", (IntRange(0, 9),)),
     )
@@ -232,7 +226,7 @@ def test_overlapping_swap_pairs_rejected():
 
 
 @st.composite
-def grid_perms(draw, universe=GRID):
+def grid_perms(draw):
     n_stages = draw(st.integers(1, 3))
     stages = []
     for _ in range(n_stages):
@@ -250,7 +244,7 @@ def grid_perms(draw, universe=GRID):
                     (None if verts is None else frozenset(verts), None if labels is None else frozenset(labels)),
                 )
             )
-    return PermutationSpec(universe, tuple(stages))
+    return PermutationSpec(GRID, tuple(stages))
 
 
 @settings(max_examples=150, deadline=None)
@@ -259,6 +253,47 @@ def test_bucketed_update_matches_per_element_application(perm, members):
     h = create(GRID, sorted(members))
     h.update(perm)
     assert h.debug_members() == permute_set(perm, set(members))
+
+
+def _factor_values(factor):
+    return list(range(factor.lo, factor.hi + 1)) if isinstance(factor, IntRange) else list(factor.names)
+
+
+@st.composite
+def universe_perms(draw):
+    """A permutation of a random universe: swaps, and shifts of any selection."""
+    universe = draw(universes())
+    stages = []
+    for _ in range(draw(st.integers(1, 3))):
+        if universe.size >= 2 and draw(st.booleans()):
+            pool = draw(st.permutations(list(range(universe.size))))
+            k = draw(st.integers(1, min(4, universe.size // 2)))
+            stages.append(SwapStage(tuple((pool[2 * i], pool[2 * i + 1]) for i in range(k))))
+        else:
+            block = draw(st.sampled_from(universe.blocks))
+            select = tuple(
+                None
+                if draw(st.booleans())
+                else frozenset(draw(st.sets(st.sampled_from(_factor_values(f)))))
+                for f in block.factors[:-1]
+            )
+            stages.append(CyclicShift(block.name, draw(st.integers(-7, 7)), select))
+    return PermutationSpec(universe, tuple(stages))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_update_replay_and_mapping_match_the_value_space_reference(data):
+    perm = data.draw(universe_perms())
+    universe = perm.universe
+    members = data.draw(st.sets(st.integers(0, universe.size - 1), min_size=1, max_size=12))
+    want = permute_set(perm, members)
+    h = create(universe, sorted(members))
+    h.update(perm)
+    assert h.debug_members() == want
+    assert replay_noiseless(universe, sorted(members), [Update(perm)]).survivors == want
+    images = [permute_set(perm, {eid}).pop() for eid in range(universe.size)]
+    assert perm.as_mapping_array().tolist() == images
 
 
 def _create_outcome(universe, members):
@@ -272,7 +307,7 @@ def _create_outcome(universe, members):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(-3, GRID.size + 3), st.integers(-3, GRID.size + 3), st.sampled_from([1, 2, -1]))
-@example(GRID.size - 12, GRID.size, 1)  # stack (bucketed) and scratch (depth 0)
+@example(GRID.size - 12, GRID.size, 1)  # stack (six lines) and scratch (one line)
 @example(0, 0, 1)
 @example(-1, 3, 1)
 @example(GRID.size - 2, GRID.size + 4, 1)
@@ -330,11 +365,11 @@ def _reference_replay(universe, members, script):
     return ReplayTrace(frozenset(current), survival, tuple(steps))
 
 
-def grid_scripts(universe):
-    ids = st.integers(0, universe.size - 1)
+def grid_scripts():
+    ids = st.integers(0, GRID.size - 1)
     return st.lists(
         st.one_of(
-            st.builds(Update, grid_perms(universe)),
+            st.builds(Update, grid_perms()),
             st.builds(QueryOne, ids),
             st.builds(QueryPair, ids, ids).filter(lambda q: q.x != q.y),
         ),
@@ -342,14 +377,13 @@ def grid_scripts(universe):
     )
 
 
-@pytest.mark.parametrize("universe", [GRID, FLAT_GRID], ids=["bucketed", "flat"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_store_replay_matches_per_element_reference(universe, data):
-    members = data.draw(st.sets(st.integers(0, universe.size - 1), min_size=1, max_size=20))
-    script = data.draw(grid_scripts(universe))
-    assert replay_noiseless(universe, sorted(members), script) == _reference_replay(
-        universe, members, script
+def test_store_replay_matches_per_element_reference(data):
+    members = data.draw(st.sets(st.integers(0, GRID.size - 1), min_size=1, max_size=20))
+    script = data.draw(grid_scripts())
+    assert replay_noiseless(GRID, sorted(members), script) == _reference_replay(
+        GRID, members, script
     )
 
 
@@ -451,13 +485,19 @@ def test_disjoint_batch_outcomes_are_order_independent():
 # -- flat membership and the one size read -------------------------------------
 
 
-@pytest.mark.parametrize("universe", [GRID, FLAT_GRID], ids=["bucketed", "flat"])
+def _line_start(universe, eid):
+    """First id of the cyclic line of ``eid``, from its value address."""
+    name, values = universe.decode(eid)
+    last = universe.block(name).factors[-1]
+    return universe.encode(name, values[:-1] + (last.value(0),))
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_store_ids_stay_the_union_of_the_buckets(universe, data):
-    members = data.draw(st.sets(st.integers(0, universe.size - 1), min_size=1, max_size=20))
-    script = data.draw(grid_scripts(universe))
-    store = _MemberStore(universe, sorted(members))
+def test_store_ids_stay_the_union_of_the_buckets(data):
+    members = data.draw(st.sets(st.integers(0, GRID.size - 1), min_size=1, max_size=20))
+    script = data.draw(grid_scripts())
+    store = _MemberStore(GRID, sorted(members))
     for op in script:
         if isinstance(op, Update):
             store.apply(op.perm)
@@ -467,7 +507,8 @@ def test_store_ids_stay_the_union_of_the_buckets(universe, data):
             store.take(op.x, op.y)
         union = set()
         for key, bucket in store.buckets.items():
-            assert all(store._key(eid) == key for eid in bucket)
+            # every bucket holds ids of exactly one line, keyed by its first id
+            assert {_line_start(GRID, eid) for eid in bucket} <= {key}
             union |= bucket
         assert store.ids == union and store.count == len(union)
 

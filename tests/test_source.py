@@ -5,6 +5,7 @@ from pathlib import Path
 import pairsketch
 
 SRC = Path(pairsketch.__file__).parent
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def _tree(name):
@@ -82,3 +83,11 @@ def test_query_paths_check_endpoints_against_a_size_read_once():
             if isinstance(node, (ast.Attribute, ast.Name))
         }
         assert "contains_id" not in names, func.name
+
+
+def test_only_the_permutation_module_reads_a_shift_selection():
+    # members are grouped by cyclic line alone; a block carries no storage hint
+    for path in sorted(SRC.glob("*.py")) + sorted(DEMOS.glob("*.py")):
+        assert "bucket_depth" not in path.read_text(encoding="utf-8"), path.name
+    attrs = {node.attr for node in ast.walk(_tree("sketch.py")) if isinstance(node, ast.Attribute)}
+    assert not attrs & {"select", "strides", "sizes"}

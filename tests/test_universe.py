@@ -42,6 +42,8 @@ def test_bad_inputs_rejected():
         Labels(("H", "H"))
     with pytest.raises(ValueError):
         Block("b", ())
+    with pytest.raises(TypeError):  # a block is its name and factors, nothing more
+        Block("b", (IntRange(0, 1), IntRange(0, 1)), bucket_depth=1)
     with pytest.raises(ValueError):
         UniverseSpec((Block("a", (IntRange(0, 1),)), Block("a", (IntRange(0, 1),))))
     u = UniverseSpec((Block("v", (IntRange(1, 4),)),))
@@ -69,8 +71,7 @@ def universes(draw):
             else:
                 k = draw(st.integers(1, 3))
                 factors.append(Labels(tuple(f"L{j}" for j in range(k))))
-        depth = draw(st.integers(0, n_factors - 1))
-        blocks.append(Block(f"b{i}", tuple(factors), depth))
+        blocks.append(Block(f"b{i}", tuple(factors)))
     return UniverseSpec(tuple(blocks))
 
 
@@ -117,8 +118,7 @@ def _ref_layout(u):
     out = []
     off = 0
     for b in u.blocks:
-        sizes = tuple(f.size for f in b.factors)
-        out.append((off, off + b.size, _ref_strides(b), sizes, b.bucket_depth))
+        out.append((off, off + b.size, _ref_strides(b), b.factors[-1].size))
         off += b.size
     return out
 
@@ -130,13 +130,16 @@ def test_tables_match_the_per_call_loops(u, data):
         assert u.block_offset(b.name) == _ref_block_offset(u, b.name)
         assert u.entry(b.name) == (i, b, _ref_block_offset(u, b.name))
         assert b.strides() == _ref_strides(b)
-    layout = [(lay.offset, lay.end, lay.strides, lay.sizes, lay.depth) for lay in u.layout()]
+    layout = [(lay.offset, lay.end, lay.strides, lay.mod) for lay in u.layout()]
     assert layout == _ref_layout(u)
     assert u.layout() is u.layout()
     eid = data.draw(st.integers(0, u.size - 1))
     name, values = u.decode(eid)
     block = _ref_block(u, name)
     assert u.encode(name, values) == _ref_block_offset(u, name) + block.local_index(values)
+    # the cyclic line of an id starts at the first value of its last factor
+    first = values[:-1] + (block.factors[-1].value(0),)
+    assert u.layout()[u.entry(name)[0]].line(eid) == u.encode(name, first)
 
 
 def test_unknown_block_names_still_raise_key_error():
