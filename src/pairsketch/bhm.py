@@ -2,8 +2,8 @@
 
 An instance hides a bit b. A stream interleaves vertex bits x_v with the
 edges of a partial matching, each labeled z_e = x_u XOR x_v XOR b. The
-protocol keeps a sketch over (vertex, bit, tag) cells, starting from both
-tag copies of (v, 0) for every vertex. When a vertex bit 1 arrives, its two
+protocol keeps a sketch over (bit, vertex, tag) cells, starting from both
+tag copies of (0, v) for every vertex. When a vertex bit 1 arrives, its two
 cells swap to side 1. Each edge is probed with four pair queries, one per
 (a, b) bit pattern; a Plus hit at pattern (a, b) yields the candidate output
 a XOR b XOR z_e, patched by XORing in any endpoint bits that arrive after
@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
 from typing import Union
 
 import numpy as np
@@ -37,6 +38,7 @@ from .sketch import (
     replay_noiseless,
     sample_atoms,
 )
+from .tape import Tape
 from .universe import Block, IntRange, UniverseSpec
 
 #: Pair-query bit patterns, probed in this order for every edge.
@@ -107,6 +109,27 @@ class BhmInstance:
     def m(self) -> int:
         return len(self.matching)
 
+    @cached_property
+    def _tape(self) -> Tape:
+        """Every live run's (op, tag) pairs (see ``_item_ops``), compiled once."""
+        universe = bhm_universe(self.n)
+        edge_index = {e: i for i, e in enumerate(self.matching)}
+        ops = partial(_item_ops, self.stream, self.n, universe, edge_index)
+        return Tape(universe, len(self.stream), ops)
+
+    @cached_property
+    def _later(self) -> list[int]:
+        """Per edge: XOR of endpoint bits that arrive after the edge in the stream."""
+        edge_index = {e: i for i, e in enumerate(self.matching)}
+        later_bits = [0] * (self.n + 1)
+        out = [0] * self.m
+        for item in reversed(self.stream):
+            if isinstance(item, VertexBit):
+                later_bits[item.v] ^= item.bit
+            else:
+                out[edge_index[(item.u, item.v)]] = later_bits[item.u] ^ later_bits[item.v]
+        return out
+
 
 def generate_instance(
     n: int,
@@ -147,62 +170,57 @@ def generate_instance(
 
 
 def bhm_universe(n: int) -> UniverseSpec:
-    return UniverseSpec((Block("cell", (IntRange(1, n), IntRange(0, 1), IntRange(0, 1))),))
+    return UniverseSpec((Block("cell", (IntRange(0, 1), IntRange(1, n), IntRange(0, 1))),))
 
 
-def _cell(v: int, a: int, t: int) -> int:
-    """Id of cell (v, a, t): the one block is row-major with factor sizes (n, 2, 2)."""
-    return 4 * (v - 1) + 2 * a + t
+def _cell(n: int, a: int, v: int, t: int) -> int:
+    """Id of cell (a, v, t): the one block is row-major with factor sizes (2, n, 2)."""
+    return 2 * (a * n + v - 1) + t
 
 
-def initial_members(universe: UniverseSpec, n: int) -> list[int]:
-    return [_cell(v, 0, t) for v in range(1, n + 1) for t in (0, 1)]
+def initial_members(universe: UniverseSpec, n: int) -> range:
+    """Both tag copies of every (0, v): the first 2n ids of the block."""
+    return range(2 * n)
 
 
-def _flip_perm(universe: UniverseSpec, v: int) -> PermutationSpec:
-    pairs = ((_cell(v, 0, 0), _cell(v, 1, 0)), (_cell(v, 0, 1), _cell(v, 1, 1)))
+def _flip_perm(universe: UniverseSpec, n: int, v: int) -> PermutationSpec:
+    pairs = tuple((_cell(n, 0, v, t), _cell(n, 1, v, t)) for t in (0, 1))
     return PermutationSpec(universe, (SwapStage(pairs),))
 
 
-def _protocol_ops(inst: BhmInstance, universe: UniverseSpec):
-    """The run's sketch operations in stream order, built one at a time.
-
-    Yields (perm, None) for a bit flip and ((x, y), (edge index, a, b)) for a
-    pair query. Laziness lets a live run stop building operations at its hit.
-    """
-    edge_index = {e: i for i, e in enumerate(inst.matching)}
-    for item in inst.stream:
-        if isinstance(item, VertexBit):
-            if item.bit == 1:
-                yield _flip_perm(universe, item.v), None
-        else:
-            ei = edge_index[(item.u, item.v)]
-            for a, b in QUERY_ORDER:
-                pair = _cell(item.u, a, a ^ b), _cell(item.v, b, a ^ b)
-                yield pair, (ei, a, b)
+def _item_ops(stream, n: int, universe: UniverseSpec, edge_index: dict, k: int) -> tuple:
+    """Stream item k's (op, tag) pairs: a bit-1 vertex is one (perm, None) flip, an
+    edge four pair queries ((x, y), (edge index, a, b)) in ``QUERY_ORDER``."""
+    item = stream[k]
+    if isinstance(item, VertexBit):
+        return ((_flip_perm(universe, n, item.v), None),) if item.bit else ()
+    ei = edge_index[item.u, item.v]
+    return tuple(
+        ((_cell(n, a, item.u, a ^ b), _cell(n, b, item.v, a ^ b)), (ei, a, b))
+        for a, b in QUERY_ORDER
+    )
 
 
 def build_script(inst: BhmInstance) -> tuple[list[ScriptOp], list[tuple[int, int, int]]]:
     """Script realizing a run, plus (edge index, a, b) metadata per pair query."""
-    ops = list(_protocol_ops(inst, bhm_universe(inst.n)))
+    ops = list(inst._tape)
     script = [Update(op) if tag is None else QueryPair(*op) for op, tag in ops]
     return script, [tag for _, tag in ops if tag is not None]
 
 
 def run_single(inst: BhmInstance, *, master_seed: int = 0, handle_id: int = 0) -> int | None:
     """One protocol run on a live sketch. Returns the output bit, or None."""
-    universe = bhm_universe(inst.n)
-    handle = create(
-        universe, initial_members(universe, inst.n), master_seed=master_seed, handle_id=handle_id
-    )
-    for op, tag in _protocol_ops(inst, universe):
+    tape = inst._tape
+    members = initial_members(tape.universe, inst.n)
+    handle = create(tape.universe, members, master_seed=master_seed, handle_id=handle_id)
+    for op, tag in tape:
         if tag is None:
             handle.update(op)
             continue
         out = handle.query_pair(*op)
         if out is QueryOutcome.PLUS:
             ei, a, b = tag
-            return a ^ b ^ inst.z[ei] ^ _later_corrections(inst)[ei]
+            return a ^ b ^ inst.z[ei] ^ inst._later[ei]
         if out is QueryOutcome.MINUS:
             return None
     return None
@@ -223,19 +241,6 @@ class TerminalSlab:
     output: int | None  # bit, or None for abort / no hit
 
 
-def _later_corrections(inst: BhmInstance) -> list[int]:
-    """Per edge: XOR of endpoint bits that arrive after the edge in the stream."""
-    edge_index = {e: i for i, e in enumerate(inst.matching)}
-    later_bits = [0] * (inst.n + 1)
-    out = [0] * inst.m
-    for item in reversed(inst.stream):
-        if isinstance(item, VertexBit):
-            later_bits[item.v] ^= item.bit
-        else:
-            out[edge_index[(item.u, item.v)]] = later_bits[item.u] ^ later_bits[item.v]
-    return out
-
-
 def terminal_slabs(inst: BhmInstance) -> list[TerminalSlab]:
     """Exact run_single output distribution, from the noiseless replay.
 
@@ -244,10 +249,10 @@ def terminal_slabs(inst: BhmInstance) -> list[TerminalSlab]:
     alone; everything else telescopes away. A Plus hit yields the candidate
     bit, a Minus hit aborts.
     """
-    universe = bhm_universe(inst.n)
+    universe = inst._tape.universe
     script, meta = build_script(inst)
     trace: ReplayTrace = replay_noiseless(universe, initial_members(universe, inst.n), script)
-    later = _later_corrections(inst)
+    later = inst._later
     slabs: list[TerminalSlab] = []
     for k, outcome, p in trace.fire_atoms():
         ei, a, b = meta[k]
@@ -274,6 +279,8 @@ def sample_majority(
     """Majority outputs of meta_trials independent vote committees."""
     if copies is None:
         copies = default_copies(inst.alpha)
+    if copies < 1:
+        raise InvalidParamsError(f"copies must be >= 1, got {copies}")
     draws = sample_outputs(inst, master_seed, meta_trials * copies).reshape(
         meta_trials, copies
     )

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -35,6 +36,7 @@ from .sketch import (
     create,
     replay_noiseless,
 )
+from .tape import Tape
 from .universe import Block, IntRange, Labels, UniverseSpec
 
 
@@ -69,6 +71,12 @@ class DirectedEdgeStream:
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def _tape(self) -> Tape:
+        """Every heavy-edge run's per-edge update (see ``_edge_update``), compiled once."""
+        universe = heavy_universe(self)
+        return Tape(universe, self.m, partial(_edge_update, self.edges, self.n, universe))
 
 
 @dataclass(frozen=True)
@@ -122,41 +130,31 @@ def _check_thresholds(stream: DirectedEdgeStream, d_H: int, d_T: int) -> None:
         )
 
 
+def _slot(n: int, w: int, label: int, pos: int) -> int:
+    """Id of stack slot (w, label, pos); the stack block comes first, at offset 0."""
+    return (w - 1) * 4 * n + label * 2 * n + pos
+
+
+def _edge_update(edges, n: int, universe: UniverseSpec, k: int) -> tuple[PermutationSpec]:
+    """Edge k's update: four fresh scratch ids swap into position 0 of the H and
+    T stacks of both endpoints, then both endpoints' stacks shift up by one."""
+    u, v = edges[k]
+    fresh = universe.block_offset("scratch") + 4 * k
+    slots = (_slot(n, u, 0, 0), _slot(n, u, 1, 0), _slot(n, v, 0, 0), _slot(n, v, 1, 0))
+    swap = SwapStage(tuple(zip(range(fresh, fresh + 4), slots)))
+    shift = CyclicShift("stack", 1, (frozenset({u, v}), None))
+    return (PermutationSpec(universe, (swap, shift)),)
+
+
 def build_script(
     stream: DirectedEdgeStream, d_H: int, d_T: int
 ) -> tuple[UniverseSpec, list[ScriptOp]]:
     """The exact op sequence run_single performs (one update + query per edge)."""
-    universe = heavy_universe(stream)
-    stack_off = universe.block_offset("stack")
-    scratch_off = universe.block_offset("scratch")
-    width = 4 * stream.n  # ids per vertex in the stack block
-
-    def slot(w: int, label: int, pos: int) -> int:
-        return stack_off + (w - 1) * width + label * 2 * stream.n + pos
-
+    n, tape = stream.n, stream._tape
     script: list[ScriptOp] = []
-    for ell, (u, v) in enumerate(stream.edges, start=1):
-        fresh = scratch_off + 4 * (ell - 1)
-        script.append(
-            Update(
-                PermutationSpec(
-                    universe,
-                    (
-                        SwapStage(
-                            (
-                                (fresh + 0, slot(u, 0, 0)),
-                                (fresh + 1, slot(u, 1, 0)),
-                                (fresh + 2, slot(v, 0, 0)),
-                                (fresh + 3, slot(v, 1, 0)),
-                            )
-                        ),
-                        CyclicShift("stack", 1, (frozenset({u, v}), None)),
-                    ),
-                )
-            )
-        )
-        script.append(QueryPair(slot(u, 0, d_H), slot(v, 1, d_T)))
-    return universe, script
+    for perm, (u, v) in zip(tape, stream.edges):
+        script += (Update(perm), QueryPair(_slot(n, u, 0, d_H), _slot(n, v, 1, d_T)))
+    return tape.universe, script
 
 
 def run_single(
@@ -177,26 +175,25 @@ def run_single(
     m = stream.m
     if m == 0:
         return 0
-    universe, script = build_script(stream, d_H, d_T)
-    scratch_off = universe.block_offset("scratch")
-    handle = create(
-        universe,
-        range(scratch_off, scratch_off + 4 * m),
-        master_seed=seed,
-        handle_id=handle_id,
-    )
-    ell = 0
-    for op in script:
-        if isinstance(op, Update):
-            handle.update(op.perm)
-            continue
-        ell += 1
-        out = handle.query_pair(op.x, op.y)
+    n, tape = stream.n, stream._tape
+    scratch_off = tape.universe.block_offset("scratch")
+    members = range(scratch_off, scratch_off + 4 * m)
+    handle = create(tape.universe, members, master_seed=seed, handle_id=handle_id)
+    for ell, (perm, (u, v)) in enumerate(zip(tape, stream.edges), start=1):
+        handle.update(perm)
+        out = handle.query_pair(_slot(n, u, 0, d_H), _slot(n, v, 1, d_T))
         if out is not QueryOutcome.BOT:
             return (1 if out is QueryOutcome.PLUS else -1) * 2 * m
         if observer is not None:
             observer(ell, handle.debug_members())
     return 0
+
+
+def _copies(params: HeavyParams, copies: int | None) -> int:
+    copies = math.ceil(12 / params.eps**2) if copies is None else copies
+    if copies < 1:
+        raise InvalidParamsError(f"copies must be >= 1, got {copies}")
+    return copies
 
 
 def estimate(
@@ -207,19 +204,12 @@ def estimate(
     copies: int | None = None,
 ) -> float:
     """Mean of independent run_single copies; default count is ceil(12/eps^2)."""
+    copies = _copies(params, copies)
     if stream.m == 0:
         return 0.0
     _check_thresholds(stream, params.d_H, params.d_T)
-    if copies is None:
-        copies = math.ceil(12 / params.eps**2)
-    vals = np.array(
-        [
-            run_single(stream, params.d_H, params.d_T, seed, handle_id=i)
-            for i in range(copies)
-        ],
-        dtype=np.float64,
-    )
-    return float(np.mean(vals))
+    d_H, d_T = params.d_H, params.d_T
+    return float(np.mean([run_single(stream, d_H, d_T, seed, handle_id=i) for i in range(copies)]))
 
 
 # -- exact terminal law ------------------------------------------------------------
@@ -261,8 +251,7 @@ def estimate_sampled(
     copies: int | None = None,
 ) -> float:
     """Same aggregation as ``estimate``, drawing runs from their exact law."""
+    copies = _copies(params, copies)
     if stream.m == 0:
         return 0.0
-    if copies is None:
-        copies = math.ceil(12 / params.eps**2)
     return float(np.mean(sample_outputs(stream, params.d_H, params.d_T, seed, copies)))

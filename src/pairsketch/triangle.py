@@ -22,6 +22,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -29,6 +30,7 @@ import numpy as np
 from .errors import InvalidParamsError, ValidationError
 from .permutation import PermutationSpec, SwapStage
 from .sketch import QueryOutcome, ThreeAtomLaw, create, fire_probs
+from .tape import Tape
 from .universe import Block, IntRange, UniverseSpec
 
 
@@ -59,6 +61,12 @@ class EdgeStream:
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def _tape(self) -> Tape:
+        """Every triangle run's per-edge swap (see ``_edge_swap``), compiled once."""
+        universe = triangle_universe(self)
+        return Tape(universe, self.m, partial(_edge_swap, self.edges, self.n, universe))
 
 
 @dataclass(frozen=True)
@@ -141,6 +149,19 @@ def triangle_universe(stream: EdgeStream) -> UniverseSpec:
     )
 
 
+def _pair_id(n: int, a: int, b: int) -> int:
+    """Id of pair (a, b); the pair block comes first, at offset 0."""
+    return (a - 1) * n + (b - 1)
+
+
+def _edge_swap(edges, n: int, universe: UniverseSpec, k: int) -> tuple[PermutationSpec]:
+    """Edge k = (u, v) swaps two fresh scratch ids into (u, v) and (v, u)."""
+    u, v = edges[k]
+    fresh = universe.block_offset("scratch") + 2 * k
+    pairs = ((fresh, _pair_id(n, u, v)), (fresh + 1, _pair_id(n, v, u)))
+    return (PermutationSpec(universe, (SwapStage(pairs),)),)
+
+
 def _g_rng(seed: int, handle_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, handle_id, 2]))
 
@@ -166,41 +187,20 @@ def run_single(
     m = stream.m
     if m == 0:
         return 0
-    universe = triangle_universe(stream)
-    pair_off = universe.block_offset("pair")
-    scratch_off = universe.block_offset("scratch")
-    n = stream.n
-
-    def pair_id(a: int, b: int) -> int:
-        return pair_off + (a - 1) * n + (b - 1)
-
-    handle = create(
-        universe,
-        range(scratch_off, scratch_off + 2 * m),
-        master_seed=seed,
-        handle_id=handle_id,
-    )
+    n, tape = stream.n, stream._tape
+    scratch_off = tape.universe.block_offset("scratch")
+    members = range(scratch_off, scratch_off + 2 * m)
+    handle = create(tape.universe, members, master_seed=seed, handle_id=handle_id)
     g = _g_rng(seed, handle_id)
+    swaps = iter(tape)  # an edge's swap is compiled only once its queries miss
     for ell, (u, v) in enumerate(stream.edges, start=1):
         selected = g.random() * k < 1.0
         if selected:
             for w in range(1, n + 1):
-                out = handle.query_pair(pair_id(w, u), pair_id(w, v))
+                out = handle.query_pair(_pair_id(n, w, u), _pair_id(n, w, v))
                 if out is not QueryOutcome.BOT:
                     return (1 if out is QueryOutcome.PLUS else -1) * k * m
-        handle.update(
-            PermutationSpec(
-                universe,
-                (
-                    SwapStage(
-                        (
-                            (scratch_off + 2 * ell - 2, pair_id(u, v)),
-                            (scratch_off + 2 * ell - 1, pair_id(v, u)),
-                        )
-                    ),
-                ),
-            )
-        )
+        handle.update(next(swaps))
         if observer is not None:
             observer(ell, handle.debug_members())
     return 0

@@ -15,8 +15,6 @@ from pairsketch.bhm import (
     VertexBit,
     _cell,
     _flip_perm,
-    _later_corrections,
-    _protocol_ops,
     bhm_universe,
     build_script,
     default_copies,
@@ -129,7 +127,7 @@ def test_slabs_match_exhaustive_enumeration():
     universe = bhm_universe(inst.n)
     script, meta = build_script(inst)
     dist = enumerate_distribution(universe, initial_members(universe, inst.n), script)
-    later = _later_corrections(inst)
+    later = inst._later
     agg = {True: Fraction(0), False: Fraction(0), None: Fraction(0)}
     for key, p in dist.entries.items():
         out = None
@@ -168,7 +166,7 @@ def test_later_corrections_equal_a_scan(interleaving):
     seen = set()
     for seed in range(8):
         inst = generate_instance(40, Fraction(1, 4), seed % 2, seed=seed, interleaving=interleaving)
-        later = _later_corrections(inst)
+        later = inst._later
         assert later == _later_corrections_by_scan(inst)
         seen.update(later)
     # bits-first leaves nothing to correct; the other orders flip some edges
@@ -209,6 +207,13 @@ def test_majority_recovers_the_hidden_bit():
     assert float(np.mean(maj == 1)) > 2 / 3
 
 
+@pytest.mark.parametrize("copies", [0, -3])
+def test_majority_needs_at_least_one_copy(copies):
+    inst = generate_instance(8, Fraction(1, 4), 1, seed=5)
+    with pytest.raises(InvalidParamsError, match=f"copies must be >= 1, got {copies}"):
+        sample_majority(inst, master_seed=1, meta_trials=4, copies=copies)
+
+
 def _run_single_by_loop(inst, master_seed, handle_id):
     """The stream loop run_single used to be: flips and pair queries written
     out inline, and the hit's correction gathered from the rest of the stream."""
@@ -224,15 +229,15 @@ def _run_single_by_loop(inst, master_seed, handle_id):
                 if item.v in pending:
                     candidate ^= item.bit
             elif item.bit == 1:
-                handle.update(bhm._flip_perm(universe, item.v))
+                handle.update(bhm._flip_perm(universe, inst.n, item.v))
             continue
         if candidate is not None:
             continue
         for a, b in QUERY_ORDER:
             t = a ^ b
             out = handle.query_pair(
-                universe.encode("cell", (item.u, a, t)),
-                universe.encode("cell", (item.v, b, t)),
+                universe.encode("cell", (a, item.u, t)),
+                universe.encode("cell", (b, item.v, t)),
             )
             if out is QueryOutcome.PLUS:
                 candidate = a ^ b ^ item.z
@@ -384,9 +389,9 @@ def test_cell_ids_equal_the_universe_encoding(n):
     for v in range(1, n + 1):
         for a in (0, 1):
             for t in (0, 1):
-                assert _cell(v, a, t) == universe.encode("cell", (v, a, t))
-    assert initial_members(universe, n) == [
-        universe.encode("cell", (v, 0, t)) for v in range(1, n + 1) for t in (0, 1)
+                assert _cell(n, a, v, t) == universe.encode("cell", (a, v, t))
+    assert list(initial_members(universe, n)) == [
+        universe.encode("cell", (0, v, t)) for v in range(1, n + 1) for t in (0, 1)
     ]
 
 
@@ -401,19 +406,18 @@ def _encoded_protocol_ops(inst):
     for item in inst.stream:
         if isinstance(item, VertexBit):
             if item.bit == 1:
-                pairs = tuple((cell(item.v, 0, t), cell(item.v, 1, t)) for t in (0, 1))
+                pairs = tuple((cell(0, item.v, t), cell(1, item.v, t)) for t in (0, 1))
                 yield PermutationSpec(universe, (SwapStage(pairs),)), None
         else:
             for a, b in QUERY_ORDER:
-                pair = cell(item.u, a, a ^ b), cell(item.v, b, a ^ b)
+                pair = cell(a, item.u, a ^ b), cell(b, item.v, a ^ b)
                 yield pair, (edge_index[(item.u, item.v)], a, b)
 
 
 @pytest.mark.parametrize("interleaving", INTERLEAVINGS)
 def test_protocol_ops_equal_an_encoded_reference(interleaving):
     inst = generate_instance(12, Fraction(1, 4), 1, seed=8, interleaving=interleaving)
-    ops = list(_protocol_ops(inst, bhm_universe(inst.n)))
-    assert ops == list(_encoded_protocol_ops(inst))
-    assert _flip_perm(bhm_universe(inst.n), 3) == PermutationSpec(
-        bhm_universe(inst.n), (SwapStage(((8, 10), (9, 11))),)
+    assert list(inst._tape) == list(_encoded_protocol_ops(inst))
+    assert _flip_perm(bhm_universe(inst.n), inst.n, 3) == PermutationSpec(
+        bhm_universe(inst.n), (SwapStage(((4, 28), (5, 29))),)
     )

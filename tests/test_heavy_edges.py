@@ -231,3 +231,12 @@ def test_estimate_all_light_and_all_heavy():
     est = estimate_sampled(stream, HeavyParams(1, 1, 0.5), seed=3, copies=100_000)
     sigma = 2 * stream.m / np.sqrt(100_000)
     assert abs(est - stream.m) < 4 * sigma
+
+
+@pytest.mark.parametrize("copies", [0, -1])
+@pytest.mark.parametrize("stream", [STAR, DirectedEdgeStream(3, ())], ids=["star", "empty"])
+def test_estimates_need_at_least_one_copy(stream, copies):
+    params = HeavyParams(2, 1, 0.5)
+    for fn in (estimate, estimate_sampled):
+        with pytest.raises(InvalidParamsError, match=f"copies must be >= 1, got {copies}"):
+            fn(stream, params, 0, copies=copies)

@@ -91,3 +91,22 @@ def test_only_the_permutation_module_reads_a_shift_selection():
         assert "bucket_depth" not in path.read_text(encoding="utf-8"), path.name
     attrs = {node.attr for node in ast.walk(_tree("sketch.py")) if isinstance(node, ast.Attribute)}
     assert not attrs & {"select", "strides", "sizes"}
+
+
+def test_live_runs_read_their_instance_tape():
+    # a live run compiles nothing itself: permutations and universes are
+    # built once per instance, on its tape
+    for name in ("bhm.py", "heavy_edges.py", "triangle.py"):
+        (func,) = _functions(name, "run_single")
+        names = {
+            node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(func)
+            if isinstance(node, (ast.Attribute, ast.Name))
+        }
+        assert not names & {"PermutationSpec", "SwapStage", "CyclicShift"}, name
+        called = [
+            node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))
+        ]
+        assert [c for c in called if c.endswith("_universe")] == [], name
