@@ -19,9 +19,10 @@ count = heavy_edges.oracle_heavy_count(star, 2, 1)
 print("star stream, d_H = 2, d_T = 1: true qualifying count =", count)
 
 law = heavy_edges.terminal_law(star, 2, 1)
+value = 2 * star.m
 print("terminal law: mean %s over %d atoms, P[+%d] = %s, P[-%d] = %s"
-      % (law.mean, len(law.atoms()), law.value, law.p_plus, law.value, law.p_minus))
-assert law.mean == count
+      % (law.expect(int), len(law.atoms), value, law.atoms[value], value, law.atoms[-value]))
+assert law.expect(int) == count
 
 outs = heavy_edges.sample_outputs(star, 2, 1, master_seed=1, trials=30_000)
 print("sampled mean over 30000 runs: %.3f" % float(np.mean(outs)))
@@ -40,7 +41,7 @@ stream = heavy_edges.DirectedEdgeStream(20, tuple(edges))
 for d_h, d_t in ((2, 1), (3, 2)):
     count = heavy_edges.oracle_heavy_count(stream, d_h, d_t)
     law = heavy_edges.terminal_law(stream, d_h, d_t)
-    assert law.mean == count
+    assert law.expect(int) == count
     outs = heavy_edges.sample_outputs(stream, d_h, d_t, master_seed=4, trials=60_000)
     mean = float(np.mean(outs))
     sem = float(np.std(outs, ddof=1) / np.sqrt(len(outs)))

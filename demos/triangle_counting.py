@@ -17,9 +17,9 @@ from pairsketch import triangle
 # Warm up on the smallest possible case.
 K3 = triangle.EdgeStream(3, ((1, 2), (1, 3), (2, 3)))
 law = triangle.terminal_law(K3, 1)
-print("K3 with k = 1: exact output law", dict(sorted(law.atoms().items())))
-print("  mean =", law.mean, "(one triangle, as expected)")
-assert law.mean == 1
+print("K3 with k = 1: exact output law", dict(sorted(law.atoms.items())))
+print("  mean =", law.expect(int), "(one triangle, as expected)")
+assert law.expect(int) == 1
 
 # A denser random graph.
 rng = np.random.default_rng(3)
@@ -37,9 +37,11 @@ print("true triangle count T = %s, split at k = %d: T_less = %s, T_greater = %s"
       % (report.T, k, report.T_less, report.T_greater))
 assert report.T_less + report.T_greater == report.T
 law = triangle.terminal_law(stream, k)
+value = k * stream.m
 print("exact law: P[+%d] = %.4f, P[-%d] = %.4f, mean %s"
-      % (law.value, float(law.p_plus), law.value, float(law.p_minus), law.mean))
-assert law.mean == report.T_less
+      % (value, float(law.atoms.get(value, 0)), value, float(law.atoms.get(-value, 0)),
+         law.expect(int)))
+assert law.expect(int) == report.T_less
 
 trials = 60_000
 outs = triangle.sample_outputs(stream, k, master_seed=17, trials=trials)

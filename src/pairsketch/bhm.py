@@ -26,18 +26,9 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidParamsError, InvariantError, ValidationError
+from .errors import InvalidParamsError, ValidationError
 from .permutation import PermutationSpec, SwapStage
-from .sketch import (
-    QueryOutcome,
-    QueryPair,
-    ReplayTrace,
-    ScriptOp,
-    Update,
-    create,
-    replay_noiseless,
-    sample_atoms,
-)
+from .sketch import Law, QueryOutcome, QueryPair, ScriptOp, Update, create, replay_law
 from .tape import Tape
 from .universe import Block, IntRange, UniverseSpec
 
@@ -178,7 +169,7 @@ def _cell(n: int, a: int, v: int, t: int) -> int:
     return 2 * (a * n + v - 1) + t
 
 
-def initial_members(universe: UniverseSpec, n: int) -> range:
+def initial_members(n: int) -> range:
     """Both tag copies of every (0, v): the first 2n ids of the block."""
     return range(2 * n)
 
@@ -201,17 +192,15 @@ def _item_ops(stream, n: int, universe: UniverseSpec, edge_index: dict, k: int) 
     )
 
 
-def build_script(inst: BhmInstance) -> tuple[list[ScriptOp], list[tuple[int, int, int]]]:
-    """Script realizing a run, plus (edge index, a, b) metadata per pair query."""
-    ops = list(inst._tape)
-    script = [Update(op) if tag is None else QueryPair(*op) for op, tag in ops]
-    return script, [tag for _, tag in ops if tag is not None]
+def build_script(inst: BhmInstance) -> list[tuple[ScriptOp, tuple[int, int, int] | None]]:
+    """Script realizing a run, each pair query tagged with its (edge index, a, b)."""
+    return [(Update(op) if tag is None else QueryPair(*op), tag) for op, tag in inst._tape]
 
 
 def run_single(inst: BhmInstance, *, master_seed: int = 0, handle_id: int = 0) -> int | None:
     """One protocol run on a live sketch. Returns the output bit, or None."""
     tape = inst._tape
-    members = initial_members(tape.universe, inst.n)
+    members = initial_members(inst.n)
     handle = create(tape.universe, members, master_seed=master_seed, handle_id=handle_id)
     for op, tag in tape:
         if tag is None:
@@ -233,44 +222,32 @@ def default_copies(alpha: Fraction) -> int:
 # -- exact terminal distribution ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class TerminalSlab:
-    """One atom of the exact output distribution of run_single."""
-
-    prob: Fraction
-    output: int | None  # bit, or None for abort / no hit
-
-
-def terminal_slabs(inst: BhmInstance) -> list[TerminalSlab]:
-    """Exact run_single output distribution, from the noiseless replay.
+def terminal_slabs(inst: BhmInstance) -> Law:
+    """Exact run_single output law, from the noiseless replay.
 
     Misses delete deterministically, so the probability that the k-th query
     fires is a function of the initial size and that query's presence pattern
     alone; everything else telescopes away. A Plus hit yields the candidate
-    bit, a Minus hit aborts.
+    bit, a Minus hit aborts. The atoms are keyed (tag, output), one per fire
+    atom in replay order, then (None, None) for a pass without a hit; output
+    None is an abort.
     """
-    universe = inst._tape.universe
-    script, meta = build_script(inst)
-    trace: ReplayTrace = replay_noiseless(universe, initial_members(universe, inst.n), script)
     later = inst._later
-    slabs: list[TerminalSlab] = []
-    for k, outcome, p in trace.fire_atoms():
-        ei, a, b = meta[k]
-        output = a ^ b ^ inst.z[ei] ^ later[ei] if outcome is QueryOutcome.PLUS else None
-        slabs.append(TerminalSlab(p, output))
-    slabs.append(TerminalSlab(trace.survival, None))
-    mass = sum(s.prob for s in slabs)
-    if mass != 1:
-        raise InvariantError(f"terminal slabs carry mass {mass}, not 1")
-    return slabs
+
+    def output(tag: tuple[int, int, int], outcome: QueryOutcome):
+        ei, a, b = tag
+        return tag, (a ^ b ^ inst.z[ei] ^ later[ei] if outcome is QueryOutcome.PLUS else None)
+
+    members = initial_members(inst.n)
+    return replay_law(inst._tape.universe, members, build_script(inst), output, (None, None))
 
 
 def sample_outputs(inst: BhmInstance, master_seed: int, trials: int) -> np.ndarray:
     """Vectorized draws from the exact run_single distribution (-1 codes None)."""
-    slabs = terminal_slabs(inst)
-    outs = np.array([-1 if s.output is None else s.output for s in slabs], dtype=np.int8)
+    law = terminal_slabs(inst)
+    outs = np.array([-1 if out is None else out for _, out in law.atoms], dtype=np.int8)
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, 1]))
-    return outs[sample_atoms([s.prob for s in slabs], rng, trials)]
+    return outs[law.sample(rng, trials)]
 
 
 def sample_majority(
@@ -281,6 +258,8 @@ def sample_majority(
         copies = default_copies(inst.alpha)
     if copies < 1:
         raise InvalidParamsError(f"copies must be >= 1, got {copies}")
+    if meta_trials < 0:
+        raise InvalidParamsError(f"meta_trials must be >= 0, got {meta_trials}")
     draws = sample_outputs(inst, master_seed, meta_trials * copies).reshape(
         meta_trials, copies
     )

@@ -37,7 +37,7 @@ from .errors import ConfigError, InvalidParamsError, ParseError, ValidationError
 from .heavy_edges import DirectedEdgeStream
 from .permutation import CyclicShift, PermutationSpec, swap_perm
 from .qsim import enumerate_distribution
-from .sketch import QueryOne, QueryPair, ScriptOp, Update
+from .sketch import Law, QueryOne, QueryPair, ScriptOp, Update
 from .triangle import EdgeStream
 from .universe import Block, IntRange, UniverseSpec
 
@@ -453,14 +453,14 @@ def _load_instance(config: ExperimentConfig):
 # four-sigma comparison used, so failures can print oracle, mean, and sigma.
 
 
-def _law_gate(oracle, atoms, total, trials: int) -> dict[str, float]:
-    """Gate of ``trials`` draws, summing to ``total``, from the exact law ``atoms``.
+def _law_gate(oracle, law: Law, f, total, trials: int) -> dict[str, float]:
+    """Gate of ``trials`` draws of ``f(key)`` from the exact ``law``, summing to ``total``.
 
-    ``atoms`` are (value, probability) pairs. Sigma is the law's standard error
-    sqrt(Var/trials), moments in Fractions: outcomes never drawn still count.
+    Sigma is the standard error sqrt(Var f/trials), with the moments taken
+    exactly from the law: outcomes never drawn still count.
     """
-    mean = sum((x * p for x, p in atoms if x), Fraction(0))
-    var = sum((x * x * p for x, p in atoms if x), Fraction(0)) - mean**2
+    mean = law.expect(f)
+    var = law.expect(lambda key: f(key) ** 2) - mean**2
     sigma = math.sqrt(var / trials)
     return {"oracle": float(oracle), "value": float(total) / trials, "sigma": sigma}
 
@@ -473,14 +473,18 @@ def _run_bhm(inst: BhmInstance, params, trials, seed):
     meta_trials, copies = params.get("meta_trials", 0), params.get("copies")
     if meta_trials < 0 or (copies is not None and copies < 1):
         raise ConfigError(f"need meta_trials >= 0 and copies >= 1, got {meta_trials}, {copies}")
-    slabs = _bhm.terminal_slabs(inst)
-    correct = [(s.output == inst.b, s.prob) for s in slabs]
-    wrong = [(s.output == 1 - inst.b, s.prob) for s in slabs]
-    p_correct = sum((p for hit, p in correct if hit), Fraction(0))
-    p_wrong = sum((p for hit, p in wrong if hit), Fraction(0))
+    law = _bhm.terminal_slabs(inst)
+
+    def correct(key) -> bool:
+        return key[1] == inst.b
+
+    def wrong(key) -> bool:
+        return key[1] == 1 - inst.b
+
+    p_correct, p_wrong = law.expect(correct), law.expect(wrong)
     outs = _bhm.sample_outputs(inst, seed, trials)
-    g_correct = _law_gate(inst.alpha, correct, np.count_nonzero(outs == inst.b), trials)
-    g_wrong = _law_gate(inst.alpha / 2, wrong, np.count_nonzero(outs == 1 - inst.b), trials)
+    g_correct = _law_gate(inst.alpha, law, correct, np.count_nonzero(outs == inst.b), trials)
+    g_wrong = _law_gate(inst.alpha / 2, law, wrong, np.count_nonzero(outs == 1 - inst.b), trials)
 
     gates = {"correct_freq_matches_alpha": g_correct, "wrong_freq_at_most_half_alpha": g_wrong}
     verdicts = {
@@ -521,34 +525,32 @@ def _run_bhm(inst: BhmInstance, params, trials, seed):
     return results, verdicts, gates
 
 
+def _signed_run(oracle, law: Law, outs: np.ndarray, trials: int, name: str):
+    """Gate, verdicts and results shared by the runners whose outputs are +-value or 0.
+
+    ``name`` names the oracle in the verdicts.
+    """
+    law_mean = law.expect(int)
+    gate = _law_gate(oracle, law, int, outs.sum(dtype=np.int64), trials)
+    verdicts = {f"mean_matches_{name}": _within(gate), f"law_mean_is_{name}": law_mean == oracle}
+    results = {"law_mean": law_mean, "mean": gate["value"], "ci_half_width": 4 * gate["sigma"]}
+    return results, verdicts, {f"mean_matches_{name}": gate}
+
+
 def _run_triangle(stream: EdgeStream, params, trials, seed):
     k = int(params["k"])
     report = _tri.oracle_t_split(stream, k)
     law = _tri.terminal_law(stream, k)
     outs = _tri.sample_outputs(stream, k, seed, trials)
-    gate = _law_gate(report.T_less, law.atoms().items(), outs.sum(dtype=np.int64), trials)
+    results, verdicts, gates = _signed_run(report.T_less, law, outs, trials, "t_less")
     max_abs = int(np.max(np.abs(outs)))
-
-    verdicts = {
-        "mean_matches_t_less": _within(gate),
-        "outputs_bounded_by_km": max_abs <= k * stream.m,
-        "split_sums_to_t": report.T_less + report.T_greater == report.T,
-        "law_mean_is_t_less": law.mean == report.T_less,
-    }
-    results = {
-        "n": stream.n,
-        "m": stream.m,
-        "k": k,
-        "T": report.T,
-        "T_less": report.T_less,
-        "T_greater": report.T_greater,
-        "law_mean": law.mean,
-        "mean": gate["value"],
-        "ci_half_width": 4 * gate["sigma"],
-        "max_abs_output": max_abs,
-        "km_bound": k * stream.m,
-    }
-    return results, verdicts, {"mean_matches_t_less": gate}
+    verdicts["outputs_bounded_by_km"] = max_abs <= k * stream.m
+    verdicts["split_sums_to_t"] = report.T_less + report.T_greater == report.T
+    results.update(
+        n=stream.n, m=stream.m, k=k, T=report.T, T_less=report.T_less,
+        T_greater=report.T_greater, max_abs_output=max_abs, km_bound=k * stream.m,
+    )
+    return results, verdicts, gates
 
 
 def _run_heavy(stream: DirectedEdgeStream, params, trials, seed):
@@ -556,22 +558,9 @@ def _run_heavy(stream: DirectedEdgeStream, params, trials, seed):
     count = _heavy.oracle_heavy_count(stream, d_h, d_t)
     law = _heavy.terminal_law(stream, d_h, d_t)
     outs = _heavy.sample_outputs(stream, d_h, d_t, seed, trials)
-    gate = _law_gate(count, law.atoms().items(), outs.sum(dtype=np.int64), trials)
-    verdicts = {
-        "mean_matches_count": _within(gate),
-        "law_mean_is_count": law.mean == count,
-    }
-    results = {
-        "n": stream.n,
-        "m": stream.m,
-        "d_H": d_h,
-        "d_T": d_t,
-        "heavy_count": count,
-        "law_mean": law.mean,
-        "mean": gate["value"],
-        "ci_half_width": 4 * gate["sigma"],
-    }
-    return results, verdicts, {"mean_matches_count": gate}
+    results, verdicts, gates = _signed_run(count, law, outs, trials, "count")
+    results.update(n=stream.n, m=stream.m, d_H=d_h, d_T=d_t, heavy_count=count)
+    return results, verdicts, gates
 
 
 def _run_snapshot(stream: DirectedEdgeStream, params, trials, seed):
@@ -597,7 +586,8 @@ def _run_snapshot(stream: DirectedEdgeStream, params, trials, seed):
     gates = {
         (a, b): _law_gate(
             oracle.expectation[a][b],
-            [(v if e == (a, b) else 0, p) for (_, e, v), p in law.atoms.items()],
+            law.law,
+            _snap.entry_value((a, b)),
             sums[a, b],
             trials,
         )

@@ -27,15 +27,7 @@ import numpy as np
 
 from .errors import InvalidParamsError, ValidationError
 from .permutation import CyclicShift, PermutationSpec, SwapStage
-from .sketch import (
-    QueryOutcome,
-    QueryPair,
-    ScriptOp,
-    ThreeAtomLaw,
-    Update,
-    create,
-    replay_noiseless,
-)
+from .sketch import Law, QueryOutcome, QueryPair, ScriptOp, Update, create, replay_law
 from .tape import Tape
 from .universe import Block, IntRange, Labels, UniverseSpec
 
@@ -189,10 +181,12 @@ def run_single(
     return 0
 
 
-def _copies(params: HeavyParams, copies: int | None) -> int:
+def _copies(stream: DirectedEdgeStream, params: HeavyParams, copies: int | None) -> int:
+    """The estimators' copy count, once their params are checked against ``stream``."""
     copies = math.ceil(12 / params.eps**2) if copies is None else copies
     if copies < 1:
         raise InvalidParamsError(f"copies must be >= 1, got {copies}")
+    _check_thresholds(stream, params.d_H, params.d_T)
     return copies
 
 
@@ -204,10 +198,7 @@ def estimate(
     copies: int | None = None,
 ) -> float:
     """Mean of independent run_single copies; default count is ceil(12/eps^2)."""
-    copies = _copies(params, copies)
-    if stream.m == 0:
-        return 0.0
-    _check_thresholds(stream, params.d_H, params.d_T)
+    copies = _copies(stream, params, copies)
     d_H, d_T = params.d_H, params.d_T
     return float(np.mean([run_single(stream, d_H, d_T, seed, handle_id=i) for i in range(copies)]))
 
@@ -215,24 +206,28 @@ def estimate(
 # -- exact terminal law ------------------------------------------------------------
 
 
-def terminal_law(stream: DirectedEdgeStream, d_H: int, d_T: int) -> ThreeAtomLaw:
+def terminal_law(stream: DirectedEdgeStream, d_H: int, d_T: int) -> Law:
     """Exact output law, derived by replaying the real op sequence noiselessly.
 
     The trajectory is fully deterministic, so each query's unconditional fire
     probability depends only on the initial size 4m and its presence pattern;
-    the replay's fire atoms sum to the Plus and Minus masses.
+    the replay's fire atoms sum to the masses of +2m and -2m. The atoms come
+    in the order +2m, -2m, 0, and each has positive mass: every query that can
+    fire can fire Plus, which ``FIRE_LAW`` lists first, and at most 2m of the
+    4m members are ever deleted, so a pass survives with probability >= 1/2.
     """
     _check_thresholds(stream, d_H, d_T)
     m = stream.m
     if m == 0:
-        return ThreeAtomLaw(0, Fraction(0), Fraction(0))
+        return Law({0: Fraction(1)})
     universe, script = build_script(stream, d_H, d_T)
     scratch_off = universe.block_offset("scratch")
-    trace = replay_noiseless(universe, range(scratch_off, scratch_off + 4 * m), script)
-    mass = {QueryOutcome.PLUS: Fraction(0), QueryOutcome.MINUS: Fraction(0)}
-    for _, outcome, p in trace.fire_atoms():
-        mass[outcome] += p
-    return ThreeAtomLaw(2 * m, mass[QueryOutcome.PLUS], mass[QueryOutcome.MINUS])
+
+    def output(_, outcome: QueryOutcome) -> int:
+        return 2 * m if outcome is QueryOutcome.PLUS else -2 * m
+
+    members = range(scratch_off, scratch_off + 4 * m)
+    return replay_law(universe, members, ((op, None) for op in script), output, 0)
 
 
 def sample_outputs(
@@ -240,7 +235,8 @@ def sample_outputs(
 ) -> np.ndarray:
     """Vectorized draws from the exact run_single output law."""
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, 4]))
-    return terminal_law(stream, d_H, d_T).sample(rng, trials)
+    law = terminal_law(stream, d_H, d_T)
+    return np.array(list(law.atoms), dtype=np.int32)[law.sample(rng, trials)]
 
 
 def estimate_sampled(
@@ -251,7 +247,5 @@ def estimate_sampled(
     copies: int | None = None,
 ) -> float:
     """Same aggregation as ``estimate``, drawing runs from their exact law."""
-    copies = _copies(params, copies)
-    if stream.m == 0:
-        return 0.0
+    copies = _copies(stream, params, copies)
     return float(np.mean(sample_outputs(stream, params.d_H, params.d_T, seed, copies)))

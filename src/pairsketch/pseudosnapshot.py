@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from hashlib import blake2b
 from typing import Callable
 
@@ -25,15 +26,7 @@ from .errors import (
 )
 from .heavy_edges import DirectedEdgeStream
 from .permutation import CyclicShift, PermutationSpec, SwapStage
-from .sketch import (
-    QueryOne,
-    QueryOutcome,
-    QueryPair,
-    Update,
-    create,
-    replay_noiseless,
-    sample_atoms,
-)
+from .sketch import Law, QueryOne, QueryOutcome, QueryPair, Update, create, replay_law
 from .universe import Block, IntRange, Labels, UniverseSpec
 
 FAMILIES = ("A", "B", "C", "D")
@@ -651,35 +644,41 @@ def run_single(
 # ---------------------------------------------------------------------------
 
 
+def entry_value(cell: tuple[int, int]) -> Callable[[tuple], int]:
+    """Projection of a law key onto the value a run shows at entry ``cell``."""
+    return lambda key: key[2] if key[1] == cell else 0
+
+
 @dataclass(frozen=True)
 class SnapshotLaw:
     """Exact distribution of run_single outputs for one hash draw.
 
-    Atoms are keyed by (terminated_by, entry, value); probabilities are
-    Fractions summing to one. Built from the deterministic all-miss replay,
-    where each query's unconditional fire probability depends only on the
-    initial size and its presence pattern.
+    ``law`` keys its atoms by (terminated_by, entry, value), in ``repr`` order
+    of the keys. It comes from the deterministic all-miss replay, where each
+    query's unconditional fire probability depends only on the initial size
+    and its presence pattern.
     """
 
     ell: int
     big_m: int
-    atoms: dict[tuple[str, tuple[int, int] | None, int], Fraction]
+    law: Law
+
+    @property
+    def atoms(self) -> dict[tuple[str, tuple[int, int] | None, int], Fraction]:
+        return self.law.atoms
 
     def expectation(self) -> list[list[Fraction]]:
-        out = [[Fraction(0)] * self.ell for _ in range(self.ell)]
-        for (_, entry, value), p in self.atoms.items():
-            if entry is not None and value:
-                out[entry[0]][entry[1]] += p * value
-        return out
+        cells = range(self.ell)
+        return [[self.law.expect(entry_value((a, b))) for b in cells] for a in cells]
 
     def sample(self, master_seed: int, trials: int):
         """Vectorized draws: arrays (row, col, value), row/col -1 for none."""
-        keys = sorted(self.atoms, key=repr)
+        keys = list(self.atoms)
         rows = np.array([k[1][0] if k[1] else -1 for k in keys], dtype=np.int64)
         cols = np.array([k[1][1] if k[1] else -1 for k in keys], dtype=np.int64)
         vals = np.array([k[2] for k in keys], dtype=np.int64)
         rng = np.random.default_rng(np.random.SeedSequence([master_seed, 6]))
-        idx = sample_atoms([self.atoms[k] for k in keys], rng, trials)
+        idx = self.law.sample(rng, trials)
         return rows[idx], cols[idx], vals[idx]
 
 
@@ -694,53 +693,34 @@ def terminal_law(
     params.validate_with(grid, hashes)
     ell = params.ell
     if stream.m == 0:
-        return SnapshotLaw(ell, 0, {("StreamEnd", None, 0): Fraction(1)})
+        return SnapshotLaw(ell, 0, Law({("StreamEnd", None, 0): Fraction(1)}))
     if plan is None:
         plan = build_plan(stream, hashes, grid, params)
     if not plan.hash_budget_ok:
-        return SnapshotLaw(ell, plan.big_m, {("HashBudget", None, 0): Fraction(1)})
-    # one tag per query, in replay order: the hit coordinates, or None for a cleanup
-    tags: list[tuple[int, int, int, int] | None] = []
-    ops = []
+        return SnapshotLaw(ell, plan.big_m, Law({("HashBudget", None, 0): Fraction(1)}))
+    # each query tagged with its hit coordinates, or None for a cleanup
+    tagged: list = []
     for eplan in plan.edge_plans:
-        ops.extend(eplan.updates)
-        for op, (x, i, j) in eplan.queries:
-            tags.append((eplan.edge_index, x, i, j))
-            ops.append(op)
-        for op in eplan.cleanups:
-            tags.append(None)
-            ops.append(op)
-    trace = replay_noiseless(plan.universe, plan.initial_members(), tuple(ops))
+        tagged += ((up, None) for up in eplan.updates)
+        tagged += ((op, (eplan.edge_index, *coords)) for op, coords in eplan.queries)
+        tagged += ((op, None) for op in eplan.cleanups)
     half = plan.big_m // 2
-    stage = _ClassicalStage(stream, hashes, grid, params)
-    entry_cache: dict[tuple[int, int, int], tuple[int, int] | None] = {}
-    atoms: dict[tuple[str, tuple[int, int] | None, int], Fraction] = {}
+    entry_of = cache(_ClassicalStage(stream, hashes, grid, params).entry)
 
-    def add(key, p):
-        atoms[key] = atoms.get(key, Fraction(0)) + p
-
-    for k, outcome, p in trace.fire_atoms():
-        tag = tags[k]
+    def key(tag, outcome: QueryOutcome):
         if tag is None:
-            add(("Cleanup", None, 0), p)
-            continue
+            return ("Cleanup", None, 0)
         edge_index, x, i, j = tag
-        key = (edge_index, i, j)
-        if key not in entry_cache:
-            entry_cache[key] = stage.entry(edge_index, i, j)
-        entry = entry_cache[key]
+        entry = entry_of(edge_index, i, j)
         sgn_x = 1 if x in (1, 4) else -1
         # an out-of-class hit still terminates, but its output is the zero
         # matrix, so the law keys it by what a run can actually show
         plus_val = sgn_x * half if entry is not None else 0
-        value = plus_val if outcome is QueryOutcome.PLUS else -plus_val
-        add((outcome.value, entry, value), p)
-    reason = "Capacity" if plan.capacity_edge is not None else "StreamEnd"
-    add((reason, None, 0), trace.survival)
-    mass = sum(atoms.values())
-    if mass != 1:
-        raise InvariantError(f"snapshot law carries mass {mass}, not 1")
-    return SnapshotLaw(ell, plan.big_m, atoms)
+        return (outcome.value, entry, plus_val if outcome is QueryOutcome.PLUS else -plus_val)
+
+    end = ("Capacity" if plan.capacity_edge is not None else "StreamEnd", None, 0)
+    atoms = replay_law(plan.universe, plan.initial_members(), tagged, key, end).atoms
+    return SnapshotLaw(ell, plan.big_m, Law(dict(sorted(atoms.items(), key=lambda a: repr(a[0])))))
 
 
 # ---------------------------------------------------------------------------
@@ -845,8 +825,6 @@ def estimate_sampled(
 ) -> np.ndarray:
     """Same distribution as `estimate`, drawn from the exact terminal law."""
     ell = params.ell
-    if stream.m == 0:
-        return np.zeros((ell, ell))
     if copies is None:
         copies = params.copies
     law = terminal_law(stream, hashes, grid, params)

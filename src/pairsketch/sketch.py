@@ -24,20 +24,22 @@ The useful consequence of these laws is reorderability: misses delete
 deterministically, so the member set conditioned on "no fire yet" is exactly
 the set a noiseless replay produces, and the unconditional probability that a
 given query fires depends only on the initial size and its presence pattern.
-``replay_noiseless`` exposes that deterministic trajectory and
-``ReplayTrace.fire_atoms`` the resulting fire probabilities.
+``replay_noiseless`` exposes that deterministic trajectory,
+``ReplayTrace.fire_atoms`` the resulting fire probabilities, and
+``replay_law`` gathers them into one exact ``Law`` of a script's outcomes.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
 from .errors import (
     InvalidInitError,
+    InvalidParamsError,
     InvalidQueryError,
     InvariantError,
     PermutationError,
@@ -78,41 +80,37 @@ def fire_probs(pair: bool, present: int, size: int) -> Iterator[tuple[QueryOutco
         yield outcome, Fraction(weight, scale * size)
 
 
-def sample_atoms(probs: Sequence, rng: np.random.Generator, trials: int) -> np.ndarray:
-    """Indices of ``trials`` independent draws from atoms with these probabilities.
-
-    The last cumulative bound is pinned to 1, so float rounding in the
-    probabilities can never leave a draw past the final atom.
-    """
-    cum = np.cumsum([float(p) for p in probs])
-    cum[-1] = 1.0
-    return np.searchsorted(cum, rng.random(trials), side="right")
-
-
 @dataclass(frozen=True)
-class ThreeAtomLaw:
-    """Exact law of an estimator run that outputs +value, -value or 0."""
+class Law:
+    """Exact finite output law: ``atoms`` maps each outcome key to a Fraction.
 
-    value: int
-    p_plus: Fraction
-    p_minus: Fraction
+    The atoms keep their insertion order, which fixes how ``sample`` maps
+    draws to atoms. Construction raises ``InvariantError`` unless the mass is
+    exactly one.
+    """
 
-    @property
-    def mean(self) -> Fraction:
-        return self.value * (self.p_plus - self.p_minus)
+    atoms: dict
 
-    def atoms(self) -> dict[int, Fraction]:
-        out = {
-            self.value: self.p_plus,
-            -self.value: self.p_minus,
-            0: 1 - self.p_plus - self.p_minus,
-        }
-        return {x: p for x, p in out.items() if p}
+    def __post_init__(self) -> None:
+        mass = sum(self.atoms.values(), Fraction(0))
+        if mass != 1:
+            raise InvariantError(f"law carries mass {mass}, not 1")
+
+    def expect(self, f: Callable) -> Fraction:
+        """E[f(key)], exactly; atoms where f is zero cost no Fraction arithmetic."""
+        return sum((v * p for key, p in self.atoms.items() if (v := f(key))), Fraction(0))
 
     def sample(self, rng: np.random.Generator, trials: int) -> np.ndarray:
-        """``trials`` independent int32 outputs drawn with ``sample_atoms``."""
-        outs, probs = zip(*self.atoms().items())
-        return np.array(outs, dtype=np.int32)[sample_atoms(probs, rng, trials)]
+        """Indices, in ``atoms`` order, of ``trials`` independent draws.
+
+        The last cumulative bound is pinned to 1, so float rounding in the
+        probabilities can never leave a draw past the final atom.
+        """
+        if trials < 0:
+            raise InvalidParamsError(f"trials must be >= 0, got {trials}")
+        cum = np.cumsum([float(p) for p in self.atoms.values()])
+        cum[-1] = 1.0
+        return np.searchsorted(cum, rng.random(trials), side="right")
 
 
 def _check_query(size: int, *endpoints: int) -> None:
@@ -467,3 +465,28 @@ def replay_noiseless(
             f"replay survival {survival} != {store.count}/{initial_size} survivors"
         )
     return ReplayTrace(frozenset(store.snapshot()), survival, tuple(steps))
+
+
+def replay_law(
+    universe: UniverseSpec,
+    members: Iterable[int],
+    tagged_ops: Iterable[tuple[ScriptOp, object]],
+    key: Callable[[object, QueryOutcome], Hashable],
+    end_key: Hashable,
+) -> Law:
+    """Exact outcome law of a script, from its noiseless replay.
+
+    ``tagged_ops`` pairs each op with a tag (ignored on updates). The fire
+    atom of a query with tag t and outcome o goes to ``key(t, o)``, and the
+    survival mass to ``end_key``; atoms with equal keys add up, in order of
+    first appearance.
+    """
+    ops = list(tagged_ops)
+    trace = replay_noiseless(universe, members, [op for op, _ in ops])
+    tags = [tag for op, tag in ops if not isinstance(op, Update)]
+    atoms: dict = {}
+    for k, outcome, p in trace.fire_atoms():
+        atom = key(tags[k], outcome)
+        atoms[atom] = atoms[atom] + p if atom in atoms else p
+    atoms[end_key] = atoms.get(end_key, 0) + trace.survival
+    return Law(atoms)

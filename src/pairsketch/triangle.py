@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidParamsError, ValidationError
 from .permutation import PermutationSpec, SwapStage
-from .sketch import QueryOutcome, ThreeAtomLaw, create, fire_probs
+from .sketch import Law, QueryOutcome, create, fire_probs
 from .tape import Tape
 from .universe import Block, IntRange, UniverseSpec
 
@@ -233,8 +233,6 @@ def estimate_sampled(
 ) -> float:
     """Same aggregation as ``estimate`` but drawing runs from their exact law."""
     copies, groups = _repetitions(stream, params)
-    if stream.m == 0:
-        return 0.0
     draws = sample_outputs(stream, params.k, master_seed, copies * groups)
     means = draws.reshape(groups, copies).mean(axis=1)
     return float(np.median(means))
@@ -252,7 +250,7 @@ def _repetitions(stream: EdgeStream, params: TriangleParams) -> tuple[int, int]:
 # -- exact terminal law ------------------------------------------------------------
 
 
-def terminal_law(stream: EdgeStream, k: int) -> ThreeAtomLaw:
+def terminal_law(stream: EdgeStream, k: int) -> Law:
     """Exact output law of run_single, from one pass over the stream.
 
     Edge ell = (u, v) is selected with probability 1/k, independently of the
@@ -264,13 +262,14 @@ def terminal_law(stream: EdgeStream, k: int) -> ThreeAtomLaw:
     Summed over w, that is B; summed over all earlier neighbours of u alone,
     A_u = sum of q^i for i below u's earlier degree. So ell contributes
     (1/k) * [B * P(both) + (A_u + A_v - 2B) * P(one)] to each sign, with
-    P(.) the fire probabilities of ``FIRE_LAW`` at |T0| = 2m.
+    P(.) the fire probabilities of ``FIRE_LAW`` at |T0| = 2m. The atoms come
+    in the order +km, -km, 0, each present only with positive mass.
     """
     if k < 1:
         raise InvalidParamsError(f"k must be >= 1, got {k}")
     m = stream.m
     if m == 0:
-        return ThreeAtomLaw(0, Fraction(0), Fraction(0))
+        return Law({0: Fraction(1)})
     q = 1 - Fraction(1, k)
     powers = [Fraction(1)]
     rank: list[dict[int, int]] = [{} for _ in range(stream.n + 1)]  # neighbour -> edge rank
@@ -291,11 +290,12 @@ def terminal_law(stream: EdgeStream, k: int) -> ThreeAtomLaw:
         rv[u] = len(rv)
         reach[u] = 1 + q * reach[u]
         reach[v] = 1 + q * reach[v]
-    mass = {QueryOutcome.PLUS: Fraction(0), QueryOutcome.MINUS: Fraction(0)}
+    atoms = {k * m: Fraction(0), -k * m: Fraction(0)}
     for present, count in expected.items():
         for outcome, p in fire_probs(True, present, 2 * m):
-            mass[outcome] += count * p / k
-    return ThreeAtomLaw(k * m, mass[QueryOutcome.PLUS], mass[QueryOutcome.MINUS])
+            atoms[k * m if outcome is QueryOutcome.PLUS else -k * m] += count * p / k
+    atoms[0] = 1 - sum(atoms.values())
+    return Law({x: p for x, p in atoms.items() if p})
 
 
 def sample_outputs(
@@ -303,4 +303,5 @@ def sample_outputs(
 ) -> np.ndarray:
     """Draw ``trials`` independent run_single outputs from ``terminal_law``."""
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, 3]))
-    return terminal_law(stream, k).sample(rng, trials)
+    law = terminal_law(stream, k)
+    return np.array(list(law.atoms), dtype=np.int32)[law.sample(rng, trials)]

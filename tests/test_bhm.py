@@ -92,8 +92,9 @@ def test_each_edge_probes_one_both_two_single_one_empty():
     for seed in range(4):
         inst = generate_instance(10, Fraction(2, 5), seed % 2, seed=seed)
         universe = bhm_universe(inst.n)
-        script, meta = build_script(inst)
-        trace = replay_noiseless(universe, initial_members(universe, inst.n), script)
+        ops = build_script(inst)
+        meta = [tag for _, tag in ops if tag is not None]
+        trace = replay_noiseless(universe, initial_members(inst.n), [op for op, _ in ops])
         per_edge: dict[int, list[int]] = {}
         for step, (ei, _, _) in zip(trace.steps, meta):
             per_edge.setdefault(ei, []).append(step.present_count)
@@ -103,11 +104,10 @@ def test_each_edge_probes_one_both_two_single_one_empty():
 
 
 def _terminal_probs(inst):
-    """Aggregate the slab distribution into P[correct], P[wrong], P[none]."""
+    """Aggregate the exact law into P[correct], P[wrong], P[none]."""
     agg = {True: Fraction(0), False: Fraction(0), None: Fraction(0)}
-    for slab in terminal_slabs(inst):
-        key = None if slab.output is None else slab.output == inst.b
-        agg[key] += slab.prob
+    for (_, output), p in terminal_slabs(inst).atoms.items():
+        agg[None if output is None else output == inst.b] += p
     return agg
 
 
@@ -125,8 +125,9 @@ def test_exact_output_law_small_instances():
 def test_slabs_match_exhaustive_enumeration():
     inst = generate_instance(2, Fraction(1, 2), 0, seed=7, interleaving="bits-first")
     universe = bhm_universe(inst.n)
-    script, meta = build_script(inst)
-    dist = enumerate_distribution(universe, initial_members(universe, inst.n), script)
+    ops = build_script(inst)
+    meta = [tag for _, tag in ops if tag is not None]
+    dist = enumerate_distribution(universe, initial_members(inst.n), [op for op, _ in ops])
     later = inst._later
     agg = {True: Fraction(0), False: Fraction(0), None: Fraction(0)}
     for key, p in dist.entries.items():
@@ -219,7 +220,7 @@ def _run_single_by_loop(inst, master_seed, handle_id):
     out inline, and the hit's correction gathered from the rest of the stream."""
     universe = bhm_universe(inst.n)
     handle = create(
-        universe, initial_members(universe, inst.n), master_seed=master_seed, handle_id=handle_id
+        universe, initial_members(inst.n), master_seed=master_seed, handle_id=handle_id
     )
     candidate = None
     pending = set()
@@ -390,7 +391,7 @@ def test_cell_ids_equal_the_universe_encoding(n):
         for a in (0, 1):
             for t in (0, 1):
                 assert _cell(n, a, v, t) == universe.encode("cell", (a, v, t))
-    assert list(initial_members(universe, n)) == [
+    assert list(initial_members(n)) == [
         universe.encode("cell", (0, v, t)) for v in range(1, n + 1) for t in (0, 1)
     ]
 

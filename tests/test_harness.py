@@ -315,7 +315,7 @@ def test_heavy_experiment_reports_gate_numbers(tmp_path):
     assert abs(gate["value"] - gate["oracle"]) <= 4 * gate["sigma"]
     # sigma is the exact law's standard error at 4000 trials
     law = heavy_edges.terminal_law(parse_stream(path, "directed"), 2, 1)
-    var = sum(x * x * p for x, p in law.atoms().items()) - law.mean**2
+    var = sum(x * x * p for x, p in law.atoms.items()) - law.expect(int) ** 2
     assert gate["sigma"] == math.sqrt(var / 4000)
     assert report.passed
 

@@ -52,6 +52,20 @@ def test_params_validation():
         run_single(STAR, 8, 1, 0)  # positions stop at 2n-1 = 7
 
 
+@pytest.mark.parametrize("stream", [STAR, DirectedEdgeStream(3, ())], ids=["star", "empty"])
+def test_every_entry_point_rejects_thresholds_past_the_stack(stream):
+    top = 2 * stream.n  # one past the last stack position
+    params = HeavyParams(top, 1, 0.5)
+    for call in (
+        lambda: run_single(stream, top, 1, 0),
+        lambda: terminal_law(stream, 1, top),
+        lambda: estimate(stream, params, 0),
+        lambda: estimate_sampled(stream, params, 0),
+    ):
+        with pytest.raises(InvalidParamsError, match="stack positions"):
+            call()
+
+
 # -- oracle -----------------------------------------------------------------------
 
 
@@ -90,12 +104,12 @@ def test_star_exact_distribution_via_enumeration():
         val = 6 if hit == "Plus" else -6 if hit == "Minus" else 0
         agg[val] = agg.get(val, Fraction(0)) + p
     law = terminal_law(STAR, 2, 1)
-    assert agg == law.atoms()
+    assert agg == law.atoms
     mean = sum(x * p for x, p in agg.items())
     assert mean == 2
     # frozen attribution: two both-present edges, one one-present edge
-    assert law.p_plus == Fraction(2, 6) + Fraction(1, 24)
-    assert law.p_minus == Fraction(1, 24)
+    assert law.atoms[6] == Fraction(2, 6) + Fraction(1, 24)
+    assert law.atoms[-6] == Fraction(1, 24)
 
 
 def test_law_mean_equals_oracle_exactly():
@@ -103,7 +117,7 @@ def test_law_mean_equals_oracle_exactly():
         stream = random_directed(7, 14, seed)
         for d_H, d_T in ((1, 1), (2, 1), (3, 2), (4, 4)):
             law = terminal_law(stream, d_H, d_T)
-            assert law.mean == oracle_heavy_count(stream, d_H, d_T)
+            assert law.expect(int) == oracle_heavy_count(stream, d_H, d_T)
 
 
 def test_presence_counts_split_by_threshold_condition():
@@ -119,16 +133,16 @@ def test_presence_counts_split_by_threshold_condition():
         one += hu != tv
     law = terminal_law(stream, d_H, d_T)
     m = stream.m
-    assert law.p_plus == Fraction(both, 2 * m) + Fraction(one, 8 * m)
-    assert law.p_minus == Fraction(one, 8 * m)
+    assert law.atoms[2 * m] == Fraction(both, 2 * m) + Fraction(one, 8 * m)
+    assert law.atoms[-2 * m] == Fraction(one, 8 * m)
 
 
 def test_spurious_signs_cancel():
     # heads qualify instantly, tails never do: every query is one-present
     stream = DirectedEdgeStream(8, ((1, 2), (3, 4), (5, 6), (7, 8)))
     law = terminal_law(stream, 1, 2)
-    assert law.p_plus == law.p_minus > 0
-    assert law.mean == 0
+    assert law.atoms[8] == law.atoms[-8] > 0
+    assert law.expect(int) == 0
     draws = sample_outputs(stream, 1, 2, 11, 100_000)
     se = float(np.std(draws)) / np.sqrt(len(draws)) + 1e-12
     assert abs(float(np.mean(draws))) < 4 * se
@@ -149,7 +163,7 @@ def test_run_single_frequencies_match_law():
     law = terminal_law(stream, 2, 1)
     trials = 4000
     outs = np.array([run_single(stream, 2, 1, 13, handle_id=i) for i in range(trials)])
-    for x, p in law.atoms().items():
+    for x, p in law.atoms.items():
         freq = float(np.mean(outs == x))
         se = float(np.sqrt(float(p) * (1 - float(p)) / trials)) + 1e-9
         assert abs(freq - float(p)) < 4.5 * se, (x, freq, float(p))
@@ -159,7 +173,7 @@ def test_sampler_draws_from_law():
     stream = random_directed(9, 20, 8)
     law = terminal_law(stream, 3, 2)
     draws = sample_outputs(stream, 3, 2, 21, 150_000)
-    for x, p in law.atoms().items():
+    for x, p in law.atoms.items():
         freq = float(np.mean(draws == x))
         se = float(np.sqrt(float(p) * (1 - float(p)) / 150_000)) + 1e-12
         assert abs(freq - float(p)) < 4.5 * se
@@ -227,7 +241,7 @@ def test_estimate_all_light_and_all_heavy():
     stream = random_directed(5, 8, 2)
     assert estimate(DirectedEdgeStream(5, ()), HeavyParams(1, 1, 0.5), seed=0) == 0.0
     law = terminal_law(stream, 1, 1)
-    assert law.mean == stream.m
+    assert law.expect(int) == stream.m
     est = estimate_sampled(stream, HeavyParams(1, 1, 0.5), seed=3, copies=100_000)
     sigma = 2 * stream.m / np.sqrt(100_000)
     assert abs(est - stream.m) < 4 * sigma

@@ -25,7 +25,7 @@ def test_package_has_no_assert_statements():
 
 
 def test_law_consumers_leave_sampling_to_the_sketch_module():
-    # the atom sampler lives in sketch.sample_atoms; the exact laws only
+    # the atom sampler lives in sketch.Law.sample; the exact laws only
     # build atoms
     for name in ("bhm.py", "heavy_edges.py", "pseudosnapshot.py", "qsim.py", "triangle.py"):
         attrs = {

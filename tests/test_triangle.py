@@ -246,7 +246,7 @@ def test_k3_exact_distribution_via_enumeration():
     expect = sum(x * p for x, p in agg.items())
     assert expect == 1  # == oracle T_less for k=1
     assert exact_output_distribution(K3, 1) == {k: v for k, v in agg.items() if v}
-    assert terminal_law(K3, 1).atoms() == agg
+    assert terminal_law(K3, 1).atoms == agg
 
 
 def test_exact_law_expectation_equals_oracle_everywhere():
@@ -280,17 +280,18 @@ SMALL_STREAMS = [s for s in SMALL_STREAMS if s.m <= 12]  # the enumeration is 2^
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_terminal_law_equals_pattern_enumeration(k):
     for stream in SMALL_STREAMS:
-        assert terminal_law(stream, k).atoms() == exact_output_distribution(stream, k), stream
+        assert terminal_law(stream, k).atoms == exact_output_distribution(stream, k), stream
 
 
 def test_terminal_law_mean_is_t_less_at_scale():
     for n, p in ((12, 0.5), (30, 0.3), (60, 0.15), (200, 0.05)):
         stream = random_stream(n, p, n)
         for k in (1, 2, 5):
+            km = k * stream.m
             law = terminal_law(stream, k)
-            assert law.value == k * stream.m
-            assert k * stream.m * (law.p_plus - law.p_minus) == oracle_t_split(stream, k).T_less
-            assert law.p_plus >= 0 and law.p_minus >= 0 and law.p_plus + law.p_minus <= 1
+            assert set(law.atoms) <= {km, -km, 0}
+            assert law.expect(int) == oracle_t_split(stream, k).T_less
+            assert all(p > 0 for p in law.atoms.values())
 
 
 # -- run_single and sampler -------------------------------------------------------
@@ -307,7 +308,7 @@ def test_run_single_outputs_bounded_and_deterministic():
 def test_run_single_frequencies_match_exact_law():
     stream = random_stream(6, 0.55, 4)
     k = 2
-    law = terminal_law(stream, k).atoms()
+    law = terminal_law(stream, k).atoms
     trials = 4000
     outs = np.array([run_single(stream, k, 31, handle_id=i) for i in range(trials)])
     for x, p in law.items():
@@ -384,7 +385,7 @@ def _sample_outputs_trial_major(stream, k, master_seed, trials):
     ids=["k3-k1", "k3-k3", "n12", "n30", "n200", "empty"],
 )
 def test_trial_major_reference_matches_terminal_law(stream, k, seed, trials):
-    law = terminal_law(stream, k).atoms()
+    law = terminal_law(stream, k).atoms
     draws = _sample_outputs_trial_major(stream, k, seed, trials)
     assert set(np.unique(draws)) <= set(law)
     for x, p in law.items():
@@ -456,7 +457,7 @@ def test_estimate_empty_stream_is_zero():
 
 def test_disjoint_edges_cancel_in_expectation():
     stream = EdgeStream(8, ((1, 2), (3, 4), (5, 6), (7, 8)))
-    assert terminal_law(stream, 2).mean == 0
+    assert terminal_law(stream, 2).expect(int) == 0
     est = estimate_sampled(
         stream,
         TriangleParams(k=2, T_prime=1, Delta_E=1, eps=0.5, delta=0.5,
