@@ -42,7 +42,6 @@ from .errors import (
     InvalidParamsError,
     InvalidQueryError,
     InvariantError,
-    PermutationError,
     ScriptError,
     SketchDestroyedError,
 )
@@ -103,13 +102,14 @@ class Law:
     def sample(self, rng: np.random.Generator, trials: int) -> np.ndarray:
         """Indices, in ``atoms`` order, of ``trials`` independent draws.
 
-        The last cumulative bound is pinned to 1, so float rounding in the
-        probabilities can never leave a draw past the final atom.
+        The cumulative bounds from the last positive atom on are pinned to 1,
+        so float rounding in the probabilities can never leave a draw on a
+        zero-mass atom after it or past the final atom.
         """
         if trials < 0:
             raise InvalidParamsError(f"trials must be >= 0, got {trials}")
         cum = np.cumsum([float(p) for p in self.atoms.values()])
-        cum[-1] = 1.0
+        cum[max(k for k, p in enumerate(self.atoms.values()) if p):] = 1.0
         return np.searchsorted(cum, rng.random(trials), side="right")
 
 
@@ -126,67 +126,71 @@ def _check_query(size: int, *endpoints: int) -> None:
 
 
 class _MemberStore:
-    """Member ids grouped into buckets by cyclic line.
+    """A set of member ids, held flat in ``ids``, with lazy cyclic shifts.
 
-    Semantically a plain set of ids, held flat in ``ids``, which answers
-    membership. ``buckets`` maps the first id of a cyclic line (see
-    ``pairsketch.universe``) to the members on that line, so a cyclic shift
-    rewrites only the lines it names instead of scanning every member.
-    Construction raises ``InvalidInitError`` on an empty member set, a repeated
-    id or an id outside the universe; a contiguous ``range`` is checked at its
-    endpoints and inserted line by line instead of id by id.
+    The first cyclic shift to touch a block buckets its members by line in
+    one scan of ``ids``: ``buckets`` maps the first id of each nonempty cyclic
+    line (see ``pairsketch.universe``) to its stored ids. A shift only adds
+    its amount to the pending rotation ``rot`` of each nonempty line it names;
+    while line L of length ``mod`` has rotation r, member ``eid`` is stored
+    at ``L + (eid - L - r) % mod``, the id swaps and queries address.
+    ``settle`` rewrites each pending line once. Construction raises
+    ``InvalidInitError`` on an empty, repeated or out-of-universe member set.
     """
 
-    __slots__ = ("_layouts", "buckets", "ids")
+    __slots__ = ("_layouts", "_indexed", "buckets", "rot", "ids")
 
     def __init__(self, universe: UniverseSpec, members: Iterable[int]) -> None:
         self._layouts = universe.layout()
+        self._indexed: tuple[tuple[int, int, int], ...] = ()  # (offset, end, mod) per block
         self.buckets: dict[int, set[int]] = {}
-        self.ids: set[int] = set()
+        self.rot: dict[int, int] = {}
         if isinstance(members, range) and members.step == 1 and members:
-            self._fill_range(universe, members)
+            for eid in (members.start, members.stop - 1):  # as the per-id loop rejects
+                if not universe.contains_id(eid):
+                    bad = eid if eid == members.start else universe.size
+                    raise InvalidInitError(f"member id {bad!r} outside universe")
+            self.ids = set(members)
         else:
+            self.ids = ids = set()
             for eid in members:
                 if not universe.contains_id(eid):
                     raise InvalidInitError(f"member id {eid!r} outside universe")
-                if eid in self.ids:
+                if eid in ids:
                     raise InvalidInitError(f"member id {eid} repeated")
-                self.add(eid)
+                ids.add(eid)
         if not self.ids:
             raise InvalidInitError("initial member set is empty")
 
-    def _fill_range(self, universe: UniverseSpec, ids: range) -> None:
-        """Insert a nonempty contiguous id range, one ``set.update`` per line.
+    def _where(self, eid: int) -> tuple[int, int | None]:
+        """(stored id, line or None if its block has no buckets) of ``eid``."""
+        for offset, end, mod in self._indexed:
+            if offset <= eid < end:
+                line = eid - (eid - offset) % mod
+                r = self.rot.get(line)
+                return (line + (eid - line - r) % mod if r else eid), line
+        return eid, None
 
-        Rejects the same id the per-id loop would reject first.
-        """
-        for eid in (ids.start, ids.stop - 1):
-            if not universe.contains_id(eid):
-                bad = eid if eid == ids.start else universe.size
-                raise InvalidInitError(f"member id {bad!r} outside universe")
-        for lay in self._layouts:
-            lo, hi = max(ids.start, lay.offset), min(ids.stop, lay.end)
-            for line in range(lay.line(lo), hi, lay.mod):
-                self.buckets[line] = set(range(max(lo, line), min(hi, line + lay.mod)))
-        self.ids.update(ids)
+    def _add(self, stored: int, line: int | None) -> None:
+        self.ids.add(stored)
+        if line is not None:
+            self.buckets.setdefault(line, set()).add(stored)
 
-    def _line(self, eid: int) -> int:
-        for lay in self._layouts:
-            if eid < lay.end:
-                return lay.line(eid)
-        raise ValueError(f"id {eid} out of range")
+    def _drop(self, stored: int, line: int | None) -> None:
+        self.ids.remove(stored)
+        if line is not None:
+            bucket = self.buckets[line]
+            bucket.remove(stored)
+            if not bucket:
+                del self.buckets[line]
+                self.rot.pop(line, None)
 
-    @property
-    def count(self) -> int:
-        return len(self.ids)
-
-    def add(self, eid: int) -> None:
-        self.buckets.setdefault(self._line(eid), set()).add(eid)
-        self.ids.add(eid)
-
-    def remove(self, eid: int) -> None:
-        self.buckets[self._line(eid)].remove(eid)
-        self.ids.remove(eid)
+    def _discard(self, eid: int) -> bool:
+        stored, line = self._where(eid)
+        found = stored in self.ids
+        if found:
+            self._drop(stored, line)
+        return found
 
     def take(self, x: int, y: int | None = None) -> tuple[int, bool, bool]:
         """The miss branch of a query: delete the present endpoints.
@@ -195,51 +199,70 @@ class _MemberStore:
         """
         ids = self.ids
         size = len(ids)
-        present_x = x in ids
-        if present_x:
-            self.remove(x)
-        present_y = y is not None and y in ids
-        if present_y:
-            self.remove(y)
-        return size, present_x, present_y
+        if self._indexed:
+            return size, self._discard(x), y is not None and self._discard(y)
+        ids.discard(x)
+        after_x = len(ids)
+        ids.discard(y)  # a no-op for y = None
+        return size, after_x < size, len(ids) < after_x
+
+    def settle(self) -> None:
+        """Rewrite each line with a pending rotation; afterwards none is pending."""
+        buckets, ids = self.buckets, self.ids
+        for line, r in self.rot.items():
+            mod = next(mod for offset, end, mod in self._indexed if offset <= line < end)
+            old = buckets[line]
+            new = buckets[line] = {line + (e - line + r) % mod for e in old}
+            ids -= old
+            ids |= new
+        self.rot.clear()
 
     def snapshot(self) -> set[int]:
+        self.settle()
         return set(self.ids)
 
     def apply(self, perm: PermutationSpec) -> None:
-        """Relabel every member by ``perm``; raise if the member count changes."""
-        before = self.count
+        """Relabel every member by ``perm``."""
         for stage, comp in zip(perm.stages, perm._compiled):  # type: ignore[attr-defined]
             if isinstance(comp, dict):
                 self.apply_swap(stage.pairs)
             else:
                 self.apply_shift(comp)
-        if self.count != before:
-            raise PermutationError(
-                f"update changed the member count from {before} to {self.count}"
-            )
 
     def apply_swap(self, pairs) -> None:
         ids = self.ids
+        if not self._indexed:
+            for a, b in pairs:
+                if (a in ids) != (b in ids):
+                    ids ^= {a, b}
+            return
+        where, add, drop = self._where, self._add, self._drop
         for a, b in pairs:
-            in_a = a in ids
-            in_b = b in ids
-            if in_a and not in_b:
-                self.remove(a)
-                self.add(b)
-            elif in_b and not in_a:
-                self.remove(b)
-                self.add(a)
+            here, there = where(a), where(b)
+            if (here[0] in ids) != (there[0] in ids):
+                if there[0] in ids:
+                    here, there = there, here
+                add(*there)  # before the drop, so a line that both lie on never empties
+                drop(*here)
 
     def apply_shift(self, comp: _CompiledShift) -> None:
-        buckets, ids = self.buckets, self.ids
+        mod = next((mod for offset, _, mod in self._indexed if offset == comp.offset), 0)
+        mod = mod or self._index(comp.offset)
+        buckets, rot = self.buckets, self.rot
         for line in comp.lines:
-            bucket = buckets.get(line)
-            if bucket:
-                new = {comp.shift_id(e) for e in bucket}
-                ids -= bucket
-                ids |= new
-                buckets[line] = new
+            if line in buckets:
+                r = rot[line] = (rot.get(line, 0) + comp.amount) % mod
+                if not r:
+                    del rot[line]
+
+    def _index(self, offset: int) -> int:
+        """Bucket the block at ``offset`` by line in one scan; return its line length."""
+        lay = next(lay for lay in self._layouts if lay.offset == offset)
+        for eid in self.ids:
+            if offset <= eid < lay.end:
+                self.buckets.setdefault(lay.line(eid), set()).add(eid)
+        self._indexed += ((offset, lay.end, lay.mod),)
+        return lay.mod
 
 
 class SketchHandle:
@@ -281,7 +304,7 @@ class SketchHandle:
     @property
     def size(self) -> int:
         self._require_alive()
-        return self._store.count
+        return len(self._store.ids)
 
     def debug_members(self) -> set[int]:
         """Current member ids. Diagnostic only; no production code path reads it."""
@@ -292,7 +315,7 @@ class SketchHandle:
 
     def update(self, perm: PermutationSpec) -> None:
         self._require_alive()
-        if perm.universe != self.universe:
+        if perm.universe is not self.universe and perm.universe != self.universe:
             raise ScriptError("permutation universe does not match handle universe")
         self._store.apply(perm)
 
@@ -313,19 +336,26 @@ class SketchHandle:
         return QueryOutcome.BOT
 
     # A query takes the miss branch first; a fire then discards the store, so
-    # deleting the endpoints beforehand changes nothing observable.
+    # deleting the endpoints beforehand changes nothing observable. The full
+    # checks run only if the inline one fails; no endpoint present means Bot.
 
     def query_one(self, x: int) -> QueryOutcome:
-        self._require_alive()
-        _check_query(self._size, x)
+        if self._outcome is not None or type(x) is not int or not 0 <= x < self._size:
+            self._require_alive()
+            _check_query(self._size, x)
         size, present, _ = self._store.take(x)
-        return self._fire(False, size, present)
+        return self._fire(False, size, 1) if present else QueryOutcome.BOT
 
     def query_pair(self, x: int, y: int) -> QueryOutcome:
-        self._require_alive()
-        _check_query(self._size, x, y)
+        size = self._size
+        if self._outcome is not None or not (
+            type(x) is type(y) is int and 0 <= x < size and 0 <= y < size and x != y
+        ):
+            self._require_alive()
+            _check_query(size, x, y)
         size, present_x, present_y = self._store.take(x, y)
-        return self._fire(True, size, present_x + present_y)
+        present = present_x + present_y
+        return self._fire(True, size, present) if present else QueryOutcome.BOT
 
 
 def create(
@@ -437,7 +467,7 @@ def replay_noiseless(
     """
     store = _MemberStore(universe, members)
     universe_size = universe.size
-    initial_size = store.count
+    initial_size = len(store.ids)
     survival = Fraction(1)
     steps: list[ReplayStep] = []
     for i, op in enumerate(script):
@@ -460,9 +490,9 @@ def replay_noiseless(
         survival *= 1 - sum(
             p for _, p in fire_probs(step.kind == "pair", step.present_count, step.size_before)
         )
-    if survival != Fraction(store.count, initial_size):
+    if survival != Fraction(len(store.ids), initial_size):
         raise InvariantError(
-            f"replay survival {survival} != {store.count}/{initial_size} survivors"
+            f"replay survival {survival} != {len(store.ids)}/{initial_size} survivors"
         )
     return ReplayTrace(frozenset(store.snapshot()), survival, tuple(steps))
 

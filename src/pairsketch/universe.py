@@ -11,7 +11,7 @@ Example: a block with factors (IntRange(1, 2), Labels(("H", "T"))) encodes
 
 A *cyclic line* is the set of ids of one block that differ only in the last
 coordinate; it is named by its first id. Cyclic shifts rotate whole lines, and
-sketch handles group their members by line.
+a sketch buckets a block's members by line once a shift first touches it.
 
 The geometry is computed once per object: a block's strides, and a universe's
 per-block layout and name -> (block index, block, offset) table, are cached

@@ -47,6 +47,26 @@ def test_sample_indexes_atoms_in_insertion_order():
     assert law.sample(np.random.default_rng(3), 0).shape == (0,)
 
 
+class _TopDraw:
+    """An rng stub whose every uniform draw is the largest float below 1."""
+
+    def random(self, trials):
+        return np.full(trials, 1 - 2**-53)
+
+
+def test_sample_never_lands_on_a_trailing_zero_atom():
+    # ten tenths sum to 1 - 2**-53 in floats, so an unpinned bound at the tenth
+    # atom would send the top draw to the zero-mass abort after it
+    law = Law({**{k: Fraction(1, 10) for k in range(10)}, "abort": Fraction(0)})
+    assert np.cumsum([0.1] * 10)[-1] < 1
+    assert law.sample(_TopDraw(), 3).tolist() == [9, 9, 9]
+    # a perfect matching queries every cell away: bhm's no-hit atom has mass 0
+    slabs = bhm.terminal_slabs(bhm.generate_instance(6, Fraction(1, 2), 0, seed=0))
+    probs = list(slabs.atoms.values())
+    assert probs[-1] == 0 and np.cumsum([float(p) for p in probs])[-2] < 1
+    assert slabs.sample(_TopDraw(), 2).tolist() == [len(probs) - 2] * 2
+
+
 def test_replay_law_keys_and_merges_in_first_appearance_order():
     ops = [
         (Update(swap_perm(EIGHT, (0, 5))), "ignored"),

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -316,25 +315,6 @@ def test_range_create_matches_list_create(start, stop, step):
     assert _create_outcome(GRID, ids) == _create_outcome(GRID, list(ids))
 
 
-def _tampered_shift():
-    """A rotation whose compiled modulus spans the whole block, so a selected
-    row wraps onto an unselected one and two members collide."""
-    plane = UniverseSpec((Block("p", (IntRange(0, 3), IntRange(0, 4))),))
-    perm = PermutationSpec(plane, (CyclicShift("p", 1, (frozenset({1}),)),))
-    (comp,) = perm._compiled
-    bad = dataclasses.replace(comp, mod=20, amount=5)
-    object.__setattr__(perm, "_compiled", (bad,))
-    return plane, perm, [plane.encode("p", (1, 0)), plane.encode("p", (2, 0))]
-
-
-def test_update_count_check_fires_on_a_tampered_stage():
-    plane, perm, members = _tampered_shift()
-    with pytest.raises(PermutationError, match="member count"):
-        create(plane, members).update(perm)
-    with pytest.raises(PermutationError, match="member count"):
-        replay_noiseless(plane, members, [Update(perm)])
-
-
 # -- noiseless replay ----------------------------------------------------------
 
 
@@ -498,19 +478,154 @@ def test_store_ids_stay_the_union_of_the_buckets(data):
     members = data.draw(st.sets(st.integers(0, GRID.size - 1), min_size=1, max_size=20))
     script = data.draw(grid_scripts())
     store = _MemberStore(GRID, sorted(members))
+    current = set(members)
     for op in script:
         if isinstance(op, Update):
             store.apply(op.perm)
+            current = permute_set(op.perm, current)
         elif isinstance(op, QueryOne):
             store.take(op.x)
+            current.discard(op.x)
         else:
             store.take(op.x, op.y)
+            current -= {op.x, op.y}
         union = set()
         for key, bucket in store.buckets.items():
-            # every bucket holds ids of exactly one line, keyed by its first id
-            assert {_line_start(GRID, eid) for eid in bucket} <= {key}
+            # every bucket is nonempty and holds stored ids of the line it is keyed by
+            assert bucket and {_line_start(GRID, eid) for eid in bucket} == {key}
             union |= bucket
-        assert store.ids == union and store.count == len(union)
+        indexed = {eid for eid in store.ids if any(lo <= eid < hi for lo, hi, _ in store._indexed)}
+        assert union == indexed and len(store.ids) == len(current)
+        assert store.rot.keys() <= store.buckets.keys() and all(store.rot.values())
+    store.settle()
+    assert not store.rot and store.snapshot() == current
+
+
+def _reference_fire(rng, pair, size, present):
+    """The query law drawn as the live handle draws it, written out per case."""
+    if not present:
+        return QueryOutcome.BOT
+    if not pair:
+        return QueryOutcome.IN if rng.random() * size < 1 else QueryOutcome.BOT
+    if present == 2:
+        return QueryOutcome.PLUS if rng.random() * size < 2 else QueryOutcome.BOT
+    u = rng.random() * 2 * size
+    return QueryOutcome.PLUS if u < 1 else QueryOutcome.MINUS if u < 2 else QueryOutcome.BOT
+
+
+@st.composite
+def lazy_shift_scripts(draw):
+    """(universe, members, ops) with one-stage updates, queries and reads interleaved."""
+    universe = draw(universes())
+    ids = st.integers(0, universe.size - 1)
+    members = draw(st.sets(ids, min_size=1, max_size=12))
+    ops = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["swap", "shift", "shift", "one", "pair", "read"]))
+        if kind == "swap" and universe.size >= 2:
+            pool = draw(st.permutations(list(range(universe.size))))
+            k = draw(st.integers(1, min(3, universe.size // 2)))
+            pairs = tuple((pool[2 * i], pool[2 * i + 1]) for i in range(k))
+            ops.append(Update(PermutationSpec(universe, (SwapStage(pairs),))))
+        elif kind == "shift":
+            block = draw(st.sampled_from(universe.blocks))
+            select = tuple(
+                None
+                if draw(st.booleans())
+                else frozenset(draw(st.sets(st.sampled_from(_factor_values(f)))))
+                for f in block.factors[:-1]
+            )
+            shift = CyclicShift(block.name, draw(st.integers(-7, 7)), select)
+            ops.append(Update(PermutationSpec(universe, (shift,))))
+        elif kind == "pair" and universe.size >= 2:
+            x, y = draw(st.lists(ids, min_size=2, max_size=2, unique=True))
+            ops.append(QueryPair(x, y))
+        elif kind == "one":
+            ops.append(QueryOne(draw(ids)))
+        else:
+            ops.append("read")
+    return universe, members, ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(lazy_shift_scripts(), st.integers(0, 3))
+def test_lazy_shifts_match_the_value_space_reference(case, hid):
+    universe, members, ops = case
+    h = create(universe, sorted(members), master_seed=5, handle_id=hid)
+    rng = np.random.default_rng(np.random.SeedSequence([5, hid]))
+    current = set(members)
+    for op in ops:
+        if op == "read":
+            assert h.debug_members() == current and h.size == len(current)
+        elif isinstance(op, Update):
+            h.update(op.perm)
+            current = permute_set(op.perm, current)
+        else:
+            pair = isinstance(op, QueryPair)
+            ends = {op.x, op.y} if pair else {op.x}
+            want = _reference_fire(rng, pair, len(current), len(ends & current))
+            got = h.query_pair(op.x, op.y) if pair else h.query_one(op.x)
+            assert got is want
+            if got.fires():
+                return
+            current -= ends
+    assert h.debug_members() == current
+
+
+def _stores_of(monkeypatch, module):
+    """Record the store of every handle ``module`` creates."""
+    stores = []
+
+    def recording_create(*args, **kwargs):
+        handle = create(*args, **kwargs)
+        stores.append(handle._store)
+        return handle
+
+    monkeypatch.setattr(module, "create", recording_create)
+    return stores
+
+
+def test_a_shift_rewrites_nothing_until_a_read():
+    line = [GRID.encode("stack", (2, "T", pos)) for pos in (0, 3)]
+    h = create(GRID, line + [GRID.encode("scratch", (4,))])
+    before = set(h._store.ids)
+    perm = PermutationSpec(GRID, (CyclicShift("stack", 3, (None, None)),))
+    for _ in range(4):
+        h.update(perm)
+    assert h._store.ids == before and h._store.rot == {line[0]: 2}
+    want = permute_set(perm, permute_set(perm, before))
+    want = permute_set(perm, permute_set(perm, want))
+    assert h.debug_members() == want == h._store.ids and not h._store.rot
+
+
+def test_unshifted_blocks_are_never_bucketed(monkeypatch):
+    from pairsketch import bhm, heavy_edges, triangle
+
+    inst = bhm.generate_instance(16, Fraction(1, 4), 1, seed=3)
+    stores = _stores_of(monkeypatch, bhm)
+    for hid in range(20):
+        bhm.run_single(inst, master_seed=7, handle_id=hid)
+    graph = triangle.EdgeStream(8, tuple((u, v) for u in range(1, 8) for v in range(u + 1, 9)))
+    tri = _stores_of(monkeypatch, triangle)
+    for hid in range(20):
+        triangle.run_single(graph, 2, 7, handle_id=hid)
+    stores += tri
+    assert len(stores) == 40 and not any(store.buckets or store._indexed for store in stores)
+
+    stream = heavy_edges.DirectedEdgeStream(6, ((1, 2), (2, 3), (3, 1), (1, 3), (4, 1), (1, 5)))
+    scratch = stream._tape.universe.block_offset("scratch")
+    heavy = _stores_of(monkeypatch, heavy_edges)
+
+    bucketed = set()
+
+    def no_scratch_in_buckets(ell, members):
+        (store,) = heavy
+        bucketed.update(eid for bucket in store.buckets.values() for eid in bucket)
+
+    for hid in range(10):
+        heavy.clear()
+        heavy_edges.run_single(stream, 2, 2, 7, handle_id=hid, observer=no_scratch_in_buckets)
+    assert bucketed and max(bucketed) < scratch
 
 
 BAD_ENDPOINTS = [True, False, -1, LINE.size, np.int64(3), 2.0]
