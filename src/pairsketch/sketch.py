@@ -179,9 +179,8 @@ class _MemberStore:
     def _drop(self, stored: int, line: int | None) -> None:
         self.ids.remove(stored)
         if line is not None:
-            bucket = self.buckets[line]
-            bucket.remove(stored)
-            if not bucket:
+            self.buckets[line].remove(stored)
+            if not self.buckets[line]:
                 del self.buckets[line]
                 self.rot.pop(line, None)
 
@@ -209,12 +208,13 @@ class _MemberStore:
     def settle(self) -> None:
         """Rewrite each line with a pending rotation; afterwards none is pending."""
         buckets, ids = self.buckets, self.ids
-        for line, r in self.rot.items():
-            mod = next(mod for offset, end, mod in self._indexed if offset <= line < end)
-            old = buckets[line]
-            new = buckets[line] = {line + (e - line + r) % mod for e in old}
-            ids -= old
-            ids |= new
+        for offset, end, mod in self._indexed:
+            for line, r in self.rot.items():
+                if offset <= line < end:
+                    old = buckets[line]
+                    new = buckets[line] = {line + (e - line + r) % mod for e in old}
+                    ids -= old
+                    ids |= new
         self.rot.clear()
 
     def snapshot(self) -> set[int]:

@@ -547,8 +547,37 @@ def lazy_shift_scripts(draw):
     return universe, members, ops
 
 
+def _grid_shift(amount, verts):
+    return Update(PermutationSpec(GRID, (CyclicShift("stack", amount, (verts, None)),)))
+
+
+def _slot(w, label, pos):
+    return GRID.encode("stack", (w, label, pos))
+
+
+SCRATCH = [GRID.encode("scratch", (k,)) for k in range(10)]
+# the stack block is first shifted mid-script, after a swap and a query;
+# later swaps and queries address rotated lines, and reads settle them
+FIRST_SHIFT_MID_SCRIPT = (
+    GRID,
+    {_slot(1, "H", 0), _slot(1, "H", 2), *SCRATCH[:3]},
+    [
+        Update(swap_perm(GRID, (SCRATCH[0], _slot(2, "T", 0)))),
+        QueryOne(SCRATCH[5]),
+        _grid_shift(2, frozenset({1, 2})),
+        Update(swap_perm(GRID, (SCRATCH[1], _slot(1, "H", 0)), (SCRATCH[2], _slot(1, "H", 4)))),
+        "read",
+        _grid_shift(-1, None),
+        QueryOne(_slot(1, "H", 3)),
+        QueryPair(_slot(2, "T", 1), _slot(1, "H", 0)),
+        "read",
+    ],
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(lazy_shift_scripts(), st.integers(0, 3))
+@example(FIRST_SHIFT_MID_SCRIPT, 0)
 def test_lazy_shifts_match_the_value_space_reference(case, hid):
     universe, members, ops = case
     h = create(universe, sorted(members), master_seed=5, handle_id=hid)
@@ -588,13 +617,13 @@ def _stores_of(monkeypatch, module):
 def test_a_shift_rewrites_nothing_until_a_read():
     line = [GRID.encode("stack", (2, "T", pos)) for pos in (0, 3)]
     h = create(GRID, line + [GRID.encode("scratch", (4,))])
-    before = set(h._store.ids)
+    before = want = set(h._store.ids)
     perm = PermutationSpec(GRID, (CyclicShift("stack", 3, (None, None)),))
     for _ in range(4):
         h.update(perm)
+        want = permute_set(perm, want)
+    # four shifts by 3 are one pending rotation by 12 % 5 on the one nonempty line
     assert h._store.ids == before and h._store.rot == {line[0]: 2}
-    want = permute_set(perm, permute_set(perm, before))
-    want = permute_set(perm, permute_set(perm, want))
     assert h.debug_members() == want == h._store.ids and not h._store.rot
 
 
@@ -618,13 +647,14 @@ def test_unshifted_blocks_are_never_bucketed(monkeypatch):
 
     bucketed = set()
 
-    def no_scratch_in_buckets(ell, members):
+    def record_buckets(ell, members):
         (store,) = heavy
         bucketed.update(eid for bucket in store.buckets.values() for eid in bucket)
 
     for hid in range(10):
         heavy.clear()
-        heavy_edges.run_single(stream, 2, 2, 7, handle_id=hid, observer=no_scratch_in_buckets)
+        heavy_edges.run_single(stream, 2, 2, 7, handle_id=hid, observer=record_buckets)
+    # the stack block is bucketed once shifted; its scratch ids never are
     assert bucketed and max(bucketed) < scratch
 
 
