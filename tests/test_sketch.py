@@ -30,6 +30,7 @@ from pairsketch import (
     run_script,
     swap_perm,
 )
+from pairsketch import bhm, heavy_edges, triangle
 from pairsketch.sketch import _MemberStore
 from permutation_reference import permute_set
 from test_universe import universes
@@ -628,8 +629,6 @@ def test_a_shift_rewrites_nothing_until_a_read():
 
 
 def test_unshifted_blocks_are_never_bucketed(monkeypatch):
-    from pairsketch import bhm, heavy_edges, triangle
-
     inst = bhm.generate_instance(16, Fraction(1, 4), 1, seed=3)
     stores = _stores_of(monkeypatch, bhm)
     for hid in range(20):
