@@ -106,7 +106,7 @@ class BhmInstance:
         universe = bhm_universe(self.n)
         edge_index = {e: i for i, e in enumerate(self.matching)}
         ops = partial(_item_ops, self.stream, self.n, universe, edge_index)
-        return Tape(universe, len(self.stream), ops)
+        return Tape(universe, initial_members(self.n), len(self.stream), ops)
 
     @cached_property
     def _later(self) -> list[int]:
@@ -197,21 +197,24 @@ def build_script(inst: BhmInstance) -> list[tuple[ScriptOp, tuple[int, int, int]
     return [(Update(op) if tag is None else QueryPair(*op), tag) for op, tag in inst._tape]
 
 
+def _output(inst: BhmInstance, tag: tuple[int, int, int], outcome: QueryOutcome):
+    """A fire's law key (tag, output): a Plus hit yields the candidate bit patched
+    by the endpoint bits that arrive later, a Minus hit aborts (output None)."""
+    ei, a, b = tag
+    return tag, (a ^ b ^ inst.z[ei] ^ inst._later[ei] if outcome is QueryOutcome.PLUS else None)
+
+
 def run_single(inst: BhmInstance, *, master_seed: int = 0, handle_id: int = 0) -> int | None:
     """One protocol run on a live sketch. Returns the output bit, or None."""
     tape = inst._tape
-    members = initial_members(inst.n)
-    handle = create(tape.universe, members, master_seed=master_seed, handle_id=handle_id)
+    handle = create(tape.universe, tape.members, master_seed=master_seed, handle_id=handle_id)
     for op, tag in tape:
         if tag is None:
             handle.update(op)
             continue
         out = handle.query_pair(*op)
-        if out is QueryOutcome.PLUS:
-            ei, a, b = tag
-            return a ^ b ^ inst.z[ei] ^ inst._later[ei]
-        if out is QueryOutcome.MINUS:
-            return None
+        if out is not QueryOutcome.BOT:
+            return _output(inst, tag, out)[1]
     return None
 
 
@@ -227,19 +230,14 @@ def terminal_slabs(inst: BhmInstance) -> Law:
 
     Misses delete deterministically, so the probability that the k-th query
     fires is a function of the initial size and that query's presence pattern
-    alone; everything else telescopes away. A Plus hit yields the candidate
-    bit, a Minus hit aborts. The atoms are keyed (tag, output), one per fire
-    atom in replay order, then (None, None) for a pass without a hit; output
-    None is an abort.
+    alone; everything else telescopes away. The atoms are keyed
+    (tag, output) by ``_output``, the rule run_single returns through, one per
+    fire atom in replay order, then (None, None) for a pass without a hit.
     """
-    later = inst._later
-
-    def output(tag: tuple[int, int, int], outcome: QueryOutcome):
-        ei, a, b = tag
-        return tag, (a ^ b ^ inst.z[ei] ^ later[ei] if outcome is QueryOutcome.PLUS else None)
-
-    members = initial_members(inst.n)
-    return replay_law(inst._tape.universe, members, build_script(inst), output, (None, None))
+    tape = inst._tape
+    return replay_law(
+        tape.universe, tape.members, build_script(inst), partial(_output, inst), (None, None)
+    )
 
 
 def sample_outputs(inst: BhmInstance, master_seed: int, trials: int) -> np.ndarray:

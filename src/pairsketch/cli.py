@@ -9,18 +9,16 @@ the standard error, at the trial count, of the exact law the trials sample
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from fractions import Fraction
 
 from .errors import PairsketchError
 from .harness import (
     ExperimentConfig,
     GENERATOR_KINDS,
-    SEED_ENV,
     Report,
     generate_graph,
     run_experiment,
+    seed_override,
     write_instance,
 )
 
@@ -161,18 +159,14 @@ def _print_report(report: Report) -> None:
 def _run_gen(args: argparse.Namespace) -> int:
     params: dict = {"n": args.n}
     if args.p is not None:
-        params["p"] = float(Fraction(args.p))
+        params["p"] = args.p
     if args.t is not None:
         params["t"] = args.t
     if args.alpha is not None:
         params["alpha"] = args.alpha
     if args.b is not None:
         params["b"] = args.b
-    seed = args.seed
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        seed = int(env)
-    obj, sidecar = generate_graph(args.kind, params, seed)
+    obj, sidecar = generate_graph(args.kind, params, seed_override(args.seed))
     write_instance(obj, args.out)
     lines = [f"wrote {args.out}"]
     for key in sorted(sidecar):

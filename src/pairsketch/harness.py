@@ -278,15 +278,12 @@ def _parse_bhm(path, lines) -> BhmInstance:
     parts = header.split()
     if len(parts) != 3:
         raise ParseError(f"{path}:{lno}: header must be 'n alpha b'")
-    if "e" in parts[1].lower():
-        # Fraction would expand the exponent into an integer of that many digits
-        raise ParseError(f"{path}:{lno}: alpha {parts[1][:20]!r} has an exponent")
     try:
-        n = int(parts[0])
-        alpha = Fraction(parts[1])
-        b = int(parts[2])
-    except (ValueError, ZeroDivisionError) as exc:
+        n, alpha, b = int(parts[0]), _alpha(parts[1]), int(parts[2])
+    except ValueError as exc:
         raise ParseError(f"{path}:{lno}: bad header: {exc}") from None
+    except InvalidParamsError as exc:
+        raise ParseError(f"{path}:{lno}: {exc}") from None
     if b not in (0, 1):
         raise ParseError(f"{path}:{lno}: hidden bit {b} is not a bit")
     stream: list = []
@@ -363,6 +360,14 @@ def write_instance(obj, path: str | os.PathLike) -> None:
 # -- instance generators -----------------------------------------------------------
 
 
+def _alpha(value) -> Fraction:
+    """A matching density, exact. A string with an exponent is refused:
+    Fraction would expand it into an integer of that many digits."""
+    if isinstance(value, str) and "e" in value.lower():
+        raise InvalidParamsError(f"alpha {value[:20]!r} has an exponent")
+    return _snap.to_fraction(value)
+
+
 def generate_graph(kind: str, params: Mapping[str, Any], seed: int):
     """Seeded instance generator; returns ``(instance, sidecar)``.
 
@@ -372,10 +377,11 @@ def generate_graph(kind: str, params: Mapping[str, Any], seed: int):
     """
     params = dict(params)
     if kind == "gnp":
-        n, p = int(params.pop("n")), float(params.pop("p"))
+        n, p = int(params.pop("n")), _snap.to_fraction(params.pop("p"))
         _reject_extras(kind, params)
         if n < 1 or not 0 <= p <= 1:
-            raise InvalidParamsError(f"gnp needs n >= 1 and p in [0, 1], got {n}, {p}")
+            raise InvalidParamsError(f"gnp needs n >= 1 and p in [0, 1], got n={n}")
+        p = float(p)
         rng = np.random.default_rng(seed)
         pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
         edges = [e for e in pairs if rng.random() < p]
@@ -405,7 +411,7 @@ def generate_graph(kind: str, params: Mapping[str, Any], seed: int):
         return stream, {"kind": kind, "n": n, "triangles": t, "m": stream.m}
     if kind == "matching":
         n = int(params.pop("n"))
-        alpha = Fraction(params.pop("alpha"))
+        alpha = _alpha(params.pop("alpha"))
         b = params.pop("b", None)
         interleaving = params.pop("interleaving", "shuffle")
         _reject_extras(kind, params)
@@ -703,19 +709,22 @@ _RUNNERS = {
 # -- top-level dispatch --------------------------------------------------------------
 
 
+def seed_override(seed: int) -> int:
+    """``PAIRSKETCH_SEED`` from the environment when it is set, else ``seed``."""
+    env = os.environ.get(SEED_ENV)
+    try:
+        return seed if env is None else int(env)
+    except ValueError:
+        raise ConfigError(f"{SEED_ENV} must be an integer, got {env!r}") from None
+
+
 def run_experiment(config: ExperimentConfig) -> Report:
     """Run one seeded experiment and return (and optionally write) its report.
 
     ``PAIRSKETCH_SEED`` in the environment overrides the config master seed;
     the override is echoed in the report so the bytes stay reproducible.
     """
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        try:
-            config = dataclasses.replace(config, master_seed=int(env))
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV} must be an integer, got {env!r}") from None
-
+    config = dataclasses.replace(config, master_seed=seed_override(config.master_seed))
     instance = _load_instance(config)
     runner = _RUNNERS[config.algorithm]
     try:

@@ -68,7 +68,9 @@ class DirectedEdgeStream:
     def _tape(self) -> Tape:
         """Every heavy-edge run's per-edge update (see ``_edge_update``), compiled once."""
         universe = heavy_universe(self)
-        return Tape(universe, self.m, partial(_edge_update, self.edges, self.n, universe))
+        off = universe.block_offset("scratch")
+        members = range(off, off + 4 * self.m)
+        return Tape(universe, members, self.m, partial(_edge_update, self.edges, self.n, universe))
 
 
 @dataclass(frozen=True)
@@ -168,14 +170,12 @@ def run_single(
     if m == 0:
         return 0
     n, tape = stream.n, stream._tape
-    scratch_off = tape.universe.block_offset("scratch")
-    members = range(scratch_off, scratch_off + 4 * m)
-    handle = create(tape.universe, members, master_seed=seed, handle_id=handle_id)
+    handle = create(tape.universe, tape.members, master_seed=seed, handle_id=handle_id)
     for ell, (perm, (u, v)) in enumerate(zip(tape, stream.edges), start=1):
         handle.update(perm)
         out = handle.query_pair(_slot(n, u, 0, d_H), _slot(n, v, 1, d_T))
         if out is not QueryOutcome.BOT:
-            return (1 if out is QueryOutcome.PLUS else -1) * 2 * m
+            return out.sign * 2 * m
         if observer is not None:
             observer(ell, handle.debug_members())
     return 0
@@ -221,13 +221,8 @@ def terminal_law(stream: DirectedEdgeStream, d_H: int, d_T: int) -> Law:
     if m == 0:
         return Law({0: Fraction(1)})
     universe, script = build_script(stream, d_H, d_T)
-    scratch_off = universe.block_offset("scratch")
-
-    def output(_, outcome: QueryOutcome) -> int:
-        return 2 * m if outcome is QueryOutcome.PLUS else -2 * m
-
-    members = range(scratch_off, scratch_off + 4 * m)
-    return replay_law(universe, members, ((op, None) for op in script), output, 0)
+    tagged = ((op, None) for op in script)
+    return replay_law(universe, stream._tape.members, tagged, lambda _, o: o.sign * 2 * m, 0)
 
 
 def sample_outputs(

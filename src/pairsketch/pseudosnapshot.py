@@ -32,11 +32,12 @@ from .universe import Block, IntRange, Labels, UniverseSpec
 FAMILIES = ("A", "B", "C", "D")
 
 
-def _to_fraction(x) -> Fraction:
+def to_fraction(x) -> Fraction:
     """Exact rational from user input; floats go through their decimal repr."""
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
+    try:
+        return Fraction(str(x) if isinstance(x, float) else x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InvalidParamsError(f"{str(x)[:20]!r} is not a rational number") from None
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +62,16 @@ class DegreeGrid:
 
     @classmethod
     def from_eps(cls, n: int, eps) -> "DegreeGrid":
-        e = _to_fraction(eps)
+        e = to_fraction(eps)
         if n < 1:
             raise InvalidParamsError("n must be positive")
         # the powers of 1 + eps^3 below only grow past n when eps > 0
         if not (0 < e <= 1):
             raise InvalidParamsError("eps must be in (0, 1]")
+        if n * e**3 <= 1:
+            # below n each step raises the power by less than one, so the
+            # floors take every value in 1..n
+            return cls(eps=e, levels=tuple(range(1, n + 1)))
         step = 1 + e**3
         levels = []
         power = Fraction(1)
@@ -103,7 +108,7 @@ class HashOracles:
     def __post_init__(self):
         if self.kappa < 1:
             raise InvalidParamsError("kappa must be at least 1")
-        object.__setattr__(self, "eps", _to_fraction(self.eps))
+        object.__setattr__(self, "eps", to_fraction(self.eps))
 
     def f(self, d: int, edge_index: int) -> bool:
         data = f"f:{self.seed}:{d}:{edge_index}".encode()
@@ -131,9 +136,9 @@ class SnapshotParams:
     copies: int = 1000
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", _to_fraction(self.eps))
+        object.__setattr__(self, "eps", to_fraction(self.eps))
         object.__setattr__(
-            self, "thresholds", tuple(_to_fraction(t) for t in self.thresholds)
+            self, "thresholds", tuple(to_fraction(t) for t in self.thresholds)
         )
         if self.kappa < 1:
             raise InvalidParamsError("kappa must be at least 1")
@@ -516,49 +521,62 @@ def build_plan(
 
 
 # ---------------------------------------------------------------------------
-# the classical stage
+# the classical stage (one map from a run's end to its law key) and the runner
 # ---------------------------------------------------------------------------
 
 
-class _ClassicalStage:
-    """Maps a query hit (edge, i, j) to the estimate entry it selects.
+def _fire_key(stream, hashes, grid, params, big_m: int):
+    """``key(tag, outcome) -> (terminated_by, entry, value)`` for a fire.
 
-    After a hit the estimator watches the rest of the stream, so the
-    after-the-edge degree counts are exact; they come from the arrival table.
-    The before counts are read off the hit coordinates: a hit at (i, j) puts
-    the head at rounded degree d_a with i - 1 sampled out-edges, and the tail
-    at d_b with j - 1.
+    A cleanup (tag None) zeroes the run. A hit at tag (edge, x, i, j) selects
+    an estimate entry: after a hit the estimator watches the rest of the
+    stream, so the after-the-edge degree counts are exact; they come from the
+    arrival table. The before counts are read off the hit coordinates: a hit
+    at (i, j) puts the head at rounded degree d_a with i - 1 sampled
+    out-edges, and the tail at d_b with j - 1.
     """
+    d_a, _, d_b, _ = params.validate_with(grid, hashes)
+    arrivals = _Arrivals(stream)
+    half = big_m // 2
 
-    def __init__(self, stream, hashes, grid, params):
-        self.d_a, _, self.d_b, _ = params.validate_with(grid, hashes)
-        self.params = params
-        self.hashes = hashes
-        self.stream = stream
-        self.arrivals = _Arrivals(stream)
+    @cache
+    def entry(edge_index: int, i: int, j: int) -> tuple[int, int] | None:
+        u, v = stream.edges[edge_index - 1]
+        _, bu = _pseudobias(hashes, u, d_a, i - 1, *arrivals.after(edge_index, u))
+        _, bv = _pseudobias(hashes, v, d_b, j - 1, *arrivals.after(edge_index, v))
+        iu, iv = params.bin_of(bu), params.bin_of(bv)
+        return None if iu is None or iv is None else (iu, iv)
 
-    def entry(self, edge_index: int, i: int, j: int) -> tuple[int, int] | None:
-        u, v = self.stream.edges[edge_index - 1]
-        _, bu = _pseudobias(self.hashes, u, self.d_a, i - 1, *self.arrivals.after(edge_index, u))
-        _, bv = _pseudobias(self.hashes, v, self.d_b, j - 1, *self.arrivals.after(edge_index, v))
-        iu = self.params.bin_of(bu)
-        iv = self.params.bin_of(bv)
-        if iu is None or iv is None:
-            return None
-        return (iu, iv)
+    def key(tag, outcome: QueryOutcome):
+        if tag is None:
+            return ("Cleanup", None, 0)
+        edge_index, x, i, j = tag
+        cell = entry(edge_index, i, j)
+        # an out-of-class hit still terminates, but its output is the zero
+        # matrix, so the key is what a run can actually show
+        value = 0 if cell is None else outcome.sign * (half if x in (1, 4) else -half)
+        return (outcome.value, cell, value)
+
+    return key
 
 
-# ---------------------------------------------------------------------------
-# estimate container and the runner
-# ---------------------------------------------------------------------------
+def _end_key(plan: ScriptPlan):
+    """The key of a pass no query ends: a blown hash budget leaves the plan
+    without edges, exhausted scratch cuts it short, else the stream ends."""
+    if not plan.hash_budget_ok:
+        return ("HashBudget", None, 0)
+    return ("Capacity" if plan.capacity_edge is not None else "StreamEnd", None, 0)
+
+
+_FLAGS = {"HashBudget": ("hash_budget_exceeded",), "Capacity": ("capacity_exceeded",)}
 
 
 @dataclass(frozen=True)
 class PseudosnapshotEstimate:
     entries: tuple[tuple[int, ...], ...]
     terminated_by: str
-    flags: tuple[str, ...] = ()
-    fired: tuple[int, int, int, int, int] | None = None  # edge, x, i, j, sign
+    flags: tuple[str, ...]
+    key: tuple[str, tuple[int, int] | None, int]  # the run's atom in terminal_law
 
     def __post_init__(self):
         nonzero = sum(1 for row in self.entries for val in row if val)
@@ -569,9 +587,14 @@ class PseudosnapshotEstimate:
         return np.array(self.entries, dtype=float)
 
 
-def _zero_estimate(ell: int, reason: str, flags: tuple[str, ...] = ()):
-    zeros = tuple(tuple(0 for _ in range(ell)) for _ in range(ell))
-    return PseudosnapshotEstimate(entries=zeros, terminated_by=reason, flags=flags)
+def _estimate(ell: int, key) -> PseudosnapshotEstimate:
+    """The estimate a run shows when it ends at law key ``key``."""
+    terminated_by, cell, value = key
+    rows = [[0] * ell for _ in range(ell)]
+    if cell is not None:
+        rows[cell[0]][cell[1]] = value
+    flags = _FLAGS.get(terminated_by, ())
+    return PseudosnapshotEstimate(tuple(map(tuple, rows)), terminated_by, flags, key)
 
 
 def run_single(
@@ -593,50 +616,29 @@ def run_single(
     """
     ell = params.ell
     if stream.m == 0:
-        return _zero_estimate(ell, "StreamEnd")
+        return _estimate(ell, ("StreamEnd", None, 0))
     if plan is None:
         plan = build_plan(stream, hashes, grid, params)
-    if not plan.hash_budget_ok:
-        return _zero_estimate(ell, "HashBudget", ("hash_budget_exceeded",))
-    handle = create(
-        plan.universe,
-        plan.initial_members(),
-        master_seed=seed,
-        handle_id=handle_id,
-    )
-    half = plan.big_m // 2
+
+    def fired(tag, outcome: QueryOutcome) -> PseudosnapshotEstimate:
+        return _estimate(ell, _fire_key(stream, hashes, grid, params, plan.big_m)(tag, outcome))
+
+    members = plan.initial_members()
+    handle = create(plan.universe, members, master_seed=seed, handle_id=handle_id)
     for eplan in plan.edge_plans:
         for up in eplan.updates:
             handle.update(up.perm)
-        hit = None
-        for op, (x, i, j) in eplan.queries:
+        for op, coords in eplan.queries:
             outcome = handle.query_pair(op.x, op.y)
             if outcome is not QueryOutcome.BOT:
-                sign = 1 if outcome is QueryOutcome.PLUS else -1
-                hit = (eplan.edge_index, x, i, j, sign)
-                break
-        if hit is not None:
-            stage = _ClassicalStage(stream, hashes, grid, params)
-            edge_index, x, i, j, sign = hit
-            entry = stage.entry(edge_index, i, j)
-            value = sign * half if x in (1, 4) else -sign * half
-            rows = [[0] * ell for _ in range(ell)]
-            if entry is not None:
-                rows[entry[0]][entry[1]] = value
-            return PseudosnapshotEstimate(
-                entries=tuple(tuple(row) for row in rows),
-                terminated_by="Plus" if sign > 0 else "Minus",
-                fired=hit,
-            )
+                return fired((eplan.edge_index, *coords), outcome)
         for op in eplan.cleanups:
             outcome = handle.query_one(op.x)
             if outcome is not QueryOutcome.BOT:
-                return _zero_estimate(ell, "Cleanup")
+                return fired(None, outcome)
         if observer is not None:
             observer(eplan.edge_index, handle.debug_members())
-    if plan.capacity_edge is not None:
-        return _zero_estimate(ell, "Capacity", ("capacity_exceeded",))
-    return _zero_estimate(ell, "StreamEnd")
+    return _estimate(ell, _end_key(plan))
 
 
 # ---------------------------------------------------------------------------
@@ -696,30 +698,14 @@ def terminal_law(
         return SnapshotLaw(ell, 0, Law({("StreamEnd", None, 0): Fraction(1)}))
     if plan is None:
         plan = build_plan(stream, hashes, grid, params)
-    if not plan.hash_budget_ok:
-        return SnapshotLaw(ell, plan.big_m, Law({("HashBudget", None, 0): Fraction(1)}))
     # each query tagged with its hit coordinates, or None for a cleanup
     tagged: list = []
     for eplan in plan.edge_plans:
         tagged += ((up, None) for up in eplan.updates)
         tagged += ((op, (eplan.edge_index, *coords)) for op, coords in eplan.queries)
         tagged += ((op, None) for op in eplan.cleanups)
-    half = plan.big_m // 2
-    entry_of = cache(_ClassicalStage(stream, hashes, grid, params).entry)
-
-    def key(tag, outcome: QueryOutcome):
-        if tag is None:
-            return ("Cleanup", None, 0)
-        edge_index, x, i, j = tag
-        entry = entry_of(edge_index, i, j)
-        sgn_x = 1 if x in (1, 4) else -1
-        # an out-of-class hit still terminates, but its output is the zero
-        # matrix, so the law keys it by what a run can actually show
-        plus_val = sgn_x * half if entry is not None else 0
-        return (outcome.value, entry, plus_val if outcome is QueryOutcome.PLUS else -plus_val)
-
-    end = ("Capacity" if plan.capacity_edge is not None else "StreamEnd", None, 0)
-    atoms = replay_law(plan.universe, plan.initial_members(), tagged, key, end).atoms
+    key = _fire_key(stream, hashes, grid, params, plan.big_m)
+    atoms = replay_law(plan.universe, plan.initial_members(), tagged, key, _end_key(plan)).atoms
     return SnapshotLaw(ell, plan.big_m, Law(dict(sorted(atoms.items(), key=lambda a: repr(a[0])))))
 
 
@@ -789,6 +775,13 @@ def lemma_expectation(
 # ---------------------------------------------------------------------------
 
 
+def _copies(params: SnapshotParams, copies: int | None) -> int:
+    copies = params.copies if copies is None else copies
+    if copies < 1:
+        raise InvalidParamsError(f"copies must be >= 1, got {copies}")
+    return copies
+
+
 def estimate(
     stream: DirectedEdgeStream,
     hashes: HashOracles,
@@ -799,11 +792,9 @@ def estimate(
     copies: int | None = None,
 ) -> np.ndarray:
     """Entrywise mean of independent single runs."""
-    ell = params.ell
+    ell, copies = params.ell, _copies(params, copies)
     if stream.m == 0:
         return np.zeros((ell, ell))
-    if copies is None:
-        copies = params.copies
     plan = build_plan(stream, hashes, grid, params)
     total = np.zeros((ell, ell))
     for c in range(copies):
@@ -824,9 +815,7 @@ def estimate_sampled(
     copies: int | None = None,
 ) -> np.ndarray:
     """Same distribution as `estimate`, drawn from the exact terminal law."""
-    ell = params.ell
-    if copies is None:
-        copies = params.copies
+    ell, copies = params.ell, _copies(params, copies)
     law = terminal_law(stream, hashes, grid, params)
     rows, cols, vals = law.sample(master_seed, copies)
     total = np.zeros((ell, ell))

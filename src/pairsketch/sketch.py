@@ -58,6 +58,11 @@ class QueryOutcome(enum.Enum):
     def fires(self) -> bool:
         return self is not QueryOutcome.BOT
 
+    @property
+    def sign(self) -> int:
+        """+1 for Plus, -1 for Minus, 0 otherwise."""
+        return 1 if self is QueryOutcome.PLUS else -1 if self is QueryOutcome.MINUS else 0
+
 
 #: The query law. (pair query?, present endpoint count) -> (scale, atoms): with
 #: |T| members before the query, each atom (outcome, weight) fires with

@@ -13,12 +13,19 @@ from .universe import UniverseSpec
 
 
 class Tape:
-    """Ops over ``universe`` of ``count`` stream items; ``compile_item(k)`` gives item k's."""
+    """Ops over ``universe`` of ``count`` stream items; ``compile_item(k)`` gives item k's.
+    Every run of them, live or replayed, starts from ``members``."""
 
-    __slots__ = ("universe", "_compile", "_items")
+    __slots__ = ("universe", "members", "_compile", "_items")
 
-    def __init__(self, universe: UniverseSpec, count: int, compile_item: Callable[[int], tuple]):
-        self.universe, self._compile = universe, compile_item
+    def __init__(
+        self,
+        universe: UniverseSpec,
+        members: range,
+        count: int,
+        compile_item: Callable[[int], tuple],
+    ):
+        self.universe, self.members, self._compile = universe, members, compile_item
         self._items: list[tuple | None] = [None] * count
 
     def __iter__(self) -> Iterator:

@@ -66,7 +66,9 @@ class EdgeStream:
     def _tape(self) -> Tape:
         """Every triangle run's per-edge swap (see ``_edge_swap``), compiled once."""
         universe = triangle_universe(self)
-        return Tape(universe, self.m, partial(_edge_swap, self.edges, self.n, universe))
+        off = universe.block_offset("scratch")
+        members = range(off, off + 2 * self.m)
+        return Tape(universe, members, self.m, partial(_edge_swap, self.edges, self.n, universe))
 
 
 @dataclass(frozen=True)
@@ -188,9 +190,7 @@ def run_single(
     if m == 0:
         return 0
     n, tape = stream.n, stream._tape
-    scratch_off = tape.universe.block_offset("scratch")
-    members = range(scratch_off, scratch_off + 2 * m)
-    handle = create(tape.universe, members, master_seed=seed, handle_id=handle_id)
+    handle = create(tape.universe, tape.members, master_seed=seed, handle_id=handle_id)
     g = _g_rng(seed, handle_id)
     swaps = iter(tape)  # an edge's swap is compiled only once its queries miss
     for ell, (u, v) in enumerate(stream.edges, start=1):
@@ -199,33 +199,18 @@ def run_single(
             for w in range(1, n + 1):
                 out = handle.query_pair(_pair_id(n, w, u), _pair_id(n, w, v))
                 if out is not QueryOutcome.BOT:
-                    return (1 if out is QueryOutcome.PLUS else -1) * k * m
+                    return out.sign * k * m
         handle.update(next(swaps))
         if observer is not None:
             observer(ell, handle.debug_members())
     return 0
 
 
-def estimate(
-    stream: EdgeStream,
-    params: TriangleParams,
-    *,
-    master_seed: int = 0,
-    runner: Callable[[int], float] | None = None,
-) -> float:
+def estimate(stream: EdgeStream, params: TriangleParams, *, master_seed: int = 0) -> float:
     """Median of group means of independent run_single copies."""
     copies, groups = _repetitions(stream, params)
-    if stream.m == 0:
-        return 0.0
-    if runner is None:
-        def runner(i: int) -> float:
-            return float(run_single(stream, params.k, master_seed, handle_id=i))
-
-    means = []
-    for j in range(groups):
-        vals = np.array([runner(j * copies + i) for i in range(copies)])
-        means.append(float(np.mean(vals)))
-    return float(np.median(means))
+    runs = [run_single(stream, params.k, master_seed, handle_id=h) for h in range(copies * groups)]
+    return float(np.median(np.reshape(runs, (groups, copies)).mean(axis=1)))
 
 
 def estimate_sampled(
@@ -293,7 +278,7 @@ def terminal_law(stream: EdgeStream, k: int) -> Law:
     atoms = {k * m: Fraction(0), -k * m: Fraction(0)}
     for present, count in expected.items():
         for outcome, p in fire_probs(True, present, 2 * m):
-            atoms[k * m if outcome is QueryOutcome.PLUS else -k * m] += count * p / k
+            atoms[outcome.sign * k * m] += count * p / k
     atoms[0] = 1 - sum(atoms.values())
     return Law({x: p for x, p in atoms.items() if p})
 

@@ -471,6 +471,33 @@ def test_cli_reports_failure_exit_code(capsys):
     assert "FAIL every_subset_exercised" in captured
 
 
+@pytest.mark.parametrize(
+    "argv, seed_env",
+    [
+        (["snapshot", "--eps", "abc", "--thresholds=-1,0"], None),
+        (["snapshot", "--eps", "1/2", "--thresholds=-1,zz"], None),
+        (["bhm", "--alpha", "x"], None),
+        (["bhm", "--alpha", "1e100000"], None),
+        (["gen", "--kind", "gnp", "--p", "x"], None),
+        (["gen", "--kind", "matching", "--alpha", "x"], None),
+        (["gen", "--kind", "gnp", "--p", "1/2"], "abc"),
+    ],
+    ids=["eps", "thresholds", "bhm-alpha", "bhm-alpha-exponent", "gen-p", "gen-alpha", "seed-env"],
+)
+def test_cli_rejects_bad_numbers_and_exits_2(argv, seed_env, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("PAIRSKETCH_SEED", raising=False)
+    if seed_env is not None:
+        monkeypatch.setenv("PAIRSKETCH_SEED", seed_env)
+    if argv[0] == "snapshot":
+        path = tmp_path / "d.txt"
+        write_instance(DirectedEdgeStream(3, ((1, 2), (2, 3))), path)
+        argv = argv + ["--stream", str(path), "--kappa", "1", "--alpha", "0", "--beta", "0"]
+    elif argv[0] == "gen":
+        argv = argv + ["--n", "8", "--out", str(tmp_path / "g.txt")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_rejects_bad_input(tmp_path, capsys):
     from pairsketch.cli import main
 

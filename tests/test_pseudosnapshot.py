@@ -1,8 +1,10 @@
 """Degree-class snapshot estimator: oracles, mechanics, and the exact law."""
 
+import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from pairsketch.pseudosnapshot import (
     _Arrivals,
     _Plan,
     build_plan,
+    estimate,
     estimate_sampled,
     lemma_expectation,
     pseudobias_exact,
@@ -90,6 +93,29 @@ def test_grid_matches_integer_power_floors():
             dedup.append(d)
     assert grid.levels == tuple(dedup)
     assert grid.levels == (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)
+
+
+def _stepped_levels(n, eps):
+    """The grid by stepping through the powers of 1 + eps^3 one at a time."""
+    floors, power = [], Fraction(1)
+    while power < n:
+        floors.append(math.floor(power))
+        power *= 1 + eps**3
+    return tuple(sorted(set(floors + [n])))
+
+
+@pytest.mark.parametrize("eps", ["1", "1/2", "2/5", "1/3", "1/4", "1/5"])
+def test_grid_equals_the_stepped_powers(eps):
+    # n * eps^3 <= 1 takes the every-degree shortcut; larger n steps
+    for n in range(1, 31):
+        assert DegreeGrid.from_eps(n, eps).levels == _stepped_levels(n, Fraction(eps)), n
+
+
+def test_grid_for_tiny_eps_lists_every_degree_without_stepping():
+    start = time.perf_counter()
+    grid = DegreeGrid.from_eps(1000, "1/50")
+    assert time.perf_counter() - start < 0.1
+    assert grid.levels == tuple(range(1, 1001))
 
 
 @given(n=st.integers(2, 60), eps_num=st.integers(1, 4))
@@ -469,7 +495,7 @@ def test_query_edge_hit_rate_matches_quantum_backend():
 # -- run_single ------------------------------------------------------------
 
 
-def test_run_single_deterministic_and_bounded(fix_plan):
+def test_run_single_deterministic_and_bounded(fix_plan, fix_law):
     a = run_single(FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS, 5, plan=fix_plan)
     b = run_single(FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS, 5, plan=fix_plan)
     assert a == b
@@ -482,6 +508,7 @@ def test_run_single_deterministic_and_bounded(fix_plan):
         assert all(v in (0, half, -half) for v in flat)
         if est.terminated_by in {"Cleanup", "StreamEnd"}:
             assert not any(flat)
+        assert est.key in fix_law.atoms
 
 
 def test_run_single_empty_stream():
@@ -504,6 +531,7 @@ def test_capacity_exhaustion_flags_run_and_law():
     assert est.flags == ("capacity_exceeded",)
     law = terminal_law(MINI_STREAM, MINI_HASHES, MINI_GRID, params, plan=plan)
     assert law.atoms == {("Capacity", None, 0): Fraction(1)}
+    assert est.key in law.atoms
 
 
 def test_hash_budget_flag_path(fix_plan):
@@ -519,6 +547,9 @@ def test_hash_budget_flag_path(fix_plan):
     est = run_single(FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS, 0, plan=starved)
     assert est.terminated_by == "HashBudget"
     assert est.flags == ("hash_budget_exceeded",)
+    law = terminal_law(FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS, plan=starved)
+    assert law.atoms == {("HashBudget", None, 0): Fraction(1)}
+    assert est.key in law.atoms
     # with kappa >= 1 the realized budget can never actually blow: each edge
     # contributes at most two fires against an allowance of 2*kappa per edge
     assert fix_plan.hash_budget_ok
@@ -635,17 +666,7 @@ def test_run_single_frequencies_match_law():
     trials = 1500
     counts: dict = {}
     for s in range(trials):
-        est = run_single(stream, hashes, grid, params, s, plan=plan)
-        if est.terminated_by in {"Plus", "Minus"}:
-            entry = None
-            value = 0
-            for a, row in enumerate(est.entries):
-                for b, val in enumerate(row):
-                    if val:
-                        entry, value = (a, b), val
-            key = (est.terminated_by, entry, value)
-        else:
-            key = (est.terminated_by, None, 0)
+        key = run_single(stream, hashes, grid, params, s, plan=plan).key
         counts[key] = counts.get(key, 0) + 1
     assert set(counts) <= set(law.atoms)
     for key, p in law.atoms.items():
@@ -671,6 +692,14 @@ def test_sampler_matches_law_expectation(fix_law):
             assert abs(mean[a][b] - ex) <= 4.5 * sigma
             # loose variance sanity: one run never exceeds (M/2)^2
             assert second <= (fix_law.big_m / 2) ** 2
+
+
+@pytest.mark.parametrize("stream", [MINI_STREAM, DirectedEdgeStream(3, ())])
+@pytest.mark.parametrize("copies", [0, -1])
+def test_estimates_need_at_least_one_copy(stream, copies):
+    for fn in (estimate, estimate_sampled):
+        with pytest.raises(InvalidParamsError, match=f"copies must be >= 1, got {copies}"):
+            fn(stream, MINI_HASHES, MINI_GRID, MINI_PARAMS, copies=copies)
 
 
 def test_estimate_sampled_shape_and_scale(fix_plan):

@@ -110,3 +110,19 @@ def test_live_runs_read_their_instance_tape():
             if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))
         ]
         assert [c for c in called if c.endswith("_universe")] == [], name
+
+
+def test_each_fire_rule_is_written_once():
+    # a live run returns through the same fire -> key map its exact law is
+    # built from, so neither names Plus or Minus itself
+    for name in ("bhm.py", "heavy_edges.py", "triangle.py", "pseudosnapshot.py"):
+        funcs = [
+            node
+            for node in _tree(name).body
+            if isinstance(node, ast.FunctionDef)
+            and node.name in ("run_single", "terminal_law", "terminal_slabs")
+        ]
+        assert len(funcs) == 2, name
+        for func in funcs:
+            attrs = {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)}
+            assert not attrs & {"PLUS", "MINUS"}, (name, func.name)
