@@ -20,6 +20,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -377,7 +378,7 @@ def generate_graph(kind: str, params: Mapping[str, Any], seed: int):
     """
     params = dict(params)
     if kind == "gnp":
-        n, p = int(params.pop("n")), _snap.to_fraction(params.pop("p"))
+        n, p = _int_param(kind, params, "n"), _snap.to_fraction(params.pop("p"))
         _reject_extras(kind, params)
         if n < 1 or not 0 <= p <= 1:
             raise InvalidParamsError(f"gnp needs n >= 1 and p in [0, 1], got n={n}")
@@ -389,14 +390,14 @@ def generate_graph(kind: str, params: Mapping[str, Any], seed: int):
         stream = EdgeStream(n, tuple(edges[i] for i in order))
         return stream, {"kind": kind, "n": n, "p": p, "m": stream.m}
     if kind == "star":
-        n = int(params.pop("n"))
+        n = _int_param(kind, params, "n")
         _reject_extras(kind, params)
         if n < 2:
             raise InvalidParamsError(f"star needs n >= 2, got {n}")
         stream = DirectedEdgeStream(n, tuple((n, v) for v in range(1, n)))
         return stream, {"kind": kind, "n": n, "center": n, "m": stream.m}
     if kind == "planted-triangles":
-        n, t = int(params.pop("n")), int(params.pop("t"))
+        n, t = _int_param(kind, params, "n"), _int_param(kind, params, "t")
         _reject_extras(kind, params)
         if t < 0 or 3 * t > n:
             raise InvalidParamsError(f"planted-triangles needs 0 <= 3t <= n, got n={n}, t={t}")
@@ -410,16 +411,38 @@ def generate_graph(kind: str, params: Mapping[str, Any], seed: int):
         stream = EdgeStream(n, tuple(edges[i] for i in order))
         return stream, {"kind": kind, "n": n, "triangles": t, "m": stream.m}
     if kind == "matching":
-        n = int(params.pop("n"))
+        n = _int_param(kind, params, "n")
         alpha = _alpha(params.pop("alpha"))
-        b = params.pop("b", None)
+        b = _int_param(kind, params, "b", None)
         interleaving = params.pop("interleaving", "shuffle")
         _reject_extras(kind, params)
         if b is None:
             b = int(np.random.default_rng(seed).integers(0, 2))
-        inst = _bhm.generate_instance(n, alpha, int(b), seed, interleaving)
+        inst = _bhm.generate_instance(n, alpha, b, seed, interleaving)
         return inst, {"kind": kind, "n": n, "alpha": str(alpha), "b": inst.b, "m": inst.m}
     raise ConfigError(f"unknown generator kind {kind!r}; know {GENERATOR_KINDS}")
+
+
+_MISSING = object()
+
+
+def _int_param(kind: str, params: dict, field: str, default: Any = _MISSING) -> Any:
+    """Pop integer ``field`` from a ``kind`` generator spec; ``default`` when absent.
+
+    Raises ``ConfigError`` naming the kind and field for a missing value, a
+    bool, a string or any other non-integral value; an integral float is
+    taken as its integer.
+    """
+    value = params.pop(field, default)
+    if value is _MISSING:
+        raise ConfigError(f"{kind} generator needs an integer {field!r}")
+    if value is default:
+        return value
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ConfigError(f"{kind} generator {field!r} must be an integer, got {value!r:.40}")
+    return int(value)
 
 
 def _reject_extras(kind: str, leftovers: dict) -> None:
@@ -438,8 +461,8 @@ def _load_instance(config: ExperimentConfig):
         kind = spec.pop("kind", None)
         if kind is None:
             raise ConfigError("generator spec needs a 'kind' entry")
-        gen_seed = spec.pop("seed", config.master_seed)
-        obj, _ = generate_graph(kind, spec, int(gen_seed))
+        gen_seed = _int_param(kind, spec, "seed", config.master_seed)
+        obj, _ = generate_graph(kind, spec, gen_seed)
     expected = {
         "bhm": BhmInstance,
         "triangle": EdgeStream,

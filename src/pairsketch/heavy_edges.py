@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidParamsError, ValidationError
-from .permutation import CyclicShift, PermutationSpec, SwapStage
+from .permutation import CyclicShift, Frame, FrameReader, PermutationSpec, SwapStage, frame_id
 from .sketch import Law, QueryOutcome, QueryPair, ScriptOp, Update, create, replay_law
 from .tape import Tape
 from .universe import Block, IntRange, Labels, UniverseSpec
@@ -66,11 +66,12 @@ class DirectedEdgeStream:
 
     @cached_property
     def _tape(self) -> Tape:
-        """Every heavy-edge run's per-edge update (see ``_edge_update``), compiled once."""
+        """Every heavy-edge run's per-edge update, framed (see ``_framed_update``), compiled once."""
         universe = heavy_universe(self)
         off = universe.block_offset("scratch")
         members = range(off, off + 4 * self.m)
-        return Tape(universe, members, self.m, partial(_edge_update, self.edges, self.n, universe))
+        frame = Frame(universe)
+        return Tape(universe, members, self.m, partial(_framed_update, self.edges, self.n, frame))
 
 
 @dataclass(frozen=True)
@@ -129,26 +130,50 @@ def _slot(n: int, w: int, label: int, pos: int) -> int:
     return (w - 1) * 4 * n + label * 2 * n + pos
 
 
-def _edge_update(edges, n: int, universe: UniverseSpec, k: int) -> tuple[PermutationSpec]:
+def _edge_stages(edges, n: int, universe: UniverseSpec, k: int) -> tuple[SwapStage, CyclicShift]:
     """Edge k's update: four fresh scratch ids swap into position 0 of the H and
     T stacks of both endpoints, then both endpoints' stacks shift up by one."""
     u, v = edges[k]
     fresh = universe.block_offset("scratch") + 4 * k
     slots = (_slot(n, u, 0, 0), _slot(n, u, 1, 0), _slot(n, v, 0, 0), _slot(n, v, 1, 0))
     swap = SwapStage(tuple(zip(range(fresh, fresh + 4), slots)))
-    shift = CyclicShift("stack", 1, (frozenset({u, v}), None))
-    return (PermutationSpec(universe, (swap, shift)),)
+    return swap, CyclicShift("stack", 1, (frozenset({u, v}), None))
+
+
+def _framed_update(edges, n: int, frame: Frame, k: int) -> tuple[tuple[PermutationSpec, dict]]:
+    """Edge k's update in the instance's frame: its framed swap, and the rotation
+    its shift leaves on each of the endpoints' four stack lines. The tape
+    compiles edges in order, so ``frame`` holds the shifts of edges 0..k-1."""
+    swaps, turned = frame.fold(_edge_stages(edges, n, frame.universe, k))
+    return ((PermutationSpec(frame.universe, swaps), turned),)
+
+
+def _framed_edges(stream: DirectedEdgeStream, d_H: int, d_T: int):
+    """(framed update, framed query endpoints, rotations set) per edge of a pass.
+
+    The probed slots (u, H, d_H) and (v, T, d_T) are framed at run time
+    through their lines' rotations, so one tape serves every threshold pair.
+    """
+    n, mod = stream.n, 2 * stream.n
+    for (perm, turned), (u, v) in zip(stream._tape, stream.edges):
+        head, tail = _slot(n, u, 0, 0), _slot(n, v, 1, 0)
+        x = frame_id(head + d_H, head, turned[head], mod)
+        yield perm, x, frame_id(tail + d_T, tail, turned[tail], mod), turned
 
 
 def build_script(
     stream: DirectedEdgeStream, d_H: int, d_T: int
 ) -> tuple[UniverseSpec, list[ScriptOp]]:
-    """The exact op sequence run_single performs (one update + query per edge)."""
-    n, tape = stream.n, stream._tape
+    """The literal op sequence of a pass, shifts included: per edge one update
+    and one pair query. ``run_single`` and ``terminal_law`` apply the same
+    sequence with its shifts folded into the swaps and queries (see
+    ``permutation.Frame``); this is the reference they must agree with."""
+    n, universe = stream.n, stream._tape.universe
     script: list[ScriptOp] = []
-    for perm, (u, v) in zip(tape, stream.edges):
+    for k, (u, v) in enumerate(stream.edges):
+        perm = PermutationSpec(universe, _edge_stages(stream.edges, n, universe, k))
         script += (Update(perm), QueryPair(_slot(n, u, 0, d_H), _slot(n, v, 1, d_T)))
-    return tape.universe, script
+    return universe, script
 
 
 def run_single(
@@ -163,21 +188,25 @@ def run_single(
     """One estimator pass; returns +-2m on a hit, else 0.
 
     ``observer`` (test hook) receives (edge index, member ids) after each
-    edge's update and query while the sketch is alive.
+    edge's update and query while the sketch is alive; the ids are the
+    literal ones, unframed.
     """
     _check_thresholds(stream, d_H, d_T)
     m = stream.m
     if m == 0:
         return 0
-    n, tape = stream.n, stream._tape
+    tape = stream._tape
+    reader = FrameReader(tape.universe, tape.members) if observer is not None else None
     handle = create(tape.universe, tape.members, master_seed=seed, handle_id=handle_id)
-    for ell, (perm, (u, v)) in enumerate(zip(tape, stream.edges), start=1):
+    for ell, (perm, x, y, turned) in enumerate(_framed_edges(stream, d_H, d_T), start=1):
         handle.update(perm)
-        out = handle.query_pair(_slot(n, u, 0, d_H), _slot(n, v, 1, d_T))
+        out = handle.query_pair(x, y)
         if out is not QueryOutcome.BOT:
             return out.sign * 2 * m
         if observer is not None:
-            observer(ell, handle.debug_members())
+            named = (*perm.swapped, x, y)
+            reader.turn(turned.items())
+            observer(ell, reader.read(named, handle.debug_members(among=named)))
     return 0
 
 
@@ -207,7 +236,7 @@ def estimate(
 
 
 def terminal_law(stream: DirectedEdgeStream, d_H: int, d_T: int) -> Law:
-    """Exact output law, derived by replaying the real op sequence noiselessly.
+    """Exact output law, derived by replaying the run's framed op sequence noiselessly.
 
     The trajectory is fully deterministic, so each query's unconditional fire
     probability depends only on the initial size 4m and its presence pattern;
@@ -220,9 +249,13 @@ def terminal_law(stream: DirectedEdgeStream, d_H: int, d_T: int) -> Law:
     m = stream.m
     if m == 0:
         return Law({0: Fraction(1)})
-    universe, script = build_script(stream, d_H, d_T)
-    tagged = ((op, None) for op in script)
-    return replay_law(universe, stream._tape.members, tagged, lambda _, o: o.sign * 2 * m, 0)
+    tape = stream._tape
+    tagged = (
+        (op, None)
+        for perm, x, y, _ in _framed_edges(stream, d_H, d_T)
+        for op in (Update(perm), QueryPair(x, y))
+    )
+    return replay_law(tape.universe, tape.members, tagged, lambda _, o: o.sign * 2 * m, 0)
 
 
 def sample_outputs(

@@ -9,10 +9,11 @@ expectations here are conditional on the hash draw and exactly computable.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from hashlib import blake2b
 from typing import Callable
 
@@ -25,7 +26,7 @@ from .errors import (
     InvariantError,
 )
 from .heavy_edges import DirectedEdgeStream
-from .permutation import CyclicShift, PermutationSpec, SwapStage
+from .permutation import CyclicShift, Frame, FrameReader, PermutationSpec, Stage, SwapStage
 from .sketch import Law, QueryOne, QueryOutcome, QueryPair, Update, create, replay_law
 from .universe import Block, IntRange, Labels, UniverseSpec
 
@@ -72,24 +73,46 @@ class DegreeGrid:
             # below n each step raises the power by less than one, so the
             # floors take every value in 1..n
             return cls(eps=e, levels=tuple(range(1, n + 1)))
-        step = 1 + e**3
-        levels = []
-        power = Fraction(1)
-        while power < n:
-            levels.append(int(power.numerator // power.denominator))
-            power *= step
-        levels.append(n)
-        out = []
-        for d in levels:
-            if not out or d > out[-1]:
-                out.append(d)
-        return cls(eps=e, levels=tuple(out))
+        return cls(eps=e, levels=_power_floors(n, e**3))
 
     def index_for_degree(self, d: int) -> int:
         """Largest grid index whose value does not exceed d."""
         if d < 1:
             raise InvalidParamsError("degree must be at least 1")
         return bisect_right(self.levels, d) - 1
+
+
+def _power_floors(n: int, c: Fraction) -> tuple[int, ...]:
+    """floor((1 + c)^k) for every k with (1 + c)^k < n, then n, without repeats.
+
+    The step from power k to k + 1 is (1 + c)^k * c. While it is below one
+    the floors take every value in turn, so they are listed as a range, up
+    to the k0 that logarithms place safely below where the step reaches one.
+    Each later floor is read off exp(k * log1p(c)) and settled exactly, from
+    integer powers, whenever that estimate lies within its error bound of an
+    integer.
+    """
+    num, den = (1 + c).numerator, (1 + c).denominator
+    log_p = math.log1p(float(c))
+
+    def floor_power(k: int) -> int:
+        x = k * log_p
+        if x < 700:  # exp stays finite, with relative error below (x + 2) * 2**-50
+            v = math.exp(x)
+            tol = v * (x + 2) * 2.0**-48
+            if tol < v - math.floor(v) < 1 - tol:
+                return math.floor(v)
+        return num**k // den**k
+
+    # steps before k0 stay below one: k0 - 1 < log(1 / c) / log(1 + c)
+    q = (math.log(c.denominator) - math.log(c.numerator)) / log_p
+    k = max(0, math.floor(q * (1 - 2.0**-40)) - 1)
+    levels = list(range(1, min(floor_power(k), n)))
+    while (d := floor_power(k)) < n:
+        if not levels or d > levels[-1]:
+            levels.append(d)
+        k += 1
+    return (*levels, n)
 
 
 @dataclass(frozen=True)
@@ -340,14 +363,33 @@ def snapshot_universe(n: int, m: int, params: SnapshotParams) -> UniverseSpec:
 
 @dataclass(frozen=True)
 class EdgePlan:
+    """One edge's sketch ops, in the plan's frame (see ``permutation.Frame``).
+
+    Every id is framed: the increments' shifts are folded into the ids of the
+    swaps, queries and cleanups after them, so ``updates`` hold swaps only.
+    ``rotations`` pairs each stack line the edge's shifts turned with its
+    cumulative rotation after the edge; reading members back needs them.
+    """
+
     edge_index: int
     updates: tuple[Update, ...]
     queries: tuple[tuple[QueryPair, tuple[int, int, int]], ...]
     cleanups: tuple[QueryOne, ...]
+    rotations: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def named(self) -> tuple[int, ...]:
+        """Every id the edge's ops name: the only ids whose membership they change."""
+        swapped = (eid for up in self.updates for eid in up.perm.swapped)
+        queried = (eid for op, _ in self.queries for eid in (op.x, op.y))
+        return (*swapped, *queried, *(op.x for op in self.cleanups))
 
 
 @dataclass(frozen=True)
 class ScriptPlan:
+    """The ops of every run on one hash draw: ``edge_plans`` in framed ids,
+    from ``initial_members()`` (scratch, which no shift moves)."""
+
     universe: UniverseSpec
     edge_plans: tuple[EdgePlan, ...]
     big_m: int
@@ -399,6 +441,10 @@ class _Plan:
     def inc_update(self, fam: str, w: int, r: int) -> Update:
         """One update: shift the whole (w, fam) stack up by r, then swap the
         next 2k^2*r scratch elements into the vacated bottom positions."""
+        return Update(PermutationSpec(self.universe, self.inc_stages(fam, w, r)))
+
+    def inc_stages(self, fam: str, w: int, r: int) -> tuple[CyclicShift, SwapStage]:
+        """The two stages of ``inc_update``, uncompiled."""
         need = self.copies * r
         if self.cursor + need > self.big_m:
             raise CapacityError(
@@ -417,23 +463,23 @@ class _Plan:
         self.tops[(w, fam)] += r
         if self.tops[(w, fam)] >= self.positions:
             raise InvariantError(f"stack ({w}, {fam}) grew past {self.positions} positions")
-        return Update(PermutationSpec(self.universe, (shift, SwapStage(tuple(pairs)))))
+        return shift, SwapStage(tuple(pairs))
 
-    def edge_updates(self, u: int, v: int, fa: bool, fb: bool) -> list[Update]:
-        ups = []
-        for w in (u, v):
-            for fam in FAMILIES:
-                ups.append(self.inc_update(fam, w, 1))
+    def edge_stages(self, u: int, v: int, fa: bool, fb: bool) -> list[Stage]:
+        """The stages of the edge's increments, in order."""
+        incs = [(fam, w, 1) for w in (u, v) for fam in FAMILIES]
         if fa:
-            ups.append(self.inc_update("A", u, self.d_a1))
-            ups.append(self.inc_update("B", u, self.d_a1))
+            incs += [("A", u, self.d_a1), ("B", u, self.d_a1)]
         if fb:
-            ups.append(self.inc_update("C", u, self.d_b1))
-            ups.append(self.inc_update("D", u, self.d_b1))
-        return ups
+            incs += [("C", u, self.d_b1), ("D", u, self.d_b1)]
+        return [stage for inc in incs for stage in self.inc_stages(*inc)]
 
     def edge_queries(self, u: int, v: int) -> list[tuple[QueryPair, tuple[int, int, int]]]:
-        """The 4k^2 pair queries, lexicographic in (i, j, x).
+        """The 4k^2 pair queries, lexicographic in (i, j, x)."""
+        return [(QueryPair(ex, ey), coords) for ex, ey, coords in self.query_slots(u, v)]
+
+    def query_slots(self, u: int, v: int) -> list[tuple[int, int, tuple[int, int, int]]]:
+        """(x id, y id, hit coordinates) of each of ``edge_queries``.
 
         Copy indices t and s pair the i-indexed and j-indexed halves
         injectively so every queried element is distinct.
@@ -457,7 +503,7 @@ class _Plan:
                 )
                 for x, ex, ey in quads:
                     seen.update((ex, ey))
-                    out.append((QueryPair(ex, ey), (x, i, j)))
+                    out.append((ex, ey, (x, i, j)))
         if len(seen) != 8 * k * k:
             raise InvariantError("the edge's pair queries must touch disjoint elements")
         return out
@@ -465,6 +511,10 @@ class _Plan:
     def edge_cleanups(self, u: int, v: int) -> list[QueryOne]:
         """Single queries wiping every threshold-aligned index, base included,
         from all copies of both endpoints' stacks, bounded by stack extents."""
+        return [QueryOne(x) for x in self.cleanup_slots(u, v)]
+
+    def cleanup_slots(self, u: int, v: int) -> list[int]:
+        """The ids ``edge_cleanups`` query, in order."""
         out = []
         for w in (u, v):
             for fam, base, step in (
@@ -477,7 +527,7 @@ class _Plan:
                 pos = base
                 while pos <= top:
                     for copy in range(1, self.copies + 1):
-                        out.append(QueryOne(self.slot(w, fam, copy, pos)))
+                        out.append(self.slot(w, fam, copy, pos))
                     pos += step
         return out
 
@@ -488,25 +538,32 @@ def build_plan(
     grid: DegreeGrid,
     params: SnapshotParams,
 ) -> ScriptPlan:
+    """Every run's ops on this hash draw, framed once (see ``EdgePlan``)."""
     plan = _Plan(stream, hashes, grid, params)
     fa = tuple(hashes.f(plan.d_a, k) for k in range(1, stream.m + 1))
     fb = tuple(hashes.f(plan.d_b, k) for k in range(1, stream.m + 1))
     budget_ok = sum(fa) + sum(fb) <= 2 * params.kappa * stream.m
     edge_plans = []
     capacity_edge = None
+    frame = Frame(plan.universe)
     if budget_ok:
         for k, (u, v) in enumerate(stream.edges, start=1):
             try:
-                updates = plan.edge_updates(u, v, fa[k - 1], fb[k - 1])
+                stages = plan.edge_stages(u, v, fa[k - 1], fb[k - 1])
             except CapacityError:
                 capacity_edge = k
                 break
+            swaps, turned = frame.fold(stages)
             edge_plans.append(
                 EdgePlan(
                     edge_index=k,
-                    updates=tuple(updates),
-                    queries=tuple(plan.edge_queries(u, v)),
-                    cleanups=tuple(plan.edge_cleanups(u, v)),
+                    updates=(Update(PermutationSpec(plan.universe, swaps)),),
+                    queries=tuple(
+                        (QueryPair(frame(ex), frame(ey)), coords)
+                        for ex, ey, coords in plan.query_slots(u, v)
+                    ),
+                    cleanups=tuple(QueryOne(frame(x)) for x in plan.cleanup_slots(u, v)),
+                    rotations=tuple(turned.items()),
                 )
             )
     return ScriptPlan(
@@ -613,6 +670,8 @@ def run_single(
     The handle's randomness comes from (seed, handle_id); the hash draw is
     fixed by `hashes`. An exhausted scratch pool or a blown hash budget
     flags the run and zeroes the estimate, as does a cleanup hit.
+    ``observer`` (test hook) receives (edge index, member ids) after each
+    edge while the sketch is alive; the ids are the literal ones, unframed.
     """
     ell = params.ell
     if stream.m == 0:
@@ -624,6 +683,7 @@ def run_single(
         return _estimate(ell, _fire_key(stream, hashes, grid, params, plan.big_m)(tag, outcome))
 
     members = plan.initial_members()
+    reader = FrameReader(plan.universe, members) if observer is not None else None
     handle = create(plan.universe, members, master_seed=seed, handle_id=handle_id)
     for eplan in plan.edge_plans:
         for up in eplan.updates:
@@ -637,7 +697,9 @@ def run_single(
             if outcome is not QueryOutcome.BOT:
                 return fired(None, outcome)
         if observer is not None:
-            observer(eplan.edge_index, handle.debug_members())
+            reader.turn(eplan.rotations)
+            held = handle.debug_members(among=eplan.named)
+            observer(eplan.edge_index, reader.read(eplan.named, held))
     return _estimate(ell, _end_key(plan))
 
 

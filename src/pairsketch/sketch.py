@@ -138,8 +138,10 @@ class _MemberStore:
     line (see ``pairsketch.universe``) to its stored ids. A shift only adds
     its amount to the pending rotation ``rot`` of each nonempty line it names;
     while line L of length ``mod`` has rotation r, member ``eid`` is stored
-    at ``L + (eid - L - r) % mod``, the id swaps and queries address.
-    ``settle`` rewrites each pending line once. Construction raises
+    at ``permutation.frame_id(eid, L, r, mod)``, the id swaps and queries
+    address. ``settle`` rewrites each pending line once. Runs whose op
+    sequence is fixed fold their shifts into their ops beforehand
+    (``permutation.Frame``), so their stores never bucket. Construction raises
     ``InvalidInitError`` on an empty, repeated or out-of-universe member set.
     """
 
@@ -311,10 +313,14 @@ class SketchHandle:
         self._require_alive()
         return len(self._store.ids)
 
-    def debug_members(self) -> set[int]:
-        """Current member ids. Diagnostic only; no production code path reads it."""
+    def debug_members(self, among: Iterable[int] | None = None) -> set[int]:
+        """Current member ids, or only those in ``among``. Diagnostic only; no
+        production code path reads it."""
         self._require_alive()
-        return self._store.snapshot()
+        if among is None:
+            return self._store.snapshot()
+        self._store.settle()
+        return self._store.ids.intersection(among)
 
     # -- operations -------------------------------------------------------
 

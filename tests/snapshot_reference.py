@@ -1,13 +1,62 @@
 """Reference models of the pseudosnapshot sketch, kept for the tests.
 
 ``SnapshotRun`` drives the plan's three primitive moves (increment, edge
-queries, cleanup) on a live handle one at a time, so tests can poke at them
-directly. ``StackMirror`` predicts the member set after each edge from
-per-stack position sets alone, without touching a sketch, and checks the
-closed-form interval shape of every stack.
+queries, cleanup) on a live handle one at a time, with literal ids and real
+shifts, so tests can poke at them directly; ``literal_pass`` drives a whole
+run with them and ``literal_tagged_ops`` lists the same ops for a replay.
+``StackMirror`` predicts the member set after each edge from per-stack
+position sets alone, without touching a sketch, and checks the closed-form
+interval shape of every stack.
 """
 from pairsketch import CapacityError, QueryOutcome, create
 from pairsketch.pseudosnapshot import FAMILIES, _Plan, snapshot_universe
+
+
+def _increments(plan, hashes, k, u, v):
+    """(family, vertex, r) of each increment edge k = (u, v) makes, in order."""
+    incs = [(fam, w, 1) for w in (u, v) for fam in FAMILIES]
+    if hashes.f(plan.d_a, k):
+        incs += [("A", u, plan.d_a1), ("B", u, plan.d_a1)]
+    if hashes.f(plan.d_b, k):
+        incs += [("C", u, plan.d_b1), ("D", u, plan.d_b1)]
+    return incs
+
+
+def literal_pass(run, observer):
+    """Drive a fresh ``SnapshotRun`` over its whole stream (hash budget kept).
+
+    Returns ("Hit", (edge, x, i, j, sign)), ("Cleanup", None), ("Capacity",
+    None) or ("StreamEnd", None); ``observer(edge, members)`` sees the literal
+    member set after each edge the run survives.
+    """
+    for k, (u, v) in enumerate(run.stream.edges, start=1):
+        try:
+            for inc in _increments(run.plan, run.hashes, k, u, v):
+                run.inc(*inc)
+        except CapacityError:
+            return "Capacity", None
+        hit = run.query_edge(u, v)
+        if hit is not None:
+            return "Hit", (k, *hit)
+        if run.cleanup(u, v):
+            return "Cleanup", None
+        observer(k, run.handle.debug_members())
+    return "StreamEnd", None
+
+
+def literal_tagged_ops(stream, hashes, grid, params):
+    """(universe, [(op, tag)]) of a run's literal ops, tagged as terminal_law tags them."""
+    plan = _Plan(stream, hashes, grid, params)
+    tagged = []
+    for k, (u, v) in enumerate(stream.edges, start=1):
+        try:
+            ups = [plan.inc_update(*inc) for inc in _increments(plan, hashes, k, u, v)]
+        except CapacityError:
+            break
+        tagged += ((up, None) for up in ups)
+        tagged += ((op, (k, *coords)) for op, coords in plan.edge_queries(u, v))
+        tagged += ((op, None) for op in plan.edge_cleanups(u, v))
+    return plan.universe, tagged
 
 
 class SnapshotRun:
@@ -19,7 +68,7 @@ class SnapshotRun:
 
     def __init__(self, stream, hashes, grid, params, seed, *, handle_id=0):
         self.plan = _Plan(stream, hashes, grid, params)
-        self.params = params
+        self.stream, self.hashes, self.params = stream, hashes, params
         self.handle = create(
             self.plan.universe,
             range(self.plan.big_m),

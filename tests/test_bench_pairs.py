@@ -1,0 +1,80 @@
+"""tools/bench_pairs.py on synthetic run records."""
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def record(workload, seed, wall, rounds=10, fail=0.0, trace=0):
+    metrics = {name: wall for name in bench_pairs.METRICS}
+    return {
+        "args": {"workload": workload, "seed": seed, "seconds": 60, "trace": trace},
+        "env": {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2, "git": {"sha": "unknown"}},
+        "workload": workload, "seed": seed, "rounds": rounds, "op_fail_frac": fail,
+        "layers": {"sketch.update.s": [wall, "s"]},
+        **metrics,
+    }
+
+
+def write(directory, records):
+    directory.mkdir()
+    for i, rec in enumerate(records):
+        (directory / f"{i:03d}.json").write_text(json.dumps(rec))
+    return directory
+
+
+def test_pairs_in_run_order_per_workload_and_seed(tmp_path):
+    parent = write(tmp_path / "p", [
+        record("estimators", 1, 4.0), record("estimators", 1, 2.0), record("estimators", 1, 3.0),
+        record("small", 1, 1.0, rounds=30, fail=0.5),
+    ])
+    change = write(tmp_path / "c", [
+        record("estimators", 1, 3.0), record("estimators", 1, 2.5), record("estimators", 1, 1.0),
+        record("small", 1, 1.0, rounds=31),
+    ])
+    traced = tmp_path / "t.json"
+    traced.write_text(json.dumps(record("estimators", 1, 0.5, trace=1)))
+    out = tmp_path / "BENCH_x.json"
+    assert bench_pairs.main([
+        "--label", "x", "--parent", str(parent), "--change", str(change),
+        "--parent-sha", "aaa", "--change-sha", "bbb", "--out", str(out),
+        "--trace-parent", str(traced), "--trace-change", str(traced),
+    ]) == 0
+    bench = json.loads(out.read_text())
+    assert bench["label"] == "x" and bench["env"] == {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6"}
+    assert [bench["parent"]["sha"], bench["change"]["sha"]] == ["aaa", "bbb"]
+    est, small = bench["runs"]
+    assert (est["workload"], est["pairs"], small["pairs"]) == ("estimators", 3, 1)
+    wall = est["metrics"]["wall_s"]
+    # pairs (4, 3), (2, 2.5), (3, 1): the change wins the first and the last
+    assert wall["change_better_pairs"] == 2
+    assert wall["parent"] == {"median": 3.0, "q1": 2.5, "q3": 3.5}
+    assert wall["change"] == {"median": 2.5, "q1": 1.75, "q3": 2.75}
+    assert wall["median_change_over_parent"] == round(2.5 / 3.0, 4)
+    assert small["rounds_median"] == {"parent": 30, "change": 31}
+    assert small["op_fail_frac_max"] == {"parent": 0.5, "change": 0.0}
+    assert small["metrics"]["wall_s"]["change_better_pairs"] == 0
+    assert bench["trace"]["change"] == {"sketch.update.s": 0.5}
+
+
+def test_unmatched_or_traced_records_are_refused(tmp_path, capsys):
+    parent = write(tmp_path / "p", [record("estimators", 1, 1.0), record("estimators", 1, 1.0)])
+    change = write(tmp_path / "c", [record("estimators", 1, 1.0)])
+    traced = write(tmp_path / "t", [record("estimators", 1, 1.0, trace=1)] * 2)
+    args = ["--label", "x", "--parent-sha", "a", "--change-sha", "b", "--out", str(tmp_path / "o")]
+    assert bench_pairs.main([*args, "--parent", str(parent), "--change", str(change)]) == 2
+    assert "2 parent records, 1 change" in capsys.readouterr().err
+    assert bench_pairs.main([*args, "--parent", str(parent), "--change", str(traced)]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("values, want", [([5.0], (5.0, 5.0, 5.0)), ([1.0, 3.0], (1.5, 2.0, 2.5))])
+def test_spread_of_few_runs(values, want):
+    got = bench_pairs._spread(values)
+    assert (got["q1"], got["median"], got["q3"]) == want

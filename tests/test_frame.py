@@ -1,0 +1,213 @@
+"""Framed op sequences: shifts folded into later ids must change nothing observable.
+
+A ``permutation.Frame`` walks an op sequence once and emits its swaps and
+queries on framed ids, with no shift left. Run on a handle whose store never
+buckets, the framed sequence must draw the same outcomes from the same seed as
+the literal sequence on the lazy-shift store, and unframing its members must
+give the literal members. Heavy-edge and snapshot runs and laws use framed ops;
+here they are checked against the literal references.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pairsketch import (
+    CyclicShift,
+    PermutationSpec,
+    QueryOne,
+    QueryOutcome,
+    QueryPair,
+    SwapStage,
+    Update,
+    create,
+)
+from pairsketch import heavy_edges, pseudosnapshot
+from pairsketch.sketch import replay_law
+from pairsketch.permutation import Frame, FrameReader, frame_id
+from snapshot_reference import SnapshotRun, literal_pass, literal_tagged_ops
+from test_pseudosnapshot import FIX_GRID, FIX_HASHES, FIX_PARAMS, FIX_STREAM
+from test_sketch import _factor_values
+from test_universe import universes
+
+
+@st.composite
+def mixed_scripts(draw):
+    """(universe, members, ops): updates of one to three swap or shift stages,
+    queries of both kinds and reads, interleaved."""
+    universe = draw(universes())
+    ids = st.integers(0, universe.size - 1)
+    members = draw(st.sets(ids, min_size=1, max_size=12))
+    ops = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["update", "update", "one", "pair", "read"]))
+        if kind == "update":
+            stages = []
+            for _ in range(draw(st.integers(1, 3))):
+                if universe.size >= 2 and draw(st.booleans()):
+                    pool = draw(st.permutations(list(range(universe.size))))
+                    k = draw(st.integers(1, min(3, universe.size // 2)))
+                    stages.append(SwapStage(tuple((pool[2 * i], pool[2 * i + 1]) for i in range(k))))
+                else:
+                    block = draw(st.sampled_from(universe.blocks))
+                    select = tuple(
+                        None
+                        if draw(st.booleans())
+                        else frozenset(draw(st.sets(st.sampled_from(_factor_values(f)))))
+                        for f in block.factors[:-1]
+                    )
+                    stages.append(CyclicShift(block.name, draw(st.integers(-7, 7)), select))
+            ops.append(Update(PermutationSpec(universe, tuple(stages))))
+        elif kind == "pair" and universe.size >= 2:
+            x, y = draw(st.lists(ids, min_size=2, max_size=2, unique=True))
+            ops.append(QueryPair(x, y))
+        elif kind == "one":
+            ops.append(QueryOne(draw(ids)))
+        else:
+            ops.append("read")
+    return universe, members, ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_scripts(), st.integers(0, 3))
+def test_framed_script_on_a_plain_store_matches_the_literal_one(case, hid):
+    universe, members, ops = case
+    literal = create(universe, sorted(members), master_seed=5, handle_id=hid)
+    framed = create(universe, sorted(members), master_seed=5, handle_id=hid)
+    frame, reader = Frame(universe), FrameReader(universe, members)
+    named = []  # framed ids the ops named since the last read
+    for op in ops:
+        if op == "read":
+            assert reader.read(named, framed.debug_members(among=named)) == literal.debug_members()
+            named.clear()
+        elif isinstance(op, Update):
+            swaps, turned = frame.fold(op.perm.stages)
+            reader.turn(turned.items())
+            literal.update(op.perm)
+            framed.update(perm := PermutationSpec(universe, swaps))
+            named += perm.swapped
+        else:
+            if isinstance(op, QueryPair):
+                x, y = frame(op.x), frame(op.y)
+                want, got = literal.query_pair(op.x, op.y), framed.query_pair(x, y)
+                named += (x, y)
+            else:
+                x = frame(op.x)
+                want, got = literal.query_one(op.x), framed.query_one(x)
+                named.append(x)
+            assert got is want
+            if got.fires():
+                return
+        # the framed handle never sees a shift, so its store never buckets
+        assert not framed._store._indexed and not framed._store.rot
+    assert reader.read(named, framed.debug_members(among=named)) == literal.debug_members()
+
+
+def test_frame_id_inverts_with_the_opposite_rotation():
+    for r in range(-7, 8):
+        ids = [frame_id(e, 10, r, 5) for e in range(10, 15)]
+        assert sorted(ids) == list(range(10, 15))
+        assert [frame_id(s, 10, -r, 5) for s in ids] == list(range(10, 15))
+
+
+# -- heavy edges -----------------------------------------------------------------
+
+
+def _directed(n, m, seed):
+    rng = np.random.default_rng(seed)
+    pool = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    idx = rng.choice(len(pool), size=m, replace=False)
+    return heavy_edges.DirectedEdgeStream(n, tuple(pool[i] for i in idx))
+
+
+def _heavy_literal(stream, d_H, d_T, seed, hid):
+    """(output, member set after each edge survived) of the literal script."""
+    universe, script = heavy_edges.build_script(stream, d_H, d_T)
+    handle = create(universe, stream._tape.members, master_seed=seed, handle_id=hid)
+    seen = []
+    for ell in range(stream.m):
+        handle.update(script[2 * ell].perm)
+        query = script[2 * ell + 1]
+        out = handle.query_pair(query.x, query.y)
+        if out.fires():
+            return out.sign * 2 * stream.m, seen
+        seen.append(handle.debug_members())
+    return 0, seen
+
+
+@pytest.mark.parametrize("d_H, d_T", [(2, 1), (3, 3)])
+def test_heavy_runs_equal_the_literal_script(d_H, d_T):
+    stream = _directed(8, 20, 2)
+    outputs = set()
+    for hid in range(200):
+        seen = []
+        got = heavy_edges.run_single(
+            stream, d_H, d_T, 7, handle_id=hid, observer=lambda ell, mem: seen.append(mem)
+        )
+        want, want_seen = _heavy_literal(stream, d_H, d_T, 7, hid)
+        assert (got, seen) == (want, want_seen), hid
+        outputs.add(got)
+    assert len(outputs) > 1
+
+
+def test_heavy_law_equals_the_literal_replay():
+    stream = _directed(8, 20, 2)
+    for d_H, d_T in ((1, 1), (2, 1), (3, 2)):
+        universe, script = heavy_edges.build_script(stream, d_H, d_T)
+        m = stream.m
+        want = replay_law(
+            universe, stream._tape.members, ((op, None) for op in script),
+            lambda _, o: o.sign * 2 * m, 0,
+        )
+        got = heavy_edges.terminal_law(stream, d_H, d_T)
+        assert list(got.atoms.items()) == list(want.atoms.items())
+
+
+# -- pseudosnapshot ---------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fix_plan():
+    return pseudosnapshot.build_plan(FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS)
+
+
+def test_snapshot_plans_hold_swaps_only(fix_plan):
+    for eplan in fix_plan.edge_plans:
+        for up in eplan.updates:
+            assert all(isinstance(stage, SwapStage) for stage in up.perm.stages)
+
+
+def test_snapshot_runs_equal_the_literal_moves(fix_plan):
+    key = pseudosnapshot._fire_key(FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS, fix_plan.big_m)
+    ends = set()
+    for hid in range(200):
+        seen, want_seen = [], []
+        est = pseudosnapshot.run_single(
+            FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS, 11, handle_id=hid, plan=fix_plan,
+            observer=lambda k, mem: seen.append((k, mem)),
+        )
+        run = SnapshotRun(FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS, 11, handle_id=hid)
+        end, hit = literal_pass(run, lambda k, mem: want_seen.append((k, mem)))
+        if end == "Hit":
+            edge, x, i, j, sign = hit
+            outcome = QueryOutcome.PLUS if sign == 1 else QueryOutcome.MINUS
+            want = key((edge, x, i, j), outcome)
+        elif end == "Cleanup":
+            want = key(None, QueryOutcome.IN)
+        else:
+            want = pseudosnapshot._end_key(fix_plan)
+        assert est.key == want, hid
+        assert seen == want_seen, hid
+        ends.add(est.terminated_by)
+    assert {"Plus", "StreamEnd"} <= ends
+
+
+def test_snapshot_law_equals_the_literal_replay(fix_plan):
+    params = (FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS)
+    key = pseudosnapshot._fire_key(*params, fix_plan.big_m)
+    universe, tagged = literal_tagged_ops(*params)
+    want = replay_law(universe, range(fix_plan.big_m), tagged, key, pseudosnapshot._end_key(fix_plan))
+    got = pseudosnapshot.terminal_law(*params, plan=fix_plan).law
+    # terminal_law orders its atoms by the repr of their keys
+    assert list(got.atoms.items()) == sorted(want.atoms.items(), key=lambda a: repr(a[0]))
+    assert len(got.atoms) > 2

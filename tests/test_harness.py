@@ -409,6 +409,42 @@ def test_generated_instance_in_config():
         run_experiment(ExperimentConfig("triangle", {"k": 1}, 5, 0, {"n": 9}))
 
 
+BAD_INTEGER_SPECS = [
+    # (algorithm, params, generator spec, words the error must name)
+    ("heavy", {"d_H": 1, "d_T": 1}, {"kind": "star"}, ("star", "'n'")),
+    ("heavy", {"d_H": 1, "d_T": 1}, {"kind": "star", "n": "x"}, ("star", "'n'", "'x'")),
+    ("heavy", {"d_H": 1, "d_T": 1}, {"kind": "star", "n": 3.7}, ("star", "'n'", "3.7")),
+    ("heavy", {"d_H": 1, "d_T": 1}, {"kind": "star", "n": True}, ("star", "'n'", "True")),
+    ("triangle", {"k": 1}, {"kind": "gnp", "n": "6", "p": 0.5}, ("gnp", "'n'")),
+    ("triangle", {"k": 1}, {"kind": "planted-triangles", "n": 9}, ("planted-triangles", "'t'")),
+    ("triangle", {"k": 1}, {"kind": "planted-triangles", "n": 9, "t": 1.5}, ("'t'", "1.5")),
+    ("bhm", {}, {"kind": "matching", "n": 12, "alpha": "1/4", "b": "0"}, ("matching", "'b'")),
+    ("bhm", {}, {"kind": "matching", "n": 12, "alpha": "1/4", "b": 0.5}, ("'b'", "0.5")),
+    ("heavy", {"d_H": 1, "d_T": 1}, {"kind": "star", "n": 4, "seed": "s"}, ("star", "'seed'")),
+    ("heavy", {"d_H": 1, "d_T": 1}, {"kind": "star", "n": 4, "seed": 2.5}, ("'seed'", "2.5")),
+    ("heavy", {"d_H": 1, "d_T": 1}, {"kind": "star", "n": 4, "seed": None}, ("'seed'", "None")),
+]
+
+
+@pytest.mark.parametrize("algorithm, params, spec, words", BAD_INTEGER_SPECS)
+def test_generator_integers_are_checked(algorithm, params, spec, words):
+    config = ExperimentConfig.from_dict(
+        {"algorithm": algorithm, "params": params, "trials": 10, "master_seed": 1, "instance": spec}
+    )
+    with pytest.raises(ConfigError) as err:
+        run_experiment(config)
+    assert all(word in str(err.value) for word in words), str(err.value)
+
+
+def test_generator_takes_integral_floats_as_integers():
+    def report(n, seed):
+        spec = {"kind": "star", "n": n, "seed": seed}
+        config = {"algorithm": "heavy", "params": {"d_H": 1, "d_T": 1}, "trials": 50,
+                  "master_seed": 1, "instance": spec}
+        return run_experiment(ExperimentConfig.from_dict(config)).results
+    assert report(5.0, 3.0) == report(5, 3)
+
+
 def test_instance_type_must_match_algorithm():
     cfg = ExperimentConfig("bhm", {}, 10, 0, {"kind": "gnp", "n": 6, "p": 0.5})
     with pytest.raises(ConfigError) as err:

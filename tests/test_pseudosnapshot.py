@@ -111,6 +111,30 @@ def test_grid_equals_the_stepped_powers(eps):
         assert DegreeGrid.from_eps(n, eps).levels == _stepped_levels(n, Fraction(eps)), n
 
 
+@pytest.mark.parametrize("eps", ["1", "1/2", "2/5", "3/7", "0.35", "1/3", "1/4", "1/5", "1/6"])
+def test_grid_past_the_shortcut_equals_the_stepped_powers(eps):
+    # n * eps^3 > 1: a listed range while the steps stay below one, then
+    # floors from logarithms, each checked against the exact walk
+    for n in (31, 64, 100, 257, 500, 1000):
+        assert DegreeGrid.from_eps(n, eps).levels == _stepped_levels(n, Fraction(eps)), n
+
+
+def test_grid_settles_exact_integer_powers():
+    # at eps = 1 every power of 1 + eps^3 is an integer, where a float
+    # estimate of the floor cannot decide on its own
+    assert DegreeGrid.from_eps(2**40 + 1, 1).levels == (*(2**k for k in range(41)), 2**40 + 1)
+    assert DegreeGrid.from_eps(2**40, 1).levels == tuple(2**k for k in range(41))
+
+
+def test_grid_just_past_the_shortcut_is_fast():
+    start = time.perf_counter()
+    grid = DegreeGrid.from_eps(10**4, "1/20")
+    assert time.perf_counter() - start < 2
+    assert grid.levels[0] == 1 and grid.levels[-1] == 10**4
+    # every degree up to 8000 = 1 / eps^3, where the steps reach one
+    assert grid.levels[:8000] == tuple(range(1, 8001))
+
+
 def test_grid_for_tiny_eps_lists_every_degree_without_stepping():
     start = time.perf_counter()
     grid = DegreeGrid.from_eps(1000, "1/50")

@@ -30,7 +30,7 @@ from pairsketch import (
     run_script,
     swap_perm,
 )
-from pairsketch import bhm, heavy_edges, triangle
+from pairsketch import bhm, heavy_edges, pseudosnapshot, triangle
 from pairsketch.sketch import _MemberStore
 from permutation_reference import permute_set
 from test_universe import universes
@@ -628,33 +628,40 @@ def test_a_shift_rewrites_nothing_until_a_read():
     assert h.debug_members() == want == h._store.ids and not h._store.rot
 
 
-def test_unshifted_blocks_are_never_bucketed(monkeypatch):
+def test_no_estimator_live_run_buckets(monkeypatch):
+    # bhm and triangle never shift; heavy and snapshot runs apply their
+    # instance's ops with every shift folded into the ids (permutation.Frame),
+    # so no live run's store ever buckets a block or holds a rotation
+    stores = {name: _stores_of(monkeypatch, module) for name, module in (
+        ("bhm", bhm), ("triangle", triangle), ("heavy", heavy_edges), ("snapshot", pseudosnapshot)
+    )}
     inst = bhm.generate_instance(16, Fraction(1, 4), 1, seed=3)
-    stores = _stores_of(monkeypatch, bhm)
+    graph = triangle.EdgeStream(8, tuple((u, v) for u in range(1, 8) for v in range(u + 1, 9)))
+    stream = heavy_edges.DirectedEdgeStream(6, ((1, 2), (2, 3), (3, 1), (1, 3), (4, 1), (1, 5)))
+    rng = np.random.default_rng(2)
+    pool = [(u, v) for u in range(1, 13) for v in range(1, 13) if u != v]
+    snap = heavy_edges.DirectedEdgeStream(
+        12, tuple(pool[i] for i in rng.choice(len(pool), size=30, replace=False))
+    )
+    grid = pseudosnapshot.DegreeGrid.from_eps(12, "1/2")
+    hashes = pseudosnapshot.HashOracles(7, 2, "1/2")
+    params = pseudosnapshot.SnapshotParams(2, "1/2", ("-1", "0"), (3, 1))
+    plan = pseudosnapshot.build_plan(snap, hashes, grid, params)
+    edges_run = []
     for hid in range(20):
         bhm.run_single(inst, master_seed=7, handle_id=hid)
-    graph = triangle.EdgeStream(8, tuple((u, v) for u in range(1, 8) for v in range(u + 1, 9)))
-    tri = _stores_of(monkeypatch, triangle)
-    for hid in range(20):
         triangle.run_single(graph, 2, 7, handle_id=hid)
-    stores += tri
-    assert len(stores) == 40 and not any(store.buckets or store._indexed for store in stores)
-
-    stream = heavy_edges.DirectedEdgeStream(6, ((1, 2), (2, 3), (3, 1), (1, 3), (4, 1), (1, 5)))
-    scratch = stream._tape.universe.block_offset("scratch")
-    heavy = _stores_of(monkeypatch, heavy_edges)
-
-    bucketed = set()
-
-    def record_buckets(ell, members):
-        (store,) = heavy
-        bucketed.update(eid for bucket in store.buckets.values() for eid in bucket)
-
-    for hid in range(10):
-        heavy.clear()
-        heavy_edges.run_single(stream, 2, 2, 7, handle_id=hid, observer=record_buckets)
-    # the stack block is bucketed once shifted; its scratch ids never are
-    assert bucketed and max(bucketed) < scratch
+        heavy_edges.run_single(stream, 2, 2, 7, handle_id=hid)
+        edges = []
+        pseudosnapshot.run_single(
+            snap, hashes, grid, params, 7, handle_id=hid, plan=plan,
+            observer=lambda k, mem: edges.append(k),
+        )
+        edges_run.append(len(edges))
+    assert max(edges_run) > 1  # some snapshot runs pass several shifted edges
+    for name, recorded in stores.items():
+        assert len(recorded) == 20, name
+        assert not any(s.buckets or s._indexed or s.rot for s in recorded), name
 
 
 BAD_ENDPOINTS = [True, False, -1, LINE.size, np.int64(3), 2.0]

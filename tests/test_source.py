@@ -94,16 +94,16 @@ def test_only_the_permutation_module_reads_a_shift_selection():
 
 
 def test_live_runs_read_their_instance_tape():
-    # a live run compiles nothing itself: permutations and universes are
-    # built once per instance, on its tape
-    for name in ("bhm.py", "heavy_edges.py", "triangle.py"):
+    # a live run compiles nothing itself: permutations, frames and universes
+    # are built once per instance, on its tape (a snapshot run's plan)
+    for name in ("bhm.py", "heavy_edges.py", "triangle.py", "pseudosnapshot.py"):
         (func,) = _functions(name, "run_single")
         names = {
             node.attr if isinstance(node, ast.Attribute) else node.id
             for node in ast.walk(func)
             if isinstance(node, (ast.Attribute, ast.Name))
         }
-        assert not names & {"PermutationSpec", "SwapStage", "CyclicShift"}, name
+        assert not names & {"PermutationSpec", "SwapStage", "CyclicShift", "Frame"}, name
         called = [
             node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
             for node in ast.walk(func)
