@@ -138,11 +138,12 @@ class _MemberStore:
     line (see ``pairsketch.universe``) to its stored ids. A shift only adds
     its amount to the pending rotation ``rot`` of each nonempty line it names;
     while line L of length ``mod`` has rotation r, member ``eid`` is stored
-    at ``permutation.frame_id(eid, L, r, mod)``, the id swaps and queries
-    address. ``settle`` rewrites each pending line once. Runs whose op
-    sequence is fixed fold their shifts into their ops beforehand
-    (``permutation.Frame``), so their stores never bucket. Construction raises
-    ``InvalidInitError`` on an empty, repeated or out-of-universe member set.
+    at ``L + (eid - L - r) % mod`` (``permutation.frame_id``), the id swaps
+    and queries address. ``settle`` rewrites each pending line once. Runs
+    whose op sequence is fixed fold their shifts into their ops beforehand
+    (``permutation.Frame``), so their stores never bucket. Construction
+    raises ``InvalidInitError`` on an empty, repeated or out-of-universe
+    member set.
     """
 
     __slots__ = ("_layouts", "_indexed", "buckets", "rot", "ids")
