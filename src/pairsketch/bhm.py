@@ -109,6 +109,15 @@ class BhmInstance:
         return Tape(universe, initial_members(self.n), len(self.stream), ops)
 
     @cached_property
+    def _law(self) -> Law:
+        """``terminal_slabs``' law, replayed once: every sampler and gate on this
+        instance reads the same ``Law``."""
+        tape = self._tape
+        return replay_law(
+            tape.universe, tape.members, build_script(self), partial(_output, self), (None, None)
+        )
+
+    @cached_property
     def _later(self) -> list[int]:
         """Per edge: XOR of endpoint bits that arrive after the edge in the stream."""
         edge_index = {e: i for i, e in enumerate(self.matching)}
@@ -233,11 +242,9 @@ def terminal_slabs(inst: BhmInstance) -> Law:
     alone; everything else telescopes away. The atoms are keyed
     (tag, output) by ``_output``, the rule run_single returns through, one per
     fire atom in replay order, then (None, None) for a pass without a hit.
+    The instance builds it on the first call and keeps it.
     """
-    tape = inst._tape
-    return replay_law(
-        tape.universe, tape.members, build_script(inst), partial(_output, inst), (None, None)
-    )
+    return inst._law
 
 
 def sample_outputs(inst: BhmInstance, master_seed: int, trials: int) -> np.ndarray:

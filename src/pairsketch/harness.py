@@ -427,21 +427,22 @@ _MISSING = object()
 
 
 def _int_param(kind: str, params: dict, field: str, default: Any = _MISSING) -> Any:
-    """Pop integer ``field`` from a ``kind`` generator spec; ``default`` when absent.
+    """Pop integer ``field`` from ``params``; ``default`` when absent.
 
-    Raises ``ConfigError`` naming the kind and field for a missing value, a
-    bool, a string or any other non-integral value; an integral float is
-    taken as its integer.
+    ``kind`` names the generator or algorithm the params are for. Raises
+    ``ConfigError`` naming the kind and field for a missing value, a bool, a
+    string or any other non-integral value; an integral float is taken as its
+    integer.
     """
     value = params.pop(field, default)
     if value is _MISSING:
-        raise ConfigError(f"{kind} generator needs an integer {field!r}")
+        raise ConfigError(f"{kind} needs an integer {field!r}")
     if value is default:
         return value
     if isinstance(value, bool) or not (
         isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
     ):
-        raise ConfigError(f"{kind} generator {field!r} must be an integer, got {value!r:.40}")
+        raise ConfigError(f"{kind} {field!r} must be an integer, got {value!r:.40}")
     return int(value)
 
 
@@ -499,7 +500,8 @@ def _within(gate: dict[str, float]) -> bool:
 
 
 def _run_bhm(inst: BhmInstance, params, trials, seed):
-    meta_trials, copies = params.get("meta_trials", 0), params.get("copies")
+    meta_trials = _int_param("bhm", params, "meta_trials", 0)
+    copies = _int_param("bhm", params, "copies", None)
     if meta_trials < 0 or (copies is not None and copies < 1):
         raise ConfigError(f"need meta_trials >= 0 and copies >= 1, got {meta_trials}, {copies}")
     law = _bhm.terminal_slabs(inst)
@@ -567,7 +569,7 @@ def _signed_run(oracle, law: Law, outs: np.ndarray, trials: int, name: str):
 
 
 def _run_triangle(stream: EdgeStream, params, trials, seed):
-    k = int(params["k"])
+    k = _int_param("triangle", params, "k")
     report = _tri.oracle_t_split(stream, k)
     law = _tri.terminal_law(stream, k)
     outs = _tri.sample_outputs(stream, k, seed, trials)
@@ -583,7 +585,7 @@ def _run_triangle(stream: EdgeStream, params, trials, seed):
 
 
 def _run_heavy(stream: DirectedEdgeStream, params, trials, seed):
-    d_h, d_t = int(params["d_H"]), int(params["d_T"])
+    d_h, d_t = _int_param("heavy", params, "d_H"), _int_param("heavy", params, "d_T")
     count = _heavy.oracle_heavy_count(stream, d_h, d_t)
     law = _heavy.terminal_law(stream, d_h, d_t)
     outs = _heavy.sample_outputs(stream, d_h, d_t, seed, trials)
@@ -593,16 +595,19 @@ def _run_heavy(stream: DirectedEdgeStream, params, trials, seed):
 
 
 def _run_snapshot(stream: DirectedEdgeStream, params, trials, seed):
+    def integer(field: str, default: Any = _MISSING) -> int:
+        return _int_param("snapshot", params, field, default)
+
     sp = _snap.SnapshotParams(
-        kappa=int(params["kappa"]),
+        kappa=integer("kappa"),
         eps=params["eps"],
         thresholds=tuple(params["thresholds"]),
-        class_pair=(int(params["alpha"]), int(params["beta"])),
-        capacity_c=int(params.get("capacity_c", 32)),
+        class_pair=(integer("alpha"), integer("beta")),
+        capacity_c=integer("capacity_c", 32),
         copies=trials,
     )
     grid = _snap.DegreeGrid.from_eps(stream.n, sp.eps)
-    hashes = _snap.HashOracles(int(params.get("hash_seed", seed)), sp.kappa, sp.eps)
+    hashes = _snap.HashOracles(integer("hash_seed", seed), sp.kappa, sp.eps)
     plan = _snap.build_plan(stream, hashes, grid, sp)
     law = _snap.terminal_law(stream, hashes, grid, sp, plan=plan)
     oracle = _snap.lemma_expectation(stream, hashes, grid, sp)
@@ -676,9 +681,9 @@ def random_script(
 
 
 def _run_equivalence(_instance, params, trials, seed):
-    universe_n = int(params.get("universe", 8))
-    max_size = int(params.get("max_size", 4))
-    max_len = int(params.get("max_len", 5))
+    universe_n = _int_param("equivalence", params, "universe", 8)
+    max_size = _int_param("equivalence", params, "max_size", 4)
+    max_len = _int_param("equivalence", params, "max_len", 5)
     tolerance = float(params.get("tolerance", 1e-9))
     if universe_n < 1 or max_size < 1 or max_len < 1:
         raise ConfigError("equivalence needs positive universe, max_size, max_len")

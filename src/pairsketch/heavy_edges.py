@@ -73,6 +73,11 @@ class DirectedEdgeStream:
         frame = Frame(universe)
         return Tape(universe, members, self.m, partial(_framed_update, self.edges, self.n, frame))
 
+    @cached_property
+    def _laws(self) -> dict[tuple[int, int], Law]:
+        """``terminal_law`` per (d_H, d_T), each replayed on its first call."""
+        return {}
+
 
 @dataclass(frozen=True)
 class HeavyParams:
@@ -244,8 +249,16 @@ def terminal_law(stream: DirectedEdgeStream, d_H: int, d_T: int) -> Law:
     in the order +2m, -2m, 0, and each has positive mass: every query that can
     fire can fire Plus, which ``FIRE_LAW`` lists first, and at most 2m of the
     4m members are ever deleted, so a pass survives with probability >= 1/2.
+    The stream builds each threshold pair's law on the first call and keeps it.
     """
     _check_thresholds(stream, d_H, d_T)
+    laws = stream._laws
+    if (d_H, d_T) not in laws:
+        laws[d_H, d_T] = _build_law(stream, d_H, d_T)
+    return laws[d_H, d_T]
+
+
+def _build_law(stream: DirectedEdgeStream, d_H: int, d_T: int) -> Law:
     m = stream.m
     if m == 0:
         return Law({0: Fraction(1)})

@@ -31,8 +31,10 @@ given query fires depends only on the initial size and its presence pattern.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -96,26 +98,61 @@ class Law:
     atoms: dict
 
     def __post_init__(self) -> None:
-        mass = sum(self.atoms.values(), Fraction(0))
-        if mass != 1:
-            raise InvariantError(f"law carries mass {mass}, not 1")
+        den, nums = self._scaled
+        if sum(nums) != den:
+            raise InvariantError(f"law carries mass {Fraction(sum(nums), den)}, not 1")
+
+    @cached_property
+    def _scaled(self) -> tuple[int, list[int]]:
+        """(D, numerators): each atom's mass as a whole number of 1/D, D the least
+        common denominator of the atoms."""
+        probs = self.atoms.values()
+        den = math.lcm(*(p.denominator for p in probs))
+        return den, [p.numerator * (den // p.denominator) for p in probs]
 
     def expect(self, f: Callable) -> Fraction:
-        """E[f(key)], exactly; atoms where f is zero cost no Fraction arithmetic."""
-        return sum((v * p for key, p in self.atoms.items() if (v := f(key))), Fraction(0))
+        """E[f(key)], exactly, for f with rational values; atoms where f is zero
+        cost nothing, and the rest add up as numerators over one denominator."""
+        den, nums = self._scaled
+        return Fraction(sum(v * num for key, num in zip(self.atoms, nums) if (v := f(key))), den)
+
+    @cached_property
+    def _guide(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cumulative bounds, guide table) of ``sample``, built on its first call.
+
+        The bounds from the last positive atom on are pinned to 1, so float
+        rounding in the probabilities can never leave a draw on a zero-mass
+        atom after it or past the final atom. The table splits [0, 1) into
+        ``cells`` equal cells, a power of two at least eight per atom: cell j
+        holds the index every draw in [j/cells, (j+1)/cells) lands on, or -1
+        where a bound falls inside the cell.
+        """
+        probs = list(self.atoms.values())
+        cum = np.cumsum([float(p) for p in probs])
+        cum[max(k for k, p in enumerate(probs) if p):] = 1.0
+        cells = 1 << (8 * len(cum) - 1).bit_length()
+        edges = np.arange(cells + 1) / cells
+        lo = np.searchsorted(cum, edges[:-1], side="right")
+        hi = np.searchsorted(cum, edges[1:], side="left")
+        return cum, np.where(lo == hi, lo, -1)
 
     def sample(self, rng: np.random.Generator, trials: int) -> np.ndarray:
         """Indices, in ``atoms`` order, of ``trials`` independent draws.
 
-        The cumulative bounds from the last positive atom on are pinned to 1,
-        so float rounding in the probabilities can never leave a draw on a
-        zero-mass atom after it or past the final atom.
+        Each uniform draw u lands on the index ``np.searchsorted(cum, u,
+        side="right")`` over the pinned cumulative bounds; the guide table
+        answers it for every draw whose cell holds no bound, and the search
+        runs for the rest only. u * cells is exact, cells being a power of two.
         """
         if trials < 0:
             raise InvalidParamsError(f"trials must be >= 0, got {trials}")
-        cum = np.cumsum([float(p) for p in self.atoms.values()])
-        cum[max(k for k, p in enumerate(self.atoms.values()) if p):] = 1.0
-        return np.searchsorted(cum, rng.random(trials), side="right")
+        cum, table = self._guide
+        u = rng.random(trials)
+        idx = table[(u * len(table)).astype(np.intp)]
+        miss = idx < 0
+        if miss.any():
+            idx[miss] = np.searchsorted(cum, u[miss], side="right")
+        return idx
 
 
 def _check_query(size: int, *endpoints: int) -> None:
@@ -463,6 +500,18 @@ class ReplayTrace:
                 yield k, outcome, p
 
 
+def _check_fire_law() -> None:
+    """Raise unless every ``FIRE_LAW`` row fires with total weight scale * present,
+    so that a query with ``present`` endpoints in T fires with probability
+    present/|T|: exactly the share of T its miss deletes."""
+    for row, (scale, atoms) in FIRE_LAW.items():
+        total = sum(weight for _, weight in atoms)
+        if total != scale * row[1]:
+            raise InvariantError(
+                f"FIRE_LAW row {row} fires with total weight {total}, not {scale} * {row[1]}"
+            )
+
+
 def replay_noiseless(
     universe: UniverseSpec,
     members: Iterable[int],
@@ -476,11 +525,18 @@ def replay_noiseless(
     updates and query endpoints are validated as :func:`create` and the
     handle's operations validate them, including ops that a real run could
     only reach with probability zero.
+
+    The survival probability is the product over queries of
+    (|T| - present)/|T|, since a query fires with probability present/|T|
+    (``_check_fire_law``). It telescopes to |S|/|T0| exactly when each query
+    meets T at the size the earlier misses left, |T0| minus their present
+    endpoints, and the survivors number |T0| minus all of them; both are
+    checked in integers, and a violation raises ``InvariantError``.
     """
+    _check_fire_law()
     store = _MemberStore(universe, members)
     universe_size = universe.size
-    initial_size = len(store.ids)
-    survival = Fraction(1)
+    initial_size = remaining = len(store.ids)
     steps: list[ReplayStep] = []
     for i, op in enumerate(script):
         if isinstance(op, Update):
@@ -498,15 +554,18 @@ def replay_noiseless(
             step = ReplayStep(i, "pair", op.x, op.y, present_x, present_y, size)
         else:
             raise ScriptError(f"unknown script op {op!r}")
+        if size != remaining:
+            raise InvariantError(f"query {i} meets {size} members, not the {remaining} left")
+        remaining -= present_x + present_y
         steps.append(step)
-        survival *= 1 - sum(
-            p for _, p in fire_probs(step.kind == "pair", step.present_count, step.size_before)
-        )
-    if survival != Fraction(len(store.ids), initial_size):
+    if len(store.ids) != remaining:
         raise InvariantError(
-            f"replay survival {survival} != {len(store.ids)}/{initial_size} survivors"
+            f"replay keeps {len(store.ids)} survivors, not {initial_size} minus the "
+            f"{initial_size - remaining} present endpoints its queries deleted"
         )
-    return ReplayTrace(frozenset(store.snapshot()), survival, tuple(steps))
+    return ReplayTrace(
+        frozenset(store.snapshot()), Fraction(remaining, initial_size), tuple(steps)
+    )
 
 
 def replay_law(
@@ -522,13 +581,24 @@ def replay_law(
     atom of a query with tag t and outcome o goes to ``key(t, o)``, and the
     survival mass to ``end_key``; atoms with equal keys add up, in order of
     first appearance.
+
+    Every mass is a whole multiple of 1/D, D = L * |T0| with L the least
+    common multiple of the ``FIRE_LAW`` scales: a fire atom weight/(scale *
+    |T0|) (``ReplayTrace.fire_atoms``) is weight * (L/scale) of them, and the
+    survival |S|/|T0| is L * |S|. So the atoms add up as integer numerators,
+    and each becomes one Fraction at the end.
     """
     ops = list(tagged_ops)
     trace = replay_noiseless(universe, members, [op for op, _ in ops])
     tags = [tag for op, tag in ops if not isinstance(op, Update)]
-    atoms: dict = {}
-    for k, outcome, p in trace.fire_atoms():
-        atom = key(tags[k], outcome)
-        atoms[atom] = atoms[atom] + p if atom in atoms else p
-    atoms[end_key] = atoms.get(end_key, 0) + trace.survival
-    return Law(atoms)
+    lcm = math.lcm(*(scale for scale, _ in FIRE_LAW.values()))
+    rows = {row: (lcm // scale, atoms) for row, (scale, atoms) in FIRE_LAW.items()}
+    nums: dict = {}
+    for step, tag in zip(trace.steps, tags):
+        mult, atoms = rows[step.kind == "pair", step.present_count]
+        for outcome, weight in atoms:
+            atom = key(tag, outcome)
+            nums[atom] = nums.get(atom, 0) + weight * mult
+    nums[end_key] = nums.get(end_key, 0) + lcm * len(trace.survivors)
+    den = lcm * (trace.steps[0].size_before if trace.steps else len(trace.survivors))
+    return Law({atom: Fraction(num, den) for atom, num in nums.items()})

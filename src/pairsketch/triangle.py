@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -69,6 +70,11 @@ class EdgeStream:
         off = universe.block_offset("scratch")
         members = range(off, off + 2 * self.m)
         return Tape(universe, members, self.m, partial(_edge_swap, self.edges, self.n, universe))
+
+    @cached_property
+    def _laws(self) -> dict[int, Law]:
+        """``terminal_law`` per sampling period k, each built on its first call."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -248,33 +254,52 @@ def terminal_law(stream: EdgeStream, k: int) -> Law:
     A_u = sum of q^i for i below u's earlier degree. So ell contributes
     (1/k) * [B * P(both) + (A_u + A_v - 2B) * P(one)] to each sign, with
     P(.) the fire probabilities of ``FIRE_LAW`` at |T0| = 2m. The atoms come
-    in the order +km, -km, 0, each present only with positive mass.
+    in the order +km, -km, 0, each present only with positive mass. The
+    stream builds each k's law on the first call and keeps it.
     """
     if k < 1:
         raise InvalidParamsError(f"k must be >= 1, got {k}")
+    laws = stream._laws
+    if k not in laws:
+        laws[k] = _build_law(stream, k)
+    return laws[k]
+
+
+def _build_law(stream: EdgeStream, k: int) -> Law:
+    """``terminal_law``'s sums as polynomials in q with integer coefficients:
+    the pass counts how often each power of q occurs in them, and each
+    polynomial is evaluated once at the end."""
     m = stream.m
     if m == 0:
         return Law({0: Fraction(1)})
-    q = 1 - Fraction(1, k)
-    powers = [Fraction(1)]
     rank: list[dict[int, int]] = [{} for _ in range(stream.n + 1)]  # neighbour -> edge rank
-    reach = [Fraction(0)] * (stream.n + 1)  # A_x over x's edges so far
-    # present count -> sum over edges of E[such queries | the edge is selected]
-    expected = {2: Fraction(0), 1: Fraction(0)}
+    both: Counter[int] = Counter()  # d -> common earlier neighbours w with d_u(w) + d_v(w) = d
+    earlier: Counter[int] = Counter()  # n -> edge endpoints with n earlier edges
     for u, v in stream.edges:
         ru, rv = rank[u], rank[v]
-        both = Fraction(0)
         for w in ru.keys() & rv.keys():
-            d = len(ru) - 1 - ru[w] + len(rv) - 1 - rv[w]
-            while len(powers) <= d:
-                powers.append(powers[-1] * q)
-            both += powers[d]
-        expected[2] += both
-        expected[1] += reach[u] + reach[v] - 2 * both
+            both[len(ru) - 1 - ru[w] + len(rv) - 1 - rv[w]] += 1
+        earlier[len(ru)] += 1
+        earlier[len(rv)] += 1
         ru[v] = len(ru)
         rv[u] = len(rv)
-        reach[u] = 1 + q * reach[u]
-        reach[v] = 1 + q * reach[v]
+    # the A sums of all endpoints: q^i once for each endpoint with more than i earlier edges
+    reach: Counter[int] = Counter()
+    above = 0
+    for n in range(max(earlier), 0, -1):
+        above += earlier[n]
+        reach[n - 1] = above
+    q = 1 - Fraction(1, k)
+
+    def at_q(counts: Counter[int]) -> Fraction:
+        value = Fraction(0)
+        for d in range(max(counts, default=0), -1, -1):  # Horner's rule
+            value = value * q + counts[d]
+        return value
+
+    # present count -> sum over edges of E[such queries | the edge is selected]
+    b = at_q(both)
+    expected = {2: b, 1: at_q(reach) - 2 * b}
     atoms = {k * m: Fraction(0), -k * m: Fraction(0)}
     for present, count in expected.items():
         for outcome, p in fire_probs(True, present, 2 * m):

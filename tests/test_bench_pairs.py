@@ -78,3 +78,72 @@ def test_unmatched_or_traced_records_are_refused(tmp_path, capsys):
 def test_spread_of_few_runs(values, want):
     got = bench_pairs._spread(values)
     assert (got["q1"], got["median"], got["q3"]) == want
+
+
+# -- the run step, with a stub perfbench/run.py --------------------------------
+
+STUB_RUN = """
+import json, sys
+from pathlib import Path
+
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+side = json.loads(Path("src/record.json").read_text())
+with open("runs.log", "a") as log:
+    log.write(f"{side['side']} {args['--trace']} {Path('src').resolve().parent.name}\\n")
+rec = dict(side["record"], args={**side["record"]["args"], "trace": int(args["--trace"])})
+out = Path(".perfbench/results")
+out.mkdir(parents=True, exist_ok=True)
+name = f"{args['--workload']}-seed{args['--seed']}-trace{args['--trace']}.json"
+(out / name).write_text(json.dumps(rec))
+sys.exit(side["exit"])
+"""
+
+
+def tree(path, side, wall, code=0, stub=STUB_RUN):
+    (path / "src").mkdir(parents=True)
+    (path / "perfbench").mkdir()
+    (path / "perfbench" / "run.py").write_text(stub)
+    rec = record("estimators", 5, wall, trace=0)
+    (path / "src" / "record.json").write_text(json.dumps({"side": side, "record": rec, "exit": code}))
+    return path
+
+
+def test_run_step_alternates_sides_in_one_directory(tmp_path, capsys):
+    parent, change = tree(tmp_path / "p", "parent", 2.0), tree(tmp_path / "c", "change", 1.0, code=1)
+    work, out = tmp_path / "work", tmp_path / "BENCH_x.json"
+    rp, rc = tmp_path / "rp", tmp_path / "rc"
+
+    def bench(pairs, *traced):
+        return bench_pairs.main([
+            "--label", "x", "--parent", str(rp), "--change", str(rc), "--parent-sha", "a",
+            "--change-sha", "b", "--out", str(out), "--run", str(parent), str(change),
+            "--workdir", str(work), "--workload", "estimators", "--seed", "5",
+            "--pairs", str(pairs), "--seconds", "7", *traced,
+        ])
+
+    assert bench(2, "--traced") == 0
+    runs = (work / "runs.log").read_text().splitlines()
+    assert runs == ["parent 0 p", "change 0 c", "change 0 c", "parent 0 p",
+                    "parent 1 p", "change 1 c"]
+    # every change run exits 1: reported, and its record still counts
+    err = capsys.readouterr().err
+    assert err.count("exited 1") == 3 and f"{rc / 'trace' / '001.json'} exited 1" in err
+    assert json.loads(out.read_text())["trace"]["parent"] == {"sketch.update.s": 2.0}
+
+    assert bench(1) == 0  # numbering continues after the records already there
+    assert sorted(p.name for p in rp.glob("*.json")) == ["001.json", "002.json", "003.json"]
+    (est,) = json.loads(out.read_text())["runs"]
+    assert est["pairs"] == 3 and est["metrics"]["wall_s"]["change_better_pairs"] == 3
+
+
+def test_run_step_refuses_trees_with_different_benchmarks(tmp_path, capsys):
+    parent = tree(tmp_path / "p", "parent", 2.0)
+    change = tree(tmp_path / "c", "change", 1.0, stub=STUB_RUN + "# edited\n")
+    assert bench_pairs.main([
+        "--label", "x", "--parent", str(tmp_path / "rp"), "--change", str(tmp_path / "rc"),
+        "--parent-sha", "a", "--change-sha", "b", "--out", str(tmp_path / "o"),
+        "--run", str(parent), str(change), "--workdir", str(tmp_path / "w"),
+        "--workload", "estimators", "--seed", "5", "--pairs", "1",
+    ]) == 2
+    assert "different perfbench/ files" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists() and not (tmp_path / "o").exists()

@@ -445,6 +445,48 @@ def test_generator_takes_integral_floats_as_integers():
     assert report(5.0, 3.0) == report(5, 3)
 
 
+# Each experiment's integer params, with a tiny instance and params that run.
+EXPERIMENT_PARAMS = {
+    "bhm": ({"meta_trials": 2, "copies": 3},
+            {"kind": "matching", "n": 12, "alpha": "1/4", "b": 0}),
+    "triangle": ({"k": 2}, {"kind": "planted-triangles", "n": 6, "t": 1, "seed": 2}),
+    "heavy": ({"d_H": 2, "d_T": 1}, {"kind": "star", "n": 4}),
+    "snapshot": ({"kappa": 1, "eps": "1/2", "thresholds": ["-1"], "alpha": 0, "beta": 0,
+                  "capacity_c": 32, "hash_seed": 0}, {"kind": "star", "n": 3}),
+    "equivalence": ({"universe": 3, "max_size": 2, "max_len": 3}, None),
+}
+INTEGER_FIELDS = [
+    (algorithm, field)
+    for algorithm, (params, _) in EXPERIMENT_PARAMS.items()
+    for field, value in params.items()
+    if isinstance(value, int)
+]
+
+
+def _experiment(algorithm, **changes):
+    params, spec = EXPERIMENT_PARAMS[algorithm]
+    config = {"algorithm": algorithm, "params": {**params, **changes}, "trials": 20,
+              "master_seed": 1}
+    if spec is not None:
+        config["instance"] = spec
+    return run_experiment(ExperimentConfig.from_dict(config))
+
+
+@pytest.mark.parametrize("bad", ["x", "2", True, 1.5])
+@pytest.mark.parametrize("algorithm, field", INTEGER_FIELDS)
+def test_experiment_integers_are_checked(algorithm, field, bad):
+    with pytest.raises(ConfigError) as err:
+        _experiment(algorithm, **{field: bad})
+    assert all(word in str(err.value) for word in (algorithm, repr(field), repr(bad)))
+
+
+@pytest.mark.parametrize("algorithm", EXPERIMENT_PARAMS)
+def test_experiments_take_integral_floats_as_integers(algorithm):
+    params, _ = EXPERIMENT_PARAMS[algorithm]
+    floats = {field: float(value) for field, value in params.items() if isinstance(value, int)}
+    assert _experiment(algorithm, **floats).results == _experiment(algorithm).results
+
+
 def test_instance_type_must_match_algorithm():
     cfg = ExperimentConfig("bhm", {}, 10, 0, {"kind": "gnp", "n": 6, "p": 0.5})
     with pytest.raises(ConfigError) as err:

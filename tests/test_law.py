@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairsketch import (
     Block,
+    CyclicShift,
     IntRange,
     InvalidParamsError,
     InvariantError,
+    PermutationSpec,
     QueryOne,
     QueryPair,
     UniverseSpec,
@@ -18,8 +22,9 @@ from pairsketch import (
 )
 from pairsketch import bhm, heavy_edges, triangle
 from pairsketch import pseudosnapshot as ps
-from pairsketch.harness import random_script
-from pairsketch.sketch import Law, replay_law
+from pairsketch.harness import ExperimentConfig, random_script, run_experiment
+from pairsketch.sketch import Law, replay_law, replay_noiseless
+from test_universe import universes
 
 EIGHT = UniverseSpec((Block("v", (IntRange(0, 7),)),))
 
@@ -123,3 +128,248 @@ NEGATIVE_TRIALS = {
 def test_samplers_reject_negative_trial_counts(call):
     with pytest.raises(InvalidParamsError, match="trials must be >= 0, got -"):
         call()
+
+
+# -- the guide-table draw path against one search per draw ----------------------
+
+
+def _searchsorted_sample(law, rng, trials):
+    """The reference draw path: one search per draw over the pinned cumulative bounds."""
+    probs = list(law.atoms.values())
+    cum = np.cumsum([float(p) for p in probs])
+    cum[max(k for k, p in enumerate(probs) if p):] = 1.0
+    return np.searchsorted(cum, rng.random(trials), side="right")
+
+
+class _Uniforms:
+    """An rng stub that hands out the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, trials):
+        assert trials == len(self.u)
+        return self.u.copy()
+
+
+@st.composite
+def weighted_laws(draw):
+    """Laws of 1 to 2000 atoms, some with zero-mass runs at the start, in the
+    middle or at the end, some with one dominant atom."""
+    n = draw(st.integers(1, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.integers(0, draw(st.sampled_from([1, 3, 10**6])) + 1, size=n).tolist()
+    for where in draw(st.sets(st.sampled_from(["start", "middle", "end"]))):
+        run = draw(st.integers(1, max(1, n // 3)))
+        start = {"start": 0, "middle": (n - run) // 2, "end": n - run}[where]
+        weights[start:start + run] = [0] * run
+    if draw(st.booleans()):
+        weights[int(rng.integers(n))] = 10**15
+    if not any(weights):
+        weights[draw(st.integers(0, n - 1))] = 1
+    total = sum(weights)
+    return Law({k: Fraction(w, total) for k, w in enumerate(weights)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_laws(), st.sampled_from([0, 1, 10**5]), st.integers(0, 2**32 - 1))
+def test_guide_table_draws_match_one_search_per_draw(law, trials, seed):
+    got = law.sample(np.random.default_rng(seed), trials)
+    want = _searchsorted_sample(law, np.random.default_rng(seed), trials)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # draws on and beside every bound and every cell edge
+    cum, table = law._guide
+    cells = len(table)
+    edges = np.arange(cells) / cells
+    u = np.concatenate([edges, cum, np.nextafter(cum, 0), np.nextafter(edges[1:], 0), [0.0]])
+    u = u[(u >= 0) & (u < 1)]
+    got = law.sample(_Uniforms(u), len(u))
+    assert np.array_equal(got, _searchsorted_sample(law, _Uniforms(u), len(u)))
+
+
+def test_guide_table_has_a_power_of_two_cells_at_least_eight_per_atom():
+    for n in (1, 2, 3, 20, 321):
+        law = Law({k: Fraction(1, n) for k in range(n)})
+        cells = len(law._guide[1])
+        assert cells >= 8 * n and cells & (cells - 1) == 0 and cells < 16 * n
+
+
+# -- integer replay against the per-atom Fraction sum ---------------------------
+
+
+def _fraction_replay_law(universe, members, tagged_ops, key, end_key):
+    """The reference summation: one Fraction per fire atom, added in replay order."""
+    ops = list(tagged_ops)
+    trace = replay_noiseless(universe, members, [op for op, _ in ops])
+    tags = [tag for op, tag in ops if not isinstance(op, Update)]
+    atoms = {}
+    for k, outcome, p in trace.fire_atoms():
+        atom = key(tags[k], outcome)
+        atoms[atom] = atoms[atom] + p if atom in atoms else p
+    atoms[end_key] = atoms.get(end_key, 0) + trace.survival
+    return atoms
+
+
+def _same_atoms(law, atoms):
+    """Keys, order and Fractions all agree."""
+    assert list(law.atoms.items()) == list(atoms.items())
+    assert all(type(p) is Fraction for p in law.atoms.values())
+
+
+@st.composite
+def universe_scripts(draw):
+    """(universe, members, script) with swaps, whole-block shifts and both query kinds."""
+    u = draw(universes().filter(lambda u: u.size >= 2))
+    ids = st.integers(0, u.size - 1)
+    pairs = st.tuples(ids, ids).filter(lambda p: p[0] != p[1])
+
+    def shift(block, amount):
+        stage = CyclicShift(block.name, amount, (None,) * (len(block.factors) - 1))
+        return Update(PermutationSpec(u, (stage,)))
+
+    ops = st.one_of(
+        pairs.map(lambda p: Update(swap_perm(u, p))),
+        st.builds(shift, st.sampled_from(u.blocks), st.integers(-3, 3)),
+        st.builds(QueryOne, ids),
+        pairs.map(lambda p: QueryPair(*p)),
+    )
+    members = draw(st.sets(ids, min_size=1, max_size=min(u.size, 12)))
+    return u, sorted(members), draw(st.lists(ops, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(universe_scripts(), st.integers(1, 4), st.sampled_from(["end", (0, "Plus")]))
+def test_integer_replay_law_matches_the_fraction_sum(case, fold, end_key):
+    universe, members, script = case
+    tagged = [(op, k) for k, op in enumerate(script)]
+
+    def key(k, out):  # folding tags makes atoms of different queries merge
+        return k % fold, out.value
+
+    law = replay_law(universe, members, tagged, key, end_key)
+    _same_atoms(law, _fraction_replay_law(universe, members, tagged, key, end_key))
+
+
+def test_estimator_laws_match_the_fraction_sum():
+    inst = bhm.generate_instance(32, Fraction(1, 4), 1, seed=3, interleaving="shuffle")
+    tape = inst._tape
+    _same_atoms(bhm.terminal_slabs(inst), _fraction_replay_law(
+        tape.universe, tape.members, bhm.build_script(inst),
+        lambda tag, out: bhm._output(inst, tag, out), (None, None)))
+
+    stream = heavy_edges.DirectedEdgeStream(5, ((1, 2), (3, 2), (2, 4), (4, 1), (2, 5), (5, 1)))
+    m = stream.m
+    tagged = [
+        (op, None)
+        for perm, x, y, _ in heavy_edges._framed_edges(stream, 2, 1)
+        for op in (Update(perm), QueryPair(x, y))
+    ]
+    tape = stream._tape
+    _same_atoms(heavy_edges.terminal_law(stream, 2, 1), _fraction_replay_law(
+        tape.universe, tape.members, tagged, lambda _, o: o.sign * 2 * m, 0))
+
+    law = _snapshot_law()
+    stream = heavy_edges.DirectedEdgeStream(3, ((1, 2), (2, 3)))
+    params = ps.SnapshotParams(kappa=1, eps="1/2", thresholds=("-1",), class_pair=(0, 0))
+    grid, hashes = ps.DegreeGrid.from_eps(3, "1/2"), ps.HashOracles(0, 1, "1/2")
+    plan = ps.build_plan(stream, hashes, grid, params)
+    tagged = []
+    for eplan in plan.edge_plans:
+        tagged += ((up, None) for up in eplan.updates)
+        tagged += ((op, (eplan.edge_index, *coords)) for op, coords in eplan.queries)
+        tagged += ((op, None) for op in eplan.cleanups)
+    atoms = _fraction_replay_law(plan.universe, plan.initial_members(), tagged,
+                                 ps._fire_key(stream, hashes, grid, params, plan.big_m),
+                                 ps._end_key(plan))
+    assert law.atoms == dict(sorted(atoms.items(), key=lambda a: repr(a[0])))
+
+
+def test_a_fire_law_row_off_its_mass_raises(monkeypatch):
+    from pairsketch import sketch
+
+    bad = dict(sketch.FIRE_LAW)
+    scale, atoms = bad[True, 2]
+    bad[True, 2] = (scale, ((atoms[0][0], 3),))
+    monkeypatch.setattr(sketch, "FIRE_LAW", bad)
+    with pytest.raises(InvariantError, match=r"\(True, 2\)"):
+        replay_noiseless(EIGHT, [0, 1, 2], [QueryPair(0, 1)])
+
+
+def test_a_store_that_skips_a_deletion_raises(monkeypatch):
+    from pairsketch import sketch
+
+    take = sketch._MemberStore.take
+
+    def forgetful(self, x, y=None):
+        size, px, py = take(self, x, y)
+        if px:
+            self.ids.add(x)  # reports x present but keeps it
+        return size, px, py
+
+    monkeypatch.setattr(sketch._MemberStore, "take", forgetful)
+    with pytest.raises(InvariantError, match="meets 3 members, not the 2 left"):
+        replay_noiseless(EIGHT, [0, 1, 2], [QueryOne(0), QueryOne(1)])
+    with pytest.raises(InvariantError, match="survivors"):
+        replay_noiseless(EIGHT, [0, 1, 2], [QueryOne(0)])
+
+
+# -- one law per instance ---------------------------------------------------------
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+EXPERIMENTS = {
+    "bhm": (bhm, "replay_law", ExperimentConfig(
+        "bhm", {"meta_trials": 20, "copies": 5}, 500, 3,
+        {"kind": "matching", "n": 16, "alpha": "1/4", "b": 1})),
+    "heavy": (heavy_edges, "replay_law", ExperimentConfig(
+        "heavy", {"d_H": 2, "d_T": 2}, 500, 3, {"kind": "star", "n": 6})),
+    "triangle": (triangle, "_build_law", ExperimentConfig(
+        "triangle", {"k": 2}, 500, 3, {"kind": "planted-triangles", "n": 9, "t": 2})),
+}
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_each_experiment_builds_its_law_once(monkeypatch, name):
+    module, builder, config = EXPERIMENTS[name]
+    calls = _count_calls(monkeypatch, module, builder)
+    first = run_experiment(config)
+    assert len(calls) == 1
+    # the next experiment parses its instance afresh: nothing carries over
+    assert run_experiment(config) == first
+    assert len(calls) == 2
+
+
+def test_a_law_is_kept_per_instance_and_parameter(monkeypatch):
+    calls = _count_calls(monkeypatch, heavy_edges, "replay_law")
+    edges = ((1, 2), (3, 2), (2, 4), (4, 1), (2, 5), (5, 1))
+    stream = heavy_edges.DirectedEdgeStream(5, edges)
+    law = heavy_edges.terminal_law(stream, 2, 1)
+    other = heavy_edges.terminal_law(stream, 1, 2)
+    assert len(calls) == 2 and law != other
+    heavy_edges.sample_outputs(stream, 2, 1, 0, 1000)
+    assert heavy_edges.terminal_law(stream, 2, 1) is law and len(calls) == 2
+    # the kept law is the one a fresh instance builds
+    assert heavy_edges.terminal_law(heavy_edges.DirectedEdgeStream(5, edges), 2, 1) == law
+
+    tri = triangle.EdgeStream(4, ((1, 2), (2, 3), (1, 3), (3, 4), (2, 4)))
+    calls = _count_calls(monkeypatch, triangle, "_build_law")
+    laws = [triangle.terminal_law(tri, k) for k in (1, 2, 1, 2)]
+    assert len(calls) == 2 and laws[0] is laws[2] and laws[1] is laws[3] and laws[0] != laws[1]
+
+    inst = bhm.generate_instance(8, Fraction(1, 4), 0, seed=1)
+    calls = _count_calls(monkeypatch, bhm, "replay_law")
+    law = bhm.terminal_slabs(inst)
+    bhm.sample_majority(inst, 1, 4, copies=3)
+    assert bhm.terminal_slabs(inst) is law and len(calls) == 1
+    assert law == bhm.terminal_slabs(bhm.generate_instance(8, Fraction(1, 4), 0, seed=1))

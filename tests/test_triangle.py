@@ -294,6 +294,36 @@ def test_terminal_law_mean_is_t_less_at_scale():
             assert all(p > 0 for p in law.atoms.values())
 
 
+def _fraction_loop_law(stream, k):
+    """The reference pass: B and the A sums kept as Fractions, edge by edge."""
+    m = stream.m
+    q = 1 - Fraction(1, k)
+    rank = [{} for _ in range(stream.n + 1)]
+    reach = [Fraction(0)] * (stream.n + 1)
+    expected = {2: Fraction(0), 1: Fraction(0)}
+    for u, v in stream.edges:
+        ru, rv = rank[u], rank[v]
+        both = sum((q ** (len(ru) - 1 - ru[w] + len(rv) - 1 - rv[w])
+                    for w in ru.keys() & rv.keys()), Fraction(0))
+        expected[2] += both
+        expected[1] += reach[u] + reach[v] - 2 * both
+        ru[v], rv[u] = len(ru), len(rv)
+        reach[u], reach[v] = 1 + q * reach[u], 1 + q * reach[v]
+    fire = {2: Fraction(2, 2 * m), 1: Fraction(1, 2 * 2 * m)}  # each sign, FIRE_LAW at 2m
+    plus = sum(count * fire[present] / k for present, count in expected.items())
+    minus = expected[1] * fire[1] / k
+    atoms = {k * m: plus, -k * m: minus, 0: 1 - plus - minus}
+    return {x: p for x, p in atoms.items() if p}
+
+
+def test_terminal_law_equals_the_fraction_loop():
+    for n, p in ((12, 0.5), (30, 0.3), (60, 0.15)):
+        stream = random_stream(n, p, n + 1)
+        for k in (1, 2, 5):
+            law = terminal_law(stream, k)
+            assert list(law.atoms.items()) == list(_fraction_loop_law(stream, k).items())
+
+
 # -- run_single and sampler -------------------------------------------------------
 
 

@@ -1,14 +1,26 @@
-"""Pair benchmark run records and summarize them as a ``BENCH_*.json`` file.
+"""Run alternating benchmark pairs, and summarize run records as a ``BENCH_*.json`` file.
 
     python3 tools/bench_pairs.py --label frames --parent DIR --change DIR \
         --parent-sha SHA --change-sha SHA --out BENCH_frames.json \
-        [--trace-parent FILE --trace-change FILE]
+        [--trace-parent FILE --trace-change FILE] \
+        [--run PARENT_TREE CHANGE_TREE --workdir DIR --workload W --seed S \
+         --pairs N [--seconds 60] [--traced]]
+
+With ``--run``, the run step first runs ``perfbench/run.py`` ``--pairs`` times
+per side in ``--workdir``. There ``perfbench`` links to the change tree's
+benchmark (both trees must hold the same one) and ``src`` to the source of
+the side whose turn it is, so both sides share one ``.perfbench`` directory
+and its report digests. Odd pairs run the parent first, even pairs the
+change. ``--traced`` adds one ``--trace 1`` run per side, saved under
+``trace/`` and used as ``--trace-*``. A run that exits nonzero is reported;
+its record still counts, with the failed ops in ``op_fail_frac``.
 
 ``perfbench/run.py`` writes each run's record to
 ``.perfbench/results/<workload>-seed<seed>-trace<t>.json`` and overwrites it
-on the next run of the same seed, so copy every record aside as soon as its
-run ends: one directory per side, named so that sorted file names give the
-run order (``001.json``, ``002.json``, ...). Records are grouped by
+on the next run of the same seed, so every record is copied aside as soon as
+its run ends: one directory per side, named so that sorted file names give the
+run order (``001.json``, ``002.json``, ...); the run step continues the
+numbering of records already there. Records are grouped by
 (workload, seed), and the k-th parent record of a group is paired with its
 k-th change record. Per group and end-to-end metric the output holds each
 side's median and inclusive quartiles, the number of pairs the change won
@@ -21,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -33,6 +46,55 @@ METHOD = (
     "run in one directory with identical perfbench/ files, so report digests are compared "
     "across sides; quartiles are inclusive; every metric is better lower"
 )
+
+
+RUN = [sys.executable, "perfbench/run.py"]
+
+
+def _link(link: Path, target: Path) -> None:
+    if link.is_symlink():
+        link.unlink()
+    link.symlink_to(target.resolve(), target_is_directory=True)
+
+
+def _same_benchmark(a: Path, b: Path) -> bool:
+    files = sorted(p.relative_to(a) for p in a.rglob("*.py"))
+    return files == sorted(p.relative_to(b) for p in b.rglob("*.py")) and all(
+        (a / f).read_bytes() == (b / f).read_bytes() for f in files)
+
+
+def run_pairs(trees: dict, workdir: Path, records: dict, workload: str, seed: int,
+              seconds: int, pairs: int, traced: bool = False, command=RUN) -> list[str]:
+    """Run ``pairs`` alternating benchmark pairs (and with ``traced`` one traced
+    run per side) and copy each record to ``records[side]``.
+
+    ``trees`` and ``records`` map "parent" and "change" to a source tree and a
+    record directory. Returns one message per run that exited nonzero.
+    """
+    if not _same_benchmark(trees["parent"] / "perfbench", trees["change"] / "perfbench"):
+        raise ValueError("the parent and change trees hold different perfbench/ files")
+    workdir.mkdir(parents=True, exist_ok=True)
+    _link(workdir / "perfbench", trees["change"] / "perfbench")
+    order = [("parent", "change") if i % 2 == 0 else ("change", "parent") for i in range(pairs)]
+    runs = [(side, 0) for sides in order for side in sides]
+    runs += [(side, 1) for side in ("parent", "change")] if traced else []
+    problems = []
+    for side, trace in runs:
+        _link(workdir / "src", trees[side] / "src")
+        record = workdir / ".perfbench" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
+        record.unlink(missing_ok=True)
+        args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+                "--trace", str(trace)]
+        code = subprocess.run([*command, *args], cwd=workdir).returncode
+        if not record.exists():
+            raise ValueError(f"{side} run left no record (exit {code})")
+        out = records[side] / "trace" if trace else records[side]
+        out.mkdir(parents=True, exist_ok=True)
+        saved = out / f"{len(list(out.glob('*.json'))) + 1:03d}.json"
+        shutil.copyfile(record, saved)
+        if code:
+            problems.append(f"{saved} exited {code}")
+    return problems
 
 
 def load(directory: Path) -> list[dict]:
@@ -115,9 +177,28 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--trace-parent", type=Path)
     ap.add_argument("--trace-change", type=Path)
+    step = ap.add_argument_group("run step")
+    step.add_argument("--run", nargs=2, type=Path, metavar=("PARENT_TREE", "CHANGE_TREE"))
+    step.add_argument("--workdir", type=Path)
+    step.add_argument("--workload")
+    step.add_argument("--seed", type=int)
+    step.add_argument("--pairs", type=int)
+    step.add_argument("--seconds", type=int, default=60)
+    step.add_argument("--traced", action="store_true")
     args = ap.parse_args(argv)
-    parent, change = load(args.parent), load(args.change)
     try:
+        if args.run:
+            if None in (args.workdir, args.workload, args.seed, args.pairs):
+                ap.error("--run needs --workdir, --workload, --seed and --pairs")
+            records = {"parent": args.parent, "change": args.change}
+            for problem in run_pairs(dict(zip(records, args.run)), args.workdir, records,
+                                     args.workload, args.seed, args.seconds, args.pairs,
+                                     args.traced):
+                print(f"bench_pairs.py: {problem}", file=sys.stderr)
+            if args.traced:
+                args.trace_parent = max((args.parent / "trace").glob("*.json"))
+                args.trace_change = max((args.change / "trace").glob("*.json"))
+        parent, change = load(args.parent), load(args.change)
         out = {
             "label": args.label,
             "change": commit(args.change_sha),
