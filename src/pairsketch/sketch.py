@@ -92,7 +92,8 @@ class Law:
 
     The atoms keep their insertion order, which fixes how ``sample`` maps
     draws to atoms. Construction raises ``InvariantError`` unless the mass is
-    exactly one.
+    exactly one. ``atoms`` is read-only once built: ``expect`` and ``sample``
+    keep numbers derived from it.
     """
 
     atoms: dict

@@ -89,7 +89,8 @@ from pathlib import Path
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 side = json.loads(Path("src/record.json").read_text())
 with open("runs.log", "a") as log:
-    log.write(f"{side['side']} {args['--trace']} {Path('src').resolve().parent.name}\\n")
+    log.write(f"{side['side']} {args['--trace']} {Path('src').resolve().parent.name} "
+              f"{args['--seconds']}\\n")
 rec = dict(side["record"], args={**side["record"]["args"], "trace": int(args["--trace"])})
 out = Path(".perfbench/results")
 out.mkdir(parents=True, exist_ok=True)
@@ -118,13 +119,14 @@ def test_run_step_alternates_sides_in_one_directory(tmp_path, capsys):
             "--label", "x", "--parent", str(rp), "--change", str(rc), "--parent-sha", "a",
             "--change-sha", "b", "--out", str(out), "--run", str(parent), str(change),
             "--workdir", str(work), "--workload", "estimators", "--seed", "5",
-            "--pairs", str(pairs), "--seconds", "7", *traced,
+            "--pairs", str(pairs), *traced,
         ])
 
     assert bench(2, "--traced") == 0
     runs = (work / "runs.log").read_text().splitlines()
-    assert runs == ["parent 0 p", "change 0 c", "change 0 c", "parent 0 p",
-                    "parent 1 p", "change 1 c"]
+    seconds = json.loads(bench_pairs.BENCHMARK.read_text())["run_seconds"]
+    assert runs == [f"{run} {seconds}" for run in (
+        "parent 0 p", "change 0 c", "change 0 c", "parent 0 p", "parent 1 p", "change 1 c")]
     # every change run exits 1: reported, and its record still counts
     err = capsys.readouterr().err
     assert err.count("exited 1") == 3 and f"{rc / 'trace' / '001.json'} exited 1" in err

@@ -108,11 +108,16 @@ HEAVY = heavy_edges.DirectedEdgeStream(4, ((3, 1), (3, 2), (3, 4)))
 TRIANGLE = triangle.EdgeStream(3, ((1, 2), (1, 3), (2, 3)))
 
 
+SNAPSHOT = (
+    heavy_edges.DirectedEdgeStream(3, ((1, 2), (2, 3))),
+    ps.HashOracles(0, 1, "1/2"),
+    ps.DegreeGrid.from_eps(3, "1/2"),
+    ps.SnapshotParams(kappa=1, eps="1/2", thresholds=("-1",), class_pair=(0, 0)),
+)
+
+
 def _snapshot_law():
-    stream = heavy_edges.DirectedEdgeStream(3, ((1, 2), (2, 3)))
-    params = ps.SnapshotParams(kappa=1, eps="1/2", thresholds=("-1",), class_pair=(0, 0))
-    grid = ps.DegreeGrid.from_eps(3, "1/2")
-    return ps.terminal_law(stream, ps.HashOracles(0, 1, "1/2"), grid, params)
+    return ps.terminal_law(*SNAPSHOT)
 
 
 NEGATIVE_TRIALS = {
@@ -268,10 +273,7 @@ def test_estimator_laws_match_the_fraction_sum():
     _same_atoms(heavy_edges.terminal_law(stream, 2, 1), _fraction_replay_law(
         tape.universe, tape.members, tagged, lambda _, o: o.sign * 2 * m, 0))
 
-    law = _snapshot_law()
-    stream = heavy_edges.DirectedEdgeStream(3, ((1, 2), (2, 3)))
-    params = ps.SnapshotParams(kappa=1, eps="1/2", thresholds=("-1",), class_pair=(0, 0))
-    grid, hashes = ps.DegreeGrid.from_eps(3, "1/2"), ps.HashOracles(0, 1, "1/2")
+    stream, hashes, grid, params = SNAPSHOT
     plan = ps.build_plan(stream, hashes, grid, params)
     tagged = []
     for eplan in plan.edge_plans:
@@ -281,7 +283,7 @@ def test_estimator_laws_match_the_fraction_sum():
     atoms = _fraction_replay_law(plan.universe, plan.initial_members(), tagged,
                                  ps._fire_key(stream, hashes, grid, params, plan.big_m),
                                  ps._end_key(plan))
-    assert law.atoms == dict(sorted(atoms.items(), key=lambda a: repr(a[0])))
+    _same_atoms(_snapshot_law().law, dict(sorted(atoms.items(), key=lambda a: repr(a[0]))))
 
 
 def test_a_fire_law_row_off_its_mass_raises(monkeypatch):

@@ -4,16 +4,17 @@
         --parent-sha SHA --change-sha SHA --out BENCH_frames.json \
         [--trace-parent FILE --trace-change FILE] \
         [--run PARENT_TREE CHANGE_TREE --workdir DIR --workload W --seed S \
-         --pairs N [--seconds 60] [--traced]]
+         --pairs N [--traced]]
 
 With ``--run``, the run step first runs ``perfbench/run.py`` ``--pairs`` times
-per side in ``--workdir``. There ``perfbench`` links to the change tree's
-benchmark (both trees must hold the same one) and ``src`` to the source of
-the side whose turn it is, so both sides share one ``.perfbench`` directory
-and its report digests. Odd pairs run the parent first, even pairs the
-change. ``--traced`` adds one ``--trace 1`` run per side, saved under
-``trace/`` and used as ``--trace-*``. A run that exits nonzero is reported;
-its record still counts, with the failed ops in ``op_fail_frac``.
+per side in ``--workdir``, each for the ``run_seconds`` of ``BENCHMARK.json``.
+There ``perfbench`` links to the change tree's benchmark (both trees must
+hold the same one) and ``src`` to the source of the side whose turn it is,
+so both sides share one ``.perfbench`` directory and its report digests.
+Odd pairs run the parent first, even pairs the change. ``--traced`` adds one
+``--trace 1`` run per side, saved under ``trace/`` and used as
+``--trace-*``. A run that exits nonzero is reported; its record still
+counts, with the failed ops in ``op_fail_frac``.
 
 ``perfbench/run.py`` writes each run's record to
 ``.perfbench/results/<workload>-seed<seed>-trace<t>.json`` and overwrites it
@@ -46,9 +47,7 @@ METHOD = (
     "run in one directory with identical perfbench/ files, so report digests are compared "
     "across sides; quartiles are inclusive; every metric is better lower"
 )
-
-
-RUN = [sys.executable, "perfbench/run.py"]
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def _link(link: Path, target: Path) -> None:
@@ -64,7 +63,7 @@ def _same_benchmark(a: Path, b: Path) -> bool:
 
 
 def run_pairs(trees: dict, workdir: Path, records: dict, workload: str, seed: int,
-              seconds: int, pairs: int, traced: bool = False, command=RUN) -> list[str]:
+              seconds: int, pairs: int, traced: bool = False) -> list[str]:
     """Run ``pairs`` alternating benchmark pairs (and with ``traced`` one traced
     run per side) and copy each record to ``records[side]``.
 
@@ -83,9 +82,9 @@ def run_pairs(trees: dict, workdir: Path, records: dict, workload: str, seed: in
         _link(workdir / "src", trees[side] / "src")
         record = workdir / ".perfbench" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
         record.unlink(missing_ok=True)
-        args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
-                "--trace", str(trace)]
-        code = subprocess.run([*command, *args], cwd=workdir).returncode
+        code = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                               "--seed", str(seed), "--seconds", str(seconds),
+                               "--trace", str(trace)], cwd=workdir).returncode
         if not record.exists():
             raise ValueError(f"{side} run left no record (exit {code})")
         out = records[side] / "trace" if trace else records[side]
@@ -183,7 +182,6 @@ def main(argv=None) -> int:
     step.add_argument("--workload")
     step.add_argument("--seed", type=int)
     step.add_argument("--pairs", type=int)
-    step.add_argument("--seconds", type=int, default=60)
     step.add_argument("--traced", action="store_true")
     args = ap.parse_args(argv)
     try:
@@ -191,9 +189,9 @@ def main(argv=None) -> int:
             if None in (args.workdir, args.workload, args.seed, args.pairs):
                 ap.error("--run needs --workdir, --workload, --seed and --pairs")
             records = {"parent": args.parent, "change": args.change}
+            seconds = json.loads(BENCHMARK.read_text())["run_seconds"]
             for problem in run_pairs(dict(zip(records, args.run)), args.workdir, records,
-                                     args.workload, args.seed, args.seconds, args.pairs,
-                                     args.traced):
+                                     args.workload, args.seed, seconds, args.pairs, args.traced):
                 print(f"bench_pairs.py: {problem}", file=sys.stderr)
             if args.traced:
                 args.trace_parent = max((args.parent / "trace").glob("*.json"))
