@@ -343,8 +343,8 @@ EXPERIMENTS = {
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_each_experiment_builds_its_law_once(monkeypatch, name):
-    module, builder, config = EXPERIMENTS[name]
-    calls = _count_calls(monkeypatch, module, builder)
+    module, law_fn, config = EXPERIMENTS[name]
+    calls = _count_calls(monkeypatch, module, law_fn)
     first = run_experiment(config)
     assert len(calls) == 1
     # the next experiment parses its instance afresh: nothing carries over
