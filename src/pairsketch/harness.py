@@ -378,7 +378,7 @@ def generate_graph(kind: str, params: Mapping[str, Any], seed: int):
     """
     params = dict(params)
     if kind == "gnp":
-        n, p = _int_param(kind, params, "n"), _snap.to_fraction(params.pop("p"))
+        n, p = _int_param(kind, params, "n"), _snap.to_fraction(_required(kind, params, "p"))
         _reject_extras(kind, params)
         if n < 1 or not 0 <= p <= 1:
             raise InvalidParamsError(f"gnp needs n >= 1 and p in [0, 1], got n={n}")
@@ -412,7 +412,7 @@ def generate_graph(kind: str, params: Mapping[str, Any], seed: int):
         return stream, {"kind": kind, "n": n, "triangles": t, "m": stream.m}
     if kind == "matching":
         n = _int_param(kind, params, "n")
-        alpha = _alpha(params.pop("alpha"))
+        alpha = _alpha(_required(kind, params, "alpha"))
         b = _int_param(kind, params, "b", None)
         interleaving = params.pop("interleaving", "shuffle")
         _reject_extras(kind, params)
@@ -444,6 +444,13 @@ def _int_param(kind: str, params: dict, field: str, default: Any = _MISSING) -> 
     ):
         raise ConfigError(f"{kind} {field!r} must be an integer, got {value!r:.40}")
     return int(value)
+
+
+def _required(kind: str, params: dict, field: str) -> Any:
+    """Pop ``field`` from ``params``; ``ConfigError`` naming the kind and field when absent."""
+    if field not in params:
+        raise ConfigError(f"{kind} needs {field!r}")
+    return params.pop(field)
 
 
 def _reject_extras(kind: str, leftovers: dict) -> None:
@@ -684,7 +691,14 @@ def _run_equivalence(_instance, params, trials, seed):
     universe_n = _int_param("equivalence", params, "universe", 8)
     max_size = _int_param("equivalence", params, "max_size", 4)
     max_len = _int_param("equivalence", params, "max_len", 5)
-    tolerance = float(params.get("tolerance", 1e-9))
+    tolerance = params.get("tolerance", 1e-9)
+    if isinstance(tolerance, bool) or not (
+        isinstance(tolerance, numbers.Real) and math.isfinite(tolerance) and tolerance >= 0
+    ):
+        raise ConfigError(
+            f"equivalence 'tolerance' must be a finite number >= 0, got {tolerance!r:.40}"
+        )
+    tolerance = float(tolerance)
     if universe_n < 1 or max_size < 1 or max_len < 1:
         raise ConfigError("equivalence needs positive universe, max_size, max_len")
 

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidParamsError, ValidationError
-from .permutation import CyclicShift, Frame, FrameReader, PermutationSpec, SwapStage, frame_id
+from .permutation import CyclicShift, Frame, PermutationSpec, SwapStage, frame_id
 from .sketch import Law, QueryOutcome, QueryPair, ScriptOp, Update, create, replay_law
 from .tape import Tape
 from .universe import Block, IntRange, Labels, UniverseSpec
@@ -154,7 +154,7 @@ def _framed_update(edges, n: int, frame: Frame, k: int) -> tuple[tuple[Permutati
 
 
 def _framed_edges(stream: DirectedEdgeStream, d_H: int, d_T: int):
-    """(framed update, framed query endpoints, rotations set) per edge of a pass.
+    """(framed update, framed query endpoints) per edge of a pass.
 
     The probed slots (u, H, d_H) and (v, T, d_T) are framed at run time
     through their lines' rotations, so one tape serves every threshold pair.
@@ -163,7 +163,7 @@ def _framed_edges(stream: DirectedEdgeStream, d_H: int, d_T: int):
     for (perm, turned), (u, v) in zip(stream._tape, stream.edges):
         head, tail = _slot(n, u, 0, 0), _slot(n, v, 1, 0)
         x = frame_id(head + d_H, head, turned[head], mod)
-        yield perm, x, frame_id(tail + d_T, tail, turned[tail], mod), turned
+        yield perm, x, frame_id(tail + d_T, tail, turned[tail], mod)
 
 
 def build_script(
@@ -193,25 +193,23 @@ def run_single(
     """One estimator pass; returns +-2m on a hit, else 0.
 
     ``observer`` (test hook) receives (edge index, member ids) after each
-    edge's update and query while the sketch is alive; the ids are the
-    literal ones, unframed.
+    edge's update and query while the sketch is alive. The run applies the
+    framed ops (see ``build_script``), so the ids are the framed ones: the
+    literal member set framed by the shifts of edges 1..ell.
     """
     _check_thresholds(stream, d_H, d_T)
     m = stream.m
     if m == 0:
         return 0
     tape = stream._tape
-    reader = FrameReader(tape.universe, tape.members) if observer is not None else None
     handle = create(tape.universe, tape.members, master_seed=seed, handle_id=handle_id)
-    for ell, (perm, x, y, turned) in enumerate(_framed_edges(stream, d_H, d_T), start=1):
+    for ell, (perm, x, y) in enumerate(_framed_edges(stream, d_H, d_T), start=1):
         handle.update(perm)
         out = handle.query_pair(x, y)
         if out is not QueryOutcome.BOT:
             return out.sign * 2 * m
         if observer is not None:
-            named = (*perm.swapped, x, y)
-            reader.turn(turned.items())
-            observer(ell, reader.read(named, handle.debug_members(among=named)))
+            observer(ell, handle.debug_members())
     return 0
 
 
@@ -265,7 +263,7 @@ def _build_law(stream: DirectedEdgeStream, d_H: int, d_T: int) -> Law:
     tape = stream._tape
     tagged = (
         (op, None)
-        for perm, x, y, _ in _framed_edges(stream, d_H, d_T)
+        for perm, x, y in _framed_edges(stream, d_H, d_T)
         for op in (Update(perm), QueryPair(x, y))
     )
     return replay_law(tape.universe, tape.members, tagged, lambda _, o: o.sign * 2 * m, 0)

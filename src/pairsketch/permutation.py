@@ -14,14 +14,13 @@ coordinates it does not move, so the matched set is a union of cyclic lines
 only one that reads a selection: compiling a shift turns it into the first
 ids of the lines it rotates.
 
-A shift relabels ids the same way in every run of a fixed op sequence, so a
-``Frame`` can fold the sequence's shifts into the ids of its later swaps and
-queries once; the runs then apply swaps only.
+A ``Frame`` keeps shifts as pending rotations of lines and addresses swaps
+and queries through them; it serves a live store, and folds a fixed op
+sequence's shifts into the ids of its later swaps and queries once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from typing import Iterable, Union
 
@@ -117,14 +116,6 @@ class PermutationSpec:
             mapping[b] = a
         return mapping
 
-    @cached_property
-    def swapped(self) -> tuple[int, ...]:
-        """Every id a swap stage names."""
-        return tuple(
-            eid for stage in self.stages if isinstance(stage, SwapStage)
-            for pair in stage.pairs for eid in pair
-        )
-
     def apply(self, eid: int) -> int:
         """Image of a single element id under the full permutation."""
         self.universe.check_id(eid)
@@ -183,14 +174,18 @@ def frame_id(eid: int, line: int, r: int, mod: int) -> int:
 
 
 class Frame:
-    """The cyclic shifts of an op sequence, folded into the ids of its later ops.
+    """Cumulative rotations of cyclic lines, and the framed ids they define.
 
-    Walk the sequence once: ``fold`` adds each shift to the cumulative
-    rotation ``rot`` of every line it names, and emits each swap with its ids
-    framed (``frame(eid)``, see ``frame_id``); queries are framed the same way.
-    Swaps and queries on framed ids act on the unshifted member set exactly as
-    the literal ops act on the shifted one: presences, sizes and outcomes
-    agree, and a ``FrameReader`` maps members back to the literal ids.
+    ``turn`` adds a compiled shift to the rotation ``rot`` of every line it
+    names, and nothing moves: ``frame(eid)`` is where universe id ``eid``'s
+    member is kept, the id that held it before the rotations (``frame_id``),
+    and ``unframe_all`` maps kept ids back. Swaps and queries on framed ids
+    act on the unshifted member set exactly as the literal ops act on the
+    shifted one: presences, sizes and outcomes agree.
+
+    A sketch's member store keeps one frame for the shifts its updates apply.
+    Runs whose op sequence is fixed ``fold`` it once per instance into framed
+    swaps and queries, so they apply swaps only.
     """
 
     __slots__ = ("universe", "rot", "_blocks")
@@ -209,109 +204,33 @@ class Frame:
                 return frame_id(eid, line, r, mod) if r else eid
         return eid  # outside the universe: left for validation to reject
 
+    def unframe_all(self, ids: Iterable[int]) -> set[int]:
+        """The universe ids whose framed ids are ``ids``: framing by the
+        opposite rotations (``frame_id``) inverts the frame."""
+        back = Frame(self.universe)
+        back.rot = {line: -r for line, r in self.rot.items()}
+        return set(map(back, ids))
+
+    def turn(self, comp: _CompiledShift) -> None:
+        """Add the shift ``comp`` to the rotation of every line it names."""
+        rot = self.rot
+        for line in comp.lines:
+            rot[line] = (rot.get(line, 0) + comp.amount) % comp.mod
+
     def fold(self, stages: Iterable[Stage]) -> tuple[tuple[SwapStage, ...], dict[int, int]]:
         """Walk ``stages`` in order: the framed swap stages, and the rotation
         each line the shifts named ends up with."""
-        swaps, rot, turned = [], self.rot, {}
+        swaps, turned = [], {}
         for stage in stages:
             if isinstance(stage, SwapStage):
                 swaps.append(SwapStage(tuple((self(a), self(b)) for a, b in stage.pairs)))
             elif isinstance(stage, CyclicShift):
                 comp = compile_shift(self.universe, stage)
-                for line in comp.lines:
-                    rot[line] = turned[line] = (rot.get(line, 0) + comp.amount) % comp.mod
+                self.turn(comp)
+                turned.update((line, self.rot[line]) for line in comp.lines)
             else:
                 raise PermutationError(f"unknown stage type {type(stage).__name__}")
         return tuple(swaps), turned
-
-
-class FrameReader:
-    """Reads the members of a run on framed ops back in literal ids, step by step.
-
-    Start it on the run's initial members. Per step, ``turn`` takes the (line,
-    rotation) pairs the step's shifts left (``Frame.fold``'s second result),
-    and ``read`` every framed id the step's swaps and queries named, with the
-    set of those the run still holds. Only named ids can have joined or left,
-    and only rotated lines move, so the reader keeps the literal member set
-    and, for each block a rotation has named, the framed members by line; a
-    read rewrites only the lines whose members or rotation changed, as the
-    lazy store's ``settle`` rewrites only pending lines.
-    """
-
-    __slots__ = ("_rot", "_mods", "_blocks", "_grouped", "_lines", "_held", "_literal", "_old")
-
-    def __init__(self, universe: UniverseSpec, members: Iterable[int]):
-        self._rot: dict[int, int] = {}  # line -> its rotation, for each rotated line
-        self._mods: dict[int, int] = {}  # line -> its length, for each line seen
-        self._blocks = tuple((lay.offset, lay.end, lay.mod) for lay in universe.layout())
-        self._grouped: list[tuple[int, int, int]] = []  # blocks kept by line
-        self._lines: dict[int, set[int]] = {}  # framed members per line of a grouped block
-        self._held: set[int] = set()  # all those framed members
-        self._literal = set(members)  # the literal members as of the last read
-        self._old: dict[int, int] = {}  # line -> its rotation at the last read, for lines to rewrite
-
-    def turn(self, rotations: Iterable[tuple[int, int]]) -> None:
-        rot, mods, old = self._rot, self._mods, self._old
-        for line, r in rotations:
-            if line not in mods:
-                block = next(b for b in self._blocks if b[0] <= line < b[1])
-                if block not in self._grouped:
-                    self._group(block)
-                mods[line] = block[2]
-            if line not in old:
-                old[line] = rot.get(line, 0)
-            rot[line] = r
-
-    def _group(self, block: tuple[int, int, int]) -> None:
-        """Keep the block's members by line; none of its lines was rotated
-        yet, so their framed ids are literal."""
-        self._grouped.append(block)
-        offset, end, mod = block
-        for eid in [eid for eid in self._literal if offset <= eid < end]:
-            self._held.add(eid)
-            self._lines.setdefault(eid - (eid - offset) % mod, set()).add(eid)
-
-    def read(self, named: Iterable[int], held_now: set[int]) -> set[int]:
-        """The literal members, from every framed id named since the last read
-        and the set of those the run holds now."""
-        literal, lines, held, old, rot, mods = (
-            self._literal, self._lines, self._held, self._old, self._rot, self._mods
-        )
-        moved = []
-        for eid in named:
-            now = eid in held_now
-            for offset, end, mod in self._grouped:
-                if offset <= eid < end:
-                    if now is not (eid in held):
-                        line = eid - (eid - offset) % mod
-                        moved.append((eid, line, now))
-                        if now:
-                            held.add(eid)
-                        else:
-                            held.remove(eid)
-                        if line not in old:
-                            old[line] = rot.get(line, 0)
-                            mods[line] = mod
-                    break
-            else:  # a block no rotation named: its framed ids are literal
-                if now:
-                    literal.add(eid)
-                else:
-                    literal.discard(eid)
-        # frame_id(eid, line, -r, mod), inlined: these run once per member
-        literal.difference_update([
-            line + (eid - line + r) % mods[line] for line, r in old.items() for eid in lines.get(line, ())
-        ])
-        for eid, line, now in moved:
-            if now:
-                lines.setdefault(line, set()).add(eid)
-            else:
-                lines[line].remove(eid)
-        literal.update([
-            line + (eid - line + rot.get(line, 0)) % mods[line] for line in old for eid in lines.get(line, ())
-        ])
-        old.clear()
-        return set(literal)
 
 
 def swap_perm(universe: UniverseSpec, *pairs: tuple[int, int]) -> PermutationSpec:

@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from hashlib import blake2b
 from typing import Callable
 
@@ -26,7 +26,7 @@ from .errors import (
     InvariantError,
 )
 from .heavy_edges import DirectedEdgeStream
-from .permutation import CyclicShift, Frame, FrameReader, PermutationSpec, Stage, SwapStage
+from .permutation import CyclicShift, Frame, PermutationSpec, Stage, SwapStage
 from .sketch import Law, QueryOne, QueryOutcome, QueryPair, Update, create, replay_law
 from .universe import Block, IntRange, Labels, UniverseSpec
 
@@ -368,7 +368,7 @@ class EdgePlan:
     Every id is framed: the increments' shifts are folded into the ids of the
     swaps, queries and cleanups after them, so ``updates`` hold swaps only.
     ``rotations`` pairs each stack line the edge's shifts turned with its
-    cumulative rotation after the edge; reading members back needs them.
+    cumulative rotation after the edge; framing literal ids needs them.
     """
 
     edge_index: int
@@ -376,13 +376,6 @@ class EdgePlan:
     queries: tuple[tuple[QueryPair, tuple[int, int, int]], ...]
     cleanups: tuple[QueryOne, ...]
     rotations: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def named(self) -> tuple[int, ...]:
-        """Every id the edge's ops name: the only ids whose membership they change."""
-        swapped = (eid for up in self.updates for eid in up.perm.swapped)
-        queried = (eid for op, _ in self.queries for eid in (op.x, op.y))
-        return (*swapped, *queried, *(op.x for op in self.cleanups))
 
 
 @dataclass(frozen=True)
@@ -671,7 +664,9 @@ def run_single(
     fixed by `hashes`. An exhausted scratch pool or a blown hash budget
     flags the run and zeroes the estimate, as does a cleanup hit.
     ``observer`` (test hook) receives (edge index, member ids) after each
-    edge while the sketch is alive; the ids are the literal ones, unframed.
+    edge while the sketch is alive. The ids are the framed ones the plan's
+    ops address: the literal member set framed by the rotations of
+    ``EdgePlan.rotations`` up to that edge.
     """
     ell = params.ell
     if stream.m == 0:
@@ -683,7 +678,6 @@ def run_single(
         return _estimate(ell, _fire_key(stream, hashes, grid, params, plan.big_m)(tag, outcome))
 
     members = plan.initial_members()
-    reader = FrameReader(plan.universe, members) if observer is not None else None
     handle = create(plan.universe, members, master_seed=seed, handle_id=handle_id)
     for eplan in plan.edge_plans:
         for up in eplan.updates:
@@ -697,9 +691,7 @@ def run_single(
             if outcome is not QueryOutcome.BOT:
                 return fired(None, outcome)
         if observer is not None:
-            reader.turn(eplan.rotations)
-            held = handle.debug_members(among=eplan.named)
-            observer(eplan.edge_index, reader.read(eplan.named, held))
+            observer(eplan.edge_index, handle.debug_members())
     return _estimate(ell, _end_key(plan))
 
 

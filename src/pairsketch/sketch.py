@@ -47,7 +47,7 @@ from .errors import (
     ScriptError,
     SketchDestroyedError,
 )
-from .permutation import PermutationSpec, _CompiledShift
+from .permutation import Frame, PermutationSpec
 from .universe import UniverseSpec
 
 
@@ -169,28 +169,23 @@ def _check_query(size: int, *endpoints: int) -> None:
 
 
 class _MemberStore:
-    """A set of member ids, held flat in ``ids``, with lazy cyclic shifts.
+    """A set of member ids, held flat in ``ids`` in the frame of the shifts so far.
 
-    The first cyclic shift to touch a block buckets its members by line in
-    one scan of ``ids``: ``buckets`` maps the first id of each nonempty cyclic
-    line (see ``pairsketch.universe``) to its stored ids. A shift only adds
-    its amount to the pending rotation ``rot`` of each nonempty line it names;
-    while line L of length ``mod`` has rotation r, member ``eid`` is stored
-    at ``L + (eid - L - r) % mod`` (``permutation.frame_id``), the id swaps
-    and queries address. ``settle`` rewrites each pending line once. Runs
-    whose op sequence is fixed fold their shifts into their ops beforehand
-    (``permutation.Frame``), so their stores never bucket. Construction
-    raises ``InvalidInitError`` on an empty, repeated or out-of-universe
-    member set.
+    The first cyclic shift makes ``frame``, a ``permutation.Frame``; each
+    shift then only adds to the rotations of the lines it names, and swaps
+    and queries address framed ids (``frame(eid)``), so ``ids`` holds the
+    framed id of every member and a shift rewrites none. ``members`` reads
+    them back in universe ids. Runs whose op sequence is fixed fold their
+    shifts into their ops beforehand, so their stores never make a frame.
+    Construction raises ``InvalidInitError`` on an empty, repeated or
+    out-of-universe member set.
     """
 
-    __slots__ = ("_layouts", "_indexed", "buckets", "rot", "ids")
+    __slots__ = ("universe", "frame", "ids")
 
     def __init__(self, universe: UniverseSpec, members: Iterable[int]) -> None:
-        self._layouts = universe.layout()
-        self._indexed: tuple[tuple[int, int, int], ...] = ()  # (offset, end, mod) per block
-        self.buckets: dict[int, set[int]] = {}
-        self.rot: dict[int, int] = {}
+        self.universe = universe
+        self.frame: Frame | None = None
         if isinstance(members, range) and members.step == 1 and members:
             for eid in (members.start, members.stop - 1):  # as the per-id loop rejects
                 if not universe.contains_id(eid):
@@ -208,107 +203,40 @@ class _MemberStore:
         if not self.ids:
             raise InvalidInitError("initial member set is empty")
 
-    def _where(self, eid: int) -> tuple[int, int | None]:
-        """(stored id, line or None if its block has no buckets) of ``eid``."""
-        for offset, end, mod in self._indexed:
-            if offset <= eid < end:
-                line = eid - (eid - offset) % mod
-                r = self.rot.get(line)
-                return (line + (eid - line - r) % mod if r else eid), line
-        return eid, None
-
-    def _add(self, stored: int, line: int | None) -> None:
-        self.ids.add(stored)
-        if line is not None:
-            self.buckets.setdefault(line, set()).add(stored)
-
-    def _drop(self, stored: int, line: int | None) -> None:
-        self.ids.remove(stored)
-        if line is not None:
-            self.buckets[line].remove(stored)
-            if not self.buckets[line]:
-                del self.buckets[line]
-                self.rot.pop(line, None)
-
-    def _discard(self, eid: int) -> bool:
-        stored, line = self._where(eid)
-        found = stored in self.ids
-        if found:
-            self._drop(stored, line)
-        return found
-
     def take(self, x: int, y: int | None = None) -> tuple[int, bool, bool]:
         """The miss branch of a query: delete the present endpoints.
 
         Returns (size before, x present, y present).
         """
-        ids = self.ids
+        ids, frame = self.ids, self.frame
+        if frame is not None:
+            x, y = frame(x), y if y is None else frame(y)
         size = len(ids)
-        if self._indexed:
-            return size, self._discard(x), y is not None and self._discard(y)
         ids.discard(x)
         after_x = len(ids)
         ids.discard(y)  # a no-op for y = None
         return size, after_x < size, len(ids) < after_x
 
-    def settle(self) -> None:
-        """Rewrite each line with a pending rotation; afterwards none is pending."""
-        buckets, ids = self.buckets, self.ids
-        for offset, end, mod in self._indexed:
-            for line, r in self.rot.items():
-                if offset <= line < end:
-                    old = buckets[line]
-                    new = buckets[line] = {line + (e - line + r) % mod for e in old}
-                    ids -= old
-                    ids |= new
-        self.rot.clear()
-
-    def snapshot(self) -> set[int]:
-        self.settle()
-        return set(self.ids)
+    def members(self) -> set[int]:
+        """The member ids, in universe ids."""
+        return set(self.ids) if self.frame is None else self.frame.unframe_all(self.ids)
 
     def apply(self, perm: PermutationSpec) -> None:
         """Relabel every member by ``perm``."""
-        for stage, comp in zip(perm.stages, perm._compiled):  # type: ignore[attr-defined]
-            if isinstance(comp, dict):
-                self.apply_swap(stage.pairs)
-            else:
-                self.apply_shift(comp)
-
-    def apply_swap(self, pairs) -> None:
         ids = self.ids
-        if not self._indexed:
-            for a, b in pairs:
-                if (a in ids) != (b in ids):
-                    ids ^= {a, b}
-            return
-        where, add, drop = self._where, self._add, self._drop
-        for a, b in pairs:
-            here, there = where(a), where(b)
-            if (here[0] in ids) != (there[0] in ids):
-                if there[0] in ids:
-                    here, there = there, here
-                add(*there)  # before the drop, so a line that both lie on never empties
-                drop(*here)
-
-    def apply_shift(self, comp: _CompiledShift) -> None:
-        mod = next((mod for offset, _, mod in self._indexed if offset == comp.offset), 0)
-        mod = mod or self._index(comp.offset)
-        buckets, rot = self.buckets, self.rot
-        for line in comp.lines:
-            if line in buckets:
-                r = rot[line] = (rot.get(line, 0) + comp.amount) % mod
-                if not r:
-                    del rot[line]
-
-    def _index(self, offset: int) -> int:
-        """Bucket the block at ``offset`` by line in one scan; return its line length."""
-        lay = next(lay for lay in self._layouts if lay.offset == offset)
-        for eid in self.ids:
-            if offset <= eid < lay.end:
-                self.buckets.setdefault(lay.line(eid), set()).add(eid)
-        self._indexed += ((offset, lay.end, lay.mod),)
-        return lay.mod
+        for stage, comp in zip(perm.stages, perm._compiled):  # type: ignore[attr-defined]
+            frame = self.frame
+            if isinstance(comp, dict):
+                pairs = stage.pairs
+                if frame is not None:
+                    pairs = [(frame(a), frame(b)) for a, b in pairs]
+                for a, b in pairs:
+                    if (a in ids) != (b in ids):
+                        ids ^= {a, b}
+            else:
+                if frame is None:
+                    frame = self.frame = Frame(self.universe)
+                frame.turn(comp)
 
 
 class SketchHandle:
@@ -352,14 +280,10 @@ class SketchHandle:
         self._require_alive()
         return len(self._store.ids)
 
-    def debug_members(self, among: Iterable[int] | None = None) -> set[int]:
-        """Current member ids, or only those in ``among``. Diagnostic only; no
-        production code path reads it."""
+    def debug_members(self) -> set[int]:
+        """Current member ids. Diagnostic only; no production code path reads it."""
         self._require_alive()
-        if among is None:
-            return self._store.snapshot()
-        self._store.settle()
-        return self._store.ids.intersection(among)
+        return self._store.members()
 
     # -- operations -------------------------------------------------------
 
@@ -565,7 +489,7 @@ def replay_noiseless(
             f"{initial_size - remaining} present endpoints its queries deleted"
         )
     return ReplayTrace(
-        frozenset(store.snapshot()), Fraction(remaining, initial_size), tuple(steps)
+        frozenset(store.members()), Fraction(remaining, initial_size), tuple(steps)
     )
 
 

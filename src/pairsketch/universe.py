@@ -10,8 +10,8 @@ Example: a block with factors (IntRange(1, 2), Labels(("H", "T"))) encodes
 (1, "H") -> 0, (1, "T") -> 1, (2, "H") -> 2, (2, "T") -> 3.
 
 A *cyclic line* is the set of ids of one block that differ only in the last
-coordinate; it is named by its first id. Cyclic shifts rotate whole lines, and
-a sketch buckets a block's members by line once a shift first touches it.
+coordinate; it is named by its first id. Cyclic shifts rotate whole lines; a
+sketch keeps them as per-line rotations in a ``permutation.Frame``.
 
 The geometry is computed once per object: a block's strides, and a universe's
 per-block layout and name -> (block index, block, offset) table, are cached

@@ -1,5 +1,7 @@
-"""Value-space reference for permutations, kept for the tests."""
+"""Value-space reference for permutations, and framing of reference member
+sets, kept for the tests."""
 from pairsketch import PermutationError, SwapStage
+from pairsketch.permutation import Frame
 
 
 def permute_set(perm, ids: set[int]) -> set[int]:
@@ -32,3 +34,19 @@ def permute_set(perm, ids: set[int]) -> set[int]:
     if len(current) != len(ids):
         raise PermutationError("permutation collapsed distinct ids")
     return current
+
+
+def frame_steps(universe, updates, sets):
+    """``sets[k]`` framed by the shifts of ``updates[0..k]``, for each k.
+
+    Runs on framed ops hold framed ids (``permutation.Frame``). Framing is a
+    bijection, so such a run's members equal a literal reference set exactly
+    when they equal its framed image; framing each reference set once costs
+    less than unframing every observed one.
+    """
+    frame = Frame(universe)
+    out = []
+    for perm, ids in zip(updates, sets):
+        frame.fold(perm.stages)
+        out.append({frame(eid) for eid in ids})
+    return out

@@ -4,11 +4,13 @@
 queries, cleanup) on a live handle one at a time, with literal ids and real
 shifts, so tests can poke at them directly; ``literal_pass`` drives a whole
 run with them and ``literal_tagged_ops`` lists the same ops for a replay.
+``frame_by_plan`` frames literal member sets as the plan's runs hold them.
 ``StackMirror`` predicts the member set after each edge from per-stack
 position sets alone, without touching a sketch, and checks the closed-form
 interval shape of every stack.
 """
 from pairsketch import CapacityError, QueryOutcome, create
+from pairsketch.permutation import Frame
 from pairsketch.pseudosnapshot import FAMILIES, _Plan, snapshot_universe
 
 
@@ -26,8 +28,8 @@ def literal_pass(run, observer):
     """Drive a fresh ``SnapshotRun`` over its whole stream (hash budget kept).
 
     Returns ("Hit", (edge, x, i, j, sign)), ("Cleanup", None), ("Capacity",
-    None) or ("StreamEnd", None); ``observer(edge, members)`` sees the literal
-    member set after each edge the run survives.
+    None) or ("StreamEnd", None); ``observer(edge, handle)`` sees the live
+    handle after each edge the run survives, and reads what it needs.
     """
     for k, (u, v) in enumerate(run.stream.edges, start=1):
         try:
@@ -40,8 +42,19 @@ def literal_pass(run, observer):
             return "Hit", (k, *hit)
         if run.cleanup(u, v):
             return "Cleanup", None
-        observer(k, run.handle.debug_members())
+        observer(k, run.handle)
     return "StreamEnd", None
+
+
+def frame_by_plan(plan, seen):
+    """(edge, members) pairs, each member set framed as a run on ``plan``
+    holds it after that edge: by ``EdgePlan.rotations`` up to the edge."""
+    frame = Frame(plan.universe)
+    out = []
+    for eplan, (k, ids) in zip(plan.edge_plans, seen):
+        frame.rot.update(eplan.rotations)
+        out.append((k, {frame(eid) for eid in ids}))
+    return out
 
 
 def literal_tagged_ops(stream, hashes, grid, params):

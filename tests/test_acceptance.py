@@ -36,7 +36,8 @@ from pairsketch.harness import (
 )
 from pairsketch.heavy_edges import DirectedEdgeStream
 from pairsketch.triangle import EdgeStream
-from snapshot_reference import StackMirror
+from permutation_reference import frame_steps
+from snapshot_reference import StackMirror, frame_by_plan
 
 K3 = EdgeStream(3, ((1, 2), (1, 3), (2, 3)))
 STAR = DirectedEdgeStream(4, ((3, 1), (3, 2), (3, 4)))
@@ -367,8 +368,11 @@ def test_criterion_6_heavy_edges(files):
             assert abs(sample_mean - count) <= 4 * sigma
             zs.append(abs(sample_mean - count) / sigma)
 
-            # 100 instrumented trials per (stream, thresholds): 1,000 in all
-            expected = _heavy_mirror(stream, d_h, d_t)
+            # 100 instrumented trials per (stream, thresholds): 1,000 in all;
+            # runs hold framed ids, so the mirror is framed once per edge
+            heavy_universe, heavy_script = he.build_script(stream, d_h, d_t)
+            updates = [op.perm for op in heavy_script if isinstance(op, Update)]
+            expected = frame_steps(heavy_universe, updates, _heavy_mirror(stream, d_h, d_t))
             for hid in range(100):
                 seen = []
                 he.run_single(
@@ -428,6 +432,8 @@ def test_criterion_7_pseudosnapshot(files):
         for w in touched:
             mirror.check_stack_form(w)
         expected.append((k, mirror.expected_members()))
+    # runs hold framed ids, so the mirror is framed once per edge
+    expected = frame_by_plan(plan, expected)
 
     full_runs = 0
     for t in range(1000):

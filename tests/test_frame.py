@@ -1,11 +1,11 @@
 """Framed op sequences: shifts folded into later ids must change nothing observable.
 
 A ``permutation.Frame`` walks an op sequence once and emits its swaps and
-queries on framed ids, with no shift left. Run on a handle whose store never
-buckets, the framed sequence must draw the same outcomes from the same seed as
-the literal sequence on the lazy-shift store, and unframing its members must
-give the literal members. Heavy-edge and snapshot runs and laws use framed ops;
-here they are checked against the literal references.
+queries on framed ids, with no shift left. Run on a handle that never sees a
+shift, the framed sequence must draw the same outcomes from the same seed as
+the literal sequence, and its members must be the framed literal members.
+Heavy-edge and snapshot runs and laws use framed ops; here they are checked
+against the literal references.
 """
 import numpy as np
 import pytest
@@ -24,8 +24,9 @@ from pairsketch import (
 )
 from pairsketch import heavy_edges, pseudosnapshot
 from pairsketch.sketch import replay_law
-from pairsketch.permutation import Frame, FrameReader, frame_id
-from snapshot_reference import SnapshotRun, literal_pass, literal_tagged_ops
+from pairsketch.permutation import Frame, compile_shift, frame_id
+from permutation_reference import frame_steps
+from snapshot_reference import SnapshotRun, frame_by_plan, literal_pass, literal_tagged_ops
 from test_pseudosnapshot import FIX_GRID, FIX_HASHES, FIX_PARAMS, FIX_STREAM
 from test_sketch import _factor_values
 from test_universe import universes
@@ -74,33 +75,52 @@ def test_framed_script_on_a_plain_store_matches_the_literal_one(case, hid):
     universe, members, ops = case
     literal = create(universe, sorted(members), master_seed=5, handle_id=hid)
     framed = create(universe, sorted(members), master_seed=5, handle_id=hid)
-    frame, reader = Frame(universe), FrameReader(universe, members)
-    named = []  # framed ids the ops named since the last read
+    frame = Frame(universe)
     for op in ops:
         if op == "read":
-            assert reader.read(named, framed.debug_members(among=named)) == literal.debug_members()
-            named.clear()
+            assert framed.debug_members() == {frame(e) for e in literal.debug_members()}
         elif isinstance(op, Update):
-            swaps, turned = frame.fold(op.perm.stages)
-            reader.turn(turned.items())
+            swaps, _ = frame.fold(op.perm.stages)
             literal.update(op.perm)
-            framed.update(perm := PermutationSpec(universe, swaps))
-            named += perm.swapped
+            framed.update(PermutationSpec(universe, swaps))
         else:
             if isinstance(op, QueryPair):
-                x, y = frame(op.x), frame(op.y)
-                want, got = literal.query_pair(op.x, op.y), framed.query_pair(x, y)
-                named += (x, y)
+                want = literal.query_pair(op.x, op.y)
+                got = framed.query_pair(frame(op.x), frame(op.y))
             else:
-                x = frame(op.x)
-                want, got = literal.query_one(op.x), framed.query_one(x)
-                named.append(x)
+                want, got = literal.query_one(op.x), framed.query_one(frame(op.x))
             assert got is want
             if got.fires():
                 return
-        # the framed handle never sees a shift, so its store never buckets
-        assert not framed._store._indexed and not framed._store.rot
-    assert reader.read(named, framed.debug_members(among=named)) == literal.debug_members()
+        # the framed handle never sees a shift, so its store holds no rotation
+        assert framed._store.frame is None
+    assert framed.debug_members() == {frame(e) for e in literal.debug_members()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_unframe_all_inverts_frame(data):
+    universe = data.draw(universes())
+    frame = Frame(universe)
+    for _ in range(data.draw(st.integers(0, 4))):
+        block = data.draw(st.sampled_from(universe.blocks))
+        select = tuple(
+            None if data.draw(st.booleans())
+            else frozenset(data.draw(st.sets(st.sampled_from(_factor_values(f)))))
+            for f in block.factors[:-1]
+        )
+        # zero and negative amounts included: a line can turn back to rotation 0
+        shift = CyclicShift(block.name, data.draw(st.integers(-7, 7)), select)
+        frame.turn(compile_shift(universe, shift))
+    for lay in universe.layout():
+        # a rotation set directly may be zero, negative or past the line length
+        line = lay.offset + lay.mod * data.draw(st.integers(0, (lay.end - lay.offset) // lay.mod - 1))
+        frame.rot[line] = data.draw(st.integers(-9, 9))
+    ids = data.draw(st.sets(st.integers(0, universe.size - 1)))
+    framed = {frame(eid) for eid in ids}
+    assert len(framed) == len(ids)
+    assert frame.unframe_all(framed) == ids
+    assert frame.unframe_all(range(universe.size)) == set(range(universe.size))
 
 
 def test_frame_id_inverts_with_the_opposite_rotation():
@@ -121,7 +141,7 @@ def _directed(n, m, seed):
 
 
 def _heavy_literal(stream, d_H, d_T, seed, hid):
-    """(output, member set after each edge survived) of the literal script."""
+    """(output, framed member set after each edge survived) of the literal script."""
     universe, script = heavy_edges.build_script(stream, d_H, d_T)
     handle = create(universe, stream._tape.members, master_seed=seed, handle_id=hid)
     seen = []
@@ -130,9 +150,13 @@ def _heavy_literal(stream, d_H, d_T, seed, hid):
         query = script[2 * ell + 1]
         out = handle.query_pair(query.x, query.y)
         if out.fires():
-            return out.sign * 2 * stream.m, seen
+            break
         seen.append(handle.debug_members())
-    return 0, seen
+    else:
+        out = None
+    updates = [op.perm for op in script if isinstance(op, Update)]
+    seen = frame_steps(universe, updates, seen)
+    return (0 if out is None else out.sign * 2 * stream.m), seen
 
 
 @pytest.mark.parametrize("d_H, d_T", [(2, 1), (3, 3)])
@@ -179,6 +203,9 @@ def test_snapshot_plans_hold_swaps_only(fix_plan):
 
 def test_snapshot_runs_equal_the_literal_moves(fix_plan):
     key = pseudosnapshot._fire_key(FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS, fix_plan.big_m)
+    # every run that passes an edge holds the same members after it, so the
+    # literal ones are read in the first run to pass it and framed once
+    literal_at, framed_at = {}, {}
     ends = set()
     for hid in range(200):
         seen, want_seen = [], []
@@ -186,8 +213,16 @@ def test_snapshot_runs_equal_the_literal_moves(fix_plan):
             FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS, 11, handle_id=hid, plan=fix_plan,
             observer=lambda k, mem: seen.append((k, mem)),
         )
+
+        def literal(k, handle):
+            want_seen.append((k, handle.size))
+            if k not in literal_at:
+                literal_at[k] = handle.debug_members()
+
         run = SnapshotRun(FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS, 11, handle_id=hid)
-        end, hit = literal_pass(run, lambda k, mem: want_seen.append((k, mem)))
+        end, hit = literal_pass(run, literal)
+        if len(framed_at) < len(literal_at):
+            framed_at = dict(frame_by_plan(fix_plan, sorted(literal_at.items())))
         if end == "Hit":
             edge, x, i, j, sign = hit
             outcome = QueryOutcome.PLUS if sign == 1 else QueryOutcome.MINUS
@@ -197,7 +232,8 @@ def test_snapshot_runs_equal_the_literal_moves(fix_plan):
         else:
             want = pseudosnapshot._end_key(fix_plan)
         assert est.key == want, hid
-        assert seen == want_seen, hid
+        assert [(k, len(mem)) for k, mem in seen] == want_seen, hid
+        assert all(mem == framed_at[k] for k, mem in seen), hid
         ends.add(est.terminated_by)
     assert {"Plus", "StreamEnd"} <= ends
 

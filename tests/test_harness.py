@@ -121,6 +121,21 @@ def test_generator_rejects_bad_requests():
         generate_graph("gnp", {"n": 5, "p": 1.5}, 0)
 
 
+@pytest.mark.parametrize("kind, params, field", [
+    ("gnp", {"n": 5}, "'p'"),
+    ("matching", {"n": 8, "b": 0}, "'alpha'"),
+])
+def test_generator_names_a_missing_param(kind, params, field, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=f"^{kind} needs {field}$"):
+        generate_graph(kind, params, 0)
+    algorithm = "triangle" if kind == "gnp" else "bhm"
+    with pytest.raises(ConfigError, match=f"^{kind} needs {field}$"):
+        run_experiment(ExperimentConfig(algorithm, {"k": 1}, 5, 0, {"kind": kind, **params}))
+    flags = [f"--{key}={value}" for key, value in params.items()]
+    assert main(["gen", "--kind", kind, *flags, "--out", str(tmp_path / "x.txt")]) == 2
+    assert capsys.readouterr().err == f"error: {kind} needs {field}\n"
+
+
 # -- instance files ------------------------------------------------------------------
 
 
@@ -273,6 +288,14 @@ def test_emit_report_writes_json_and_csv(tmp_path):
 
 
 # -- running experiments ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", ["x", float("nan"), float("inf"), -1.0, True])
+def test_equivalence_tolerance_is_a_finite_nonnegative_number(bad):
+    config = ExperimentConfig("equivalence", {"universe": 3, "tolerance": bad}, 4, 0)
+    with pytest.raises(ConfigError) as err:
+        run_experiment(config)
+    assert "'tolerance'" in str(err.value) and repr(bad) in str(err.value)
 
 
 def test_equivalence_experiment_covers_subsets():

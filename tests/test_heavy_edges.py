@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pairsketch import InvalidParamsError, ValidationError, enumerate_distribution
+from pairsketch import InvalidParamsError, Update, ValidationError, enumerate_distribution
 from pairsketch.heavy_edges import (
     DirectedEdgeStream,
     HeavyParams,
@@ -17,6 +17,7 @@ from pairsketch.heavy_edges import (
     sample_outputs,
     terminal_law,
 )
+from permutation_reference import frame_steps
 
 STAR = DirectedEdgeStream(4, ((3, 1), (3, 2), (3, 4)))
 
@@ -214,7 +215,10 @@ def heavy_mirror(stream, d_H, d_T):
 def test_members_match_independent_mirror_each_step():
     stream = random_directed(8, 20, 17)
     for d_H, d_T in ((2, 1), (3, 2)):
-        expected = heavy_mirror(stream, d_H, d_T)
+        # runs hold framed ids, so the mirror is framed once per edge
+        universe, script = build_script(stream, d_H, d_T)
+        updates = [op.perm for op in script if isinstance(op, Update)]
+        expected = frame_steps(universe, updates, heavy_mirror(stream, d_H, d_T))
         survived = 0
         for hid in range(60):
             seen = []

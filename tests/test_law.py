@@ -266,7 +266,7 @@ def test_estimator_laws_match_the_fraction_sum():
     m = stream.m
     tagged = [
         (op, None)
-        for perm, x, y, _ in heavy_edges._framed_edges(stream, 2, 1)
+        for perm, x, y in heavy_edges._framed_edges(stream, 2, 1)
         for op in (Update(perm), QueryPair(x, y))
     ]
     tape = stream._tape

@@ -37,7 +37,7 @@ from pairsketch.pseudosnapshot import (
     run_single,
     terminal_law,
 )
-from snapshot_reference import SnapshotRun, StackMirror
+from snapshot_reference import SnapshotRun, StackMirror, frame_by_plan
 
 
 def random_directed(n: int, m: int, seed: int) -> DirectedEdgeStream:
@@ -746,6 +746,7 @@ def test_mirror_tracks_instrumented_runs(fix_plan):
         for w in touched:
             mirror.check_stack_form(w)
         expected.append((k, mirror.expected_members()))
+    expected = frame_by_plan(fix_plan, expected)
     assert mirror.cursor <= fix_plan.big_m
     consumed = 8 * 8 * FIX_STREAM.m + 2 * 8 * (
         5 * sum(fix_plan.f_alpha) + 3 * sum(fix_plan.f_beta)

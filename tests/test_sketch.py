@@ -466,16 +466,9 @@ def test_disjoint_batch_outcomes_are_order_independent():
 # -- flat membership and the one size read -------------------------------------
 
 
-def _line_start(universe, eid):
-    """First id of the cyclic line of ``eid``, from its value address."""
-    name, values = universe.decode(eid)
-    last = universe.block(name).factors[-1]
-    return universe.encode(name, values[:-1] + (last.value(0),))
-
-
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_store_ids_stay_the_union_of_the_buckets(data):
+def test_members_after_every_op_match_the_per_element_reference(data):
     members = data.draw(st.sets(st.integers(0, GRID.size - 1), min_size=1, max_size=20))
     script = data.draw(grid_scripts())
     store = _MemberStore(GRID, sorted(members))
@@ -483,23 +476,14 @@ def test_store_ids_stay_the_union_of_the_buckets(data):
     for op in script:
         if isinstance(op, Update):
             store.apply(op.perm)
-            current = permute_set(op.perm, current)
+            current = {op.perm.apply(eid) for eid in current}
         elif isinstance(op, QueryOne):
             store.take(op.x)
             current.discard(op.x)
         else:
             store.take(op.x, op.y)
             current -= {op.x, op.y}
-        union = set()
-        for key, bucket in store.buckets.items():
-            # every bucket is nonempty and holds stored ids of the line it is keyed by
-            assert bucket and {_line_start(GRID, eid) for eid in bucket} == {key}
-            union |= bucket
-        indexed = {eid for eid in store.ids if any(lo <= eid < hi for lo, hi, _ in store._indexed)}
-        assert union == indexed and len(store.ids) == len(current)
-        assert store.rot.keys() <= store.buckets.keys() and all(store.rot.values())
-    store.settle()
-    assert not store.rot and store.snapshot() == current
+        assert store.members() == current and len(store.ids) == len(current)
 
 
 def _reference_fire(rng, pair, size, present):
@@ -558,7 +542,7 @@ def _slot(w, label, pos):
 
 SCRATCH = [GRID.encode("scratch", (k,)) for k in range(10)]
 # the stack block is first shifted mid-script, after a swap and a query;
-# later swaps and queries address rotated lines, and reads settle them
+# later swaps and queries address rotated lines, and reads unframe them
 FIRST_SHIFT_MID_SCRIPT = (
     GRID,
     {_slot(1, "H", 0), _slot(1, "H", 2), *SCRATCH[:3]},
@@ -615,23 +599,10 @@ def _stores_of(monkeypatch, module):
     return stores
 
 
-def test_a_shift_rewrites_nothing_until_a_read():
-    line = [GRID.encode("stack", (2, "T", pos)) for pos in (0, 3)]
-    h = create(GRID, line + [GRID.encode("scratch", (4,))])
-    before = want = set(h._store.ids)
-    perm = PermutationSpec(GRID, (CyclicShift("stack", 3, (None, None)),))
-    for _ in range(4):
-        h.update(perm)
-        want = permute_set(perm, want)
-    # four shifts by 3 are one pending rotation by 12 % 5 on the one nonempty line
-    assert h._store.ids == before and h._store.rot == {line[0]: 2}
-    assert h.debug_members() == want == h._store.ids and not h._store.rot
-
-
-def test_no_estimator_live_run_buckets(monkeypatch):
+def test_no_estimator_live_run_store_holds_a_rotation(monkeypatch):
     # bhm and triangle never shift; heavy and snapshot runs apply their
     # instance's ops with every shift folded into the ids (permutation.Frame),
-    # so no live run's store ever buckets a block or holds a rotation
+    # so no live run's store ever makes a frame of its own
     stores = {name: _stores_of(monkeypatch, module) for name, module in (
         ("bhm", bhm), ("triangle", triangle), ("heavy", heavy_edges), ("snapshot", pseudosnapshot)
     )}
@@ -661,7 +632,7 @@ def test_no_estimator_live_run_buckets(monkeypatch):
     assert max(edges_run) > 1  # some snapshot runs pass several shifted edges
     for name, recorded in stores.items():
         assert len(recorded) == 20, name
-        assert not any(s.buckets or s._indexed or s.rot for s in recorded), name
+        assert all(s.frame is None for s in recorded), name
 
 
 BAD_ENDPOINTS = [True, False, -1, LINE.size, np.int64(3), 2.0]

@@ -126,3 +126,17 @@ def test_each_fire_rule_is_written_once():
         for func in funcs:
             attrs = {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)}
             assert not attrs & {"PLUS", "MINUS"}, (name, func.name)
+
+
+def test_cyclic_line_arithmetic_lives_in_the_permutation_module():
+    # the member store keeps shifts in a permutation.Frame, which alone
+    # frames ids and maps them back
+    tree = _tree("sketch.py")
+    mods = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod)
+    ]
+    assert mods == []
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not attrs & {"rot", "buckets"}
