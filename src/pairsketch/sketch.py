@@ -20,6 +20,12 @@ nothing keeps answering ``Bot``.
 ``FIRE_LAW`` states these rules once; the live handle, the noiseless replay
 and every exact estimator law read it from there (``fire_probs``).
 
+A live query is a presence test plus an in-place delete on the handle's
+member set; only a query with an endpoint present draws a uniform. Each handle
+takes its uniforms in order from the generator keyed by (seed, handle id), a
+block at a time (``rng.random(n)``), and these are the same doubles that one
+``rng.random()`` call per draw would give, so blocks change no outcome.
+
 The useful consequence of these laws is reorderability: misses delete
 deterministically, so the member set conditioned on "no fire yet" is exactly
 the set a noiseless replay produces, and the unconditional probability that a
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -230,19 +237,30 @@ class _MemberStore:
                 pairs = stage.pairs
                 if frame is not None:
                     pairs = [(frame(a), frame(b)) for a, b in pairs]
-                for a, b in pairs:
-                    if (a in ids) != (b in ids):
-                        ids ^= {a, b}
+                for a, b in pairs:  # move a lone member to its partner
+                    if a in ids:
+                        if b not in ids:
+                            ids.remove(a)
+                            ids.add(b)
+                    elif b in ids:
+                        ids.remove(b)
+                        ids.add(a)
             else:
                 if frame is None:
                     frame = self.frame = Frame(self.universe)
                 frame.turn(comp)
 
 
+#: A handle draws its uniforms in blocks of ``_FIRST_BLOCK``, then twice as
+#: many per refill up to ``_LAST_BLOCK``: a short run pays for few draws it
+#: never uses, and a long one refills rarely.
+_FIRST_BLOCK, _LAST_BLOCK = 4, 64
+
+
 class SketchHandle:
     """Live sketch state. Create via :func:`create`."""
 
-    __slots__ = ("universe", "handle_id", "_size", "_store", "_rng", "_outcome")
+    __slots__ = ("universe", "handle_id", "_size", "_store", "_rng", "_draws", "_block", "_outcome")
 
     def __init__(
         self,
@@ -255,6 +273,8 @@ class SketchHandle:
         self.handle_id = handle_id
         self._size = universe.size  # read once; queries check endpoints against it
         self._rng = rng
+        self._draws: list[float] = []  # the next uniforms of ``rng``, last one first
+        self._block = _FIRST_BLOCK
         self._outcome: QueryOutcome | None = None
         self._store = _MemberStore(universe, members)
 
@@ -288,37 +308,52 @@ class SketchHandle:
     # -- operations -------------------------------------------------------
 
     def update(self, perm: PermutationSpec) -> None:
-        self._require_alive()
-        if perm.universe is not self.universe and perm.universe != self.universe:
-            raise ScriptError("permutation universe does not match handle universe")
+        if self._outcome is not None or perm.universe is not self.universe:
+            self._require_alive()
+            if perm.universe != self.universe:
+                raise ScriptError("permutation universe does not match handle universe")
         self._store.apply(perm)
 
-    def _destroy(self, outcome: QueryOutcome) -> QueryOutcome:
-        self._outcome = outcome
-        self._store = None  # type: ignore[assignment]
-        return outcome
+    def _refill(self) -> list[float]:
+        """Draw the next block of uniforms, and double the block after it up to
+        ``_LAST_BLOCK``; ``rng.random(n)`` gives the same doubles as n calls of
+        ``rng.random()``."""
+        n = self._block
+        self._block = min(2 * n, _LAST_BLOCK)
+        draws = self._draws = self._rng.random(n)[::-1].tolist()
+        return draws
 
     def _fire(self, pair: bool, size: int, present: int) -> QueryOutcome:
+        """Draw the next uniform and fire by ``FIRE_LAW``; ``present`` is at least 1."""
         scale, atoms = FIRE_LAW[pair, present]
-        if atoms:
-            u = self._rng.random() * scale * size
-            acc = 0
-            for outcome, weight in atoms:
-                acc += weight
-                if u < acc:
-                    return self._destroy(outcome)
+        u = (self._draws or self._refill()).pop() * scale * size
+        acc = 0
+        for outcome, weight in atoms:
+            acc += weight
+            if u < acc:
+                self._outcome = outcome
+                self._store = None  # type: ignore[assignment]
+                return outcome
         return QueryOutcome.BOT
 
-    # A query takes the miss branch first; a fire then discards the store, so
-    # deleting the endpoints beforehand changes nothing observable. The full
-    # checks run only if the inline one fails; no endpoint present means Bot.
+    # A query tests its endpoints in place: with none present it is Bot and
+    # changes nothing; otherwise it deletes them (the miss branch) and draws.
+    # A fire then discards the store, so deleting beforehand changes nothing
+    # observable. The full checks run only if the inline one fails.
 
     def query_one(self, x: int) -> QueryOutcome:
         if self._outcome is not None or type(x) is not int or not 0 <= x < self._size:
             self._require_alive()
             _check_query(self._size, x)
-        size, present, _ = self._store.take(x)
-        return self._fire(False, size, 1) if present else QueryOutcome.BOT
+        store = self._store
+        ids = store.ids
+        if store.frame is not None:
+            x = store.frame(x)
+        if x not in ids:
+            return QueryOutcome.BOT
+        size = len(ids)
+        ids.remove(x)
+        return self._fire(False, size, 1)
 
     def query_pair(self, x: int, y: int) -> QueryOutcome:
         size = self._size
@@ -327,9 +362,21 @@ class SketchHandle:
         ):
             self._require_alive()
             _check_query(size, x, y)
-        size, present_x, present_y = self._store.take(x, y)
-        present = present_x + present_y
-        return self._fire(True, size, present) if present else QueryOutcome.BOT
+        store = self._store
+        ids = store.ids
+        if store.frame is not None:
+            x, y = store.frame(x), store.frame(y)
+        size = len(ids)
+        if x in ids:
+            ids.remove(x)
+            if y in ids:
+                ids.remove(y)
+                return self._fire(True, size, 2)
+        elif y in ids:
+            ids.remove(y)
+        else:
+            return QueryOutcome.BOT
+        return self._fire(True, size, 1)
 
 
 def create(
@@ -339,11 +386,28 @@ def create(
     master_seed: int = 0,
     handle_id: int = 0,
 ) -> SketchHandle:
-    """Build a sketch of ``members``; randomness is keyed by (seed, handle id)."""
-    if master_seed < 0 or handle_id < 0:
-        raise InvalidInitError("master_seed and handle_id must be nonnegative")
+    """Build a sketch of ``members``; randomness is keyed by (seed, handle id).
+
+    Both keys must be nonnegative integers (an ``int``, or a type with
+    ``__index__`` such as ``np.int64``, but not a bool); anything else raises
+    ``InvalidInitError``.
+    """
+    if not (type(master_seed) is type(handle_id) is int and master_seed >= 0 and handle_id >= 0):
+        master_seed = _seed_key("master_seed", master_seed)
+        handle_id = _seed_key("handle_id", handle_id)
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, handle_id]))
     return SketchHandle(universe, members, rng, handle_id)
+
+
+def _seed_key(name: str, value) -> int:
+    """``value`` as a nonnegative int, else ``InvalidInitError`` naming ``name``."""
+    try:
+        key = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
+    except TypeError:
+        key = None
+    if key is None or key < 0:
+        raise InvalidInitError(f"{name} must be a nonnegative integer, got {value!r}")
+    return key
 
 
 # -- scripts ---------------------------------------------------------------

@@ -197,13 +197,14 @@ def run_single(
         return 0
     n, tape = stream.n, stream._tape
     handle = create(tape.universe, tape.members, master_seed=seed, handle_id=handle_id)
-    g = _g_rng(seed, handle_id)
+    draws = _g_rng(seed, handle_id).random(m).tolist()  # as m calls of g.random()
     swaps = iter(tape)  # an edge's swap is compiled only once its queries miss
-    for ell, (u, v) in enumerate(stream.edges, start=1):
-        selected = g.random() * k < 1.0
-        if selected:
-            for w in range(1, n + 1):
-                out = handle.query_pair(_pair_id(n, w, u), _pair_id(n, w, v))
+    rows = range(0, n * n, n)  # _pair_id(n, w, .) - _pair_id(n, 1, .) for w = 1..n
+    for ell, ((u, v), g) in enumerate(zip(stream.edges, draws), start=1):
+        if g * k < 1.0:
+            wu, wv = _pair_id(n, 1, u), _pair_id(n, 1, v)
+            for row in rows:
+                out = handle.query_pair(row + wu, row + wv)
                 if out is not QueryOutcome.BOT:
                     return out.sign * k * m
         handle.update(next(swaps))

@@ -31,12 +31,12 @@ def write(directory, records):
 
 def test_pairs_in_run_order_per_workload_and_seed(tmp_path):
     parent = write(tmp_path / "p", [
-        record("estimators", 1, 4.0), record("estimators", 1, 2.0), record("estimators", 1, 3.0),
-        record("small", 1, 1.0, rounds=30, fail=0.5),
+        record("estimators", 1, 4.0, rounds=17), record("estimators", 1, 2.0, rounds=10),
+        record("estimators", 1, 3.0, rounds=12), record("small", 1, 1.0, rounds=30, fail=0.5),
     ])
     change = write(tmp_path / "c", [
-        record("estimators", 1, 3.0), record("estimators", 1, 2.5), record("estimators", 1, 1.0),
-        record("small", 1, 1.0, rounds=31),
+        record("estimators", 1, 3.0, rounds=9), record("estimators", 1, 2.5, rounds=14),
+        record("estimators", 1, 1.0, rounds=9), record("small", 1, 1.0, rounds=31),
     ])
     traced = tmp_path / "t.json"
     traced.write_text(json.dumps(record("estimators", 1, 0.5, trace=1)))
@@ -57,7 +57,11 @@ def test_pairs_in_run_order_per_workload_and_seed(tmp_path):
     assert wall["parent"] == {"median": 3.0, "q1": 2.5, "q3": 3.5}
     assert wall["change"] == {"median": 2.5, "q1": 1.75, "q3": 2.75}
     assert wall["median_change_over_parent"] == round(2.5 / 3.0, 4)
-    assert small["rounds_median"] == {"parent": 30, "change": 31}
+    assert small["rounds"] == {"parent": {"median": 30, "q1": 30, "q3": 30},
+                               "change": {"median": 31, "q1": 31, "q3": 31}}
+    # the round counts of the three estimators pairs: 10, 12, 17 and 9, 9, 14
+    assert est["rounds"] == {"parent": {"median": 12, "q1": 11.0, "q3": 14.5},
+                             "change": {"median": 9, "q1": 9.0, "q3": 11.5}}
     assert small["op_fail_frac_max"] == {"parent": 0.5, "change": 0.0}
     assert small["metrics"]["wall_s"]["change_better_pairs"] == 0
     assert bench["trace"]["change"] == {"sketch.update.s": 0.5}

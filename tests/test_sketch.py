@@ -656,3 +656,80 @@ def test_swap_compile_names_the_id_outside_the_universe():
     for pair, bad in (((0, LINE.size), LINE.size), ((-1, 0), -1), ((3, 99), 99)):
         with pytest.raises(PermutationError, match=f"^id {bad} outside universe of size 16$"):
             swap_perm(LINE, pair)
+
+
+# -- seeds and the draw stream -----------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, "3", None, -1, np.bool_(True)], ids=repr)
+def test_create_rejects_a_seed_or_handle_id_that_is_not_a_nonnegative_integer(bad):
+    for key in ("master_seed", "handle_id"):
+        with pytest.raises(InvalidInitError, match=f"^{key} must be a nonnegative integer"):
+            create(LINE, [0, 1], **{key: bad})
+
+
+def test_create_takes_index_integers_as_seeds():
+    script = [QueryOne(x) for x in range(16)]
+    a = create(LINE, range(16), master_seed=np.int64(7), handle_id=np.uint8(3))
+    b = create(LINE, range(16), master_seed=7, handle_id=3)
+    assert run_script(a, script) == run_script(b, script)
+
+
+WIDE = UniverseSpec((Block("g", (IntRange(0, 63), IntRange(0, 63))),))  # 64 lines of 64
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["frameless", "shifted"])
+def test_draw_order_holds_across_block_refills(shifted):
+    # hundreds of present queries cross several block refills; every outcome
+    # must equal one rng.random() per draw, and the members the value-space
+    # reference; swaps move members both ways, and "shifted" rotates lines
+    script_rng = np.random.default_rng(11)
+    members = set(int(x) for x in script_rng.choice(WIDE.size, size=3000, replace=False))
+    reached = []
+    for hid in range(6):
+        h = create(WIDE, sorted(members), master_seed=21, handle_id=hid)
+        rng = np.random.default_rng(np.random.SeedSequence([21, hid]))
+        current, present_queries, fired = set(members), 0, False
+        if shifted:
+            first = PermutationSpec(WIDE, (CyclicShift("g", 5, (None,)),))
+            h.update(first)
+            current = permute_set(first, current)
+            assert h._store.frame is not None
+        for step in range(400):
+            kind = step % 8
+            if kind == 0:
+                # a member to a free id, a free id to a member, two members, two free ids
+                inside = sorted(current)
+                outside = sorted(set(range(WIDE.size)) - current)
+                a, b, e, g = (inside[i] for i in script_rng.choice(len(inside), 4, replace=False))
+                c, d, f, k = (outside[i] for i in script_rng.choice(len(outside), 4, replace=False))
+                perm = PermutationSpec(WIDE, (SwapStage(((a, c), (d, b), (e, g), (f, k))),))
+            elif step % 16 == 4 and shifted:
+                rows = frozenset(int(r) for r in script_rng.choice(64, size=20, replace=False))
+                amount = int(script_rng.integers(-40, 40))
+                perm = PermutationSpec(WIDE, (CyclicShift("g", amount, (rows,)),))
+            else:
+                perm = None
+            if perm is not None:
+                h.update(perm)
+                current = permute_set(perm, current)
+                continue
+            inside = sorted(current)
+            x = inside[int(script_rng.integers(len(inside)))]
+            y = int(script_rng.integers(WIDE.size))
+            pair = kind % 2 == 1 and y != x
+            ends = {x, y} if pair else {x}
+            want = _reference_fire(rng, pair, len(current), len(ends & current))
+            got = h.query_pair(x, y) if pair else h.query_one(x)
+            assert got is want, (hid, step)
+            present_queries += 1
+            if got.fires():
+                fired = True
+                break
+            current -= ends
+            if step % 50 == 0:
+                assert h.debug_members() == current
+        if not fired:
+            assert h.debug_members() == current and h.size == len(current)
+        reached.append(present_queries)
+    assert sum(n >= 200 for n in reached) >= 3, reached

@@ -140,3 +140,23 @@ def test_cyclic_line_arithmetic_lives_in_the_permutation_module():
     assert mods == []
     attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not attrs & {"rot", "buckets"}
+
+
+def test_the_live_handle_draws_its_uniforms_in_one_place():
+    # a handle's uniforms come in order from one block refill; a second draw
+    # path could take them out of order. Law.sample draws trial arrays from a
+    # generator of its own, never a handle's.
+    sites = []
+    for node in _tree("sketch.py").body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for func in members:
+            if isinstance(func, ast.FunctionDef):
+                name = f"{node.name}.{func.name}" if func is not node else func.name
+                sites += [
+                    name
+                    for call in ast.walk(func)
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "random"
+                ]
+    assert sorted(sites) == ["Law.sample", "SketchHandle._refill"]

@@ -506,3 +506,26 @@ def test_estimate_sampled_agrees_with_oracle():
     est = estimate_sampled(stream, params, master_seed=8)
     sigma = k * stream.m / np.sqrt(60_000)
     assert abs(est - float(rep.T_less)) < 4 * sigma
+
+
+def test_selection_pattern_matches_per_edge_draws_at_large_m():
+    # run_single draws its m selection uniforms in one block; the members
+    # after every edge must still follow one g.random() per edge
+    stream = random_stream(20, 0.6, 4)
+    m, n, k = stream.m, stream.n, 4
+    assert m >= 100
+    off = triangle_universe(stream).block_offset("scratch")
+    passed = []
+    for hid in range(20):
+        g = np.random.default_rng(np.random.SeedSequence([9, hid, 2]))
+        pairs: set[tuple[int, int]] = set()
+        seen = []
+        run_single(stream, k, 9, handle_id=hid, observer=lambda ell, mem: seen.append(mem))
+        for ell, (u, v) in enumerate(stream.edges[: len(seen)], start=1):
+            if g.random() * k < 1.0:
+                pairs = {(a, b) for (a, b) in pairs if b not in (u, v)}
+            pairs |= {(u, v), (v, u)}
+            want = set(range(off + 2 * ell, off + 2 * m)) | {(a - 1) * n + b - 1 for a, b in pairs}
+            assert seen[ell - 1] == want, f"handle {hid} diverges at edge {ell}"
+        passed.append(len(seen))
+    assert sum(p == m for p in passed) >= 5, passed

@@ -25,8 +25,9 @@ numbering of records already there. Records are grouped by
 (workload, seed), and the k-th parent record of a group is paired with its
 k-th change record. Per group and end-to-end metric the output holds each
 side's median and inclusive quartiles, the number of pairs the change won
-(every metric is better lower), and the ratio of the medians; also the
-median round count, the largest failed-op share, the environment, and both
+(every metric is better lower), and the ratio of the medians; also each
+side's round counts (median and quartiles; ``peak_rss_mb`` grows with them),
+the largest failed-op share, the environment, and both
 commits with their ``src`` trees when the shas resolve in this repository.
 Traced records (``--trace 1``) are copied in as given, one per side.
 """
@@ -131,8 +132,8 @@ def summarize(parent: list[dict], change: list[dict]) -> list[dict]:
             "workload": workload,
             "seed": seed,
             "pairs": len(ps),
-            "rounds_median": {"parent": statistics.median(r["rounds"] for r in ps),
-                              "change": statistics.median(r["rounds"] for r in cs)},
+            "rounds": {"parent": _spread([r["rounds"] for r in ps]),
+                       "change": _spread([r["rounds"] for r in cs])},
             "op_fail_frac_max": {"parent": max(r["op_fail_frac"] for r in ps),
                                  "change": max(r["op_fail_frac"] for r in cs)},
             "metrics": metrics,
