@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidParamsError, ValidationError
-from .permutation import CyclicShift, Frame, PermutationSpec, SwapStage, frame_id
+from .permutation import CyclicShift, PermutationSpec, SwapStage, frame_id
 from .sketch import Law, QueryOutcome, QueryPair, ScriptOp, Update, create, replay_law
 from .tape import Tape
 from .universe import Block, IntRange, Labels, UniverseSpec
@@ -66,12 +66,13 @@ class DirectedEdgeStream:
 
     @cached_property
     def _tape(self) -> Tape:
-        """Every heavy-edge run's per-edge update, framed (see ``_framed_update``), compiled once."""
+        """Every heavy-edge run's per-edge update in framed ids (swaps only)
+        with its lines' rotations after the edge (``_framed_update``), compiled once."""
         universe = heavy_universe(self)
         off = universe.block_offset("scratch")
         members = range(off, off + 4 * self.m)
-        frame = Frame(universe)
-        return Tape(universe, members, self.m, partial(_framed_update, self.edges, self.n, frame))
+        framed = partial(_framed_update, self.edges, self.n, universe, {})
+        return Tape(universe, members, self.m, framed)
 
     @cached_property
     def _laws(self) -> dict[tuple[int, int], Law]:
@@ -135,22 +136,29 @@ def _slot(n: int, w: int, label: int, pos: int) -> int:
     return (w - 1) * 4 * n + label * 2 * n + pos
 
 
-def _edge_stages(edges, n: int, universe: UniverseSpec, k: int) -> tuple[SwapStage, CyclicShift]:
-    """Edge k's update: four fresh scratch ids swap into position 0 of the H and
-    T stacks of both endpoints, then both endpoints' stacks shift up by one."""
+def _fresh_pairs(edges, n: int, universe: UniverseSpec, k: int) -> tuple[tuple[int, int], ...]:
+    """Edge k's swap pairs: four fresh scratch ids, and position 0 of u's and v's H and T stacks."""
     u, v = edges[k]
     fresh = universe.block_offset("scratch") + 4 * k
     slots = (_slot(n, u, 0, 0), _slot(n, u, 1, 0), _slot(n, v, 0, 0), _slot(n, v, 1, 0))
-    swap = SwapStage(tuple(zip(range(fresh, fresh + 4), slots)))
-    return swap, CyclicShift("stack", 1, (frozenset({u, v}), None))
+    return tuple(zip(range(fresh, fresh + 4), slots))
 
 
-def _framed_update(edges, n: int, frame: Frame, k: int) -> tuple[tuple[PermutationSpec, dict]]:
-    """Edge k's update in the instance's frame: its framed swap, and the rotation
-    its shift leaves on each of the endpoints' four stack lines. The tape
-    compiles edges in order, so ``frame`` holds the shifts of edges 0..k-1."""
-    swaps, turned = frame.fold(_edge_stages(edges, n, frame.universe, k))
-    return ((PermutationSpec(frame.universe, swaps), turned),)
+def _edge_stages(edges, n: int, universe: UniverseSpec, k: int) -> tuple[SwapStage, CyclicShift]:
+    """Edge k's literal update: its fresh swap, then both endpoints' stacks shift up by one."""
+    swap = SwapStage(_fresh_pairs(edges, n, universe, k))
+    return swap, CyclicShift("stack", 1, (frozenset(edges[k]), None))
+
+
+def _framed_update(edges, n: int, universe: UniverseSpec, rot: dict, k: int) -> tuple:
+    """Edge k's update in framed ids: its swap, framed through ``rot``, and the rotation its
+    shift leaves on the endpoints' four stack lines. ``rot`` maps a line's first id to its
+    rotation, its vertex's running degree mod 2n, over edges 0..k-1 (the tape goes in order)."""
+    mod, pairs = 2 * n, _fresh_pairs(edges, n, universe, k)
+    swap = tuple((a, frame_id(line, line, rot.get(line, 0), mod)) for a, line in pairs)
+    turned = {line: (rot.get(line, 0) + 1) % mod for _, line in pairs}
+    rot.update(turned)
+    return ((PermutationSpec(universe, (SwapStage(swap),)), turned),)
 
 
 def _framed_edges(stream: DirectedEdgeStream, d_H: int, d_T: int):
@@ -171,8 +179,8 @@ def build_script(
 ) -> tuple[UniverseSpec, list[ScriptOp]]:
     """The literal op sequence of a pass, shifts included: per edge one update
     and one pair query. ``run_single`` and ``terminal_law`` apply the same
-    sequence with its shifts folded into the swaps and queries (see
-    ``permutation.Frame``); this is the reference they must agree with."""
+    sequence with its shifts framed into the swaps and queries (see
+    ``_framed_update``); this is the reference they must agree with."""
     n, universe = stream.n, stream._tape.universe
     script: list[ScriptOp] = []
     for k, (u, v) in enumerate(stream.edges):

@@ -14,9 +14,9 @@ coordinates it does not move, so the matched set is a union of cyclic lines
 only one that reads a selection: compiling a shift turns it into the first
 ids of the lines it rotates.
 
-A ``Frame`` keeps shifts as pending rotations of lines and addresses swaps
-and queries through them; it serves a live store, and folds a fixed op
-sequence's shifts into the ids of its later swaps and queries once.
+A ``Frame`` keeps a live store's shifts as pending rotations of lines and
+addresses swaps and queries through them. Estimators with a fixed op sequence
+know each line's rotation from their own counters and call ``frame_id``.
 """
 from __future__ import annotations
 
@@ -184,8 +184,6 @@ class Frame:
     shifted one: presences, sizes and outcomes agree.
 
     A sketch's member store keeps one frame for the shifts its updates apply.
-    Runs whose op sequence is fixed ``fold`` it once per instance into framed
-    swaps and queries, so they apply swaps only.
     """
 
     __slots__ = ("universe", "rot", "_blocks")
@@ -216,21 +214,6 @@ class Frame:
         rot = self.rot
         for line in comp.lines:
             rot[line] = (rot.get(line, 0) + comp.amount) % comp.mod
-
-    def fold(self, stages: Iterable[Stage]) -> tuple[tuple[SwapStage, ...], dict[int, int]]:
-        """Walk ``stages`` in order: the framed swap stages, and the rotation
-        each line the shifts named ends up with."""
-        swaps, turned = [], {}
-        for stage in stages:
-            if isinstance(stage, SwapStage):
-                swaps.append(SwapStage(tuple((self(a), self(b)) for a, b in stage.pairs)))
-            elif isinstance(stage, CyclicShift):
-                comp = compile_shift(self.universe, stage)
-                self.turn(comp)
-                turned.update((line, self.rot[line]) for line in comp.lines)
-            else:
-                raise PermutationError(f"unknown stage type {type(stage).__name__}")
-        return tuple(swaps), turned
 
 
 def swap_perm(universe: UniverseSpec, *pairs: tuple[int, int]) -> PermutationSpec:

@@ -26,7 +26,7 @@ from .errors import (
     InvariantError,
 )
 from .heavy_edges import DirectedEdgeStream
-from .permutation import CyclicShift, Frame, PermutationSpec, Stage, SwapStage
+from .permutation import PermutationSpec, SwapStage, frame_id
 from .sketch import Law, QueryOne, QueryOutcome, QueryPair, Update, create, replay_law
 from .universe import Block, IntRange, Labels, UniverseSpec
 
@@ -363,13 +363,11 @@ def snapshot_universe(n: int, m: int, params: SnapshotParams) -> UniverseSpec:
 
 @dataclass(frozen=True)
 class EdgePlan:
-    """One edge's sketch ops, in the plan's frame (see ``permutation.Frame``).
-
-    Every id is framed: the increments' shifts are folded into the ids of the
-    swaps, queries and cleanups after them, so ``updates`` hold swaps only.
-    ``rotations`` pairs each stack line the edge's shifts turned with its
-    cumulative rotation after the edge; framing literal ids needs them.
-    """
+    """One edge's sketch ops, in framed ids: each increment's shift is left
+    pending as its stack's rotation, its top, and every later id addresses a
+    slot through it (``permutation.frame_id``), so ``updates`` hold swaps only.
+    ``rotations`` pairs each stack line the edge turned with its rotation after
+    the edge; framing literal ids needs them."""
 
     edge_index: int
     updates: tuple[Update, ...]
@@ -398,8 +396,9 @@ class ScriptPlan:
 class _Plan:
     """Single source of the sketch operations: positions, copies, scratch.
 
-    Both the live runner and the noiseless-replay law construct their
-    operations here, so they cannot drift apart.
+    The plan's runs and law and the tests' literal reference all take their
+    operations from here, so they cannot drift apart. Each layout method
+    takes how a slot is addressed: ``framed`` ids, or literal ones.
     """
 
     def __init__(self, stream, hashes, grid, params):
@@ -422,57 +421,42 @@ class _Plan:
         self.cursor = 0
         self.tops = {(w, fam): 0 for w in range(1, stream.n + 1) for fam in FAMILIES}
 
-    def slot(self, w: int, fam: str, copy: int, pos: int) -> int:
-        return (
-            self._stack_off
-            + (w - 1) * self._s_vert
-            + FAMILIES.index(fam) * self._s_fam
-            + (copy - 1) * self._s_copy
-            + pos
-        )
+    def _stack(self, w: int, fam: str, framed: bool) -> tuple[int, int]:
+        """(first id of copy 1's line, rotation: its top if ``framed``) of stack (w, fam)."""
+        line = self._stack_off + (w - 1) * self._s_vert + FAMILIES.index(fam) * self._s_fam
+        return line, self.tops[(w, fam)] if framed else 0
 
-    def inc_update(self, fam: str, w: int, r: int) -> Update:
-        """One update: shift the whole (w, fam) stack up by r, then swap the
-        next 2k^2*r scratch elements into the vacated bottom positions."""
-        return Update(PermutationSpec(self.universe, self.inc_stages(fam, w, r)))
+    def slot(self, w: int, fam: str, copy: int, pos: int, framed: bool) -> int:
+        line, rot = self._stack(w, fam, framed)
+        line += (copy - 1) * self._s_copy
+        return frame_id(line + pos, line, rot, self.positions)
 
-    def inc_stages(self, fam: str, w: int, r: int) -> tuple[CyclicShift, SwapStage]:
-        """The two stages of ``inc_update``, uncompiled."""
+    def increment(self, fam: str, w: int, r: int, framed: bool) -> list[tuple[int, int]]:
+        """Shift the whole (w, fam) stack up by r, and return the swap pairs
+        that move the next 2k^2*r scratch elements into the vacated bottom
+        positions 1..r of its copies, addressed after the shift."""
         need = self.copies * r
         if self.cursor + need > self.big_m:
             raise CapacityError(
                 f"scratch exhausted: need {need}, have {self.big_m - self.cursor}"
             )
-        shift = CyclicShift(
-            "stack", r, select=(frozenset({w}), frozenset({fam}), None)
-        )
-        pairs = []
         k = self.cursor
-        for copy in range(1, self.copies + 1):
-            for pos in range(1, r + 1):
-                pairs.append((k, self.slot(w, fam, copy, pos)))
-                k += 1
         self.cursor += need
         self.tops[(w, fam)] += r
         if self.tops[(w, fam)] >= self.positions:
             raise InvariantError(f"stack ({w}, {fam}) grew past {self.positions} positions")
-        return shift, SwapStage(tuple(pairs))
+        line, rot = self._stack(w, fam, framed)
+        mod, pairs = self.positions, []
+        for _ in range(self.copies):
+            for pos in range(1, r + 1):
+                pairs.append((k, frame_id(line + pos, line, rot, mod)))
+                k += 1
+            line += self._s_copy
+        return pairs
 
-    def edge_stages(self, u: int, v: int, fa: bool, fb: bool) -> list[Stage]:
-        """The stages of the edge's increments, in order."""
-        incs = [(fam, w, 1) for w in (u, v) for fam in FAMILIES]
-        if fa:
-            incs += [("A", u, self.d_a1), ("B", u, self.d_a1)]
-        if fb:
-            incs += [("C", u, self.d_b1), ("D", u, self.d_b1)]
-        return [stage for inc in incs for stage in self.inc_stages(*inc)]
-
-    def edge_queries(self, u: int, v: int) -> list[tuple[QueryPair, tuple[int, int, int]]]:
-        """The 4k^2 pair queries, lexicographic in (i, j, x)."""
-        return [(QueryPair(ex, ey), coords) for ex, ey, coords in self.query_slots(u, v)]
-
-    def query_slots(self, u: int, v: int) -> list[tuple[int, int, tuple[int, int, int]]]:
-        """(x id, y id, hit coordinates) of each of ``edge_queries``.
+    def query_slots(self, u: int, v: int, framed: bool) -> list[tuple[int, int, tuple]]:
+        """(x id, y id, hit coordinates) of the edge's 4k^2 pair queries,
+        lexicographic in (i, j, x).
 
         Copy indices t and s pair the i-indexed and j-indexed halves
         injectively so every queried element is distinct.
@@ -489,10 +473,10 @@ class _Plan:
                 pc = self.d_b + (j - 1) * self.d_b1
                 pd = j * self.d_b1
                 quads = (
-                    (1, self.slot(u, "A", t, pa), self.slot(v, "C", t, pc)),
-                    (2, self.slot(u, "B", t, pb), self.slot(v, "C", s, pc)),
-                    (3, self.slot(u, "A", s, pa), self.slot(v, "D", t, pd)),
-                    (4, self.slot(u, "B", s, pb), self.slot(v, "D", s, pd)),
+                    (1, self.slot(u, "A", t, pa, framed), self.slot(v, "C", t, pc, framed)),
+                    (2, self.slot(u, "B", t, pb, framed), self.slot(v, "C", s, pc, framed)),
+                    (3, self.slot(u, "A", s, pa, framed), self.slot(v, "D", t, pd, framed)),
+                    (4, self.slot(u, "B", s, pb, framed), self.slot(v, "D", s, pd, framed)),
                 )
                 for x, ex, ey in quads:
                     seen.update((ex, ey))
@@ -501,14 +485,12 @@ class _Plan:
             raise InvariantError("the edge's pair queries must touch disjoint elements")
         return out
 
-    def edge_cleanups(self, u: int, v: int) -> list[QueryOne]:
-        """Single queries wiping every threshold-aligned index, base included,
-        from all copies of both endpoints' stacks, bounded by stack extents."""
-        return [QueryOne(x) for x in self.cleanup_slots(u, v)]
-
-    def cleanup_slots(self, u: int, v: int) -> list[int]:
-        """The ids ``edge_cleanups`` query, in order."""
+    def cleanup_slots(self, u: int, v: int, framed: bool) -> list[int]:
+        """The ids of the edge's single queries: every threshold-aligned index,
+        base included, of all copies of both endpoints' stacks, bounded by
+        stack extents."""
         out = []
+        mod = self.positions
         for w in (u, v):
             for fam, base, step in (
                 ("A", self.d_a, self.d_a1),
@@ -516,13 +498,23 @@ class _Plan:
                 ("C", self.d_b, self.d_b1),
                 ("D", self.d_b1, self.d_b1),
             ):
-                top = self.tops[(w, fam)]
-                pos = base
-                while pos <= top:
-                    for copy in range(1, self.copies + 1):
-                        out.append(self.slot(w, fam, copy, pos))
-                    pos += step
+                first, rot = self._stack(w, fam, framed)
+                for pos in range(base, self.tops[(w, fam)] + 1, step):
+                    line = first
+                    for _ in range(self.copies):
+                        out.append(frame_id(line + pos, line, rot, mod))
+                        line += self._s_copy
         return out
+
+
+def _increments(plan: _Plan, u: int, v: int, fa: bool, fb: bool) -> list[tuple[str, int, int]]:
+    """(family, vertex, r) of each increment of edge (u, v), in order."""
+    incs = [(fam, w, 1) for w in (u, v) for fam in FAMILIES]
+    if fa:
+        incs += [("A", u, plan.d_a1), ("B", u, plan.d_a1)]
+    if fb:
+        incs += [("C", u, plan.d_b1), ("D", u, plan.d_b1)]
+    return incs
 
 
 def build_plan(
@@ -531,31 +523,31 @@ def build_plan(
     grid: DegreeGrid,
     params: SnapshotParams,
 ) -> ScriptPlan:
-    """Every run's ops on this hash draw, framed once (see ``EdgePlan``)."""
+    """Every run's ops on this hash draw, in framed ids (see ``EdgePlan``)."""
     plan = _Plan(stream, hashes, grid, params)
     fa = tuple(hashes.f(plan.d_a, k) for k in range(1, stream.m + 1))
     fb = tuple(hashes.f(plan.d_b, k) for k in range(1, stream.m + 1))
     budget_ok = sum(fa) + sum(fb) <= 2 * params.kappa * stream.m
-    edge_plans = []
-    capacity_edge = None
-    frame = Frame(plan.universe)
+    edge_plans, capacity_edge, copies = [], None, range(plan.copies)
     if budget_ok:
         for k, (u, v) in enumerate(stream.edges, start=1):
+            incs = _increments(plan, u, v, fa[k - 1], fb[k - 1])
             try:
-                stages = plan.edge_stages(u, v, fa[k - 1], fb[k - 1])
+                swaps = tuple(SwapStage(tuple(plan.increment(*inc, True))) for inc in incs)
             except CapacityError:
                 capacity_edge = k
                 break
-            swaps, turned = frame.fold(stages)
+            stacks = [plan._stack(w, fam, True) for fam, w, _ in incs]
+            turned = {line + c * plan._s_copy: r for line, r in stacks for c in copies}
             edge_plans.append(
                 EdgePlan(
                     edge_index=k,
                     updates=(Update(PermutationSpec(plan.universe, swaps)),),
                     queries=tuple(
-                        (QueryPair(frame(ex), frame(ey)), coords)
-                        for ex, ey, coords in plan.query_slots(u, v)
+                        (QueryPair(ex, ey), coords)
+                        for ex, ey, coords in plan.query_slots(u, v, True)
                     ),
-                    cleanups=tuple(QueryOne(frame(x)) for x in plan.cleanup_slots(u, v)),
+                    cleanups=tuple(QueryOne(x) for x in plan.cleanup_slots(u, v, True)),
                     rotations=tuple(turned.items()),
                 )
             )

@@ -182,8 +182,8 @@ class _MemberStore:
     shift then only adds to the rotations of the lines it names, and swaps
     and queries address framed ids (``frame(eid)``), so ``ids`` holds the
     framed id of every member and a shift rewrites none. ``members`` reads
-    them back in universe ids. Runs whose op sequence is fixed fold their
-    shifts into their ops beforehand, so their stores never make a frame.
+    them back in universe ids. Runs whose op sequence is fixed frame their
+    ops' ids beforehand, so their stores never make a frame.
     Construction raises ``InvalidInitError`` on an empty, repeated or
     out-of-universe member set.
     """
@@ -324,7 +324,13 @@ class SketchHandle:
         return draws
 
     def _fire(self, pair: bool, size: int, present: int) -> QueryOutcome:
-        """Draw the next uniform and fire by ``FIRE_LAW``; ``present`` is at least 1."""
+        """Draw the next uniform u and fire by ``FIRE_LAW``; ``present`` is at least 1.
+
+        Each atom fires while the float u * scale * size is below its cumulative
+        weight. Rounding moves at most the one double just below a boundary
+        across it (``tests/test_sketch.py`` checks every row at sizes 1..64),
+        so each atom's probability is within 2^-53 of weight / (scale * size).
+        """
         scale, atoms = FIRE_LAW[pair, present]
         u = (self._draws or self._refill()).pop() * scale * size
         acc = 0
@@ -501,6 +507,40 @@ def _check_fire_law() -> None:
             )
 
 
+def _replay(store: _MemberStore, tagged_ops: Iterable[tuple[ScriptOp, object]]) -> Iterator[tuple]:
+    """Walk ``tagged_ops`` on ``store`` with every query missing, validating each op as the
+    handle does; yield (op index, op, tag, size before, x present, y present) per query.
+    Raises ``InvariantError`` unless each query meets the initial size minus the earlier
+    present endpoints, and ``store`` ends with exactly that many survivors."""
+    _check_fire_law()
+    universe = store.universe
+    universe_size = universe.size
+    initial_size = remaining = len(store.ids)
+    for i, (op, tag) in enumerate(tagged_ops):
+        if isinstance(op, Update):
+            if op.perm.universe != universe:
+                raise ScriptError("permutation universe does not match replay universe")
+            store.apply(op.perm)
+            continue
+        if isinstance(op, QueryOne):
+            _check_query(universe_size, op.x)
+            size, present_x, present_y = store.take(op.x)
+        elif isinstance(op, QueryPair):
+            _check_query(universe_size, op.x, op.y)
+            size, present_x, present_y = store.take(op.x, op.y)
+        else:
+            raise ScriptError(f"unknown script op {op!r}")
+        if size != remaining:
+            raise InvariantError(f"query {i} meets {size} members, not the {remaining} left")
+        remaining -= present_x + present_y
+        yield i, op, tag, size, present_x, present_y
+    if len(store.ids) != remaining:
+        raise InvariantError(
+            f"replay keeps {len(store.ids)} survivors, not {initial_size} minus the "
+            f"{initial_size - remaining} present endpoints its queries deleted"
+        )
+
+
 def replay_noiseless(
     universe: UniverseSpec,
     members: Iterable[int],
@@ -517,44 +557,19 @@ def replay_noiseless(
 
     The survival probability is the product over queries of
     (|T| - present)/|T|, since a query fires with probability present/|T|
-    (``_check_fire_law``). It telescopes to |S|/|T0| exactly when each query
-    meets T at the size the earlier misses left, |T0| minus their present
-    endpoints, and the survivors number |T0| minus all of them; both are
-    checked in integers, and a violation raises ``InvariantError``.
+    (``_check_fire_law``). It telescopes to |S|/|T0|, which ``_replay``
+    checks in integers.
     """
-    _check_fire_law()
     store = _MemberStore(universe, members)
-    universe_size = universe.size
-    initial_size = remaining = len(store.ids)
-    steps: list[ReplayStep] = []
-    for i, op in enumerate(script):
-        if isinstance(op, Update):
-            if op.perm.universe != universe:
-                raise ScriptError("permutation universe does not match replay universe")
-            store.apply(op.perm)
-            continue
-        if isinstance(op, QueryOne):
-            _check_query(universe_size, op.x)
-            size, present_x, present_y = store.take(op.x)
-            step = ReplayStep(i, "one", op.x, None, present_x, present_y, size)
-        elif isinstance(op, QueryPair):
-            _check_query(universe_size, op.x, op.y)
-            size, present_x, present_y = store.take(op.x, op.y)
-            step = ReplayStep(i, "pair", op.x, op.y, present_x, present_y, size)
-        else:
-            raise ScriptError(f"unknown script op {op!r}")
-        if size != remaining:
-            raise InvariantError(f"query {i} meets {size} members, not the {remaining} left")
-        remaining -= present_x + present_y
-        steps.append(step)
-    if len(store.ids) != remaining:
-        raise InvariantError(
-            f"replay keeps {len(store.ids)} survivors, not {initial_size} minus the "
-            f"{initial_size - remaining} present endpoints its queries deleted"
-        )
-    return ReplayTrace(
-        frozenset(store.members()), Fraction(remaining, initial_size), tuple(steps)
+    initial_size = len(store.ids)
+    steps = tuple(
+        ReplayStep(i, "pair", op.x, op.y, px, py, size)
+        if isinstance(op, QueryPair)
+        else ReplayStep(i, "one", op.x, None, px, py, size)
+        for i, op, _, size, px, py in _replay(store, ((op, None) for op in script))
     )
+    survivors = frozenset(store.members())
+    return ReplayTrace(survivors, Fraction(len(survivors), initial_size), steps)
 
 
 def replay_law(
@@ -564,7 +579,7 @@ def replay_law(
     key: Callable[[object, QueryOutcome], Hashable],
     end_key: Hashable,
 ) -> Law:
-    """Exact outcome law of a script, from its noiseless replay.
+    """Exact outcome law of a script, from one lazy pass of its noiseless replay.
 
     ``tagged_ops`` pairs each op with a tag (ignored on updates). The fire
     atom of a query with tag t and outcome o goes to ``key(t, o)``, and the
@@ -577,17 +592,18 @@ def replay_law(
     survival |S|/|T0| is L * |S|. So the atoms add up as integer numerators,
     and each becomes one Fraction at the end.
     """
-    ops = list(tagged_ops)
-    trace = replay_noiseless(universe, members, [op for op, _ in ops])
-    tags = [tag for op, tag in ops if not isinstance(op, Update)]
+    store = _MemberStore(universe, members)
+    initial_size = len(store.ids)
     lcm = math.lcm(*(scale for scale, _ in FIRE_LAW.values()))
-    rows = {row: (lcm // scale, atoms) for row, (scale, atoms) in FIRE_LAW.items()}
+    rows = {
+        row: [(outcome, weight * (lcm // scale)) for outcome, weight in atoms]
+        for row, (scale, atoms) in FIRE_LAW.items()
+    }
     nums: dict = {}
-    for step, tag in zip(trace.steps, tags):
-        mult, atoms = rows[step.kind == "pair", step.present_count]
-        for outcome, weight in atoms:
+    for _, op, tag, _, px, py in _replay(store, tagged_ops):
+        for outcome, num in rows[isinstance(op, QueryPair), px + py]:
             atom = key(tag, outcome)
-            nums[atom] = nums.get(atom, 0) + weight * mult
-    nums[end_key] = nums.get(end_key, 0) + lcm * len(trace.survivors)
-    den = lcm * (trace.steps[0].size_before if trace.steps else len(trace.survivors))
+            nums[atom] = nums.get(atom, 0) + num
+    nums[end_key] = nums.get(end_key, 0) + lcm * len(store.ids)
+    den = lcm * initial_size
     return Law({atom: Fraction(num, den) for atom, num in nums.items()})

@@ -16,7 +16,7 @@ class Tape:
     """Ops over ``universe`` of ``count`` stream items; ``compile_item(k)`` gives item k's.
     Every run of them, live or replayed, starts from ``members``. Items compile
     once each and in order, so ``compile_item`` may carry state from one to the
-    next (a ``permutation.Frame``)."""
+    next (the lines' rotations so far)."""
 
     __slots__ = ("universe", "members", "_compile", "_items")
 

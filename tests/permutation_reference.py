@@ -1,7 +1,8 @@
-"""Value-space reference for permutations, and framing of reference member
-sets, kept for the tests."""
-from pairsketch import PermutationError, SwapStage
-from pairsketch.permutation import Frame
+"""Value-space reference for permutations, the generic fold of a fixed op
+sequence into framed ids, and framing of reference member sets, kept for the
+tests."""
+from pairsketch import CyclicShift, PermutationError, SwapStage
+from pairsketch.permutation import Frame, compile_shift
 
 
 def permute_set(perm, ids: set[int]) -> set[int]:
@@ -36,6 +37,28 @@ def permute_set(perm, ids: set[int]) -> set[int]:
     return current
 
 
+def fold(frame, stages):
+    """Walk ``stages`` in order on ``frame``: the framed swap stages, and the
+    rotation each line the shifts named ends up with.
+
+    Each shift adds to the rotation of the lines it names (``Frame.turn``)
+    and emits nothing; each swap is emitted on the framed ids of its pairs.
+    The estimators frame their fixed op sequences by their own arithmetic;
+    this is the generic walk they must agree with.
+    """
+    swaps, turned = [], {}
+    for stage in stages:
+        if isinstance(stage, SwapStage):
+            swaps.append(SwapStage(tuple((frame(a), frame(b)) for a, b in stage.pairs)))
+        elif isinstance(stage, CyclicShift):
+            comp = compile_shift(frame.universe, stage)
+            frame.turn(comp)
+            turned.update((line, frame.rot[line]) for line in comp.lines)
+        else:
+            raise PermutationError(f"unknown stage type {type(stage).__name__}")
+    return tuple(swaps), turned
+
+
 def frame_steps(universe, updates, sets):
     """``sets[k]`` framed by the shifts of ``updates[0..k]``, for each k.
 
@@ -47,6 +70,6 @@ def frame_steps(universe, updates, sets):
     frame = Frame(universe)
     out = []
     for perm, ids in zip(updates, sets):
-        frame.fold(perm.stages)
+        fold(frame, perm.stages)
         out.append({frame(eid) for eid in ids})
     return out

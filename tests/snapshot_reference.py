@@ -1,27 +1,60 @@
 """Reference models of the pseudosnapshot sketch, kept for the tests.
 
-``SnapshotRun`` drives the plan's three primitive moves (increment, edge
-queries, cleanup) on a live handle one at a time, with literal ids and real
-shifts, so tests can poke at them directly; ``literal_pass`` drives a whole
-run with them and ``literal_tagged_ops`` lists the same ops for a replay.
-``frame_by_plan`` frames literal member sets as the plan's runs hold them.
-``StackMirror`` predicts the member set after each edge from per-stack
-position sets alone, without touching a sketch, and checks the closed-form
-interval shape of every stack.
+The plan's literal ops: ``inc_stages``/``inc_update`` shift a stack and swap
+scratch into it, and ``edge_queries``/``edge_cleanups`` address its slots by
+literal ids; ``build_plan`` emits the same ops in framed ids. ``SnapshotRun``
+drives the three primitive moves (increment, edge queries, cleanup) on a
+live handle one at a time, with literal ids and real shifts, so tests can
+poke at them directly; ``literal_pass`` drives a whole run with them and
+``literal_tagged_ops`` lists the same ops for a replay. ``folded_plan``
+frames the literal ops by the generic fold, and ``frame_by_plan`` frames
+literal member sets as the plan's runs hold them. ``StackMirror``
+predicts the member set after each edge from per-stack position sets alone,
+without touching a sketch, and checks the closed-form interval shape of every
+stack.
 """
-from pairsketch import CapacityError, QueryOutcome, create
+from pairsketch import (
+    CapacityError,
+    CyclicShift,
+    PermutationSpec,
+    QueryOne,
+    QueryOutcome,
+    QueryPair,
+    SwapStage,
+    Update,
+    create,
+)
 from pairsketch.permutation import Frame
-from pairsketch.pseudosnapshot import FAMILIES, _Plan, snapshot_universe
+from pairsketch.pseudosnapshot import FAMILIES, EdgePlan, _increments, _Plan, snapshot_universe
+from permutation_reference import fold
 
 
-def _increments(plan, hashes, k, u, v):
+def inc_stages(plan, fam, w, r):
+    """One increment's two stages, uncompiled: shift the whole (w, fam) stack
+    up by r, then swap the next 2k^2*r scratch elements into the vacated
+    bottom positions."""
+    shift = CyclicShift("stack", r, select=(frozenset({w}), frozenset({fam}), None))
+    return shift, SwapStage(tuple(plan.increment(fam, w, r, False)))
+
+
+def inc_update(plan, fam, w, r):
+    """``inc_stages`` as one update."""
+    return Update(PermutationSpec(plan.universe, inc_stages(plan, fam, w, r)))
+
+
+def edge_queries(plan, u, v):
+    """The 4k^2 pair queries of edge (u, v) with their hit coordinates, in literal ids."""
+    return [(QueryPair(ex, ey), coords) for ex, ey, coords in plan.query_slots(u, v, False)]
+
+
+def edge_cleanups(plan, u, v):
+    """The single queries of edge (u, v), in literal ids."""
+    return [QueryOne(x) for x in plan.cleanup_slots(u, v, False)]
+
+
+def _edge_increments(plan, hashes, k, u, v):
     """(family, vertex, r) of each increment edge k = (u, v) makes, in order."""
-    incs = [(fam, w, 1) for w in (u, v) for fam in FAMILIES]
-    if hashes.f(plan.d_a, k):
-        incs += [("A", u, plan.d_a1), ("B", u, plan.d_a1)]
-    if hashes.f(plan.d_b, k):
-        incs += [("C", u, plan.d_b1), ("D", u, plan.d_b1)]
-    return incs
+    return _increments(plan, u, v, hashes.f(plan.d_a, k), hashes.f(plan.d_b, k))
 
 
 def literal_pass(run, observer):
@@ -33,7 +66,7 @@ def literal_pass(run, observer):
     """
     for k, (u, v) in enumerate(run.stream.edges, start=1):
         try:
-            for inc in _increments(run.plan, run.hashes, k, u, v):
+            for inc in _edge_increments(run.plan, run.hashes, k, u, v):
                 run.inc(*inc)
         except CapacityError:
             return "Capacity", None
@@ -57,18 +90,48 @@ def frame_by_plan(plan, seen):
     return out
 
 
+def folded_plan(stream, hashes, grid, params):
+    """(edge plans, capacity edge) of ``build_plan`` by the generic fold: each
+    edge's literal increment stages folded by one ``Frame``, and its literal
+    query and cleanup ids framed by it one at a time."""
+    plan = _Plan(stream, hashes, grid, params)
+    fires = sum(hashes.f(d, k) for d in (plan.d_a, plan.d_b) for k in range(1, stream.m + 1))
+    if fires > 2 * params.kappa * stream.m:
+        return (), None
+    frame = Frame(plan.universe)
+    out = []
+    for k, (u, v) in enumerate(stream.edges, start=1):
+        try:
+            incs = _edge_increments(plan, hashes, k, u, v)
+            stages = [stage for inc in incs for stage in inc_stages(plan, *inc)]
+        except CapacityError:
+            return tuple(out), k
+        swaps, turned = fold(frame, stages)
+        out.append(EdgePlan(
+            edge_index=k,
+            updates=(Update(PermutationSpec(plan.universe, swaps)),),
+            queries=tuple(
+                (QueryPair(frame(op.x), frame(op.y)), coords)
+                for op, coords in edge_queries(plan, u, v)
+            ),
+            cleanups=tuple(QueryOne(frame(op.x)) for op in edge_cleanups(plan, u, v)),
+            rotations=tuple(turned.items()),
+        ))
+    return tuple(out), None
+
+
 def literal_tagged_ops(stream, hashes, grid, params):
     """(universe, [(op, tag)]) of a run's literal ops, tagged as terminal_law tags them."""
     plan = _Plan(stream, hashes, grid, params)
     tagged = []
     for k, (u, v) in enumerate(stream.edges, start=1):
         try:
-            ups = [plan.inc_update(*inc) for inc in _increments(plan, hashes, k, u, v)]
+            ups = [inc_update(plan, *inc) for inc in _edge_increments(plan, hashes, k, u, v)]
         except CapacityError:
             break
         tagged += ((up, None) for up in ups)
-        tagged += ((op, (k, *coords)) for op, coords in plan.edge_queries(u, v))
-        tagged += ((op, None) for op in plan.edge_cleanups(u, v))
+        tagged += ((op, (k, *coords)) for op, coords in edge_queries(plan, u, v))
+        tagged += ((op, None) for op in edge_cleanups(plan, u, v))
     return plan.universe, tagged
 
 
@@ -90,11 +153,11 @@ class SnapshotRun:
         )
 
     def inc(self, family: str, vertex: int, r: int) -> None:
-        self.handle.update(self.plan.inc_update(family, vertex, r).perm)
+        self.handle.update(inc_update(self.plan, family, vertex, r).perm)
 
     def query_edge(self, u: int, v: int):
         """First non-Bot among the 4k^2 pair queries, as (x, i, j, sign)."""
-        for op, (x, i, j) in self.plan.edge_queries(u, v):
+        for op, (x, i, j) in edge_queries(self.plan, u, v):
             outcome = self.handle.query_pair(op.x, op.y)
             if outcome is not QueryOutcome.BOT:
                 return (x, i, j, 1 if outcome is QueryOutcome.PLUS else -1)
@@ -102,7 +165,7 @@ class SnapshotRun:
 
     def cleanup(self, u: int, v: int) -> bool:
         """True when a cleanup query fires, which ends the whole run."""
-        for op in self.plan.edge_cleanups(u, v):
+        for op in edge_cleanups(self.plan, u, v):
             if self.handle.query_one(op.x) is not QueryOutcome.BOT:
                 return True
         return False
@@ -194,7 +257,7 @@ class StackMirror:
         for (w, fam), positions in self.sets.items():
             for copy in range(1, self.copies + 1):
                 for p in positions:
-                    members.add(self._plan_for_ids.slot(w, fam, copy, p))
+                    members.add(self._plan_for_ids.slot(w, fam, copy, p, False))
         return members
 
     def check_stack_form(self, w: int) -> None:

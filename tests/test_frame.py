@@ -23,11 +23,18 @@ from pairsketch import (
     create,
 )
 from pairsketch import heavy_edges, pseudosnapshot
+from pairsketch.pseudosnapshot import DegreeGrid, HashOracles, SnapshotParams
 from pairsketch.sketch import replay_law
 from pairsketch.permutation import Frame, compile_shift, frame_id
-from permutation_reference import frame_steps
-from snapshot_reference import SnapshotRun, frame_by_plan, literal_pass, literal_tagged_ops
-from test_pseudosnapshot import FIX_GRID, FIX_HASHES, FIX_PARAMS, FIX_STREAM
+from permutation_reference import fold, frame_steps
+from snapshot_reference import (
+    SnapshotRun,
+    folded_plan,
+    frame_by_plan,
+    literal_pass,
+    literal_tagged_ops,
+)
+from test_pseudosnapshot import FIX_GRID, FIX_HASHES, FIX_PARAMS, FIX_STREAM, random_directed
 from test_sketch import _factor_values
 from test_universe import universes
 
@@ -80,7 +87,7 @@ def test_framed_script_on_a_plain_store_matches_the_literal_one(case, hid):
         if op == "read":
             assert framed.debug_members() == {frame(e) for e in literal.debug_members()}
         elif isinstance(op, Update):
-            swaps, _ = frame.fold(op.perm.stages)
+            swaps, _ = fold(frame, op.perm.stages)
             literal.update(op.perm)
             framed.update(PermutationSpec(universe, swaps))
         else:
@@ -174,6 +181,20 @@ def test_heavy_runs_equal_the_literal_script(d_H, d_T):
     assert len(outputs) > 1
 
 
+def test_heavy_tape_items_equal_the_generic_fold():
+    # the tape frames each swap by the lines' running degrees; a Frame folding
+    # the literal stages edge by edge must give the same swap and rotations
+    for stream in (_directed(8, 20, 2), _directed(12, 90, 5)):
+        universe = stream._tape.universe
+        frame = Frame(universe)
+        items = list(stream._tape)
+        assert len(items) == stream.m
+        for k, (perm, turned) in enumerate(items):
+            swaps, want = fold(frame, heavy_edges._edge_stages(stream.edges, stream.n, universe, k))
+            assert perm == PermutationSpec(universe, swaps), k
+            assert turned == want, k
+
+
 def test_heavy_law_equals_the_literal_replay():
     stream = _directed(8, 20, 2)
     for d_H, d_T in ((1, 1), (2, 1), (3, 2)):
@@ -193,6 +214,55 @@ def test_heavy_law_equals_the_literal_replay():
 @pytest.fixture(scope="module")
 def fix_plan():
     return pseudosnapshot.build_plan(FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS)
+
+
+class _Greedy(HashOracles):
+    """Counts each subsample fire 2 * kappa + 1 times: the one way to blow the
+    hash budget, which real fires (at most two per edge) cannot."""
+
+    def f(self, d, edge_index):
+        return (2 * self.kappa + 1) * super().f(d, edge_index)
+
+
+def _snapshot_cases():
+    """(stream, hashes, grid, params, expected end): random streams, one that
+    runs out of scratch and one with a blown hash budget."""
+    cases = []
+    for n, m, seed, hash_seed in ((12, 30, 1, 3), (12, 40, 2, 11), (8, 25, 3, 5), (6, 12, 4, 2)):
+        grid = DegreeGrid.from_eps(n, "0.5")
+        top = len(grid.levels) - 2
+        params = SnapshotParams(
+            kappa=2, eps="0.5", thresholds=("-1", "0"), class_pair=(top, seed % (top + 1))
+        )
+        hashes = HashOracles(seed=hash_seed, kappa=2, eps="0.5")
+        cases.append((random_directed(n, m, seed), hashes, grid, params, "StreamEnd"))
+    tight = SnapshotParams(
+        kappa=2, eps="0.5", thresholds=("-1", "0"), class_pair=FIX_PARAMS.class_pair, capacity_c=1
+    )
+    cases.append((FIX_STREAM, FIX_HASHES, FIX_GRID, tight, "Capacity"))
+    greedy = _Greedy(seed=7, kappa=2, eps="0.5")
+    cases.append((FIX_STREAM, greedy, FIX_GRID, FIX_PARAMS, "HashBudget"))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_snapshot_plans_equal_the_generic_fold(case):
+    stream, hashes, grid, params, end = _snapshot_cases()[case]
+    plan = pseudosnapshot.build_plan(stream, hashes, grid, params)
+    assert pseudosnapshot._end_key(plan)[0] == end
+    want, capacity_edge = folded_plan(stream, hashes, grid, params)
+    assert plan.capacity_edge == capacity_edge
+    assert len(plan.edge_plans) == len(want)
+    assert end == "HashBudget" or want
+    for got, ref in zip(plan.edge_plans, want):
+        assert got.edge_index == ref.edge_index
+        # op for op: the same swap stages, query pairs with hit coordinates,
+        # and cleanup ids; the rotations as a mapping, their order may differ
+        assert got.updates == ref.updates, got.edge_index
+        assert got.queries == ref.queries, got.edge_index
+        assert got.cleanups == ref.cleanups, got.edge_index
+        assert dict(got.rotations) == dict(ref.rotations), got.edge_index
+        assert len(got.rotations) == len(ref.rotations)
 
 
 def test_snapshot_plans_hold_swaps_only(fix_plan):

@@ -37,7 +37,7 @@ from pairsketch.pseudosnapshot import (
     run_single,
     terminal_law,
 )
-from snapshot_reference import SnapshotRun, StackMirror, frame_by_plan
+from snapshot_reference import SnapshotRun, StackMirror, edge_queries, frame_by_plan, inc_update
 
 
 def random_directed(n: int, m: int, seed: int) -> DirectedEdgeStream:
@@ -451,14 +451,14 @@ def test_inc_grows_stack_and_cursor():
     assert plan.cursor == 0
     run.inc("A", 1, 1)
     members = run.handle.debug_members()
-    stack = {plan.slot(1, "A", c, 1) for c in range(1, copies + 1)}
+    stack = {plan.slot(1, "A", c, 1, False) for c in range(1, copies + 1)}
     assert stack <= members
     assert plan.cursor == copies
     run.inc("A", 1, 1)
     run.inc("A", 1, 3)
     members = run.handle.debug_members()
     expect = {
-        plan.slot(1, "A", c, p)
+        plan.slot(1, "A", c, p, False)
         for c in range(1, copies + 1)
         for p in (1, 2, 3, 4, 5)
     }
@@ -492,7 +492,7 @@ def test_query_edge_on_empty_stacks_is_silent():
 def test_query_edge_pairs_structurally_disjoint():
     plan = _Plan(FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS)
     for u, v in ((2, 3), (10, 6), (5, 2)):
-        ops = plan.edge_queries(u, v)
+        ops = edge_queries(plan, u, v)
         assert len(ops) == 4 * FIX_PARAMS.kappa**2
         ids = [x for op, _ in ops for x in (op.x, op.y)]
         assert len(ids) == len(set(ids)) == 8 * FIX_PARAMS.kappa**2
@@ -501,8 +501,8 @@ def test_query_edge_pairs_structurally_disjoint():
 def test_query_edge_hit_rate_matches_quantum_backend():
     """Loaded A/C stacks: exact enumeration on both backends, Plus at 2/M."""
     plan = _Plan(MINI_STREAM, MINI_HASHES, MINI_GRID, MINI_PARAMS)
-    script = [plan.inc_update("A", 1, 1), plan.inc_update("C", 2, 2)]
-    script += [op for op, _ in plan.edge_queries(1, 2)]
+    script = [inc_update(plan, "A", 1, 1), inc_update(plan, "C", 2, 2)]
+    script += [op for op, _ in edge_queries(plan, 1, 2)]
     ds = enumerate_distribution(
         plan.universe, range(plan.big_m), tuple(script), backend="stochastic"
     )

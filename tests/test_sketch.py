@@ -31,7 +31,7 @@ from pairsketch import (
     swap_perm,
 )
 from pairsketch import bhm, heavy_edges, pseudosnapshot, triangle
-from pairsketch.sketch import _MemberStore
+from pairsketch.sketch import FIRE_LAW, _MemberStore
 from permutation_reference import permute_set
 from test_universe import universes
 
@@ -733,3 +733,58 @@ def test_draw_order_holds_across_block_refills(shifted):
             assert h.debug_members() == current and h.size == len(current)
         reached.append(present_queries)
     assert sum(n >= 200 for n in reached) >= 3, reached
+
+
+def _exact_fire(pair, size, present, u):
+    """The outcome ``FIRE_LAW`` assigns a draw u, in exact rationals."""
+    scale, atoms = FIRE_LAW[pair, present]
+    acc = 0
+    for outcome, weight in atoms:
+        acc += weight
+        if Fraction(u) * scale * size < acc:
+            return outcome
+    return QueryOutcome.BOT
+
+
+def test_fire_differs_from_the_exact_rule_at_most_one_double_per_boundary():
+    # _fire compares the float u * scale * size with each cumulative weight.
+    # At each boundary acc / (scale * size) below 1, the nearest double and two
+    # doubles on either side must follow the exact rule, except at most the
+    # one double just below the boundary, which rounding can push up across
+    # it (size 3, u = 0.3333333333333333 is Bot, where the exact rule fires)
+    def fire(pair, size, present, u):
+        handle = create(LINE, [0])
+        handle._draws = [u]
+        return handle._fire(pair, size, present)
+
+    flipped = 0
+    for (pair, present), (scale, atoms) in FIRE_LAW.items():
+        cums = np.cumsum([weight for _, weight in atoms])
+        for size in range(max(present, 1), 65):
+            for acc in cums:
+                bound = Fraction(int(acc), scale * size)
+                if bound >= 1:
+                    continue
+                near = float(bound)
+                draws = {near}
+                for toward in (0.0, 1.0):
+                    u = near
+                    for _ in range(2):
+                        u = float(np.nextafter(u, toward))
+                        draws.add(u)
+                off = []
+                for u in sorted(draws):
+                    got, want = fire(pair, size, present, u), _exact_fire(pair, size, present, u)
+                    if got is not want:
+                        off.append(u)
+                        # only upward: the float rule names a later atom, or Bot
+                        order = [o for o, _ in atoms] + [QueryOutcome.BOT]
+                        assert order.index(got) > order.index(want)
+                assert len(off) <= 1, (pair, present, size, acc)
+                if off:
+                    assert Fraction(off[0]) < bound
+                    assert float(np.nextafter(off[0], 1.0)) >= bound
+                    flipped += 1
+    assert fire(False, 3, 1, 0.3333333333333333) is QueryOutcome.BOT
+    assert _exact_fire(False, 3, 1, 0.3333333333333333) is QueryOutcome.IN
+    assert flipped == 156

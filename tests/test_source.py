@@ -112,6 +112,38 @@ def test_live_runs_read_their_instance_tape():
         assert [c for c in called if c.endswith("_universe")] == [], name
 
 
+def _names(func):
+    return {
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Attribute, ast.Name))
+    }
+
+
+def test_fixed_op_sequences_frame_their_ids_by_arithmetic():
+    # the snapshot plan and the heavy-edge tape know every line's rotation
+    # (a stack's top, a vertex's running degree), so they frame each id with
+    # permutation.frame_id and never fold shifts through a Frame
+    (cls,) = [
+        node for node in _tree("pseudosnapshot.py").body
+        if isinstance(node, ast.ClassDef) and node.name == "_Plan"
+    ]
+    plan = [f"_Plan.{func.name}" for func in cls.body if isinstance(func, ast.FunctionDef)]
+    sources = {
+        "pseudosnapshot.py": ["build_plan", "_increments", *plan],
+        "heavy_edges.py": [
+            "DirectedEdgeStream._tape", "_fresh_pairs", "_framed_update", "_framed_edges"
+        ],
+    }
+    for name, qualnames in sources.items():
+        for func in _functions(name, *qualnames):
+            assert not _names(func) & {"CyclicShift", "compile_shift", "Frame", "fold"}, func.name
+    framing = _functions("pseudosnapshot.py", "_Plan.slot", "_Plan.increment", "_Plan.cleanup_slots")
+    framing += _functions("heavy_edges.py", "_framed_update", "_framed_edges")
+    for func in framing:
+        assert "frame_id" in _names(func), func.name
+
+
 def test_each_fire_rule_is_written_once():
     # a live run returns through the same fire -> key map its exact law is
     # built from, so neither names Plus or Minus itself
