@@ -1,11 +1,13 @@
 """Framed op sequences: shifts folded into later ids must change nothing observable.
 
-A ``permutation.Frame`` walks an op sequence once and emits its swaps and
-queries on framed ids, with no shift left. Run on a handle that never sees a
-shift, the framed sequence must draw the same outcomes from the same seed as
-the literal sequence, and its members must be the framed literal members.
-Heavy-edge and snapshot runs and laws use framed ops; here they are checked
-against the literal references.
+The generic fold (``permutation_reference.fold``) walks an op sequence once
+with a ``permutation.Frame`` and emits its swaps and queries on framed ids,
+with no shift left. Run on a handle that never sees a shift, the framed
+sequence must draw the same outcomes from the same seed as the literal
+sequence, and its members must be the framed literal members. Heavy-edge and
+snapshot runs and laws use ops their estimators frame by arithmetic; here
+they are checked op for op against the generic fold, and run against the
+literal references.
 """
 import numpy as np
 import pytest
