@@ -75,6 +75,11 @@ class DirectedEdgeStream:
         return Tape(universe, members, self.m, framed)
 
     @cached_property
+    def _steps(self) -> dict[tuple[int, int], Tape]:
+        """``_framed_edges`` per (d_H, d_T), each made on its first call."""
+        return {}
+
+    @cached_property
     def _laws(self) -> dict[tuple[int, int], Law]:
         """``terminal_law`` per (d_H, d_T), each replayed on its first call."""
         return {}
@@ -161,17 +166,28 @@ def _framed_update(edges, n: int, universe: UniverseSpec, rot: dict, k: int) -> 
     return ((PermutationSpec(universe, (SwapStage(swap),)), turned),)
 
 
-def _framed_edges(stream: DirectedEdgeStream, d_H: int, d_T: int):
-    """(framed update, framed query endpoints) per edge of a pass.
+def _framed_edges(stream: DirectedEdgeStream, d_H: int, d_T: int) -> Tape:
+    """The (framed update, framed query endpoints) of each edge of a pass.
 
-    The probed slots (u, H, d_H) and (v, T, d_T) are framed at run time
-    through their lines' rotations, so one tape serves every threshold pair.
+    The probed slots (u, H, d_H) and (v, T, d_T) are framed through the
+    rotations of their lines after the edge, read off the stream's tape, which
+    serves every threshold pair. The stream keeps one such tape per pair, so
+    every run and the law on that pair frame each edge once.
     """
-    n, mod = stream.n, 2 * stream.n
-    for (perm, turned), (u, v) in zip(stream._tape, stream.edges):
-        head, tail = _slot(n, u, 0, 0), _slot(n, v, 1, 0)
-        x = frame_id(head + d_H, head, turned[head], mod)
-        yield perm, x, frame_id(tail + d_T, tail, turned[tail], mod)
+    steps = stream._steps
+    if (d_H, d_T) not in steps:
+        n, mod, items = stream.n, 2 * stream.n, iter(stream._tape)
+
+        def step(k: int) -> tuple:
+            perm, turned = next(items)  # items compile in order, as this tape's do
+            u, v = stream.edges[k]
+            head, tail = _slot(n, u, 0, 0), _slot(n, v, 1, 0)
+            x = frame_id(head + d_H, head, turned[head], mod)
+            return ((perm, x, frame_id(tail + d_T, tail, turned[tail], mod)),)
+
+        tape = stream._tape
+        steps[d_H, d_T] = Tape(tape.universe, tape.members, stream.m, step)
+    return steps[d_H, d_T]
 
 
 def build_script(
@@ -180,7 +196,7 @@ def build_script(
     """The literal op sequence of a pass, shifts included: per edge one update
     and one pair query. ``run_single`` and ``terminal_law`` apply the same
     sequence with its shifts framed into the swaps and queries (see
-    ``_framed_update``); this is the reference they must agree with."""
+    ``_framed_edges``); this is the reference they must agree with."""
     n, universe = stream.n, stream._tape.universe
     script: list[ScriptOp] = []
     for k, (u, v) in enumerate(stream.edges):

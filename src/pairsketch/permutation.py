@@ -20,6 +20,7 @@ know each line's rotation from their own counters and call ``frame_id``.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Union
@@ -30,6 +31,20 @@ from .errors import PermutationError
 from .universe import UniverseSpec
 
 
+def _swap_id(eid) -> int:
+    """``eid`` as a plain int: an int, or a type with ``__index__`` such as
+    ``np.int64``. A bool, float or str raises ``PermutationError``, as
+    ``create`` and the queries reject it; ``int()`` would name another id."""
+    if type(eid) is int:
+        return eid
+    try:
+        if not isinstance(eid, (bool, np.bool_)):
+            return operator.index(eid)
+    except TypeError:
+        pass
+    raise PermutationError(f"swap id {eid!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class SwapStage:
     """Disjoint transpositions of element ids."""
@@ -38,7 +53,7 @@ class SwapStage:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "pairs", tuple((int(a), int(b)) for a, b in self.pairs)
+            self, "pairs", tuple((_swap_id(a), _swap_id(b)) for a, b in self.pairs)
         )
 
 
@@ -83,47 +98,48 @@ class _CompiledShift:
 
 @dataclass(frozen=True)
 class PermutationSpec:
-    """A validated permutation of ``universe``, as an ordered stage list."""
+    """A validated permutation of ``universe``, as an ordered stage list.
+
+    Construction compiles the stages into ``_segments``: each run of
+    consecutive swap stages becomes one flat tuple of transpositions, applied
+    in order (a stage's pairs are disjoint, so in-order equals all at once),
+    followed by the compiled shift that ends the run, if any.
+    """
 
     universe: UniverseSpec
     stages: tuple[Stage, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "stages", tuple(self.stages))
-        compiled = []
-        for stage in self.stages:
+        stages = tuple(self.stages)
+        object.__setattr__(self, "stages", stages)
+        size = self.universe.size  # read once for every swap stage
+        segments: list[tuple[tuple[tuple[int, int], ...], _CompiledShift | None]] = []
+        run: list[SwapStage] = []
+        for stage in stages:
             if isinstance(stage, SwapStage):
-                compiled.append(self._compile_swap(stage))
+                _check_swap(size, stage)
+                run.append(stage)
             elif isinstance(stage, CyclicShift):
-                compiled.append(compile_shift(self.universe, stage))
+                segments.append((_flat(run), compile_shift(self.universe, stage)))
+                run = []
             else:
                 raise PermutationError(f"unknown stage type {type(stage).__name__}")
-        object.__setattr__(self, "_compiled", tuple(compiled))
-
-    def _compile_swap(self, stage: SwapStage) -> dict[int, int]:
-        # SwapStage made every id a plain int, so a range check is check_id
-        size = self.universe.size
-        mapping: dict[int, int] = {}
-        for a, b in stage.pairs:
-            for eid in (a, b):
-                if not 0 <= eid < size:
-                    raise PermutationError(f"id {eid!r} outside universe of size {size}")
-            if a == b:
-                raise PermutationError(f"swap pair ({a}, {b}) is degenerate")
-            if a in mapping or b in mapping:
-                raise PermutationError(f"swap pairs overlap at ({a}, {b})")
-            mapping[a] = b
-            mapping[b] = a
-        return mapping
+        if run:
+            segments.append((_flat(run), None))
+        object.__setattr__(self, "_segments", tuple(segments))
 
     def apply(self, eid: int) -> int:
         """Image of a single element id under the full permutation."""
         self.universe.check_id(eid)
-        for comp in self._compiled:  # type: ignore[attr-defined]
-            if isinstance(comp, dict):
-                eid = comp.get(eid, eid)
-            elif comp.offset <= eid < comp.end and comp.line_of(eid) in comp.lines:
-                eid = comp.shift_id(eid)
+        for pairs, shift in self._segments:  # type: ignore[attr-defined]
+            for a, b in pairs:
+                if eid == a:
+                    eid = b
+                elif eid == b:
+                    eid = a
+            if shift is not None and shift.offset <= eid < shift.end:
+                if shift.line_of(eid) in shift.lines:
+                    eid = shift.shift_id(eid)
         return eid
 
     def as_mapping_array(self) -> np.ndarray:
@@ -133,6 +149,29 @@ class PermutationSpec:
         if len(np.unique(mapping)) != n:
             raise PermutationError("stage list does not describe a bijection")
         return mapping
+
+
+def _check_swap(size: int, stage: SwapStage) -> None:
+    """Raise unless ``stage``'s ids lie below ``size`` and its pairs are disjoint
+    transpositions. ``SwapStage`` made every id a plain int."""
+    seen: set[int] = set()
+    for a, b in stage.pairs:
+        for eid in (a, b):
+            if not 0 <= eid < size:
+                raise PermutationError(f"id {eid!r} outside universe of size {size}")
+        if a == b:
+            raise PermutationError(f"swap pair ({a}, {b}) is degenerate")
+        if a in seen or b in seen:
+            raise PermutationError(f"swap pairs overlap at ({a}, {b})")
+        seen.add(a)
+        seen.add(b)
+
+
+def _flat(run: list[SwapStage]) -> tuple[tuple[int, int], ...]:
+    """The transpositions of consecutive swap stages, in order."""
+    if len(run) == 1:
+        return run[0].pairs
+    return tuple(pair for stage in run for pair in stage.pairs)
 
 
 def compile_shift(universe: UniverseSpec, stage: CyclicShift) -> _CompiledShift:

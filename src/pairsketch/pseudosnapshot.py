@@ -27,7 +27,7 @@ from .errors import (
 )
 from .heavy_edges import DirectedEdgeStream
 from .permutation import PermutationSpec, SwapStage, frame_id
-from .sketch import Law, QueryOne, QueryOutcome, QueryPair, Update, create, replay_law
+from .sketch import Law, QueryGroup, QueryOne, QueryOutcome, QueryPair, Update, create, replay_law
 from .universe import Block, IntRange, Labels, UniverseSpec
 
 FAMILIES = ("A", "B", "C", "D")
@@ -367,13 +367,26 @@ class EdgePlan:
     pending as its stack's rotation, its top, and every later id addresses a
     slot through it (``permutation.frame_id``), so ``updates`` hold swaps only.
     ``rotations`` pairs each stack line the edge turned with its rotation after
-    the edge; framing literal ids needs them."""
+    the edge; framing literal ids needs them. The live run asks the edge's
+    pair queries as one ``QueryGroup``, ``pair_group``, whose query i has hit
+    coordinates ``coords[i]``, and then its cleanups as ``cleanup_group``;
+    ``queries`` and ``cleanups`` list the same queries as script ops."""
 
     edge_index: int
     updates: tuple[Update, ...]
-    queries: tuple[tuple[QueryPair, tuple[int, int, int]], ...]
-    cleanups: tuple[QueryOne, ...]
+    pair_group: QueryGroup
+    coords: tuple[tuple[int, int, int], ...]
+    cleanup_group: QueryGroup
     rotations: tuple[tuple[int, int], ...]
+
+    @property
+    def queries(self) -> tuple[tuple[QueryPair, tuple[int, int, int]], ...]:
+        """(pair query, its hit coordinates), in order."""
+        return tuple(zip(self.pair_group.ops(), self.coords))
+
+    @property
+    def cleanups(self) -> tuple[QueryOne, ...]:
+        return self.cleanup_group.ops()
 
 
 @dataclass(frozen=True)
@@ -539,15 +552,14 @@ def build_plan(
                 break
             stacks = [plan._stack(w, fam, True) for fam, w, _ in incs]
             turned = {line + c * plan._s_copy: r for line, r in stacks for c in copies}
+            xs, ys, coords = zip(*plan.query_slots(u, v, True))
             edge_plans.append(
                 EdgePlan(
                     edge_index=k,
                     updates=(Update(PermutationSpec(plan.universe, swaps)),),
-                    queries=tuple(
-                        (QueryPair(ex, ey), coords)
-                        for ex, ey, coords in plan.query_slots(u, v, True)
-                    ),
-                    cleanups=tuple(QueryOne(x) for x in plan.cleanup_slots(u, v, True)),
+                    pair_group=QueryGroup(plan.universe, xs, ys),
+                    coords=coords,
+                    cleanup_group=QueryGroup(plan.universe, plan.cleanup_slots(u, v, True)),
                     rotations=tuple(turned.items()),
                 )
             )
@@ -674,14 +686,13 @@ def run_single(
     for eplan in plan.edge_plans:
         for up in eplan.updates:
             handle.update(up.perm)
-        for op, coords in eplan.queries:
-            outcome = handle.query_pair(op.x, op.y)
-            if outcome is not QueryOutcome.BOT:
-                return fired((eplan.edge_index, *coords), outcome)
-        for op in eplan.cleanups:
-            outcome = handle.query_one(op.x)
-            if outcome is not QueryOutcome.BOT:
-                return fired(None, outcome)
+        hit = handle.query_group(eplan.pair_group)
+        if hit is not None:
+            i, outcome = hit
+            return fired((eplan.edge_index, *eplan.coords[i]), outcome)
+        hit = handle.query_group(eplan.cleanup_group)
+        if hit is not None:
+            return fired(None, hit[1])
         if observer is not None:
             observer(eplan.edge_index, handle.debug_members())
     return _estimate(ell, _end_key(plan))

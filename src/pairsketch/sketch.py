@@ -26,6 +26,13 @@ takes its uniforms in order from the generator keyed by (seed, handle id), a
 block at a time (``rng.random(n)``), and these are the same doubles that one
 ``rng.random()`` call per draw would give, so blocks change no outcome.
 
+A ``QueryGroup`` is a burst of single or pair queries on pairwise-distinct
+ids, validated once when it is built; ``SketchHandle.query_group`` runs it in
+one loop and stops at the first fire. As no two of its queries share an id,
+no query's delete can change the presence of a later one, so the loop makes
+the same presence tests, deletes and draws (the same doubles, in the same
+order) as calling ``query_one`` or ``query_pair`` on each query in turn.
+
 The useful consequence of these laws is reorderability: misses delete
 deterministically, so the member set conditioned on "no fire yet" is exactly
 the set a noiseless replay produces, and the unconditional probability that a
@@ -42,6 +49,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -229,26 +237,70 @@ class _MemberStore:
         return set(self.ids) if self.frame is None else self.frame.unframe_all(self.ids)
 
     def apply(self, perm: PermutationSpec) -> None:
-        """Relabel every member by ``perm``."""
+        """Relabel every member by ``perm``: each segment's transpositions in
+        order, then its shift, if any."""
         ids = self.ids
-        for stage, comp in zip(perm.stages, perm._compiled):  # type: ignore[attr-defined]
+        for pairs, shift in perm._segments:  # type: ignore[attr-defined]
             frame = self.frame
-            if isinstance(comp, dict):
-                pairs = stage.pairs
-                if frame is not None:
-                    pairs = [(frame(a), frame(b)) for a, b in pairs]
-                for a, b in pairs:  # move a lone member to its partner
-                    if a in ids:
-                        if b not in ids:
-                            ids.remove(a)
-                            ids.add(b)
-                    elif b in ids:
-                        ids.remove(b)
-                        ids.add(a)
-            else:
+            if frame is not None:
+                pairs = [(frame(a), frame(b)) for a, b in pairs]
+            for a, b in pairs:  # move a lone member to its partner
+                if a in ids:
+                    if b not in ids:
+                        ids.remove(a)
+                        ids.add(b)
+                elif b in ids:
+                    ids.remove(b)
+                    ids.add(a)
+            if shift is not None:
                 if frame is None:
                     frame = self.frame = Frame(self.universe)
-                frame.turn(comp)
+                frame.turn(shift)
+
+
+class QueryGroup:
+    """Queries on pairwise-distinct ids of ``universe``, run in order by
+    ``SketchHandle.query_group``: single queries on ``xs``, or pair queries on
+    ``zip(xs, ys)``.
+
+    Construction validates every endpoint once, by ``_check_query``'s rules
+    against one read of the universe size, and raises ``InvalidQueryError``
+    on the first query, in order, with a bad endpoint or an id that an earlier
+    endpoint of the group already has, and when ``ys`` and ``xs`` differ in
+    length.
+    """
+
+    __slots__ = ("universe", "xs", "ys")
+
+    def __init__(
+        self, universe: UniverseSpec, xs: Iterable[int], ys: Iterable[int] | None = None
+    ) -> None:
+        self.universe = universe
+        self.xs = xs = tuple(xs)
+        self.ys = ys = None if ys is None else tuple(ys)
+        if ys is not None and len(ys) != len(xs):
+            raise InvalidQueryError(f"a pair group has {len(xs)} xs but {len(ys)} ys")
+        size = universe.size  # read once
+        ids = xs if ys is None else xs + ys
+        if (
+            all(type(eid) is int for eid in ids)
+            and (not ids or 0 <= min(ids) and max(ids) < size)
+            and len(set(ids)) == len(ids)
+        ):
+            return
+        seen: set[int] = set()  # find the first fault, query by query
+        for query in zip(xs) if ys is None else zip(xs, ys):
+            _check_query(size, *query)
+            for eid in query:
+                if eid in seen:
+                    raise InvalidQueryError(f"query group repeats endpoint {eid}")
+                seen.add(eid)
+
+    def ops(self) -> tuple[ScriptOp, ...]:
+        """The group's queries as script ops, in order."""
+        if self.ys is None:
+            return tuple(map(QueryOne, self.xs))
+        return tuple(map(QueryPair, self.xs, self.ys))
 
 
 #: A handle draws its uniforms in blocks of ``_FIRST_BLOCK``, then twice as
@@ -383,6 +435,54 @@ class SketchHandle:
         else:
             return QueryOutcome.BOT
         return self._fire(True, size, 1)
+
+    def query_group(self, group: QueryGroup) -> tuple[int, QueryOutcome] | None:
+        """Run ``group``'s queries in order until one fires; return its index in
+        the group and its outcome, or None when every query misses.
+
+        Each query is what ``query_one`` or ``query_pair`` does, draw for draw:
+        a presence test and delete in place, then, with an endpoint present,
+        the next uniform u fires by the query's ``FIRE_LAW`` row as ``_fire``
+        does, on the float u * scale * size. The group was validated when it
+        was built. Its endpoints are distinct, so its own deletes leave the
+        presence of its later queries as it was.
+        """
+        if self._outcome is not None or group.universe is not self.universe:
+            self._require_alive()
+            if group.universe != self.universe:
+                raise ScriptError("query group universe does not match handle universe")
+        store = self._store
+        ids, frame = store.ids, store.frame
+        xs, ys = group.xs, group.ys
+        pair = ys is not None
+        if frame is not None:
+            xs = [frame(x) for x in xs]
+            ys = [frame(y) for y in ys] if pair else None
+        one, two = FIRE_LAW[pair, 1], FIRE_LAW[True, 2]
+        for i, (x, y) in enumerate(zip(xs, ys) if pair else zip(xs, repeat(None))):
+            if x in ids:  # y = None is never a member
+                size = len(ids)
+                ids.remove(x)
+                if y in ids:
+                    ids.remove(y)
+                    scale, atoms = two
+                else:
+                    scale, atoms = one
+            elif y in ids:
+                size = len(ids)
+                ids.remove(y)
+                scale, atoms = one
+            else:
+                continue
+            u = (self._draws or self._refill()).pop() * scale * size
+            acc = 0
+            for outcome, weight in atoms:
+                acc += weight
+                if u < acc:
+                    self._outcome = outcome
+                    self._store = None  # type: ignore[assignment]
+                    return i, outcome
+        return None
 
 
 def create(

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidParamsError, ValidationError
 from .permutation import PermutationSpec, SwapStage
-from .sketch import Law, QueryOutcome, create, fire_probs
+from .sketch import Law, QueryGroup, create, fire_probs
 from .tape import Tape
 from .universe import Block, IntRange, UniverseSpec
 
@@ -65,11 +65,11 @@ class EdgeStream:
 
     @cached_property
     def _tape(self) -> Tape:
-        """Every triangle run's per-edge swap (see ``_edge_swap``), compiled once."""
+        """Every triangle run's per-edge (swap, query group) (see ``_edge_ops``), compiled once."""
         universe = triangle_universe(self)
         off = universe.block_offset("scratch")
         members = range(off, off + 2 * self.m)
-        return Tape(universe, members, self.m, partial(_edge_swap, self.edges, self.n, universe))
+        return Tape(universe, members, self.m, partial(_edge_ops, self.edges, self.n, universe))
 
     @cached_property
     def _laws(self) -> dict[int, Law]:
@@ -162,12 +162,16 @@ def _pair_id(n: int, a: int, b: int) -> int:
     return (a - 1) * n + (b - 1)
 
 
-def _edge_swap(edges, n: int, universe: UniverseSpec, k: int) -> tuple[PermutationSpec]:
-    """Edge k = (u, v) swaps two fresh scratch ids into (u, v) and (v, u)."""
+def _edge_ops(edges, n: int, universe: UniverseSpec, k: int) -> tuple:
+    """Edge k = (u, v)'s (swap, group): the swap moves two fresh scratch ids into
+    (u, v) and (v, u); the group holds the pair queries ((w, u), (w, v)) for
+    w = 1..n, which a selected edge asks before its swap."""
     u, v = edges[k]
     fresh = universe.block_offset("scratch") + 2 * k
     pairs = ((fresh, _pair_id(n, u, v)), (fresh + 1, _pair_id(n, v, u)))
-    return (PermutationSpec(universe, (SwapStage(pairs),)),)
+    xs = [_pair_id(n, w, u) for w in range(1, n + 1)]
+    ys = [_pair_id(n, w, v) for w in range(1, n + 1)]
+    return ((PermutationSpec(universe, (SwapStage(pairs),)), QueryGroup(universe, xs, ys)),)
 
 
 def _g_rng(seed: int, handle_id: int) -> np.random.Generator:
@@ -195,19 +199,15 @@ def run_single(
     m = stream.m
     if m == 0:
         return 0
-    n, tape = stream.n, stream._tape
+    tape = stream._tape
     handle = create(tape.universe, tape.members, master_seed=seed, handle_id=handle_id)
     draws = _g_rng(seed, handle_id).random(m).tolist()  # as m calls of g.random()
-    swaps = iter(tape)  # an edge's swap is compiled only once its queries miss
-    rows = range(0, n * n, n)  # _pair_id(n, w, .) - _pair_id(n, 1, .) for w = 1..n
-    for ell, ((u, v), g) in enumerate(zip(stream.edges, draws), start=1):
+    for ell, ((swap, group), g) in enumerate(zip(tape, draws), start=1):
         if g * k < 1.0:
-            wu, wv = _pair_id(n, 1, u), _pair_id(n, 1, v)
-            for row in rows:
-                out = handle.query_pair(row + wu, row + wv)
-                if out is not QueryOutcome.BOT:
-                    return out.sign * k * m
-        handle.update(next(swaps))
+            hit = handle.query_group(group)
+            if hit is not None:
+                return hit[1].sign * k * m
+        handle.update(swap)
         if observer is not None:
             observer(ell, handle.debug_members())
     return 0

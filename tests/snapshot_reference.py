@@ -17,6 +17,7 @@ from pairsketch import (
     CapacityError,
     CyclicShift,
     PermutationSpec,
+    QueryGroup,
     QueryOne,
     QueryOutcome,
     QueryPair,
@@ -107,14 +108,16 @@ def folded_plan(stream, hashes, grid, params):
         except CapacityError:
             return tuple(out), k
         swaps, turned = fold(frame, stages)
+        queries = edge_queries(plan, u, v)
+        xs, ys = [frame(op.x) for op, _ in queries], [frame(op.y) for op, _ in queries]
         out.append(EdgePlan(
             edge_index=k,
             updates=(Update(PermutationSpec(plan.universe, swaps)),),
-            queries=tuple(
-                (QueryPair(frame(op.x), frame(op.y)), coords)
-                for op, coords in edge_queries(plan, u, v)
+            pair_group=QueryGroup(plan.universe, xs, ys),
+            coords=tuple(coords for _, coords in queries),
+            cleanup_group=QueryGroup(
+                plan.universe, [frame(op.x) for op in edge_cleanups(plan, u, v)]
             ),
-            cleanups=tuple(QueryOne(frame(op.x)) for op in edge_cleanups(plan, u, v)),
             rotations=tuple(turned.items()),
         ))
     return tuple(out), None

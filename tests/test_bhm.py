@@ -418,7 +418,14 @@ def _encoded_protocol_ops(inst):
 @pytest.mark.parametrize("interleaving", INTERLEAVINGS)
 def test_protocol_ops_equal_an_encoded_reference(interleaving):
     inst = generate_instance(12, Fraction(1, 4), 1, seed=8, interleaving=interleaving)
-    assert list(inst._tape) == list(_encoded_protocol_ops(inst))
+    ops = []  # each edge's query group, one (x, y) per query, beside its tags
+    for op, tags in inst._tape:
+        if tags is None:
+            ops.append((op, None))
+            continue
+        assert op.universe is inst._tape.universe and len(op.xs) == len(tags) == 4
+        ops += zip(zip(op.xs, op.ys), tags)
+    assert ops == list(_encoded_protocol_ops(inst))
     assert _flip_perm(bhm_universe(inst.n), inst.n, 3) == PermutationSpec(
         bhm_universe(inst.n), (SwapStage(((4, 28), (5, 29))),)
     )

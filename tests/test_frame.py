@@ -263,6 +263,7 @@ def test_snapshot_plans_equal_the_generic_fold(case):
         assert got.updates == ref.updates, got.edge_index
         assert got.queries == ref.queries, got.edge_index
         assert got.cleanups == ref.cleanups, got.edge_index
+        assert got.pair_group.universe is got.cleanup_group.universe is plan.universe
         assert dict(got.rotations) == dict(ref.rotations), got.edge_index
         assert len(got.rotations) == len(ref.rotations)
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,11 +16,13 @@ from pairsketch import (
     Labels,
     PermutationError,
     PermutationSpec,
+    QueryGroup,
     QueryOne,
     QueryOutcome,
     QueryPair,
     ReplayStep,
     ReplayTrace,
+    ScriptError,
     SketchDestroyedError,
     SwapStage,
     UniverseSpec,
@@ -757,6 +760,15 @@ def test_fire_differs_from_the_exact_rule_at_most_one_double_per_boundary():
         handle._draws = [u]
         return handle._fire(pair, size, present)
 
+    def group_fire(pair, size, present, u):
+        # the same draw through a one-query group on ``size`` members, of which
+        # the query's ``present`` endpoints are members
+        handle = create(WIDE, range(size))
+        handle._draws = [u]
+        ys = ([1] if present == 2 else [size]) if pair else None
+        hit = handle.query_group(QueryGroup(WIDE, [0], ys))
+        return QueryOutcome.BOT if hit is None else hit[1]
+
     flipped = 0
     for (pair, present), (scale, atoms) in FIRE_LAW.items():
         cums = np.cumsum([weight for _, weight in atoms])
@@ -775,6 +787,7 @@ def test_fire_differs_from_the_exact_rule_at_most_one_double_per_boundary():
                 off = []
                 for u in sorted(draws):
                     got, want = fire(pair, size, present, u), _exact_fire(pair, size, present, u)
+                    assert group_fire(pair, size, present, u) is got, (pair, present, size, u)
                     if got is not want:
                         off.append(u)
                         # only upward: the float rule names a later atom, or Bot
@@ -788,3 +801,137 @@ def test_fire_differs_from_the_exact_rule_at_most_one_double_per_boundary():
     assert fire(False, 3, 1, 0.3333333333333333) is QueryOutcome.BOT
     assert _exact_fire(False, 3, 1, 0.3333333333333333) is QueryOutcome.IN
     assert flipped == 156
+
+
+# -- query groups ----------------------------------------------------------------
+
+
+@st.composite
+def grouped_runs(draw):
+    """(universe, members, first update or None, groups): a random universe, a
+    member set, an optional first shift of every line of one block (so the
+    store keeps a frame), and groups of pairwise-distinct ids, single or pair."""
+    universe = draw(universes().filter(lambda u: u.size >= 2))
+    ids = st.integers(0, universe.size - 1)
+    members = draw(st.sets(ids, min_size=1, max_size=min(universe.size, 16)))
+    first = None
+    if draw(st.booleans()):
+        block = draw(st.sampled_from(universe.blocks))
+        select = (None,) * (len(block.factors) - 1)  # every line of the block
+        shift = CyclicShift(block.name, draw(st.integers(-5, 5)), select)
+        first = PermutationSpec(universe, (shift,))
+    groups = []
+    for _ in range(draw(st.integers(1, 4))):
+        pool = draw(st.permutations(range(universe.size)))
+        pair = draw(st.booleans())
+        count = draw(st.integers(1, max(1, universe.size // 2 if pair else universe.size)))
+        if pair:
+            groups.append(QueryGroup(universe, pool[:count], pool[count : 2 * count]))
+        else:
+            groups.append(QueryGroup(universe, pool[:count]))
+    return universe, sorted(members), first, groups
+
+
+@settings(max_examples=200, deadline=None)
+@given(grouped_runs(), st.integers(0, 3), st.integers(0, 5))
+def test_a_group_runs_exactly_its_queries_one_by_one(case, seed, hid):
+    universe, members, first, groups = case
+    grouped = create(universe, members, master_seed=seed, handle_id=hid)
+    single = create(universe, members, master_seed=seed, handle_id=hid)
+    if first is not None:
+        grouped.update(first)
+        single.update(first)
+        assert grouped._store.frame is not None
+    for group in groups:
+        hit = grouped.query_group(group)
+        want = None
+        for i, op in enumerate(group.ops()):
+            out = single.query_pair(op.x, op.y) if group.ys else single.query_one(op.x)
+            if out.fires():
+                want = (i, out)
+                break
+        assert hit == want
+        if hit is not None:
+            assert grouped.final_outcome is single.final_outcome is hit[1]
+            return
+        assert grouped.debug_members() == single.debug_members()
+    # the same later draws: every member queried in turn, on both handles
+    for x in range(universe.size):
+        out = grouped.query_one(x)
+        assert out is single.query_one(x)
+        if out.fires():
+            break
+    else:
+        assert grouped.debug_members() == single.debug_members() == set()
+
+
+def test_a_group_fires_at_its_first_firing_query():
+    # on {0, 1}, a both-present pair is certain to fire Plus at size 2
+    h = fresh([0, 1, 2, 3])
+    hit = h.query_group(QueryGroup(LINE, [5, 2, 0], [6, 3, 1]))
+    assert hit is not None and hit[0] in (1, 2) and h.destroyed
+    h = fresh([0, 1])
+    assert h.query_group(QueryGroup(LINE, [5, 0], [6, 1])) == (1, QueryOutcome.PLUS)
+    h = fresh([0, 1])
+    assert h.query_group(QueryGroup(LINE, [4, 5, 6])) is None
+    assert h.debug_members() == {0, 1}
+
+
+@pytest.mark.parametrize("bad", BAD_ENDPOINTS, ids=repr)
+def test_a_group_rejects_the_endpoints_a_query_rejects(bad):
+    want = f"^query endpoint {re.escape(repr(bad))} outside universe$"
+    for xs, ys in (([0, bad], None), ([0, 1], [2, bad]), ([bad], [1])):
+        with pytest.raises(InvalidQueryError, match=want):
+            QueryGroup(LINE, xs, ys)
+
+
+def test_a_group_rejects_repeated_endpoints_and_unequal_halves():
+    with pytest.raises(InvalidQueryError, match="^pair query endpoints must differ, got 3 twice$"):
+        QueryGroup(LINE, [1, 3], [2, 3])
+    for xs, ys, eid in (([1, 2, 1], None, 1), ([1, 2], [3, 1], 1), ([1, 2], [2, 4], 2)):
+        with pytest.raises(InvalidQueryError, match=f"^query group repeats endpoint {eid}$"):
+            QueryGroup(LINE, xs, ys)
+    with pytest.raises(InvalidQueryError, match="^a pair group has 2 xs but 1 ys$"):
+        QueryGroup(LINE, [1, 2], [3])
+    assert QueryGroup(LINE, []).ops() == QueryGroup(LINE, [], []).ops() == ()
+
+
+def test_a_group_on_a_destroyed_handle_or_a_foreign_universe_raises():
+    h = fresh([0])
+    assert h.query_one(0) is QueryOutcome.IN
+    with pytest.raises(SketchDestroyedError):
+        h.query_group(QueryGroup(LINE, [1]))
+    other = UniverseSpec((Block("v", (IntRange(0, 7),)),))
+    with pytest.raises(ScriptError):
+        fresh([0, 1]).query_group(QueryGroup(other, [1]))
+    twin = UniverseSpec((Block("v", (IntRange(0, 15),)),))  # equal, not the same object
+    assert fresh([0, 1]).query_group(QueryGroup(twin, [5])) is None
+
+
+# -- swap stages -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pair", [(2.9, 5), (True, 3), (3, False), ("2", 3), (2, None)], ids=repr)
+def test_swap_ids_must_be_integers(pair):
+    # int() would swap 2 and 5 for (2.9, 5), and 1 and 3 for (True, 3)
+    with pytest.raises(PermutationError, match="^swap id .* is not an integer$"):
+        swap_perm(LINE, pair)
+
+
+def test_swap_ids_take_index_integers():
+    perm = swap_perm(LINE, (np.int64(2), np.uint8(5)))
+    assert perm.stages[0].pairs == ((2, 5),)
+    assert all(type(eid) is int for eid in perm.stages[0].pairs[0])
+    assert perm == swap_perm(LINE, (2, 5))
+
+
+def test_consecutive_swap_stages_merge_into_one_segment():
+    shift = CyclicShift("v", 3)
+    perm = PermutationSpec(
+        LINE, (SwapStage(((0, 1),)), SwapStage(((1, 2), (5, 6))), shift, SwapStage(((3, 4),)))
+    )
+    assert [pairs for pairs, _ in perm._segments] == [((0, 1), (1, 2), (5, 6)), ((3, 4),)]
+    assert [comp is None for _, comp in perm._segments] == [False, True]
+    h = fresh([0, 3, 5])
+    h.update(perm)
+    assert h.debug_members() == permute_set(perm, {0, 3, 5}) == {5, 6, 9}

@@ -73,6 +73,8 @@ def test_query_paths_check_endpoints_against_a_size_read_once():
         "sketch.py",
         "SketchHandle.query_one",
         "SketchHandle.query_pair",
+        "SketchHandle.query_group",
+        "QueryGroup.__init__",
         "_check_query",
         "replay_noiseless",
     )
@@ -94,8 +96,9 @@ def test_only_the_permutation_module_reads_a_shift_selection():
 
 
 def test_live_runs_read_their_instance_tape():
-    # a live run compiles nothing itself: permutations, frames and universes
-    # are built once per instance, on its tape (a snapshot run's plan)
+    # a live run compiles nothing itself: permutations, frames, query groups
+    # and universes are built once per instance, on its tape (a snapshot
+    # run's plan)
     for name in ("bhm.py", "heavy_edges.py", "triangle.py", "pseudosnapshot.py"):
         (func,) = _functions(name, "run_single")
         names = {
@@ -103,13 +106,28 @@ def test_live_runs_read_their_instance_tape():
             for node in ast.walk(func)
             if isinstance(node, (ast.Attribute, ast.Name))
         }
-        assert not names & {"PermutationSpec", "SwapStage", "CyclicShift", "Frame"}, name
+        forbidden = {"PermutationSpec", "SwapStage", "CyclicShift", "Frame", "QueryGroup"}
+        assert not names & forbidden, name
         called = [
             node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
             for node in ast.walk(func)
             if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))
         ]
         assert [c for c in called if c.endswith("_universe")] == [], name
+
+
+def test_burst_queries_run_as_query_groups():
+    # bhm's four queries per edge, triangle's n per selected edge and the
+    # snapshot's pair and cleanup queries per edge each run as one group
+    for name in ("bhm.py", "triangle.py", "pseudosnapshot.py"):
+        (func,) = _functions(name, "run_single")
+        called = {
+            node.func.attr
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        }
+        assert "query_group" in called, name
+        assert not called & {"query_one", "query_pair"}, name
 
 
 def _names(func):
