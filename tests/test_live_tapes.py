@@ -2,14 +2,16 @@
 
 The pinned outputs were recorded before the tapes existed and before bhm's
 cell block put its bit factor first; a relabeling of ids keeps every
-presence pattern, so the live outputs must not move.
+presence pattern, so the live outputs must not move. The snapshot pins, each
+run's law key and how many edges its observer saw, were recorded before the
+estimators shared one live loop.
 """
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pairsketch import bhm, harness, heavy_edges, triangle
+from pairsketch import bhm, harness, heavy_edges, pseudosnapshot, triangle
 from pairsketch.heavy_edges import DirectedEdgeStream
 from pairsketch.permutation import PermutationSpec
 
@@ -51,7 +53,30 @@ ESTIMATORS = {
     ),
 }
 
+def _snapshot():
+    """(stream, hashes, grid, params, plan): n = 12, 30 edges, hash seed 7,
+    kappa 2, eps 1/2, class pair (3, 1)."""
+    rng = np.random.default_rng(2)
+    pool = [(u, v) for u in range(1, 13) for v in range(1, 13) if u != v]
+    stream = DirectedEdgeStream(12, tuple(pool[i] for i in rng.choice(len(pool), 30, replace=False)))
+    grid = pseudosnapshot.DegreeGrid.from_eps(12, "1/2")
+    hashes = pseudosnapshot.HashOracles(7, 2, "1/2")
+    params = pseudosnapshot.SnapshotParams(2, "1/2", ("-1", "0"), (3, 1))
+    return stream, hashes, grid, params, pseudosnapshot.build_plan(stream, hashes, grid, params)
+
+
+def _snapshot_run(inst, h):
+    """(law key, how many edges the observer saw) of one snapshot run."""
+    *args, plan = inst
+    edges = []
+    est = pseudosnapshot.run_single(
+        *args, 7, handle_id=h, plan=plan, observer=lambda k, mem: edges.append(k)
+    )
+    return est.key, len(edges)
+
+
 N = None
+E, C = ("StreamEnd", None, 0), ("Cleanup", None, 0)
 PINNED = {
     "bhm-shuffle": [
         1, N, N, N, 1, 1, N, N, 0, 1, 1, N, 1, 1, 0, 1, 0, N, N, N,
@@ -73,12 +98,21 @@ PINNED = {
         38, -38, 38, 0, 0, -38, 0, 38, 38, 38, 38, 38, -38, -38, 38, 38, 38, 0, 0, 0,
         0, -38, 38, 38, 0, 0, 38, 0, -38, 0, 38, 0, 0, 0, 38, 0, 0, 38, 38, 0,
     ],
+    "snapshot": [
+        (E, 30), (E, 30), (C, 21), (E, 30), (C, 26), (E, 30), (("Minus", (0, 1), -3840), 21),
+        (E, 30), (E, 30), (E, 30), (E, 30), (C, 14), (E, 30), (E, 30), (C, 28), (C, 24),
+        (C, 23), (C, 16), (E, 30), (C, 12), (E, 30), (C, 23), (("Plus", (1, 1), 3840), 11),
+        (E, 30), (E, 30), (E, 30), (E, 30), (E, 30), (C, 16), (E, 30), (E, 30), (C, 16),
+        (C, 14), (E, 30), (C, 27), (E, 30), (E, 30), (E, 30), (C, 18), (C, 18),
+    ],
 }
 
 
 @pytest.mark.parametrize("name", PINNED)
 def test_live_outputs_are_pinned(name):
-    if name.startswith("bhm-"):
+    if name == "snapshot":
+        inst, run = _snapshot(), _snapshot_run
+    elif name.startswith("bhm-"):
         inst = _bhm(name[len("bhm-"):])
         run = ESTIMATORS["bhm"][1]
     else:
