@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidParamsError, ValidationError
 from .permutation import PermutationSpec, SwapStage
-from .sketch import Law, QueryGroup, QueryOutcome, ScriptOp, Update, create, replay_law
+from .sketch import Law, QueryGroup, QueryOutcome, create, replay_law, run_tagged
 from .tape import Tape
 from .universe import Block, IntRange, UniverseSpec
 
@@ -102,7 +102,7 @@ class BhmInstance:
 
     @cached_property
     def _tape(self) -> Tape:
-        """Every live run's (op, tags) pairs (see ``_item_ops``), compiled once."""
+        """Every live run's tape items (see ``_item_ops``), compiled once."""
         universe = bhm_universe(self.n)
         edge_index = {e: i for i, e in enumerate(self.matching)}
         ops = partial(_item_ops, self.stream, self.n, universe, edge_index)
@@ -113,9 +113,7 @@ class BhmInstance:
         """``terminal_slabs``' law, replayed once: every sampler and gate on this
         instance reads the same ``Law``."""
         tape = self._tape
-        return replay_law(
-            tape.universe, tape.members, build_script(self), partial(_output, self), (None, None)
-        )
+        return replay_law(tape.universe, tape.members, tape, partial(_output, self), (None, None))
 
     @cached_property
     def _later(self) -> list[int]:
@@ -189,7 +187,7 @@ def _flip_perm(universe: UniverseSpec, n: int, v: int) -> PermutationSpec:
 
 
 def _item_ops(stream, n: int, universe: UniverseSpec, edge_index: dict, k: int) -> tuple:
-    """Stream item k's (op, tags): a bit-1 vertex is one (perm, None) flip, an edge
+    """Stream item k's tape item: a bit-1 vertex is one (perm, None) flip, an edge
     one ``QueryGroup`` of four pair queries in ``QUERY_ORDER``, tagged (edge index, a, b)."""
     item = stream[k]
     if isinstance(item, VertexBit):
@@ -198,14 +196,6 @@ def _item_ops(stream, n: int, universe: UniverseSpec, edge_index: dict, k: int) 
     xs = [_cell(n, a, item.u, a ^ b) for a, b in QUERY_ORDER]
     ys = [_cell(n, b, item.v, a ^ b) for a, b in QUERY_ORDER]
     return ((QueryGroup(universe, xs, ys), tuple((ei, a, b) for a, b in QUERY_ORDER)),)
-
-
-def build_script(inst: BhmInstance) -> list[tuple[ScriptOp, tuple[int, int, int] | None]]:
-    """Script realizing a run, each pair query tagged with its (edge index, a, b)."""
-    script: list = []
-    for op, tags in inst._tape:
-        script += [(Update(op), None)] if tags is None else zip(op.ops(), tags)
-    return script
 
 
 def _output(inst: BhmInstance, tag: tuple[int, int, int], outcome: QueryOutcome):
@@ -219,14 +209,7 @@ def run_single(inst: BhmInstance, *, master_seed: int = 0, handle_id: int = 0) -
     """One protocol run on a live sketch. Returns the output bit, or None."""
     tape = inst._tape
     handle = create(tape.universe, tape.members, master_seed=master_seed, handle_id=handle_id)
-    for op, tags in tape:
-        if tags is None:
-            handle.update(op)
-            continue
-        hit = handle.query_group(op)
-        if hit is not None:
-            return _output(inst, tags[hit[0]], hit[1])[1]
-    return None
+    return run_tagged(handle, tape, lambda tag, outcome: _output(inst, tag, outcome)[1], None)
 
 
 def default_copies(alpha: Fraction) -> int:

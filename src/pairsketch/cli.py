@@ -100,8 +100,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         params: dict = {}
         if args.meta_trials:
             params["meta_trials"] = args.meta_trials
-            if args.copies is not None:
-                params["copies"] = args.copies
+        if args.copies is not None:
+            params["copies"] = args.copies
         return ExperimentConfig(
             "bhm", params, args.trials, args.seed, instance, args.out
         )

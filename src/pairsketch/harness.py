@@ -511,6 +511,8 @@ def _run_bhm(inst: BhmInstance, params, trials, seed):
     copies = _int_param("bhm", params, "copies", None)
     if meta_trials < 0 or (copies is not None and copies < 1):
         raise ConfigError(f"need meta_trials >= 0 and copies >= 1, got {meta_trials}, {copies}")
+    if copies is not None and not meta_trials:
+        raise ConfigError("bhm copies counts majority votes; it needs meta_trials > 0")
     law = _bhm.terminal_slabs(inst)
 
     def correct(key) -> bool:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidParamsError, ValidationError
 from .permutation import CyclicShift, PermutationSpec, SwapStage, frame_id
-from .sketch import Law, QueryOutcome, QueryPair, ScriptOp, Update, create, replay_law
+from .sketch import Law, QueryGroup, QueryPair, ScriptOp, Update, create, replay_law, run_tagged
 from .tape import Tape
 from .universe import Block, IntRange, Labels, UniverseSpec
 
@@ -66,8 +66,9 @@ class DirectedEdgeStream:
 
     @cached_property
     def _tape(self) -> Tape:
-        """Every heavy-edge run's per-edge update in framed ids (swaps only)
-        with its lines' rotations after the edge (``_framed_update``), compiled once."""
+        """Every heavy-edge pass's per-edge (update in framed ids, swaps only; its
+        lines' rotations after the edge) (``_framed_update``), compiled once; each
+        threshold pair's tape (``_framed_edges``) reads it."""
         universe = heavy_universe(self)
         off = universe.block_offset("scratch")
         members = range(off, off + 4 * self.m)
@@ -163,11 +164,12 @@ def _framed_update(edges, n: int, universe: UniverseSpec, rot: dict, k: int) -> 
     swap = tuple((a, frame_id(line, line, rot.get(line, 0), mod)) for a, line in pairs)
     turned = {line: (rot.get(line, 0) + 1) % mod for _, line in pairs}
     rot.update(turned)
-    return ((PermutationSpec(universe, (SwapStage(swap),)), turned),)
+    return PermutationSpec(universe, (SwapStage(swap),)), turned
 
 
 def _framed_edges(stream: DirectedEdgeStream, d_H: int, d_T: int) -> Tape:
-    """The (framed update, framed query endpoints) of each edge of a pass.
+    """A pass's tape: per edge its framed update, then its probe as a one-query
+    pair group (tag None).
 
     The probed slots (u, H, d_H) and (v, T, d_T) are framed through the
     rotations of their lines after the edge, read off the stream's tape, which
@@ -176,17 +178,18 @@ def _framed_edges(stream: DirectedEdgeStream, d_H: int, d_T: int) -> Tape:
     """
     steps = stream._steps
     if (d_H, d_T) not in steps:
-        n, mod, items = stream.n, 2 * stream.n, iter(stream._tape)
+        tape = stream._tape
+        n, mod, items, universe = stream.n, 2 * stream.n, iter(tape), tape.universe
 
         def step(k: int) -> tuple:
             perm, turned = next(items)  # items compile in order, as this tape's do
             u, v = stream.edges[k]
             head, tail = _slot(n, u, 0, 0), _slot(n, v, 1, 0)
             x = frame_id(head + d_H, head, turned[head], mod)
-            return ((perm, x, frame_id(tail + d_T, tail, turned[tail], mod)),)
+            y = frame_id(tail + d_T, tail, turned[tail], mod)
+            return (perm, None), (QueryGroup(universe, (x,), (y,)), (None,))
 
-        tape = stream._tape
-        steps[d_H, d_T] = Tape(tape.universe, tape.members, stream.m, step)
+        steps[d_H, d_T] = Tape(universe, tape.members, stream.m, step)
     return steps[d_H, d_T]
 
 
@@ -227,14 +230,8 @@ def run_single(
         return 0
     tape = stream._tape
     handle = create(tape.universe, tape.members, master_seed=seed, handle_id=handle_id)
-    for ell, (perm, x, y) in enumerate(_framed_edges(stream, d_H, d_T), start=1):
-        handle.update(perm)
-        out = handle.query_pair(x, y)
-        if out is not QueryOutcome.BOT:
-            return out.sign * 2 * m
-        if observer is not None:
-            observer(ell, handle.debug_members())
-    return 0
+    items = _framed_edges(stream, d_H, d_T)
+    return run_tagged(handle, items, lambda _, outcome: outcome.sign * 2 * m, 0, observer)
 
 
 def _copies(stream: DirectedEdgeStream, params: HeavyParams, copies: int | None) -> int:
@@ -285,12 +282,8 @@ def _build_law(stream: DirectedEdgeStream, d_H: int, d_T: int) -> Law:
     if m == 0:
         return Law({0: Fraction(1)})
     tape = stream._tape
-    tagged = (
-        (op, None)
-        for perm, x, y in _framed_edges(stream, d_H, d_T)
-        for op in (Update(perm), QueryPair(x, y))
-    )
-    return replay_law(tape.universe, tape.members, tagged, lambda _, o: o.sign * 2 * m, 0)
+    items = _framed_edges(stream, d_H, d_T)
+    return replay_law(tape.universe, tape.members, items, lambda _, o: o.sign * 2 * m, 0)
 
 
 def sample_outputs(

@@ -27,7 +27,8 @@ from .errors import (
 )
 from .heavy_edges import DirectedEdgeStream
 from .permutation import PermutationSpec, SwapStage, frame_id
-from .sketch import Law, QueryGroup, QueryOne, QueryOutcome, QueryPair, Update, create, replay_law
+from .sketch import Law, QueryGroup, QueryOne, QueryOutcome, QueryPair, create, replay_law
+from .sketch import run_tagged
 from .universe import Block, IntRange, Labels, UniverseSpec
 
 FAMILIES = ("A", "B", "C", "D")
@@ -365,28 +366,26 @@ def snapshot_universe(n: int, m: int, params: SnapshotParams) -> UniverseSpec:
 class EdgePlan:
     """One edge's sketch ops, in framed ids: each increment's shift is left
     pending as its stack's rotation, its top, and every later id addresses a
-    slot through it (``permutation.frame_id``), so ``updates`` hold swaps only.
-    ``rotations`` pairs each stack line the edge turned with its rotation after
-    the edge; framing literal ids needs them. The live run asks the edge's
-    pair queries as one ``QueryGroup``, ``pair_group``, whose query i has hit
-    coordinates ``coords[i]``, and then its cleanups as ``cleanup_group``;
-    ``queries`` and ``cleanups`` list the same queries as script ops."""
+    slot through it (``permutation.frame_id``), so the update holds swaps only.
+    ``item`` is the edge's tape item: the update, the pair queries as one
+    group tagged by hit coordinates (edge index, x, i, j), and the cleanups as
+    one group tagged None. ``rotations`` pairs each stack line the edge turned
+    with its rotation after the edge; framing literal ids needs them.
+    ``queries`` and ``cleanups`` list the item's queries as script ops."""
 
     edge_index: int
-    updates: tuple[Update, ...]
-    pair_group: QueryGroup
-    coords: tuple[tuple[int, int, int], ...]
-    cleanup_group: QueryGroup
+    item: tuple
     rotations: tuple[tuple[int, int], ...]
 
     @property
     def queries(self) -> tuple[tuple[QueryPair, tuple[int, int, int]], ...]:
         """(pair query, its hit coordinates), in order."""
-        return tuple(zip(self.pair_group.ops(), self.coords))
+        group, tags = self.item[1]
+        return tuple(zip(group.ops(), (tag[1:] for tag in tags)))
 
     @property
     def cleanups(self) -> tuple[QueryOne, ...]:
-        return self.cleanup_group.ops()
+        return self.item[2][0].ops()
 
 
 @dataclass(frozen=True)
@@ -553,16 +552,13 @@ def build_plan(
             stacks = [plan._stack(w, fam, True) for fam, w, _ in incs]
             turned = {line + c * plan._s_copy: r for line, r in stacks for c in copies}
             xs, ys, coords = zip(*plan.query_slots(u, v, True))
-            edge_plans.append(
-                EdgePlan(
-                    edge_index=k,
-                    updates=(Update(PermutationSpec(plan.universe, swaps)),),
-                    pair_group=QueryGroup(plan.universe, xs, ys),
-                    coords=coords,
-                    cleanup_group=QueryGroup(plan.universe, plan.cleanup_slots(u, v, True)),
-                    rotations=tuple(turned.items()),
-                )
+            cleanups = plan.cleanup_slots(u, v, True)
+            item = (
+                (PermutationSpec(plan.universe, swaps), None),
+                (QueryGroup(plan.universe, xs, ys), tuple((k, *c) for c in coords)),
+                (QueryGroup(plan.universe, cleanups), (None,) * len(cleanups)),
             )
+            edge_plans.append(EdgePlan(k, item, tuple(turned.items())))
     return ScriptPlan(
         universe=plan.universe,
         edge_plans=tuple(edge_plans),
@@ -678,24 +674,12 @@ def run_single(
     if plan is None:
         plan = build_plan(stream, hashes, grid, params)
 
-    def fired(tag, outcome: QueryOutcome) -> PseudosnapshotEstimate:
-        return _estimate(ell, _fire_key(stream, hashes, grid, params, plan.big_m)(tag, outcome))
+    def key(tag, outcome: QueryOutcome):  # the arrival table is built on a fire only
+        return _fire_key(stream, hashes, grid, params, plan.big_m)(tag, outcome)
 
-    members = plan.initial_members()
-    handle = create(plan.universe, members, master_seed=seed, handle_id=handle_id)
-    for eplan in plan.edge_plans:
-        for up in eplan.updates:
-            handle.update(up.perm)
-        hit = handle.query_group(eplan.pair_group)
-        if hit is not None:
-            i, outcome = hit
-            return fired((eplan.edge_index, *eplan.coords[i]), outcome)
-        hit = handle.query_group(eplan.cleanup_group)
-        if hit is not None:
-            return fired(None, hit[1])
-        if observer is not None:
-            observer(eplan.edge_index, handle.debug_members())
-    return _estimate(ell, _end_key(plan))
+    handle = create(plan.universe, plan.initial_members(), master_seed=seed, handle_id=handle_id)
+    items = (eplan.item for eplan in plan.edge_plans)
+    return _estimate(ell, run_tagged(handle, items, key, _end_key(plan), observer))
 
 
 # ---------------------------------------------------------------------------
@@ -755,14 +739,9 @@ def terminal_law(
         return SnapshotLaw(ell, 0, Law({("StreamEnd", None, 0): Fraction(1)}))
     if plan is None:
         plan = build_plan(stream, hashes, grid, params)
-    # each query tagged with its hit coordinates, or None for a cleanup
-    tagged: list = []
-    for eplan in plan.edge_plans:
-        tagged += ((up, None) for up in eplan.updates)
-        tagged += ((op, (eplan.edge_index, *coords)) for op, coords in eplan.queries)
-        tagged += ((op, None) for op in eplan.cleanups)
     key = _fire_key(stream, hashes, grid, params, plan.big_m)
-    atoms = replay_law(plan.universe, plan.initial_members(), tagged, key, _end_key(plan)).atoms
+    items = (eplan.item for eplan in plan.edge_plans)
+    atoms = replay_law(plan.universe, plan.initial_members(), items, key, _end_key(plan)).atoms
     return SnapshotLaw(ell, plan.big_m, Law(dict(sorted(atoms.items(), key=lambda a: repr(a[0])))))
 
 

@@ -40,6 +40,11 @@ given query fires depends only on the initial size and its presence pattern.
 ``replay_noiseless`` exposes that deterministic trajectory,
 ``ReplayTrace.fire_atoms`` the resulting fire probabilities, and
 ``replay_law`` gathers them into one exact ``Law`` of a script's outcomes.
+
+An estimator states its ops once, as a tape: a sequence of stream items, each
+a tuple of ``(PermutationSpec, None)`` and ``(QueryGroup, tags)`` pairs with
+one tag per query. ``run_tagged`` walks it live and ``replay_law`` noiselessly;
+both map a fire of the query tagged t with outcome o to ``key(t, o)``.
 """
 from __future__ import annotations
 
@@ -607,38 +612,50 @@ def _check_fire_law() -> None:
             )
 
 
-def _replay(store: _MemberStore, tagged_ops: Iterable[tuple[ScriptOp, object]]) -> Iterator[tuple]:
-    """Walk ``tagged_ops`` on ``store`` with every query missing, validating each op as the
-    handle does; yield (op index, op, tag, size before, x present, y present) per query.
+def _replay(store: _MemberStore, items: Iterable[tuple]) -> Iterator[tuple]:
+    """Walk the tape ``items`` on ``store`` with every query missing; yield (item index,
+    pair?, x, y, tag, size before, x present, y present) per query. Op universes are
+    checked as the handle checks them; group endpoints were checked when built.
     Raises ``InvariantError`` unless each query meets the initial size minus the earlier
     present endpoints, and ``store`` ends with exactly that many survivors."""
     _check_fire_law()
     universe = store.universe
-    universe_size = universe.size
-    initial_size = remaining = len(store.ids)
-    for i, (op, tag) in enumerate(tagged_ops):
-        if isinstance(op, Update):
-            if op.perm.universe != universe:
-                raise ScriptError("permutation universe does not match replay universe")
-            store.apply(op.perm)
-            continue
-        if isinstance(op, QueryOne):
-            _check_query(universe_size, op.x)
-            size, present_x, present_y = store.take(op.x)
-        elif isinstance(op, QueryPair):
-            _check_query(universe_size, op.x, op.y)
-            size, present_x, present_y = store.take(op.x, op.y)
-        else:
-            raise ScriptError(f"unknown script op {op!r}")
-        if size != remaining:
-            raise InvariantError(f"query {i} meets {size} members, not the {remaining} left")
-        remaining -= present_x + present_y
-        yield i, op, tag, size, present_x, present_y
-    if len(store.ids) != remaining:
+    initial_size = left = len(store.ids)
+    take = store.take
+    for i, item in enumerate(items):
+        for op, tags in item:
+            if op.universe is not universe and op.universe != universe:
+                raise ScriptError(f"{type(op).__name__} universe does not match replay universe")
+            if tags is None:
+                store.apply(op)
+                continue
+            pair = op.ys is not None
+            for x, y, tag in zip(op.xs, op.ys if pair else repeat(None), tags):
+                size, px, py = take(x, y)
+                if size != left:
+                    raise InvariantError(f"query {i} meets {size} members, not the {left} left")
+                left -= px + py
+                yield i, pair, x, y, tag, size, px, py
+    if len(store.ids) != left:
         raise InvariantError(
             f"replay keeps {len(store.ids)} survivors, not {initial_size} minus the "
-            f"{initial_size - remaining} present endpoints its queries deleted"
+            f"{initial_size - left} present endpoints its queries deleted"
         )
+
+
+def script_items(universe: UniverseSpec, tagged_ops: Iterable[tuple]) -> Iterator[tuple]:
+    """Each (script op, tag) as a one-op tape item, built when a walk reaches it, so
+    the walk validates each op where the handle would: an update as its permutation,
+    a query as a one-query ``QueryGroup`` tagged ``tag``."""
+    for op, tag in tagged_ops:
+        if isinstance(op, Update):
+            yield ((op.perm, None),)
+        elif isinstance(op, QueryOne):
+            yield ((QueryGroup(universe, (op.x,)), (tag,)),)
+        elif isinstance(op, QueryPair):
+            yield ((QueryGroup(universe, (op.x,), (op.y,)), (tag,)),)
+        else:
+            raise ScriptError(f"unknown script op {op!r}")
 
 
 def replay_noiseless(
@@ -663,10 +680,10 @@ def replay_noiseless(
     store = _MemberStore(universe, members)
     initial_size = len(store.ids)
     steps = tuple(
-        ReplayStep(i, "pair", op.x, op.y, px, py, size)
-        if isinstance(op, QueryPair)
-        else ReplayStep(i, "one", op.x, None, px, py, size)
-        for i, op, _, size, px, py in _replay(store, ((op, None) for op in script))
+        ReplayStep(i, "pair" if pair else "one", x, y, px, py, size)
+        for i, pair, x, y, _, size, px, py in _replay(
+            store, script_items(universe, zip(script, repeat(None)))
+        )
     )
     survivors = frozenset(store.members())
     return ReplayTrace(survivors, Fraction(len(survivors), initial_size), steps)
@@ -675,16 +692,16 @@ def replay_noiseless(
 def replay_law(
     universe: UniverseSpec,
     members: Iterable[int],
-    tagged_ops: Iterable[tuple[ScriptOp, object]],
+    items: Iterable[tuple],
     key: Callable[[object, QueryOutcome], Hashable],
     end_key: Hashable,
 ) -> Law:
-    """Exact outcome law of a script, from one lazy pass of its noiseless replay.
+    """Exact outcome law of ``run_tagged`` on the tape ``items``, from one lazy pass
+    of its noiseless replay.
 
-    ``tagged_ops`` pairs each op with a tag (ignored on updates). The fire
-    atom of a query with tag t and outcome o goes to ``key(t, o)``, and the
-    survival mass to ``end_key``; atoms with equal keys add up, in order of
-    first appearance.
+    The fire atom of a query with tag t and outcome o goes to ``key(t, o)``,
+    and the survival mass to ``end_key``; atoms with equal keys add up, in
+    order of first appearance.
 
     Every mass is a whole multiple of 1/D, D = L * |T0| with L the least
     common multiple of the ``FIRE_LAW`` scales: a fire atom weight/(scale *
@@ -700,10 +717,32 @@ def replay_law(
         for row, (scale, atoms) in FIRE_LAW.items()
     }
     nums: dict = {}
-    for _, op, tag, _, px, py in _replay(store, tagged_ops):
-        for outcome, num in rows[isinstance(op, QueryPair), px + py]:
+    for _, pair, _, _, tag, _, px, py in _replay(store, items):
+        for outcome, num in rows[pair, px + py]:
             atom = key(tag, outcome)
             nums[atom] = nums.get(atom, 0) + num
     nums[end_key] = nums.get(end_key, 0) + lcm * len(store.ids)
     den = lcm * initial_size
     return Law({atom: Fraction(num, den) for atom, num in nums.items()})
+
+
+def run_tagged(
+    handle: SketchHandle, items: Iterable[tuple], key: Callable, end_key: Hashable,
+    observer: Callable[[int, set[int]], None] | None = None,
+) -> Hashable:
+    """Run the tape ``items`` on ``handle``, the live twin of ``replay_law``: return
+    ``key(tag, outcome)`` of the first query that fires, else ``end_key``.
+    ``observer`` (test hook) receives (item number from 1, member ids) after
+    each item the handle survives."""
+    update, query_group = handle.update, handle.query_group
+    for ell, item in enumerate(items, start=1):
+        for op, tags in item:
+            if tags is None:
+                update(op)
+                continue
+            hit = query_group(op)
+            if hit is not None:
+                return key(tags[hit[0]], hit[1])
+        if observer is not None:
+            observer(ell, handle.debug_members())
+    return end_key

@@ -13,10 +13,11 @@ from .universe import UniverseSpec
 
 
 class Tape:
-    """Ops over ``universe`` of ``count`` stream items; ``compile_item(k)`` gives item k's.
-    Every run of them, live or replayed, starts from ``members``. Items compile
-    once each and in order, so ``compile_item`` may carry state from one to the
-    next (the lines' rotations so far)."""
+    """Ops over ``universe`` of ``count`` stream items, iterated as whole items;
+    ``compile_item(k)`` gives item k, in the format of ``sketch.run_tagged``
+    (heavy edges' shared stream tape: each edge's update and rotations). Every
+    run, live or replayed, starts from ``members``. Items compile once each and
+    in order, so ``compile_item`` may carry state from one to the next."""
 
     __slots__ = ("universe", "members", "_compile", "_items")
 
@@ -32,7 +33,7 @@ class Tape:
 
     def __iter__(self) -> Iterator:
         items = self._items
-        for k, ops in enumerate(items):
-            if ops is None:
-                ops = items[k] = self._compile(k)
-            yield from ops
+        for k, item in enumerate(items):
+            if item is None:
+                item = items[k] = self._compile(k)
+            yield item

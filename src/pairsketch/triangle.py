@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidParamsError, ValidationError
 from .permutation import PermutationSpec, SwapStage
-from .sketch import Law, QueryGroup, create, fire_probs
+from .sketch import Law, QueryGroup, create, fire_probs, run_tagged
 from .tape import Tape
 from .universe import Block, IntRange, UniverseSpec
 
@@ -65,7 +65,7 @@ class EdgeStream:
 
     @cached_property
     def _tape(self) -> Tape:
-        """Every triangle run's per-edge (swap, query group) (see ``_edge_ops``), compiled once."""
+        """Every triangle run's per-edge tape item (see ``_edge_ops``), compiled once."""
         universe = triangle_universe(self)
         off = universe.block_offset("scratch")
         members = range(off, off + 2 * self.m)
@@ -163,19 +163,16 @@ def _pair_id(n: int, a: int, b: int) -> int:
 
 
 def _edge_ops(edges, n: int, universe: UniverseSpec, k: int) -> tuple:
-    """Edge k = (u, v)'s (swap, group): the swap moves two fresh scratch ids into
-    (u, v) and (v, u); the group holds the pair queries ((w, u), (w, v)) for
-    w = 1..n, which a selected edge asks before its swap."""
+    """Edge k = (u, v)'s tape item, (group, swap): the group holds the pair
+    queries ((w, u), (w, v)) for w = 1..n (tags None), which only a selected
+    edge asks; the swap then moves two fresh scratch ids into (u, v) and (v, u)."""
     u, v = edges[k]
     fresh = universe.block_offset("scratch") + 2 * k
     pairs = ((fresh, _pair_id(n, u, v)), (fresh + 1, _pair_id(n, v, u)))
     xs = [_pair_id(n, w, u) for w in range(1, n + 1)]
     ys = [_pair_id(n, w, v) for w in range(1, n + 1)]
-    return ((PermutationSpec(universe, (SwapStage(pairs),)), QueryGroup(universe, xs, ys)),)
-
-
-def _g_rng(seed: int, handle_id: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, handle_id, 2]))
+    group = (QueryGroup(universe, xs, ys), (None,) * n)
+    return group, (PermutationSpec(universe, (SwapStage(pairs),)), None)
 
 
 def run_single(
@@ -201,16 +198,10 @@ def run_single(
         return 0
     tape = stream._tape
     handle = create(tape.universe, tape.members, master_seed=seed, handle_id=handle_id)
-    draws = _g_rng(seed, handle_id).random(m).tolist()  # as m calls of g.random()
-    for ell, ((swap, group), g) in enumerate(zip(tape, draws), start=1):
-        if g * k < 1.0:
-            hit = handle.query_group(group)
-            if hit is not None:
-                return hit[1].sign * k * m
-        handle.update(swap)
-        if observer is not None:
-            observer(ell, handle.debug_members())
-    return 0
+    # the selection stream g: one draw per edge, as m calls of g.random()
+    draws = np.random.default_rng(np.random.SeedSequence([seed, handle_id, 2])).random(m).tolist()
+    items = (item if g * k < 1.0 else item[1:] for item, g in zip(tape, draws))
+    return run_tagged(handle, items, lambda _, outcome: outcome.sign * k * m, 0, observer)
 
 
 def estimate(stream: EdgeStream, params: TriangleParams, *, master_seed: int = 0) -> float:

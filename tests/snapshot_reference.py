@@ -110,16 +110,13 @@ def folded_plan(stream, hashes, grid, params):
         swaps, turned = fold(frame, stages)
         queries = edge_queries(plan, u, v)
         xs, ys = [frame(op.x) for op, _ in queries], [frame(op.y) for op, _ in queries]
-        out.append(EdgePlan(
-            edge_index=k,
-            updates=(Update(PermutationSpec(plan.universe, swaps)),),
-            pair_group=QueryGroup(plan.universe, xs, ys),
-            coords=tuple(coords for _, coords in queries),
-            cleanup_group=QueryGroup(
-                plan.universe, [frame(op.x) for op in edge_cleanups(plan, u, v)]
-            ),
-            rotations=tuple(turned.items()),
-        ))
+        cleanups = [frame(op.x) for op in edge_cleanups(plan, u, v)]
+        item = (
+            (PermutationSpec(plan.universe, swaps), None),
+            (QueryGroup(plan.universe, xs, ys), tuple((k, *coords) for _, coords in queries)),
+            (QueryGroup(plan.universe, cleanups), (None,) * len(cleanups)),
+        )
+        out.append(EdgePlan(k, item, tuple(turned.items())))
     return tuple(out), None
 
 

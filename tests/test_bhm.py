@@ -16,7 +16,6 @@ from pairsketch.bhm import (
     _cell,
     _flip_perm,
     bhm_universe,
-    build_script,
     default_copies,
     generate_instance,
     initial_members,
@@ -30,6 +29,7 @@ from pairsketch.errors import ParseError
 from pairsketch.harness import parse_stream, write_instance
 from pairsketch.permutation import PermutationSpec, SwapStage
 from pairsketch.sketch import QueryOutcome, create, replay_noiseless
+from tape_reference import build_script
 
 
 def test_generate_instance_is_consistent():
@@ -370,6 +370,18 @@ def test_cli_rejects_bad_committee_params(flags, capsys):
     assert "error: need meta_trials >= 0 and copies >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "copies, message",
+    [("-1", "need meta_trials >= 0 and copies >= 1"), ("5", "needs meta_trials > 0")],
+    ids=["negative", "positive"],
+)
+def test_cli_rejects_copies_without_committees(copies, message, capsys):
+    argv = ["bhm", "--n", "16", "--alpha", "1/4", "--trials", "100", "--copies", copies]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_missing_vertex_bit_is_a_validation_error(tmp_path):
     inst = generate_instance(4, Fraction(1, 4), 0, seed=23)
     path = tmp_path / "short.bhm"
@@ -419,12 +431,14 @@ def _encoded_protocol_ops(inst):
 def test_protocol_ops_equal_an_encoded_reference(interleaving):
     inst = generate_instance(12, Fraction(1, 4), 1, seed=8, interleaving=interleaving)
     ops = []  # each edge's query group, one (x, y) per query, beside its tags
-    for op, tags in inst._tape:
-        if tags is None:
-            ops.append((op, None))
-            continue
-        assert op.universe is inst._tape.universe and len(op.xs) == len(tags) == 4
-        ops += zip(zip(op.xs, op.ys), tags)
+    for item in inst._tape:
+        assert len(item) <= 1  # a vertex flips or not; an edge is one group
+        for op, tags in item:
+            if tags is None:
+                ops.append((op, None))
+                continue
+            assert op.universe is inst._tape.universe and len(op.xs) == len(tags) == 4
+            ops += zip(zip(op.xs, op.ys), tags)
     assert ops == list(_encoded_protocol_ops(inst))
     assert _flip_perm(bhm_universe(inst.n), inst.n, 3) == PermutationSpec(
         bhm_universe(inst.n), (SwapStage(((4, 28), (5, 29))),)

@@ -26,7 +26,7 @@ from pairsketch import (
 )
 from pairsketch import heavy_edges, pseudosnapshot
 from pairsketch.pseudosnapshot import DegreeGrid, HashOracles, SnapshotParams
-from pairsketch.sketch import replay_law
+from pairsketch.sketch import replay_law, script_items
 from pairsketch.permutation import Frame, compile_shift, frame_id
 from permutation_reference import fold, frame_steps
 from snapshot_reference import (
@@ -203,7 +203,7 @@ def test_heavy_law_equals_the_literal_replay():
         universe, script = heavy_edges.build_script(stream, d_H, d_T)
         m = stream.m
         want = replay_law(
-            universe, stream._tape.members, ((op, None) for op in script),
+            universe, stream._tape.members, script_items(universe, ((op, None) for op in script)),
             lambda _, o: o.sign * 2 * m, 0,
         )
         got = heavy_edges.terminal_law(stream, d_H, d_T)
@@ -259,19 +259,21 @@ def test_snapshot_plans_equal_the_generic_fold(case):
     for got, ref in zip(plan.edge_plans, want):
         assert got.edge_index == ref.edge_index
         # op for op: the same swap stages, query pairs with hit coordinates,
-        # and cleanup ids; the rotations as a mapping, their order may differ
-        assert got.updates == ref.updates, got.edge_index
+        # cleanup ids and tags; the rotations as a mapping, their order may differ
+        assert got.item[0] == ref.item[0], got.edge_index
         assert got.queries == ref.queries, got.edge_index
         assert got.cleanups == ref.cleanups, got.edge_index
-        assert got.pair_group.universe is got.cleanup_group.universe is plan.universe
+        assert [tags for _, tags in got.item] == [tags for _, tags in ref.item], got.edge_index
+        assert all(op.universe is plan.universe for op, _ in got.item)
         assert dict(got.rotations) == dict(ref.rotations), got.edge_index
         assert len(got.rotations) == len(ref.rotations)
 
 
 def test_snapshot_plans_hold_swaps_only(fix_plan):
     for eplan in fix_plan.edge_plans:
-        for up in eplan.updates:
-            assert all(isinstance(stage, SwapStage) for stage in up.perm.stages)
+        for op, tags in eplan.item:
+            if tags is None:
+                assert all(isinstance(stage, SwapStage) for stage in op.stages)
 
 
 def test_snapshot_runs_equal_the_literal_moves(fix_plan):
@@ -315,7 +317,10 @@ def test_snapshot_law_equals_the_literal_replay(fix_plan):
     params = (FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS)
     key = pseudosnapshot._fire_key(*params, fix_plan.big_m)
     universe, tagged = literal_tagged_ops(*params)
-    want = replay_law(universe, range(fix_plan.big_m), tagged, key, pseudosnapshot._end_key(fix_plan))
+    want = replay_law(
+        universe, range(fix_plan.big_m), script_items(universe, tagged), key,
+        pseudosnapshot._end_key(fix_plan),
+    )
     got = pseudosnapshot.terminal_law(*params, plan=fix_plan).law
     # terminal_law orders its atoms by the repr of their keys
     assert list(got.atoms.items()) == sorted(want.atoms.items(), key=lambda a: repr(a[0]))

@@ -495,6 +495,17 @@ def _experiment(algorithm, **changes):
     return run_experiment(ExperimentConfig.from_dict(config))
 
 
+def test_bhm_copies_without_meta_trials_is_rejected():
+    # copies sizes the majority committees; without them nothing reads it
+    spec = EXPERIMENT_PARAMS["bhm"][1]
+    for params in ({"copies": 5}, {"copies": 5, "meta_trials": 0}):
+        config = ExperimentConfig.from_dict(
+            {"algorithm": "bhm", "params": params, "trials": 20, "master_seed": 1, "instance": spec}
+        )
+        with pytest.raises(ConfigError, match="needs meta_trials > 0"):
+            run_experiment(config)
+
+
 @pytest.mark.parametrize("bad", ["x", "2", True, 1.5])
 @pytest.mark.parametrize("algorithm, field", INTEGER_FIELDS)
 def test_experiment_integers_are_checked(algorithm, field, bad):

@@ -13,8 +13,10 @@ from pairsketch import (
     InvalidParamsError,
     InvariantError,
     PermutationSpec,
+    QueryGroup,
     QueryOne,
     QueryPair,
+    ScriptError,
     UniverseSpec,
     Update,
     enumerate_distribution,
@@ -23,7 +25,8 @@ from pairsketch import (
 from pairsketch import bhm, heavy_edges, triangle
 from pairsketch import pseudosnapshot as ps
 from pairsketch.harness import ExperimentConfig, random_script, run_experiment
-from pairsketch.sketch import Law, replay_law, replay_noiseless
+from pairsketch.sketch import Law, replay_law, replay_noiseless, script_items
+from tape_reference import build_script, tagged_script
 from test_universe import universes
 
 EIGHT = UniverseSpec((Block("v", (IntRange(0, 7),)),))
@@ -79,12 +82,28 @@ def test_replay_law_keys_and_merges_in_first_appearance_order():
         (QueryOne(1), "one"),
         (QueryOne(3), "one"),
     ]
-    law = replay_law(EIGHT, [0, 1, 2, 3], ops, lambda tag, out: (tag, out.value), "end")
+    law = replay_law(
+        EIGHT, [0, 1, 2, 3], script_items(EIGHT, ops), lambda tag, out: (tag, out.value), "end"
+    )
     assert list(law.atoms) == [("pair", "Plus"), ("pair", "Minus"), ("one", "In"), "end"]
     assert law.atoms[("pair", "Plus")] == law.atoms[("pair", "Minus")] == Fraction(1, 8)
     # both single queries fire with 1/|T0| each: they merge under one key
     assert law.atoms[("one", "In")] == Fraction(2, 4)
     assert law.atoms["end"] == Fraction(1, 4)
+
+
+def test_replay_law_checks_each_op_universe_as_the_handle_does():
+    other = UniverseSpec((Block("w", (IntRange(0, 7),)),))
+
+    def key(tag, out):
+        return tag, out.value
+
+    for item in (((swap_perm(other, (0, 1)), None),), ((QueryGroup(other, [1]), ("q",)),)):
+        with pytest.raises(ScriptError, match="universe does not match"):
+            replay_law(EIGHT, [0, 1], [item], key, "end")
+    twin = UniverseSpec(EIGHT.blocks)  # equal, not the same object
+    law = replay_law(EIGHT, [0, 1], [((QueryGroup(twin, [1]), ("q",)),)], key, "end")
+    assert law.atoms == {("q", "In"): Fraction(1, 2), "end": Fraction(1, 2)}
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -93,7 +112,9 @@ def test_replay_law_matches_the_quantum_first_hit_law(seed):
     members = sorted(int(x) for x in rng.choice(8, size=int(rng.integers(1, 6)), replace=False))
     script = random_script(EIGHT, rng, 8)
     tagged = [(op, k) for k, op in enumerate(script)]
-    law = replay_law(EIGHT, members, tagged, lambda k, out: (k, out.value), "end")
+    law = replay_law(
+        EIGHT, members, script_items(EIGHT, tagged), lambda k, out: (k, out.value), "end"
+    )
     quantum = enumerate_distribution(EIGHT, members, script, "quantum")
     queries = [k for k, op in enumerate(script) if not isinstance(op, Update)]
     for key, p in law.atoms.items():
@@ -251,7 +272,7 @@ def test_integer_replay_law_matches_the_fraction_sum(case, fold, end_key):
     def key(k, out):  # folding tags makes atoms of different queries merge
         return k % fold, out.value
 
-    law = replay_law(universe, members, tagged, key, end_key)
+    law = replay_law(universe, members, script_items(universe, tagged), key, end_key)
     _same_atoms(law, _fraction_replay_law(universe, members, tagged, key, end_key))
 
 
@@ -259,27 +280,19 @@ def test_estimator_laws_match_the_fraction_sum():
     inst = bhm.generate_instance(32, Fraction(1, 4), 1, seed=3, interleaving="shuffle")
     tape = inst._tape
     _same_atoms(bhm.terminal_slabs(inst), _fraction_replay_law(
-        tape.universe, tape.members, bhm.build_script(inst),
+        tape.universe, tape.members, build_script(inst),
         lambda tag, out: bhm._output(inst, tag, out), (None, None)))
 
     stream = heavy_edges.DirectedEdgeStream(5, ((1, 2), (3, 2), (2, 4), (4, 1), (2, 5), (5, 1)))
     m = stream.m
-    tagged = [
-        (op, None)
-        for perm, x, y in heavy_edges._framed_edges(stream, 2, 1)
-        for op in (Update(perm), QueryPair(x, y))
-    ]
+    tagged = tagged_script(heavy_edges._framed_edges(stream, 2, 1))
     tape = stream._tape
     _same_atoms(heavy_edges.terminal_law(stream, 2, 1), _fraction_replay_law(
         tape.universe, tape.members, tagged, lambda _, o: o.sign * 2 * m, 0))
 
     stream, hashes, grid, params = SNAPSHOT
     plan = ps.build_plan(stream, hashes, grid, params)
-    tagged = []
-    for eplan in plan.edge_plans:
-        tagged += ((up, None) for up in eplan.updates)
-        tagged += ((op, (eplan.edge_index, *coords)) for op, coords in eplan.queries)
-        tagged += ((op, None) for op in eplan.cleanups)
+    tagged = tagged_script(eplan.item for eplan in plan.edge_plans)
     atoms = _fraction_replay_law(plan.universe, plan.initial_members(), tagged,
                                  ps._fire_key(stream, hashes, grid, params, plan.big_m),
                                  ps._end_key(plan))

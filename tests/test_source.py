@@ -6,6 +6,7 @@ import pairsketch
 
 SRC = Path(pairsketch.__file__).parent
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ESTIMATORS = ("bhm.py", "heavy_edges.py", "triangle.py", "pseudosnapshot.py")
 
 
 def _tree(name):
@@ -116,18 +117,51 @@ def test_live_runs_read_their_instance_tape():
         assert [c for c in called if c.endswith("_universe")] == [], name
 
 
+def _called(node):
+    """Names of everything called under ``node``, as ``f(...)`` or ``x.f(...)``."""
+    return {
+        call.func.attr if isinstance(call.func, ast.Attribute) else call.func.id
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, (ast.Attribute, ast.Name))
+    }
+
+
 def test_burst_queries_run_as_query_groups():
-    # bhm's four queries per edge, triangle's n per selected edge and the
-    # snapshot's pair and cleanup queries per edge each run as one group
-    for name in ("bhm.py", "triangle.py", "pseudosnapshot.py"):
+    # one live loop: sketch.run_tagged runs every tape item's queries as
+    # groups (bhm's four per edge, triangle's n per selected edge, a snapshot
+    # edge's pair queries and cleanups, heavy's one probe), and each
+    # estimator's run_single hands it the tape
+    (loop,) = _functions("sketch.py", "run_tagged")
+    assert {"update", "query_group"} <= _called(loop)
+    assert not _called(loop) & {"query_one", "query_pair"}
+    for name in ESTIMATORS:
         (func,) = _functions(name, "run_single")
-        called = {
-            node.func.attr
+        assert "run_tagged" in _called(func), name
+        assert not _called(func) & {"update", "query_group", "query_one", "query_pair"}, name
+        assert not _called(_tree(name)) & {"query_group", "query_one", "query_pair"}, name
+
+
+def test_no_estimator_builds_script_ops():
+    # live runs and laws walk the same tape items; only heavy_edges.build_script,
+    # the literal reference the tests compare with, spells a pass as script ops
+    script_ops = {"Update", "QueryOne", "QueryPair"}
+    for name in ESTIMATORS:
+        tree = _tree(name)
+        allowed = {
+            id(node)
+            for func in tree.body
+            if isinstance(func, ast.FunctionDef)
+            and (name, func.name) == ("heavy_edges.py", "build_script")
             for node in ast.walk(func)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
         }
-        assert "query_group" in called, name
-        assert not called & {"query_one", "query_pair"}, name
+        built = [
+            node.lineno
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and id(call) not in allowed
+            for node in (call.func, *call.args)
+            if isinstance(node, ast.Name) and node.id in script_ops
+        ]
+        assert built == [], name
 
 
 def _names(func):
