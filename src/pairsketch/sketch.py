@@ -615,7 +615,8 @@ def _check_fire_law() -> None:
 def _replay(store: _MemberStore, items: Iterable[tuple]) -> Iterator[tuple]:
     """Walk the tape ``items`` on ``store`` with every query missing; yield (item index,
     pair?, x, y, tag, size before, x present, y present) per query. Op universes are
-    checked as the handle checks them; group endpoints were checked when built.
+    checked as the handle checks them, and each group needs one tag per query; group
+    endpoints were checked when built.
     Raises ``InvariantError`` unless each query meets the initial size minus the earlier
     present endpoints, and ``store`` ends with exactly that many survivors."""
     _check_fire_law()
@@ -629,6 +630,8 @@ def _replay(store: _MemberStore, items: Iterable[tuple]) -> Iterator[tuple]:
             if tags is None:
                 store.apply(op)
                 continue
+            if len(tags) != len(op.xs):
+                raise ScriptError(f"a group of {len(op.xs)} queries carries {len(tags)} tags")
             pair = op.ys is not None
             for x, y, tag in zip(op.xs, op.ys if pair else repeat(None), tags):
                 size, px, py = take(x, y)

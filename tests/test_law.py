@@ -106,6 +106,13 @@ def test_replay_law_checks_each_op_universe_as_the_handle_does():
     assert law.atoms == {("q", "In"): Fraction(1, 2), "end": Fraction(1, 2)}
 
 
+@pytest.mark.parametrize("tags", [("a",), ("a", "b", "c")])
+def test_replay_law_needs_one_tag_per_query(tags):
+    # a short tag tuple would drop the group's later queries from the law
+    with pytest.raises(ScriptError, match="a group of 2 queries carries"):
+        replay_law(EIGHT, [0, 1], [((QueryGroup(EIGHT, [0, 1]), tags),)], lambda t, o: t, "end")
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_replay_law_matches_the_quantum_first_hit_law(seed):
     rng = np.random.default_rng(seed)
