@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidParamsError, ValidationError
 from .permutation import PermutationSpec, SwapStage
-from .sketch import Law, QueryGroup, QueryOutcome, create, replay_law, run_tagged
+from .sketch import Law, QueryGroup, QueryOutcome, count_param, create, replay_law, run_tagged
 from .tape import Tape
 from .universe import Block, IntRange, UniverseSpec
 
@@ -232,27 +232,46 @@ def terminal_slabs(inst: BhmInstance) -> Law:
     return inst._law
 
 
+def _rng(master_seed: int) -> np.random.Generator:
+    """The generator every draw from the exact law takes: tag 1 of ``master_seed``."""
+    return np.random.default_rng(np.random.SeedSequence([master_seed, 1]))
+
+
+def _codes(law: Law) -> np.ndarray:
+    """Each atom's output as an int8, -1 coding None."""
+    return np.array([-1 if out is None else out for _, out in law.atoms], dtype=np.int8)
+
+
 def sample_outputs(inst: BhmInstance, master_seed: int, trials: int) -> np.ndarray:
     """Vectorized draws from the exact run_single distribution (-1 codes None)."""
     law = terminal_slabs(inst)
-    outs = np.array([-1 if out is None else out for _, out in law.atoms], dtype=np.int8)
-    rng = np.random.default_rng(np.random.SeedSequence([master_seed, 1]))
-    return outs[law.sample(rng, trials)]
+    return _codes(law)[law.sample(_rng(master_seed), trials)]
+
+
+def sample_counts(inst: BhmInstance, master_seed: int, trials: int) -> np.ndarray:
+    """Per-atom counts, in ``terminal_slabs`` order, of the draws ``sample_outputs`` makes."""
+    return terminal_slabs(inst).sample_counts(_rng(master_seed), trials)
 
 
 def sample_majority(
     inst: BhmInstance, master_seed: int, meta_trials: int, copies: int | None = None
 ) -> np.ndarray:
-    """Majority outputs of meta_trials independent vote committees."""
-    if copies is None:
-        copies = default_copies(inst.alpha)
-    if copies < 1:
-        raise InvalidParamsError(f"copies must be >= 1, got {copies}")
-    if meta_trials < 0:
-        raise InvalidParamsError(f"meta_trials must be >= 0, got {meta_trials}")
-    draws = sample_outputs(inst, master_seed, meta_trials * copies).reshape(
-        meta_trials, copies
-    )
-    ones = (draws == 1).sum(axis=1)
-    zeros = (draws == 0).sum(axis=1)
-    return (ones > zeros).astype(np.int8)
+    """Majority outputs of meta_trials independent vote committees.
+
+    Committee i votes with draws i * copies .. (i + 1) * copies - 1 of
+    ``sample_outputs(inst, master_seed, meta_trials * copies)``, counted a
+    block of whole committees at a time.
+    """
+    copies = default_copies(inst.alpha) if copies is None else count_param("copies", copies, 1)
+    meta_trials = count_param("meta_trials", meta_trials)
+    law = terminal_slabs(inst)
+    codes = _codes(law)
+    votes = np.empty(meta_trials, dtype=np.int8)
+    done = 0
+    for idx in law.blocks(_rng(master_seed), meta_trials * copies, copies):
+        draws = codes[idx].reshape(-1, copies)
+        ones = (draws == 1).sum(axis=1)
+        zeros = (draws == 0).sum(axis=1)
+        votes[done:done + len(draws)] = ones > zeros
+        done += len(draws)
+    return votes

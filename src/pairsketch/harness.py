@@ -7,6 +7,10 @@ aggregates against the exact oracles at a four-sigma gate, and returns a
 ``Report`` whose JSON form is canonical: the same config and seed always
 produce the same bytes. A gate's sigma is the standard error, at the trial
 count, of the exact law the draws come from (bhm's majority vote: sampled).
+The runners take their aggregates from per-atom draw counts
+(``Law.sample_counts``), which draw in fixed blocks the very uniforms, and
+so the very atoms, that ``Law.sample`` gives, in memory that does not grow
+with the trial count.
 
 Per-trial randomness is keyed by ``SeedSequence([master_seed, index])`` (or by
 a single vectorized stream drawn from the master seed), so the numbers do not
@@ -14,6 +18,7 @@ depend on execution order and a parallel driver would reproduce them.
 """
 from __future__ import annotations
 
+import collections
 import csv
 import dataclasses
 import io
@@ -522,9 +527,11 @@ def _run_bhm(inst: BhmInstance, params, trials, seed):
         return key[1] == 1 - inst.b
 
     p_correct, p_wrong = law.expect(correct), law.expect(wrong)
-    outs = _bhm.sample_outputs(inst, seed, trials)
-    g_correct = _law_gate(inst.alpha, law, correct, np.count_nonzero(outs == inst.b), trials)
-    g_wrong = _law_gate(inst.alpha / 2, law, wrong, np.count_nonzero(outs == 1 - inst.b), trials)
+    drawn = collections.Counter()  # draws per output, None for an abort
+    for (_, out), count in zip(law.atoms, _bhm.sample_counts(inst, seed, trials).tolist()):
+        drawn[out] += count
+    g_correct = _law_gate(inst.alpha, law, correct, drawn[inst.b], trials)
+    g_wrong = _law_gate(inst.alpha / 2, law, wrong, drawn[1 - inst.b], trials)
 
     gates = {"correct_freq_matches_alpha": g_correct, "wrong_freq_at_most_half_alpha": g_wrong}
     verdicts = {
@@ -544,7 +551,7 @@ def _run_bhm(inst: BhmInstance, params, trials, seed):
         "exact_p_wrong": p_wrong,
         "freq_correct": g_correct["value"],
         "freq_wrong": g_wrong["value"],
-        "freq_abort": float(np.mean(outs == -1)),
+        "freq_abort": drawn[None] / trials,
         "sigma_correct": g_correct["sigma"],
         "sigma_wrong": g_wrong["sigma"],
     }
@@ -565,13 +572,15 @@ def _run_bhm(inst: BhmInstance, params, trials, seed):
     return results, verdicts, gates
 
 
-def _signed_run(oracle, law: Law, outs: np.ndarray, trials: int, name: str):
+def _signed_run(oracle, law: Law, counts: np.ndarray, trials: int, name: str):
     """Gate, verdicts and results shared by the runners whose outputs are +-value or 0.
 
-    ``name`` names the oracle in the verdicts.
+    ``counts`` counts the draws per atom of ``law``, whose keys are the
+    outputs; ``name`` names the oracle in the verdicts.
     """
     law_mean = law.expect(int)
-    gate = _law_gate(oracle, law, int, outs.sum(dtype=np.int64), trials)
+    total = sum(out * count for out, count in zip(law.atoms, counts.tolist()))
+    gate = _law_gate(oracle, law, int, total, trials)
     verdicts = {f"mean_matches_{name}": _within(gate), f"law_mean_is_{name}": law_mean == oracle}
     results = {"law_mean": law_mean, "mean": gate["value"], "ci_half_width": 4 * gate["sigma"]}
     return results, verdicts, {f"mean_matches_{name}": gate}
@@ -581,9 +590,9 @@ def _run_triangle(stream: EdgeStream, params, trials, seed):
     k = _int_param("triangle", params, "k")
     report = _tri.oracle_t_split(stream, k)
     law = _tri.terminal_law(stream, k)
-    outs = _tri.sample_outputs(stream, k, seed, trials)
-    results, verdicts, gates = _signed_run(report.T_less, law, outs, trials, "t_less")
-    max_abs = int(np.max(np.abs(outs)))
+    counts = _tri.sample_counts(stream, k, seed, trials)
+    results, verdicts, gates = _signed_run(report.T_less, law, counts, trials, "t_less")
+    max_abs = max(abs(out) for out, count in zip(law.atoms, counts) if count)
     verdicts["outputs_bounded_by_km"] = max_abs <= k * stream.m
     verdicts["split_sums_to_t"] = report.T_less + report.T_greater == report.T
     results.update(
@@ -597,8 +606,8 @@ def _run_heavy(stream: DirectedEdgeStream, params, trials, seed):
     d_h, d_t = _int_param("heavy", params, "d_H"), _int_param("heavy", params, "d_T")
     count = _heavy.oracle_heavy_count(stream, d_h, d_t)
     law = _heavy.terminal_law(stream, d_h, d_t)
-    outs = _heavy.sample_outputs(stream, d_h, d_t, seed, trials)
-    results, verdicts, gates = _signed_run(count, law, outs, trials, "count")
+    counts = _heavy.sample_counts(stream, d_h, d_t, seed, trials)
+    results, verdicts, gates = _signed_run(count, law, counts, trials, "count")
     results.update(n=stream.n, m=stream.m, d_H=d_h, d_T=d_t, heavy_count=count)
     return results, verdicts, gates
 
@@ -623,9 +632,7 @@ def _run_snapshot(stream: DirectedEdgeStream, params, trials, seed):
     ell = sp.ell
     cells = [(a, b) for a in range(ell) for b in range(ell)]
 
-    rows, cols, vals = law.sample(seed, trials)
-    live = rows >= 0  # one pass tallies every entry
-    sums = np.bincount(rows[live] * ell + cols[live], vals[live], ell * ell).reshape(ell, ell)
+    sums = law.entry_sums(seed, trials)
     gates = {
         (a, b): _law_gate(
             oracle.expectation[a][b],

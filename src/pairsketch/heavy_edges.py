@@ -286,13 +286,25 @@ def _build_law(stream: DirectedEdgeStream, d_H: int, d_T: int) -> Law:
     return replay_law(tape.universe, tape.members, items, lambda _, o: o.sign * 2 * m, 0)
 
 
+def _rng(master_seed: int) -> np.random.Generator:
+    """The generator every draw from the exact law takes: tag 4 of ``master_seed``."""
+    return np.random.default_rng(np.random.SeedSequence([master_seed, 4]))
+
+
 def sample_outputs(
     stream: DirectedEdgeStream, d_H: int, d_T: int, master_seed: int, trials: int
 ) -> np.ndarray:
     """Vectorized draws from the exact run_single output law."""
-    rng = np.random.default_rng(np.random.SeedSequence([master_seed, 4]))
+    rng = _rng(master_seed)
     law = terminal_law(stream, d_H, d_T)
     return np.array(list(law.atoms), dtype=np.int32)[law.sample(rng, trials)]
+
+
+def sample_counts(
+    stream: DirectedEdgeStream, d_H: int, d_T: int, master_seed: int, trials: int
+) -> np.ndarray:
+    """Per-atom counts, in ``terminal_law`` order, of the draws ``sample_outputs`` makes."""
+    return terminal_law(stream, d_H, d_T).sample_counts(_rng(master_seed), trials)
 
 
 def estimate_sampled(

@@ -720,9 +720,23 @@ class SnapshotLaw:
         rows = np.array([k[1][0] if k[1] else -1 for k in keys], dtype=np.int64)
         cols = np.array([k[1][1] if k[1] else -1 for k in keys], dtype=np.int64)
         vals = np.array([k[2] for k in keys], dtype=np.int64)
-        rng = np.random.default_rng(np.random.SeedSequence([master_seed, 6]))
-        idx = self.law.sample(rng, trials)
+        idx = self.law.sample(_rng(master_seed), trials)
         return rows[idx], cols[idx], vals[idx]
+
+    def entry_sums(self, master_seed: int, trials: int) -> np.ndarray:
+        """The per-entry sums, an ell x ell int64 array, of the draws ``sample``
+        makes, counted per atom in memory that does not grow with ``trials``."""
+        counts = self.law.sample_counts(_rng(master_seed), trials)
+        sums = np.zeros((self.ell, self.ell), dtype=np.int64)
+        for (_, entry, value), count in zip(self.atoms, counts.tolist()):
+            if entry is not None:
+                sums[entry] += count * value
+        return sums
+
+
+def _rng(master_seed: int) -> np.random.Generator:
+    """The generator every draw from a ``SnapshotLaw`` takes: tag 6 of ``master_seed``."""
+    return np.random.default_rng(np.random.SeedSequence([master_seed, 6]))
 
 
 def terminal_law(
@@ -851,9 +865,5 @@ def estimate_sampled(
     copies: int | None = None,
 ) -> np.ndarray:
     """Same distribution as `estimate`, drawn from the exact terminal law."""
-    ell, copies = params.ell, _copies(params, copies)
-    law = terminal_law(stream, hashes, grid, params)
-    rows, cols, vals = law.sample(master_seed, copies)
-    total = np.zeros((ell, ell))
-    np.add.at(total, (rows[rows >= 0], cols[rows >= 0]), vals[rows >= 0])
-    return total / copies
+    copies = _copies(params, copies)
+    return terminal_law(stream, hashes, grid, params).entry_sums(master_seed, copies) / copies

@@ -106,6 +106,34 @@ def fire_probs(pair: bool, present: int, size: int) -> Iterator[tuple[QueryOutco
         yield outcome, Fraction(weight, scale * size)
 
 
+#: Uniforms per block of ``Law.blocks``; 2**14 was the fastest of 2**12..2**18.
+_DRAW_BLOCK = 1 << 14
+
+
+def count_param(name: str, value, least: int = 0) -> int:
+    """``value`` as an int of at least ``least``, else ``InvalidParamsError`` naming ``name``.
+
+    As for ``create``'s seeds, an ``int`` or a type with ``__index__`` such as
+    ``np.int64`` passes, and a bool does not.
+    """
+    count = _as_index(value)
+    if count is None:
+        raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
+    if count < least:
+        raise InvalidParamsError(f"{name} must be >= {least}, got {count}")
+    return count
+
+
+def _as_index(value) -> int | None:
+    """``operator.index(value)``, or None for a bool or a value without ``__index__``."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 @dataclass(frozen=True)
 class Law:
     """Exact finite output law: ``atoms`` maps each outcome key to a Fraction.
@@ -157,23 +185,52 @@ class Law:
         hi = np.searchsorted(cum, edges[1:], side="left")
         return cum, np.where(lo == hi, lo, -1)
 
-    def sample(self, rng: np.random.Generator, trials: int) -> np.ndarray:
-        """Indices, in ``atoms`` order, of ``trials`` independent draws.
+    def _indices(self, u: np.ndarray) -> np.ndarray:
+        """Atom index of each uniform in ``u``: ``np.searchsorted(cum, u,
+        side="right")`` over the pinned cumulative bounds.
 
-        Each uniform draw u lands on the index ``np.searchsorted(cum, u,
-        side="right")`` over the pinned cumulative bounds; the guide table
-        answers it for every draw whose cell holds no bound, and the search
-        runs for the rest only. u * cells is exact, cells being a power of two.
+        The guide table answers every draw whose cell holds no bound, and the
+        search runs for the rest only. u * cells is exact, cells being a power
+        of two.
         """
-        if trials < 0:
-            raise InvalidParamsError(f"trials must be >= 0, got {trials}")
         cum, table = self._guide
-        u = rng.random(trials)
         idx = table[(u * len(table)).astype(np.intp)]
         miss = idx < 0
         if miss.any():
             idx[miss] = np.searchsorted(cum, u[miss], side="right")
         return idx
+
+    def sample(self, rng: np.random.Generator, trials: int) -> np.ndarray:
+        """Indices, in ``atoms`` order, of ``trials`` independent draws, one
+        uniform each."""
+        return self._indices(rng.random(count_param("trials", trials)))
+
+    def blocks(self, rng: np.random.Generator, trials: int, unit: int = 1) -> Iterator[np.ndarray]:
+        """The indices ``sample`` gives, a block of whole ``unit``-draw runs at a time.
+
+        A block holds as many whole units as fit in ``_DRAW_BLOCK`` draws, at
+        least one. Its uniforms go into one reused buffer: ``rng.random(b,
+        out=...)`` block after block gives the doubles of one
+        ``rng.random(trials)``. The counts are checked on the call.
+        """
+        trials, unit = count_param("trials", trials), count_param("unit", unit, 1)
+        size = max(1, _DRAW_BLOCK // unit) * unit
+        buf = np.empty(min(size, trials))
+
+        def block(start: int) -> np.ndarray:
+            u = buf[: min(size, trials - start)]
+            rng.random(len(u), out=u)
+            return self._indices(u)
+
+        return map(block, range(0, trials, size))
+
+    def sample_counts(self, rng: np.random.Generator, trials: int) -> np.ndarray:
+        """How many of the ``trials`` draws ``sample`` gives land on each atom,
+        in ``atoms`` order, in memory that does not grow with ``trials``."""
+        counts = np.zeros(len(self.atoms), dtype=np.int64)
+        for idx in self.blocks(rng, trials):
+            counts += np.bincount(idx, minlength=len(counts))
+        return counts
 
 
 def _check_query(size: int, *endpoints: int) -> None:
@@ -512,10 +569,7 @@ def create(
 
 def _seed_key(name: str, value) -> int:
     """``value`` as a nonnegative int, else ``InvalidInitError`` naming ``name``."""
-    try:
-        key = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
-    except TypeError:
-        key = None
+    key = _as_index(value)
     if key is None or key < 0:
         raise InvalidInitError(f"{name} must be a nonnegative integer, got {value!r}")
     return key

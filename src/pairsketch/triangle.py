@@ -300,10 +300,20 @@ def _build_law(stream: EdgeStream, k: int) -> Law:
     return Law({x: p for x, p in atoms.items() if p})
 
 
+def _rng(master_seed: int) -> np.random.Generator:
+    """The generator every draw from ``terminal_law`` takes: tag 3 of ``master_seed``."""
+    return np.random.default_rng(np.random.SeedSequence([master_seed, 3]))
+
+
 def sample_outputs(
     stream: EdgeStream, k: int, master_seed: int, trials: int
 ) -> np.ndarray:
     """Draw ``trials`` independent run_single outputs from ``terminal_law``."""
-    rng = np.random.default_rng(np.random.SeedSequence([master_seed, 3]))
+    rng = _rng(master_seed)
     law = terminal_law(stream, k)
     return np.array(list(law.atoms), dtype=np.int32)[law.sample(rng, trials)]
+
+
+def sample_counts(stream: EdgeStream, k: int, master_seed: int, trials: int) -> np.ndarray:
+    """Per-atom counts, in ``terminal_law`` order, of the draws ``sample_outputs`` makes."""
+    return terminal_law(stream, k).sample_counts(_rng(master_seed), trials)

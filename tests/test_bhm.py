@@ -6,7 +6,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from pairsketch import InvalidParamsError, ValidationError, bhm, enumerate_distribution
+from pairsketch import InvalidParamsError, ValidationError, bhm, enumerate_distribution, sketch
 from pairsketch.bhm import (
     INTERLEAVINGS,
     QUERY_ORDER,
@@ -206,6 +206,26 @@ def test_majority_recovers_the_hidden_bit():
     inst = generate_instance(12, Fraction(1, 3), 1, seed=4)
     maj = sample_majority(inst, master_seed=6, meta_trials=400)
     assert float(np.mean(maj == 1)) > 2 / 3
+
+
+def _reshape_majority(inst, master_seed, meta_trials, copies):
+    """The reference vote: one draw array of every committee, cut by a reshape."""
+    draws = sample_outputs(inst, master_seed, meta_trials * copies).reshape(meta_trials, copies)
+    return ((draws == 1).sum(axis=1) > (draws == 0).sum(axis=1)).astype(np.int8)
+
+
+BLOCK = sketch._DRAW_BLOCK
+
+
+@pytest.mark.parametrize(
+    "copies, meta_trials",
+    [(1, 3 * BLOCK + 7), (2, 9000), (193, 600), (BLOCK - 1, 5), (BLOCK, 4), (BLOCK + 1, 3)],
+)
+def test_blocked_majority_equals_one_reshaped_draw_array(copies, meta_trials):
+    inst = generate_instance(8, Fraction(1, 4), 1, seed=5)
+    got = sample_majority(inst, 13, meta_trials, copies)
+    want = _reshape_majority(inst, 13, meta_trials, copies)
+    assert got.dtype == want.dtype == np.int8 and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("copies", [0, -3])

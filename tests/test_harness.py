@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +26,7 @@ from pairsketch.harness import (
 )
 from pairsketch.heavy_edges import DirectedEdgeStream
 from pairsketch.triangle import EdgeStream, oracle_t_split
+from test_golden import CONFIGS, SNAPSHOT_STREAM
 
 
 # -- configuration -----------------------------------------------------------------
@@ -617,3 +620,25 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
                  "--k", "1", "--trials", "10", "--seed", "0"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+# -- memory of the sampled experiments ----------------------------------------------
+
+
+@pytest.mark.parametrize("algorithm", ["bhm", "heavy", "snapshot", "triangle"])
+def test_sampled_experiment_memory_does_not_grow_with_trials(algorithm, tmp_path, monkeypatch):
+    # the draws are counted per atom, a block at a time: two million trials
+    # need no array of two million entries
+    monkeypatch.chdir(tmp_path)
+    write_instance(SNAPSHOT_STREAM, "snapshot.txt")
+    config = dataclasses.replace(CONFIGS[algorithm], trials=2_000_000)
+    if algorithm == "bhm":
+        config = dataclasses.replace(config, params={"meta_trials": 1000})
+    tracemalloc.start()
+    try:
+        report = run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 4 << 20

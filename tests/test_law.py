@@ -25,6 +25,7 @@ from pairsketch import (
 from pairsketch import bhm, heavy_edges, triangle
 from pairsketch import pseudosnapshot as ps
 from pairsketch.harness import ExperimentConfig, random_script, run_experiment
+from pairsketch import sketch
 from pairsketch.sketch import Law, replay_law, replay_noiseless, script_items
 from tape_reference import build_script, tagged_script
 from test_universe import universes
@@ -58,8 +59,11 @@ def test_sample_indexes_atoms_in_insertion_order():
 class _TopDraw:
     """An rng stub whose every uniform draw is the largest float below 1."""
 
-    def random(self, trials):
-        return np.full(trials, 1 - 2**-53)
+    def random(self, trials, out=None):
+        if out is None:
+            return np.full(trials, 1 - 2**-53)
+        out[:] = 1 - 2**-53
+        return out
 
 
 def test_sample_never_lands_on_a_trailing_zero_atom():
@@ -148,6 +152,9 @@ def _snapshot_law():
     return ps.terminal_law(*SNAPSHOT)
 
 
+BHM_LAW = bhm.terminal_slabs(BHM)
+
+
 NEGATIVE_TRIALS = {
     "bhm.sample_outputs": lambda: bhm.sample_outputs(BHM, 1, -1),
     "bhm.sample_majority": lambda: bhm.sample_majority(BHM, 1, -2, copies=3),
@@ -161,6 +168,91 @@ NEGATIVE_TRIALS = {
 def test_samplers_reject_negative_trial_counts(call):
     with pytest.raises(InvalidParamsError, match="trials must be >= 0, got -"):
         call()
+
+
+# each sampling and counting path, with ``n`` in the place of one count
+COUNTED = {
+    "Law.sample": ("trials", lambda n: THIRDS.sample(np.random.default_rng(0), n)),
+    "Law.sample_counts": ("trials", lambda n: THIRDS.sample_counts(np.random.default_rng(0), n)),
+    "Law.blocks": ("trials", lambda n: list(THIRDS.blocks(np.random.default_rng(0), n))),
+    "bhm.sample_outputs": ("trials", lambda n: bhm.sample_outputs(BHM, 1, n)),
+    "bhm.sample_counts": ("trials", lambda n: bhm.sample_counts(BHM, 1, n)),
+    "bhm.sample_majority.meta_trials": (
+        "meta_trials", lambda n: bhm.sample_majority(BHM, 1, n, copies=3)),
+    "bhm.sample_majority.copies": ("copies", lambda n: bhm.sample_majority(BHM, 1, 4, copies=n)),
+    "heavy_edges.sample_outputs": (
+        "trials", lambda n: heavy_edges.sample_outputs(HEAVY, 2, 1, 0, n)),
+    "heavy_edges.sample_counts": (
+        "trials", lambda n: heavy_edges.sample_counts(HEAVY, 2, 1, 0, n)),
+    "triangle.sample_outputs": ("trials", lambda n: triangle.sample_outputs(TRIANGLE, 2, 0, n)),
+    "triangle.sample_counts": ("trials", lambda n: triangle.sample_counts(TRIANGLE, 2, 0, n)),
+    "SnapshotLaw.sample": ("trials", lambda n: _snapshot_law().sample(0, n)),
+    "SnapshotLaw.entry_sums": ("trials", lambda n: _snapshot_law().entry_sums(0, n)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, np.bool_(False), "3", np.float64(2)])
+@pytest.mark.parametrize("name", COUNTED)
+def test_samplers_reject_non_integer_counts(name, bad):
+    field, call = COUNTED[name]
+    with pytest.raises(InvalidParamsError, match=f"{field} must be an integer, got "):
+        call(bad)
+
+
+@pytest.mark.parametrize("name", COUNTED)
+def test_samplers_take_numpy_integer_counts(name):
+    field, call = COUNTED[name]
+    assert np.array_equal(call(np.int64(5)), call(5))
+
+
+# -- counting in blocks against one draw array ----------------------------------
+
+THIRDS = Law({k: Fraction(1, 3) for k in range(3)})
+BLOCK = sketch._DRAW_BLOCK
+
+
+def test_thirds_have_guide_cells_that_hold_a_bound():
+    # so their draws take the search path as well as the table
+    assert (THIRDS._guide[1] < 0).any()
+
+
+@pytest.mark.parametrize("trials", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+@pytest.mark.parametrize("law", [THIRDS, BHM_LAW], ids=["thirds", "bhm"])
+def test_counts_equal_the_bincount_of_one_draw_array(law, trials):
+    got = law.sample_counts(np.random.default_rng(11), trials)
+    want = np.bincount(law.sample(np.random.default_rng(11), trials), minlength=len(law.atoms))
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    # the blocks are the one array, cut
+    blocks = list(law.blocks(np.random.default_rng(11), trials))
+    assert all(len(b) == BLOCK for b in blocks[:-1])
+    whole = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.intp)
+    assert np.array_equal(whole, law.sample(np.random.default_rng(11), trials))
+
+
+@pytest.mark.parametrize("trials", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_counts_of_top_draws_skip_a_trailing_zero_atom(trials):
+    law = Law({**{k: Fraction(1, 10) for k in range(10)}, "abort": Fraction(0)})
+    got = law.sample_counts(_TopDraw(), trials)
+    assert np.array_equal(got, np.bincount(law.sample(_TopDraw(), trials), minlength=11))
+    assert got.tolist() == [0] * 9 + [trials, 0]
+
+
+@pytest.mark.parametrize("unit", [1, 7, BLOCK - 1, BLOCK, BLOCK + 3])
+def test_blocks_hold_whole_units(unit):
+    trials = unit * max(3, 3 * BLOCK // unit)  # three blocks or more
+    sizes = [len(b) for b in THIRDS.blocks(np.random.default_rng(2), trials, unit)]
+    assert sum(sizes) == trials and all(size % unit == 0 for size in sizes)
+    assert max(sizes) == max(1, BLOCK // unit) * unit
+
+
+def test_blocks_check_their_counts_on_the_call():
+    rng = np.random.default_rng(0)
+    with pytest.raises(InvalidParamsError, match="trials must be >= 0, got -1"):
+        THIRDS.blocks(rng, -1)
+    with pytest.raises(InvalidParamsError, match="unit must be >= 1, got 0"):
+        THIRDS.blocks(rng, 4, 0)
+    with pytest.raises(InvalidParamsError, match="unit must be an integer, got 1.0"):
+        THIRDS.blocks(rng, 4, 1.0)
 
 
 # -- the guide-table draw path against one search per draw ----------------------

@@ -228,8 +228,9 @@ def test_cyclic_line_arithmetic_lives_in_the_permutation_module():
 
 def test_the_live_handle_draws_its_uniforms_in_one_place():
     # a handle's uniforms come in order from one block refill; a second draw
-    # path could take them out of order. Law.sample draws trial arrays from a
-    # generator of its own, never a handle's.
+    # path could take them out of order. Law.sample (one array) and
+    # Law.blocks (one reused buffer per block) draw from a generator of their
+    # own, never a handle's.
     sites = []
     for node in _tree("sketch.py").body:
         members = node.body if isinstance(node, ast.ClassDef) else [node]
@@ -243,4 +244,4 @@ def test_the_live_handle_draws_its_uniforms_in_one_place():
                     and isinstance(call.func, ast.Attribute)
                     and call.func.attr == "random"
                 ]
-    assert sorted(sites) == ["Law.sample", "SketchHandle._refill"]
+    assert sorted(sites) == ["Law.blocks", "Law.sample", "SketchHandle._refill"]
