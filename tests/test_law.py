@@ -24,8 +24,8 @@ from pairsketch import (
 )
 from pairsketch import bhm, heavy_edges, triangle
 from pairsketch import pseudosnapshot as ps
-from pairsketch.harness import ExperimentConfig, random_script, run_experiment
 from pairsketch import sketch
+from pairsketch.harness import ExperimentConfig, random_script, run_experiment
 from pairsketch.sketch import Law, replay_law, replay_noiseless, script_items
 from tape_reference import build_script, tagged_script
 from test_universe import universes
@@ -153,6 +153,8 @@ def _snapshot_law():
 
 
 BHM_LAW = bhm.terminal_slabs(BHM)
+THIRDS = Law({k: Fraction(1, 3) for k in range(3)})
+BLOCK = sketch._DRAW_BLOCK
 
 
 NEGATIVE_TRIALS = {
@@ -161,6 +163,11 @@ NEGATIVE_TRIALS = {
     "heavy_edges.sample_outputs": lambda: heavy_edges.sample_outputs(HEAVY, 2, 1, 0, -1),
     "triangle.sample_outputs": lambda: triangle.sample_outputs(TRIANGLE, 2, 0, -1),
     "SnapshotLaw.sample": lambda: _snapshot_law().sample(0, -1),
+    "bhm.sample_counts": lambda: bhm.sample_counts(BHM, 1, -1),
+    "heavy_edges.sample_counts": lambda: heavy_edges.sample_counts(HEAVY, 2, 1, 0, -1),
+    "triangle.sample_counts": lambda: triangle.sample_counts(TRIANGLE, 2, 0, -1),
+    "SnapshotLaw.entry_sums": lambda: _snapshot_law().entry_sums(0, -1),
+    "Law.sample_counts": lambda: THIRDS.sample_counts(np.random.default_rng(0), -1),
 }
 
 
@@ -206,10 +213,6 @@ def test_samplers_take_numpy_integer_counts(name):
 
 
 # -- counting in blocks against one draw array ----------------------------------
-
-THIRDS = Law({k: Fraction(1, 3) for k in range(3)})
-BLOCK = sketch._DRAW_BLOCK
-
 
 def test_thirds_have_guide_cells_that_hold_a_bound():
     # so their draws take the search path as well as the table
