@@ -102,11 +102,11 @@ class BhmInstance:
 
     @cached_property
     def _tape(self) -> Tape:
-        """Every live run's tape items (see ``_item_ops``), compiled once."""
-        universe = bhm_universe(self.n)
+        """Every live run's tape, one item per stream item (see ``_item_ops``)."""
+        n, universe = self.n, bhm_universe(self.n)
         edge_index = {e: i for i, e in enumerate(self.matching)}
-        ops = partial(_item_ops, self.stream, self.n, universe, edge_index)
-        return Tape(universe, initial_members(self.n), len(self.stream), ops)
+        items = tuple(_item_ops(item, n, universe, edge_index) for item in self.stream)
+        return Tape(universe, initial_members(n), items)
 
     @cached_property
     def _law(self) -> Law:
@@ -186,10 +186,9 @@ def _flip_perm(universe: UniverseSpec, n: int, v: int) -> PermutationSpec:
     return PermutationSpec(universe, (SwapStage(pairs),))
 
 
-def _item_ops(stream, n: int, universe: UniverseSpec, edge_index: dict, k: int) -> tuple:
-    """Stream item k's tape item: a bit-1 vertex is one (perm, None) flip, an edge
+def _item_ops(item: StreamItem, n: int, universe: UniverseSpec, edge_index: dict) -> tuple:
+    """A stream item's tape item: a bit-1 vertex is one (perm, None) flip, an edge
     one ``QueryGroup`` of four pair queries in ``QUERY_ORDER``, tagged (edge index, a, b)."""
-    item = stream[k]
     if isinstance(item, VertexBit):
         return ((_flip_perm(universe, n, item.v), None),) if item.bit else ()
     ei = edge_index[item.u, item.v]

@@ -20,14 +20,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidParamsError, ValidationError
 from .permutation import CyclicShift, PermutationSpec, SwapStage, frame_id
-from .sketch import Law, QueryGroup, QueryPair, ScriptOp, Update, create, replay_law, run_tagged
+from .sketch import (
+    Law, QueryGroup, QueryPair, ScriptOp, Update, count_param, create, replay_law, run_tagged,
+)
 from .tape import Tape
 from .universe import Block, IntRange, Labels, UniverseSpec
 
@@ -67,13 +69,12 @@ class DirectedEdgeStream:
     @cached_property
     def _tape(self) -> Tape:
         """Every heavy-edge pass's per-edge (update in framed ids, swaps only; its
-        lines' rotations after the edge) (``_framed_update``), compiled once; each
-        threshold pair's tape (``_framed_edges``) reads it."""
+        lines' rotations after the edge) (``_framed_update``); each threshold
+        pair's tape (``_framed_edges``) reads it."""
         universe = heavy_universe(self)
         off = universe.block_offset("scratch")
         members = range(off, off + 4 * self.m)
-        framed = partial(_framed_update, self.edges, self.n, universe, {})
-        return Tape(universe, members, self.m, framed)
+        return Tape(universe, members, _framed_update(self.edges, self.n, universe))
 
     @cached_property
     def _steps(self) -> dict[tuple[int, int], Tape]:
@@ -156,15 +157,18 @@ def _edge_stages(edges, n: int, universe: UniverseSpec, k: int) -> tuple[SwapSta
     return swap, CyclicShift("stack", 1, (frozenset(edges[k]), None))
 
 
-def _framed_update(edges, n: int, universe: UniverseSpec, rot: dict, k: int) -> tuple:
-    """Edge k's update in framed ids: its swap, framed through ``rot``, and the rotation its
-    shift leaves on the endpoints' four stack lines. ``rot`` maps a line's first id to its
-    rotation, its vertex's running degree mod 2n, over edges 0..k-1 (the tape goes in order)."""
-    mod, pairs = 2 * n, _fresh_pairs(edges, n, universe, k)
-    swap = tuple((a, frame_id(line, line, rot.get(line, 0), mod)) for a, line in pairs)
-    turned = {line: (rot.get(line, 0) + 1) % mod for _, line in pairs}
-    rot.update(turned)
-    return PermutationSpec(universe, (SwapStage(swap),)), turned
+def _framed_update(edges, n: int, universe: UniverseSpec) -> tuple:
+    """Each edge's update in framed ids: its swap, framed through the rotations of the
+    earlier edges, and the rotation its shift leaves on the endpoints' four stack lines.
+    ``rot`` maps a line's first id to its rotation, its vertex's running degree mod 2n."""
+    mod, rot, items = 2 * n, {}, []
+    for k in range(len(edges)):
+        pairs = _fresh_pairs(edges, n, universe, k)
+        swap = tuple((a, frame_id(line, line, rot.get(line, 0), mod)) for a, line in pairs)
+        turned = {line: (rot.get(line, 0) + 1) % mod for _, line in pairs}
+        rot.update(turned)
+        items.append((PermutationSpec(universe, (SwapStage(swap),)), turned))
+    return tuple(items)
 
 
 def _framed_edges(stream: DirectedEdgeStream, d_H: int, d_T: int) -> Tape:
@@ -179,17 +183,13 @@ def _framed_edges(stream: DirectedEdgeStream, d_H: int, d_T: int) -> Tape:
     steps = stream._steps
     if (d_H, d_T) not in steps:
         tape = stream._tape
-        n, mod, items, universe = stream.n, 2 * stream.n, iter(tape), tape.universe
-
-        def step(k: int) -> tuple:
-            perm, turned = next(items)  # items compile in order, as this tape's do
-            u, v = stream.edges[k]
+        n, mod, universe, items = stream.n, 2 * stream.n, tape.universe, []
+        for (u, v), (perm, turned) in zip(stream.edges, tape.items):
             head, tail = _slot(n, u, 0, 0), _slot(n, v, 1, 0)
             x = frame_id(head + d_H, head, turned[head], mod)
             y = frame_id(tail + d_T, tail, turned[tail], mod)
-            return (perm, None), (QueryGroup(universe, (x,), (y,)), (None,))
-
-        steps[d_H, d_T] = Tape(universe, tape.members, stream.m, step)
+            items.append(((perm, None), (QueryGroup(universe, (x,), (y,)), (None,))))
+        steps[d_H, d_T] = Tape(universe, tape.members, tuple(items))
     return steps[d_H, d_T]
 
 
@@ -236,9 +236,7 @@ def run_single(
 
 def _copies(stream: DirectedEdgeStream, params: HeavyParams, copies: int | None) -> int:
     """The estimators' copy count, once their params are checked against ``stream``."""
-    copies = math.ceil(12 / params.eps**2) if copies is None else copies
-    if copies < 1:
-        raise InvalidParamsError(f"copies must be >= 1, got {copies}")
+    copies = math.ceil(12 / params.eps**2) if copies is None else count_param("copies", copies, 1)
     _check_thresholds(stream, params.d_H, params.d_T)
     return copies
 
@@ -314,6 +312,9 @@ def estimate_sampled(
     *,
     copies: int | None = None,
 ) -> float:
-    """Same aggregation as ``estimate``, drawing runs from their exact law."""
+    """Same aggregation as ``estimate``, drawing runs from their exact law and
+    counting them per atom, in memory that does not grow with ``copies``."""
     copies = _copies(stream, params, copies)
-    return float(np.mean(sample_outputs(stream, params.d_H, params.d_T, seed, copies)))
+    counts = sample_counts(stream, params.d_H, params.d_T, seed, copies)
+    law = terminal_law(stream, params.d_H, params.d_T)
+    return float(sum(x * int(c) for x, c in zip(law.atoms, counts))) / copies

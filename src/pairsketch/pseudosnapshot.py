@@ -28,7 +28,7 @@ from .errors import (
 from .heavy_edges import DirectedEdgeStream
 from .permutation import PermutationSpec, SwapStage, frame_id
 from .sketch import Law, QueryGroup, QueryOne, QueryOutcome, QueryPair, create, replay_law
-from .sketch import run_tagged
+from .sketch import count_param, run_tagged
 from .universe import Block, IntRange, Labels, UniverseSpec
 
 FAMILIES = ("A", "B", "C", "D")
@@ -173,8 +173,8 @@ class SnapshotParams:
             raise InvalidParamsError("thresholds must be strictly increasing")
         if ts[0] < -1 or ts[-1] > 1:
             raise InvalidParamsError("thresholds must lie in [-1, 1]")
-        if self.capacity_c < 1 or self.copies < 1:
-            raise InvalidParamsError("capacity_c and copies must be positive")
+        object.__setattr__(self, "capacity_c", count_param("capacity_c", self.capacity_c, 1))
+        object.__setattr__(self, "copies", count_param("copies", self.copies, 1))
 
     @property
     def ell(self) -> int:
@@ -826,10 +826,7 @@ def lemma_expectation(
 
 
 def _copies(params: SnapshotParams, copies: int | None) -> int:
-    copies = params.copies if copies is None else copies
-    if copies < 1:
-        raise InvalidParamsError(f"copies must be >= 1, got {copies}")
-    return copies
+    return params.copies if copies is None else count_param("copies", copies, 1)
 
 
 def estimate(

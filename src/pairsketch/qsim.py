@@ -10,10 +10,11 @@ queried coordinates and renormalizes.
 ``enumerate_distribution`` returns the distribution over outcome sequences
 of a script under either the stochastic member-set semantics (exact
 rationals) or the state-vector semantics (floats). The stochastic backend is
-the noiseless replay plus the fire law from ``pairsketch.sketch``: since a
-fire ends the run and misses delete deterministically, one all-miss
-trajectory yields every outcome sequence. The quantum backend walks every
-measurement branch of the state vector independently of that law. The two
+``sketch.replay_law``, the exact fold every estimator law uses, keyed by
+outcome sequence: since a fire ends the run and misses delete
+deterministically, one all-miss trajectory yields every outcome sequence.
+The quantum backend walks every measurement branch of the state vector
+independently of that law. The two
 backends agree to within numerical error; the equivalence tests pin that
 down to total-variation 1e-9.
 """
@@ -39,7 +40,8 @@ from .sketch import (
     ScriptOp,
     Update,
     _check_query,
-    replay_noiseless,
+    replay_law,
+    script_items,
 )
 from .universe import UniverseSpec
 
@@ -170,15 +172,21 @@ def enumerate_distribution(
 
 
 def _enumerate_stochastic(universe, members, script) -> OutcomeDistribution:
-    """The noiseless replay plus the fire law: a fire ends the run, so the
-    k-th query firing is the sequence of k Bots and its outcome, and the
-    all-miss sequence carries the survival probability."""
-    trace = replay_noiseless(universe, members, script)
-    out = {
-        ("Bot",) * k + (outcome.value,): p for k, outcome, p in trace.fire_atoms()
-    }
-    if trace.survival:
-        out[("Bot",) * len(trace.steps)] = trace.survival
+    """``replay_law`` with sequence keys: a fire ends the run, so a query after
+    k others firing o is the sequence of k Bots and o, and the all-miss
+    sequence carries the survival probability, kept only when positive."""
+    tagged, k = [], 0
+    for op in script:
+        tagged.append((op, k))
+        k += not isinstance(op, Update)
+    end = ("Bot",) * k
+    law = replay_law(
+        universe, members, script_items(universe, tagged),
+        lambda before, outcome: ("Bot",) * before + (outcome.value,), end,
+    )
+    out = dict(law.atoms)
+    if not out[end]:
+        del out[end]
     return OutcomeDistribution(out)
 
 

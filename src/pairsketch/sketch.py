@@ -37,9 +37,8 @@ The useful consequence of these laws is reorderability: misses delete
 deterministically, so the member set conditioned on "no fire yet" is exactly
 the set a noiseless replay produces, and the unconditional probability that a
 given query fires depends only on the initial size and its presence pattern.
-``replay_noiseless`` exposes that deterministic trajectory,
-``ReplayTrace.fire_atoms`` the resulting fire probabilities, and
-``replay_law`` gathers them into one exact ``Law`` of a script's outcomes.
+``replay_noiseless`` exposes that deterministic trajectory, and ``replay_law``
+folds its fire probabilities into one exact ``Law`` of a tape's outcomes.
 
 An estimator states its ops once, as a tape: a sequence of stream items, each
 a tuple of ``(PermutationSpec, None)`` and ``(QueryGroup, tags)`` pairs with
@@ -638,21 +637,6 @@ class ReplayTrace:
     survival: Fraction
     steps: tuple[ReplayStep, ...]
 
-    def fire_atoms(self) -> Iterator[tuple[int, QueryOutcome, Fraction]]:
-        """Yield (query position in ``steps``, outcome, unconditional probability).
-
-        The probability is weight / (scale * |T0|) from ``FIRE_LAW``: reaching
-        a query without a fire has probability |T|/|T0|, which cancels the
-        |T| of the query's own law. Updates keep the size, so |T0| is the
-        size before the first query. Together with ``survival`` the atoms
-        carry the whole outcome law of the script.
-        """
-        for k, step in enumerate(self.steps):
-            for outcome, p in fire_probs(
-                step.kind == "pair", step.present_count, self.steps[0].size_before
-            ):
-                yield k, outcome, p
-
 
 def _check_fire_law() -> None:
     """Raise unless every ``FIRE_LAW`` row fires with total weight scale * present,
@@ -746,6 +730,15 @@ def replay_noiseless(
     return ReplayTrace(survivors, Fraction(len(survivors), initial_size), steps)
 
 
+#: ``replay_law``'s fire numerators: the least common multiple L of the
+#: ``FIRE_LAW`` scales, and per row each atom's (outcome, weight * L / scale).
+_LCM = math.lcm(*(scale for scale, _ in FIRE_LAW.values()))
+_FIRE_NUMS = {
+    row: tuple((outcome, weight * (_LCM // scale)) for outcome, weight in atoms)
+    for row, (scale, atoms) in FIRE_LAW.items()
+}
+
+
 def replay_law(
     universe: UniverseSpec,
     members: Iterable[int],
@@ -760,26 +753,23 @@ def replay_law(
     and the survival mass to ``end_key``; atoms with equal keys add up, in
     order of first appearance.
 
-    Every mass is a whole multiple of 1/D, D = L * |T0| with L the least
-    common multiple of the ``FIRE_LAW`` scales: a fire atom weight/(scale *
-    |T0|) (``ReplayTrace.fire_atoms``) is weight * (L/scale) of them, and the
-    survival |S|/|T0| is L * |S|. So the atoms add up as integer numerators,
-    and each becomes one Fraction at the end.
+    A query fires o with unconditional probability weight / (scale * |T0|)
+    from ``FIRE_LAW``: reaching it without a fire has probability |T|/|T0|,
+    which cancels the |T| of its own law, and updates keep the size. So every
+    mass is a whole multiple of 1/D, D = ``_LCM`` * |T0|: a fire atom is its
+    ``_FIRE_NUMS`` numerator of them, and the survival |S|/|T0| is ``_LCM`` *
+    |S|. The atoms add up as integer numerators, and each becomes one
+    Fraction at the end.
     """
     store = _MemberStore(universe, members)
     initial_size = len(store.ids)
-    lcm = math.lcm(*(scale for scale, _ in FIRE_LAW.values()))
-    rows = {
-        row: [(outcome, weight * (lcm // scale)) for outcome, weight in atoms]
-        for row, (scale, atoms) in FIRE_LAW.items()
-    }
     nums: dict = {}
     for _, pair, _, _, tag, _, px, py in _replay(store, items):
-        for outcome, num in rows[pair, px + py]:
+        for outcome, num in _FIRE_NUMS[pair, px + py]:
             atom = key(tag, outcome)
             nums[atom] = nums.get(atom, 0) + num
-    nums[end_key] = nums.get(end_key, 0) + lcm * len(store.ids)
-    den = lcm * initial_size
+    nums[end_key] = nums.get(end_key, 0) + _LCM * len(store.ids)
+    den = _LCM * initial_size
     return Law({atom: Fraction(num, den) for atom, num in nums.items()})
 
 

@@ -23,14 +23,14 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidParamsError, ValidationError
 from .permutation import PermutationSpec, SwapStage
-from .sketch import Law, QueryGroup, create, fire_probs, run_tagged
+from .sketch import Law, QueryGroup, count_param, create, fire_probs, run_tagged
 from .tape import Tape
 from .universe import Block, IntRange, UniverseSpec
 
@@ -65,11 +65,12 @@ class EdgeStream:
 
     @cached_property
     def _tape(self) -> Tape:
-        """Every triangle run's per-edge tape item (see ``_edge_ops``), compiled once."""
+        """Every triangle run's tape, one item per edge (see ``_edge_ops``)."""
         universe = triangle_universe(self)
         off = universe.block_offset("scratch")
         members = range(off, off + 2 * self.m)
-        return Tape(universe, members, self.m, partial(_edge_ops, self.edges, self.n, universe))
+        items = tuple(_edge_ops(self.edges, self.n, universe, k) for k in range(self.m))
+        return Tape(universe, members, items)
 
     @cached_property
     def _laws(self) -> dict[int, Law]:
@@ -103,8 +104,8 @@ class TriangleParams:
             raise InvalidParamsError("T_prime and Delta_E must be positive")
         if self.repetitions is not None:
             copies, groups = self.repetitions
-            if copies < 1 or groups < 1:
-                raise InvalidParamsError("repetitions must be positive")
+            object.__setattr__(self, "repetitions", (
+                count_param("copies per group", copies, 1), count_param("groups", groups, 1)))
 
 
 def choose_k(T_prime: float, m: int, Delta_E: float) -> int:
@@ -214,11 +215,14 @@ def estimate(stream: EdgeStream, params: TriangleParams, *, master_seed: int = 0
 def estimate_sampled(
     stream: EdgeStream, params: TriangleParams, *, master_seed: int = 0
 ) -> float:
-    """Same aggregation as ``estimate`` but drawing runs from their exact law."""
+    """Same aggregation as ``estimate`` but drawing runs from their exact law, a
+    block of whole groups at a time."""
     copies, groups = _repetitions(stream, params)
-    draws = sample_outputs(stream, params.k, master_seed, copies * groups)
-    means = draws.reshape(groups, copies).mean(axis=1)
-    return float(np.median(means))
+    law = terminal_law(stream, params.k)
+    values = np.array(list(law.atoms), dtype=np.int32)
+    blocks = law.blocks(_rng(master_seed), copies * groups, copies)
+    means = [values[idx].reshape(-1, copies).mean(axis=1) for idx in blocks]
+    return float(np.median(np.concatenate(means)))
 
 
 def _repetitions(stream: EdgeStream, params: TriangleParams) -> tuple[int, int]:

@@ -1,4 +1,6 @@
 """The exact ``Law`` type, ``replay_law``, and the samplers built on them."""
+import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +30,7 @@ from pairsketch import sketch
 from pairsketch.harness import ExperimentConfig, random_script, run_experiment
 from pairsketch.sketch import Law, replay_law, replay_noiseless, script_items
 from tape_reference import build_script, tagged_script
+from test_live_tapes import _directed, _gnp
 from test_universe import universes
 
 EIGHT = UniverseSpec((Block("v", (IntRange(0, 7),)),))
@@ -157,23 +160,55 @@ THIRDS = Law({k: Fraction(1, 3) for k in range(3)})
 BLOCK = sketch._DRAW_BLOCK
 
 
+HEAVY_PARAMS = heavy_edges.HeavyParams(1, 1, 0.5)
+
+
+def _triangle_params(repetitions):
+    return triangle.TriangleParams(2, 1.0, 1.0, 0.5, 0.5, repetitions=repetitions)
+
+
+def _snapshot_params(**counts):
+    return dataclasses.replace(SNAPSHOT[3], **counts)
+
+
+def _snapshot_estimate(estimate, copies):
+    return estimate(*SNAPSHOT, copies=copies)
+
+
+TRIALS = "trials must be >= 0"
+# each path with a negative count: (the message it raises, the call)
 NEGATIVE_TRIALS = {
-    "bhm.sample_outputs": lambda: bhm.sample_outputs(BHM, 1, -1),
-    "bhm.sample_majority": lambda: bhm.sample_majority(BHM, 1, -2, copies=3),
-    "heavy_edges.sample_outputs": lambda: heavy_edges.sample_outputs(HEAVY, 2, 1, 0, -1),
-    "triangle.sample_outputs": lambda: triangle.sample_outputs(TRIANGLE, 2, 0, -1),
-    "SnapshotLaw.sample": lambda: _snapshot_law().sample(0, -1),
-    "bhm.sample_counts": lambda: bhm.sample_counts(BHM, 1, -1),
-    "heavy_edges.sample_counts": lambda: heavy_edges.sample_counts(HEAVY, 2, 1, 0, -1),
-    "triangle.sample_counts": lambda: triangle.sample_counts(TRIANGLE, 2, 0, -1),
-    "SnapshotLaw.entry_sums": lambda: _snapshot_law().entry_sums(0, -1),
-    "Law.sample_counts": lambda: THIRDS.sample_counts(np.random.default_rng(0), -1),
+    "bhm.sample_outputs": (TRIALS, lambda: bhm.sample_outputs(BHM, 1, -1)),
+    "bhm.sample_majority": (TRIALS, lambda: bhm.sample_majority(BHM, 1, -2, copies=3)),
+    "heavy_edges.sample_outputs": (
+        TRIALS, lambda: heavy_edges.sample_outputs(HEAVY, 2, 1, 0, -1)),
+    "triangle.sample_outputs": (TRIALS, lambda: triangle.sample_outputs(TRIANGLE, 2, 0, -1)),
+    "SnapshotLaw.sample": (TRIALS, lambda: _snapshot_law().sample(0, -1)),
+    "bhm.sample_counts": (TRIALS, lambda: bhm.sample_counts(BHM, 1, -1)),
+    "heavy_edges.sample_counts": (TRIALS, lambda: heavy_edges.sample_counts(HEAVY, 2, 1, 0, -1)),
+    "triangle.sample_counts": (TRIALS, lambda: triangle.sample_counts(TRIANGLE, 2, 0, -1)),
+    "SnapshotLaw.entry_sums": (TRIALS, lambda: _snapshot_law().entry_sums(0, -1)),
+    "Law.sample_counts": (TRIALS, lambda: THIRDS.sample_counts(np.random.default_rng(0), -1)),
+    "heavy_edges.estimate": (
+        "copies must be >= 1", lambda: heavy_edges.estimate(HEAVY, HEAVY_PARAMS, 0, copies=-1)),
+    "heavy_edges.estimate_sampled": ("copies must be >= 1", lambda: heavy_edges.estimate_sampled(
+        HEAVY, HEAVY_PARAMS, 0, copies=-1)),
+    "pseudosnapshot.estimate": (
+        "copies must be >= 1", lambda: _snapshot_estimate(ps.estimate, -1)),
+    "pseudosnapshot.estimate_sampled": (
+        "copies must be >= 1", lambda: _snapshot_estimate(ps.estimate_sampled, -1)),
+    "SnapshotParams.copies": ("copies must be >= 1", lambda: _snapshot_params(copies=-1)),
+    "SnapshotParams.capacity_c": (
+        "capacity_c must be >= 1", lambda: _snapshot_params(capacity_c=-1)),
+    "TriangleParams.repetitions.copies": (
+        "copies per group must be >= 1", lambda: _triangle_params((-1, 1))),
+    "TriangleParams.repetitions.groups": ("groups must be >= 1", lambda: _triangle_params((1, -1))),
 }
 
 
-@pytest.mark.parametrize("call", NEGATIVE_TRIALS.values(), ids=NEGATIVE_TRIALS.keys())
-def test_samplers_reject_negative_trial_counts(call):
-    with pytest.raises(InvalidParamsError, match="trials must be >= 0, got -"):
+@pytest.mark.parametrize("message, call", NEGATIVE_TRIALS.values(), ids=NEGATIVE_TRIALS.keys())
+def test_samplers_reject_negative_trial_counts(message, call):
+    with pytest.raises(InvalidParamsError, match=f"{message}, got -"):
         call()
 
 
@@ -195,6 +230,19 @@ COUNTED = {
     "triangle.sample_counts": ("trials", lambda n: triangle.sample_counts(TRIANGLE, 2, 0, n)),
     "SnapshotLaw.sample": ("trials", lambda n: _snapshot_law().sample(0, n)),
     "SnapshotLaw.entry_sums": ("trials", lambda n: _snapshot_law().entry_sums(0, n)),
+    "heavy_edges.estimate": (
+        "copies", lambda n: heavy_edges.estimate(HEAVY, HEAVY_PARAMS, 0, copies=n)),
+    "heavy_edges.estimate_sampled": (
+        "copies", lambda n: heavy_edges.estimate_sampled(HEAVY, HEAVY_PARAMS, 0, copies=n)),
+    "pseudosnapshot.estimate": ("copies", lambda n: _snapshot_estimate(ps.estimate, n)),
+    "pseudosnapshot.estimate_sampled": (
+        "copies", lambda n: _snapshot_estimate(ps.estimate_sampled, n)),
+    "SnapshotParams.copies": ("copies", lambda n: _snapshot_params(copies=n).copies),
+    "SnapshotParams.capacity_c": ("capacity_c", lambda n: _snapshot_params(capacity_c=n).capacity_c),
+    "TriangleParams.repetitions.copies": (
+        "copies per group", lambda n: triangle.estimate(TRIANGLE, _triangle_params((n, 2)))),
+    "TriangleParams.repetitions.groups": (
+        "groups", lambda n: triangle.estimate_sampled(TRIANGLE, _triangle_params((2, n)))),
 }
 
 
@@ -210,6 +258,19 @@ def test_samplers_reject_non_integer_counts(name, bad):
 def test_samplers_take_numpy_integer_counts(name):
     field, call = COUNTED[name]
     assert np.array_equal(call(np.int64(5)), call(5))
+
+
+def test_count_params_refuse_a_bool_and_keep_numpy_integers_as_int():
+    # True is no copy count: both heavy estimates and the snapshot params refuse it
+    for call in (heavy_edges.estimate, heavy_edges.estimate_sampled):
+        with pytest.raises(InvalidParamsError, match="copies must be an integer, got True"):
+            call(HEAVY, HEAVY_PARAMS, 0, copies=True)
+    with pytest.raises(InvalidParamsError, match="copies must be an integer, got True"):
+        _snapshot_params(copies=True)
+    with pytest.raises(InvalidParamsError, match="copies per group must be an integer"):
+        _triangle_params((True, 1))
+    assert type(_snapshot_params(copies=np.int64(3)).copies) is int
+    assert _triangle_params((np.int64(3), np.int64(2))).repetitions == (3, 2)
 
 
 # -- counting in blocks against one draw array ----------------------------------
@@ -256,6 +317,61 @@ def test_blocks_check_their_counts_on_the_call():
         THIRDS.blocks(rng, 4, 0)
     with pytest.raises(InvalidParamsError, match="unit must be an integer, got 1.0"):
         THIRDS.blocks(rng, 4, 1.0)
+
+
+# -- sampled estimates, counted in blocks ---------------------------------------
+
+# floats the sampled estimates returned when they drew one array of all runs:
+# heavy_edges.estimate_sampled on _directed(8, 20, 2) at seed 5 and eps 1/2,
+# keyed (d_H, d_T, copies)
+SAMPLED_HEAVY = {
+    (1, 1, 75): "0x1.2222222222222p+4",
+    (1, 1, 16385): "0x1.3b8711e3b8712p+4",
+    (2, 1, 16384): "0x1.f108000000000p+3",
+    (2, 1, 100003): "0x1.fc6d251739e72p+3",
+    (3, 2, 100003): "0x1.7d84a5c538134p+3",
+}
+# triangle.estimate_sampled on _gnp() at master seed 3, keyed (k, copies, groups)
+SAMPLED_TRIANGLE = {
+    (1, 1000, 1): "-0x1.10624dd2f1aa0p-3",
+    (1, 7, 9): "0x1.5b6db6db6db6ep+1",
+    (1, 16385, 3): "-0x1.1cfb8c11cfb8cp-6",
+    (2, 40000, 1): "0x1.0fa786c22680ap+0",
+    (5, 16385, 3): "0x1.9e1d8789e1d88p+1",
+    (5, 1000, 1): "0x1.b5c28f5c28f5cp+0",
+}
+
+
+@pytest.mark.parametrize("key", SAMPLED_HEAVY)
+def test_sampled_heavy_estimates_are_pinned(key):
+    d_h, d_t, copies = key
+    params = heavy_edges.HeavyParams(d_h, d_t, 0.5)
+    got = heavy_edges.estimate_sampled(_directed(8, 20, 2), params, 5, copies=copies)
+    assert got == float.fromhex(SAMPLED_HEAVY[key])
+
+
+@pytest.mark.parametrize("key", SAMPLED_TRIANGLE)
+def test_sampled_triangle_estimates_are_pinned(key):
+    k, copies, groups = key
+    params = triangle.TriangleParams(k, 10.0, 5.0, 0.5, 0.1, repetitions=(copies, groups))
+    got = triangle.estimate_sampled(_gnp(), params, master_seed=3)
+    assert got == float.fromhex(SAMPLED_TRIANGLE[key])
+
+
+def test_sampled_estimates_run_in_bounded_memory():
+    # 2 * 10**6 runs each, drawn a block at a time: no array of one entry per run
+    heavy, gnp = _directed(8, 20, 2), _gnp()
+    heavy_edges.terminal_law(heavy, 2, 1)
+    triangle.terminal_law(gnp, 2)
+    tracemalloc.start()
+    try:
+        heavy_edges.estimate_sampled(heavy, heavy_edges.HeavyParams(2, 1, 0.5), 5, copies=2_000_000)
+        params = triangle.TriangleParams(2, 10.0, 5.0, 0.5, 0.1, repetitions=(1000, 2000))
+        triangle.estimate_sampled(gnp, params, master_seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 # -- the guide-table draw path against one search per draw ----------------------
@@ -331,9 +447,11 @@ def _fraction_replay_law(universe, members, tagged_ops, key, end_key):
     trace = replay_noiseless(universe, members, [op for op, _ in ops])
     tags = [tag for op, tag in ops if not isinstance(op, Update)]
     atoms = {}
-    for k, outcome, p in trace.fire_atoms():
-        atom = key(tags[k], outcome)
-        atoms[atom] = atoms[atom] + p if atom in atoms else p
+    for tag, step in zip(tags, trace.steps):
+        size = trace.steps[0].size_before
+        for outcome, p in sketch.fire_probs(step.kind == "pair", step.present_count, size):
+            atom = key(tag, outcome)
+            atoms[atom] = atoms[atom] + p if atom in atoms else p
     atoms[end_key] = atoms.get(end_key, 0) + trace.survival
     return atoms
 

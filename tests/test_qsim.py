@@ -22,6 +22,7 @@ from pairsketch import (
     swap_perm,
 )
 from pairsketch.qsim import _branches_one, _branches_pair
+from pairsketch.sketch import fire_probs, replay_noiseless
 from permutation_reference import permute_set
 from test_sketch import GRID, grid_scripts
 
@@ -237,6 +238,56 @@ def test_stochastic_backend_equals_branch_walk_on_eight(members, script):
 def test_stochastic_backend_equals_branch_walk_on_grid(members, script):
     dist = enumerate_distribution(GRID, sorted(members), script)
     assert dist.entries == _reference_branch_walk(GRID, members, script)
+
+
+def _fire_probs_reference(universe, members, script):
+    """The outcome law summed from ``fire_probs`` over the noiseless replay's
+    steps: the query after k others fires o with its ``fire_probs`` at |T0|,
+    and a positive survival goes to the all-Bot sequence last."""
+    trace = replay_noiseless(universe, members, script)
+    out = {}
+    for k, step in enumerate(trace.steps):
+        size = trace.steps[0].size_before
+        for outcome, p in fire_probs(step.kind == "pair", step.present_count, size):
+            out[("Bot",) * k + (outcome.value,)] = p
+    if trace.survival:
+        out[("Bot",) * len(trace.steps)] = trace.survival
+    return out
+
+
+def _same_entries(dist, want):
+    """Keys, order and Fractions all agree."""
+    assert list(dist.entries.items()) == list(want.items())
+    assert all(type(p) is Fraction for p in dist.entries.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(0, 7), min_size=1, max_size=6), small_scripts())
+def test_stochastic_backend_equals_the_fire_probs_sum_on_eight(members, script):
+    dist = enumerate_distribution(EIGHT, sorted(members), script)
+    _same_entries(dist, _fire_probs_reference(EIGHT, sorted(members), script))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.integers(0, GRID.size - 1), min_size=1, max_size=12), grid_scripts())
+def test_stochastic_backend_equals_the_fire_probs_sum_on_grid(members, script):
+    dist = enumerate_distribution(GRID, sorted(members), script)
+    _same_entries(dist, _fire_probs_reference(GRID, sorted(members), script))
+
+
+@pytest.mark.parametrize("script", [
+    [QueryPair(0, 1), QueryPair(2, 3)],
+    [QueryOne(3), Update(swap_perm(EIGHT, (0, 5))), QueryPair(5, 1), QueryOne(2)],
+    [QueryPair(4, 0), QueryPair(1, 2), QueryOne(0), QueryOne(3), QueryPair(6, 7)],
+])
+def test_stochastic_backend_drops_a_zero_survival(script):
+    # every member is queried away, so no run survives the script
+    members = [0, 1, 2, 3]
+    assert replay_noiseless(EIGHT, members, script).survival == 0
+    dist = enumerate_distribution(EIGHT, members, script)
+    _same_entries(dist, _fire_probs_reference(EIGHT, members, script))
+    assert dist.entries == _reference_branch_walk(EIGHT, members, script)
+    assert all(key[-1] != "Bot" for key in dist.entries)
 
 
 def test_whittled_to_one_member_fires_with_certainty():
