@@ -27,9 +27,8 @@ import numpy as np
 
 from .errors import InvalidParamsError, ValidationError
 from .permutation import CyclicShift, PermutationSpec, SwapStage, frame_id
-from .sketch import (
-    Law, QueryGroup, QueryPair, ScriptOp, Update, count_param, create, replay_law, run_tagged,
-)
+from .sketch import Law, QueryGroup, QueryPair, ScriptOp, Update, create, replay_law, run_tagged
+from .sketch import count_param
 from .tape import Tape
 from .universe import Block, IntRange, Labels, UniverseSpec
 

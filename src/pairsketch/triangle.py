@@ -215,14 +215,19 @@ def estimate(stream: EdgeStream, params: TriangleParams, *, master_seed: int = 0
 def estimate_sampled(
     stream: EdgeStream, params: TriangleParams, *, master_seed: int = 0
 ) -> float:
-    """Same aggregation as ``estimate`` but drawing runs from their exact law, a
-    block of whole groups at a time."""
+    """Same aggregation as ``estimate`` but drawing runs from their exact law a
+    block at a time, so memory grows with ``groups`` alone. A group's sum is
+    a whole number, exact in float64 in any order while below 2**53, so its
+    mean is the one a mean over the group's draws gives."""
     copies, groups = _repetitions(stream, params)
     law = terminal_law(stream, params.k)
-    values = np.array(list(law.atoms), dtype=np.int32)
-    blocks = law.blocks(_rng(master_seed), copies * groups, copies)
-    means = [values[idx].reshape(-1, copies).mean(axis=1) for idx in blocks]
-    return float(np.median(np.concatenate(means)))
+    values = np.array(list(law.atoms), dtype=np.float64)
+    sums, done = np.zeros(groups), 0
+    for idx in law.blocks(_rng(master_seed), copies * groups):
+        group = np.arange(done, done + len(idx)) // copies
+        sums[group[0]:group[-1] + 1] += np.bincount(group - group[0], weights=values[idx])
+        done += len(idx)
+    return float(np.median(sums / copies))
 
 
 def _repetitions(stream: EdgeStream, params: TriangleParams) -> tuple[int, int]:

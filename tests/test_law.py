@@ -238,7 +238,8 @@ COUNTED = {
     "pseudosnapshot.estimate_sampled": (
         "copies", lambda n: _snapshot_estimate(ps.estimate_sampled, n)),
     "SnapshotParams.copies": ("copies", lambda n: _snapshot_params(copies=n).copies),
-    "SnapshotParams.capacity_c": ("capacity_c", lambda n: _snapshot_params(capacity_c=n).capacity_c),
+    "SnapshotParams.capacity_c": (
+        "capacity_c", lambda n: _snapshot_params(capacity_c=n).capacity_c),
     "TriangleParams.repetitions.copies": (
         "copies per group", lambda n: triangle.estimate(TRIANGLE, _triangle_params((n, 2)))),
     "TriangleParams.repetitions.groups": (
@@ -359,15 +360,17 @@ def test_sampled_triangle_estimates_are_pinned(key):
 
 
 def test_sampled_estimates_run_in_bounded_memory():
-    # 2 * 10**6 runs each, drawn a block at a time: no array of one entry per run
+    # 2 * 10**6 runs each, drawn a block at a time: no array of one entry per
+    # run, nor of one entry per copy of a group
     heavy, gnp = _directed(8, 20, 2), _gnp()
     heavy_edges.terminal_law(heavy, 2, 1)
     triangle.terminal_law(gnp, 2)
     tracemalloc.start()
     try:
         heavy_edges.estimate_sampled(heavy, heavy_edges.HeavyParams(2, 1, 0.5), 5, copies=2_000_000)
-        params = triangle.TriangleParams(2, 10.0, 5.0, 0.5, 0.1, repetitions=(1000, 2000))
-        triangle.estimate_sampled(gnp, params, master_seed=3)
+        for repetitions in ((2_000_000, 1), (1000, 2000)):
+            params = triangle.TriangleParams(2, 10.0, 5.0, 0.5, 0.1, repetitions=repetitions)
+            triangle.estimate_sampled(gnp, params, master_seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
