@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import InvalidParamsError, ValidationError
 from .permutation import PermutationSpec, SwapStage
-from .sketch import Law, QueryGroup, QueryOutcome, count_param, create, replay_law, run_tagged
-from .tape import Tape
+from .sketch import Law, QueryGroup, QueryOutcome, Tape, count_param, create, replay_law
+from .sketch import run_tagged
 from .universe import Block, IntRange, UniverseSpec
 
 #: Pair-query bit patterns, probed in this order for every edge.
@@ -102,18 +102,19 @@ class BhmInstance:
 
     @cached_property
     def _tape(self) -> Tape:
-        """Every live run's tape, one item per stream item (see ``_item_ops``)."""
+        """The instance's declaration: one item per stream item (see ``_item_ops``),
+        each fire keyed (tag, output) by ``_output``, a pass without a hit by
+        (None, None)."""
         n, universe = self.n, bhm_universe(self.n)
         edge_index = {e: i for i, e in enumerate(self.matching)}
         items = tuple(_item_ops(item, n, universe, edge_index) for item in self.stream)
-        return Tape(universe, initial_members(n), items)
+        return Tape(universe, initial_members(n), items, partial(_output, self), (None, None))
 
     @cached_property
     def _law(self) -> Law:
         """``terminal_slabs``' law, replayed once: every sampler and gate on this
         instance reads the same ``Law``."""
-        tape = self._tape
-        return replay_law(tape.universe, tape.members, tape, partial(_output, self), (None, None))
+        return replay_law(self._tape)
 
     @cached_property
     def _later(self) -> list[int]:
@@ -208,7 +209,7 @@ def run_single(inst: BhmInstance, *, master_seed: int = 0, handle_id: int = 0) -
     """One protocol run on a live sketch. Returns the output bit, or None."""
     tape = inst._tape
     handle = create(tape.universe, tape.members, master_seed=master_seed, handle_id=handle_id)
-    return run_tagged(handle, tape, lambda tag, outcome: _output(inst, tag, outcome)[1], None)
+    return run_tagged(handle, tape)[1]
 
 
 def default_copies(alpha: Fraction) -> int:

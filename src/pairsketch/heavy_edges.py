@@ -25,11 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParamsError, ValidationError
+from .errors import InvalidParamsError
 from .permutation import CyclicShift, PermutationSpec, SwapStage, frame_id
-from .sketch import Law, QueryGroup, QueryPair, ScriptOp, Update, create, replay_law, run_tagged
-from .sketch import count_param
-from .tape import Tape
+from .sketch import Law, QueryGroup, QueryPair, ScriptOp, Tape, Update, create, replay_law
+from .sketch import count_param, edge_list, run_tagged
 from .universe import Block, IntRange, Labels, UniverseSpec
 
 
@@ -46,34 +45,24 @@ class DirectedEdgeStream:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"vertex count {self.n} must be positive")
-        object.__setattr__(
-            self, "edges", tuple((int(u), int(v)) for u, v in self.edges)
-        )
-        seen: set[tuple[int, int]] = set()
-        for i, (u, v) in enumerate(self.edges):
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValidationError(f"edge {i + 1} ({u}, {v}) leaves [1, {self.n}]", i)
-            if u == v:
-                raise ValidationError(f"edge {i + 1} is a self-loop at {u}", i)
-            if (u, v) in seen:
-                raise ValidationError(f"edge {i + 1} ({u} -> {v}) repeats", i)
-            seen.add((u, v))
+        n, edges = edge_list(self.n, self.edges, directed=True)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     @cached_property
-    def _tape(self) -> Tape:
+    def _universe(self) -> UniverseSpec:
+        return heavy_universe(self)
+
+    @cached_property
+    def _updates(self) -> tuple:
         """Every heavy-edge pass's per-edge (update in framed ids, swaps only; its
         lines' rotations after the edge) (``_framed_update``); each threshold
-        pair's tape (``_framed_edges``) reads it."""
-        universe = heavy_universe(self)
-        off = universe.block_offset("scratch")
-        members = range(off, off + 4 * self.m)
-        return Tape(universe, members, _framed_update(self.edges, self.n, universe))
+        pair's tape (``_framed_edges``) reads them."""
+        return _framed_update(self.edges, self.n, self._universe)
 
     @cached_property
     def _steps(self) -> dict[tuple[int, int], Tape]:
@@ -93,16 +82,15 @@ class HeavyParams:
     eps: float
 
     def __post_init__(self) -> None:
-        if self.d_H < 1 or self.d_T < 1:
-            raise InvalidParamsError("degree thresholds must be >= 1")
+        object.__setattr__(self, "d_H", count_param("d_H", self.d_H, 1))
+        object.__setattr__(self, "d_T", count_param("d_T", self.d_T, 1))
         if not 0 < self.eps <= 1:
             raise InvalidParamsError("eps must lie in (0, 1]")
 
 
 def oracle_heavy_count(stream: DirectedEdgeStream, d_H: int, d_T: int) -> int:
     """Exact heavy-edge count by maintaining running incident degrees."""
-    if d_H < 1 or d_T < 1:
-        raise InvalidParamsError("degree thresholds must be >= 1")
+    d_H, d_T = count_param("d_H", d_H, 1), count_param("d_T", d_T, 1)
     deg = [0] * (stream.n + 1)
     count = 0
     for u, v in stream.edges:
@@ -128,13 +116,16 @@ def heavy_universe(stream: DirectedEdgeStream) -> UniverseSpec:
     )
 
 
-def _check_thresholds(stream: DirectedEdgeStream, d_H: int, d_T: int) -> None:
+def _check_thresholds(stream: DirectedEdgeStream, d_H, d_T) -> tuple[int, int]:
+    """(d_H, d_T) as ints, once both are checked against the stack positions."""
+    d_H, d_T = count_param("d_H", d_H, 1), count_param("d_T", d_T, 1)
     top = 2 * stream.n - 1
-    if not (1 <= d_H <= top and 1 <= d_T <= top):
+    if not (d_H <= top and d_T <= top):
         raise InvalidParamsError(
             f"thresholds must lie in [1, {top}] (stack positions); running degrees "
             f"of a simple directed stream never exceed {2 * (stream.n - 1)} anyway"
         )
+    return d_H, d_T
 
 
 def _slot(n: int, w: int, label: int, pos: int) -> int:
@@ -171,24 +162,27 @@ def _framed_update(edges, n: int, universe: UniverseSpec) -> tuple:
 
 
 def _framed_edges(stream: DirectedEdgeStream, d_H: int, d_T: int) -> Tape:
-    """A pass's tape: per edge its framed update, then its probe as a one-query
-    pair group (tag None).
+    """A pass's declaration: per edge its framed update, then its probe as a
+    one-query pair group (tag None); a Plus or Minus hit keys +-2m, a pass
+    without one 0.
 
     The probed slots (u, H, d_H) and (v, T, d_T) are framed through the
-    rotations of their lines after the edge, read off the stream's tape, which
-    serves every threshold pair. The stream keeps one such tape per pair, so
-    every run and the law on that pair frame each edge once.
+    rotations of their lines after the edge, read off the stream's
+    ``_updates``, which serve every threshold pair. The stream keeps one tape
+    per pair, so every run and the law on that pair frame each edge once.
     """
     steps = stream._steps
     if (d_H, d_T) not in steps:
-        tape = stream._tape
-        n, mod, universe, items = stream.n, 2 * stream.n, tape.universe, []
-        for (u, v), (perm, turned) in zip(stream.edges, tape.items):
+        n, m, mod, universe, items = stream.n, stream.m, 2 * stream.n, stream._universe, []
+        for (u, v), (perm, turned) in zip(stream.edges, stream._updates):
             head, tail = _slot(n, u, 0, 0), _slot(n, v, 1, 0)
             x = frame_id(head + d_H, head, turned[head], mod)
             y = frame_id(tail + d_T, tail, turned[tail], mod)
             items.append(((perm, None), (QueryGroup(universe, (x,), (y,)), (None,))))
-        steps[d_H, d_T] = Tape(universe, tape.members, tuple(items))
+        off = universe.block_offset("scratch")
+        steps[d_H, d_T] = Tape(
+            universe, range(off, off + 4 * m), tuple(items), lambda _, o: o.sign * 2 * m, 0
+        )
     return steps[d_H, d_T]
 
 
@@ -199,7 +193,7 @@ def build_script(
     and one pair query. ``run_single`` and ``terminal_law`` apply the same
     sequence with its shifts framed into the swaps and queries (see
     ``_framed_edges``); this is the reference they must agree with."""
-    n, universe = stream.n, stream._tape.universe
+    n, universe = stream.n, stream._universe
     script: list[ScriptOp] = []
     for k, (u, v) in enumerate(stream.edges):
         perm = PermutationSpec(universe, _edge_stages(stream.edges, n, universe, k))
@@ -223,14 +217,12 @@ def run_single(
     framed ops (see ``build_script``), so the ids are the framed ones: the
     literal member set framed by the shifts of edges 1..ell.
     """
-    _check_thresholds(stream, d_H, d_T)
-    m = stream.m
-    if m == 0:
+    d_H, d_T = _check_thresholds(stream, d_H, d_T)
+    if stream.m == 0:
         return 0
-    tape = stream._tape
+    tape = _framed_edges(stream, d_H, d_T)
     handle = create(tape.universe, tape.members, master_seed=seed, handle_id=handle_id)
-    items = _framed_edges(stream, d_H, d_T)
-    return run_tagged(handle, items, lambda _, outcome: outcome.sign * 2 * m, 0, observer)
+    return run_tagged(handle, tape, observer)
 
 
 def _copies(stream: DirectedEdgeStream, params: HeavyParams, copies: int | None) -> int:
@@ -267,20 +259,13 @@ def terminal_law(stream: DirectedEdgeStream, d_H: int, d_T: int) -> Law:
     4m members are ever deleted, so a pass survives with probability >= 1/2.
     The stream builds each threshold pair's law on the first call and keeps it.
     """
-    _check_thresholds(stream, d_H, d_T)
+    d_H, d_T = _check_thresholds(stream, d_H, d_T)
     laws = stream._laws
     if (d_H, d_T) not in laws:
-        laws[d_H, d_T] = _build_law(stream, d_H, d_T)
+        laws[d_H, d_T] = (
+            replay_law(_framed_edges(stream, d_H, d_T)) if stream.m else Law({0: Fraction(1)})
+        )
     return laws[d_H, d_T]
-
-
-def _build_law(stream: DirectedEdgeStream, d_H: int, d_T: int) -> Law:
-    m = stream.m
-    if m == 0:
-        return Law({0: Fraction(1)})
-    tape = stream._tape
-    items = _framed_edges(stream, d_H, d_T)
-    return replay_law(tape.universe, tape.members, items, lambda _, o: o.sign * 2 * m, 0)
 
 
 def _rng(master_seed: int) -> np.random.Generator:

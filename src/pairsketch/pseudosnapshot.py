@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from hashlib import blake2b
 from typing import Callable
 
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .heavy_edges import DirectedEdgeStream
 from .permutation import PermutationSpec, SwapStage, frame_id
-from .sketch import Law, QueryGroup, QueryOne, QueryOutcome, QueryPair, create, replay_law
+from .sketch import Law, QueryGroup, QueryOne, QueryOutcome, QueryPair, Tape, create, replay_law
 from .sketch import count_param, run_tagged
 from .universe import Block, IntRange, Labels, UniverseSpec
 
@@ -391,7 +391,8 @@ class EdgePlan:
 @dataclass(frozen=True)
 class ScriptPlan:
     """The ops of every run on one hash draw: ``edge_plans`` in framed ids,
-    from ``initial_members()`` (scratch, which no shift moves)."""
+    from ``initial_members()`` (scratch, which no shift moves). ``fire_key``
+    maps a fire to its law key (``_fire_key``)."""
 
     universe: UniverseSpec
     edge_plans: tuple[EdgePlan, ...]
@@ -400,9 +401,17 @@ class ScriptPlan:
     capacity_edge: int | None
     f_alpha: tuple[bool, ...]
     f_beta: tuple[bool, ...]
+    fire_key: Callable[[object, QueryOutcome], tuple]
 
     def initial_members(self) -> range:
         return range(self.big_m)
+
+    @cached_property
+    def tape(self) -> Tape:
+        """The declaration every run and the law on this plan walk: the edge
+        plans' items, ``fire_key``, and ``_end_key``."""
+        items = tuple(eplan.item for eplan in self.edge_plans)
+        return Tape(self.universe, self.initial_members(), items, self.fire_key, _end_key(self))
 
 
 class _Plan:
@@ -567,6 +576,7 @@ def build_plan(
         capacity_edge=capacity_edge,
         f_alpha=fa,
         f_beta=fb,
+        fire_key=_fire_key(stream, hashes, grid, params, plan.big_m),
     )
 
 
@@ -576,7 +586,8 @@ def build_plan(
 
 
 def _fire_key(stream, hashes, grid, params, big_m: int):
-    """``key(tag, outcome) -> (terminated_by, entry, value)`` for a fire.
+    """``key(tag, outcome) -> (terminated_by, entry, value)`` for a fire, built
+    once per plan (``build_plan``) with its arrival table.
 
     A cleanup (tag None) zeroes the run. A hit at tag (edge, x, i, j) selects
     an estimate entry: after a hit the estimator watches the rest of the
@@ -673,13 +684,9 @@ def run_single(
         return _estimate(ell, ("StreamEnd", None, 0))
     if plan is None:
         plan = build_plan(stream, hashes, grid, params)
-
-    def key(tag, outcome: QueryOutcome):  # the arrival table is built on a fire only
-        return _fire_key(stream, hashes, grid, params, plan.big_m)(tag, outcome)
-
-    handle = create(plan.universe, plan.initial_members(), master_seed=seed, handle_id=handle_id)
-    items = (eplan.item for eplan in plan.edge_plans)
-    return _estimate(ell, run_tagged(handle, items, key, _end_key(plan), observer))
+    tape = plan.tape
+    handle = create(tape.universe, tape.members, master_seed=seed, handle_id=handle_id)
+    return _estimate(ell, run_tagged(handle, tape, observer))
 
 
 # ---------------------------------------------------------------------------
@@ -753,9 +760,7 @@ def terminal_law(
         return SnapshotLaw(ell, 0, Law({("StreamEnd", None, 0): Fraction(1)}))
     if plan is None:
         plan = build_plan(stream, hashes, grid, params)
-    key = _fire_key(stream, hashes, grid, params, plan.big_m)
-    items = (eplan.item for eplan in plan.edge_plans)
-    atoms = replay_law(plan.universe, plan.initial_members(), items, key, _end_key(plan)).atoms
+    atoms = replay_law(plan.tape).atoms
     return SnapshotLaw(ell, plan.big_m, Law(dict(sorted(atoms.items(), key=lambda a: repr(a[0])))))
 
 

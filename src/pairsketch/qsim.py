@@ -38,6 +38,7 @@ from .sketch import (
     QueryOutcome,
     QueryPair,
     ScriptOp,
+    Tape,
     Update,
     _check_query,
     replay_law,
@@ -180,10 +181,10 @@ def _enumerate_stochastic(universe, members, script) -> OutcomeDistribution:
         tagged.append((op, k))
         k += not isinstance(op, Update)
     end = ("Bot",) * k
-    law = replay_law(
+    law = replay_law(Tape(
         universe, members, script_items(universe, tagged),
         lambda before, outcome: ("Bot",) * before + (outcome.value,), end,
-    )
+    ))
     out = dict(law.atoms)
     if not out[end]:
         del out[end]

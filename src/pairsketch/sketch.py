@@ -40,10 +40,12 @@ given query fires depends only on the initial size and its presence pattern.
 ``replay_noiseless`` exposes that deterministic trajectory, and ``replay_law``
 folds its fire probabilities into one exact ``Law`` of a tape's outcomes.
 
-An estimator states its ops once, as a tape: a sequence of stream items, each
-a tuple of ``(PermutationSpec, None)`` and ``(QueryGroup, tags)`` pairs with
-one tag per query. ``run_tagged`` walks it live and ``replay_law`` noiselessly;
-both map a fire of the query tagged t with outcome o to ``key(t, o)``.
+An estimator declares itself once, as a ``Tape``: its universe, its initial
+members, its items (one per stream item, each a tuple of ``(PermutationSpec,
+None)`` and ``(QueryGroup, tags)`` pairs with one tag per query), the map
+``key(t, o)`` from a fire of the query tagged t with outcome o to a law key,
+and the end key of a run no query ends. ``run_tagged(handle, tape)`` walks it
+live and ``replay_law(tape)`` noiselessly, through the same key map.
 """
 from __future__ import annotations
 
@@ -65,6 +67,7 @@ from .errors import (
     InvariantError,
     ScriptError,
     SketchDestroyedError,
+    ValidationError,
 )
 from .permutation import Frame, PermutationSpec
 from .universe import UniverseSpec
@@ -121,6 +124,31 @@ def count_param(name: str, value, least: int = 0) -> int:
     if count < least:
         raise InvalidParamsError(f"{name} must be >= {least}, got {count}")
     return count
+
+
+def edge_list(n, edges, directed: bool) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(n, edges) of a simple graph on vertices 1..n, each number an int that
+    passes as ``count_param``'s counts do, else ``ValidationError``, carrying the
+    index of the edge at fault. Unless ``directed``, (v, u) repeats (u, v)."""
+    count = _as_index(n)
+    if count is None:
+        raise ValidationError(f"vertex count {n!r} must be an integer")
+    if count < 1:
+        raise ValidationError(f"vertex count {count} must be positive")
+    seen: dict[tuple[int, int], tuple[int, int]] = {}
+    for i, (u, v) in enumerate(edges):
+        a, b = _as_index(u), _as_index(v)
+        if a is None or b is None:
+            raise ValidationError(f"edge {i + 1} ({u!r}, {v!r}) has a non-integer endpoint", i)
+        if not (1 <= a <= count and 1 <= b <= count):
+            raise ValidationError(f"edge {i + 1} ({a}, {b}) leaves [1, {count}]", i)
+        if a == b:
+            raise ValidationError(f"edge {i + 1} is a self-loop at {a}", i)
+        edge = (a, b) if directed or a < b else (b, a)
+        if edge in seen:
+            raise ValidationError(f"edge {i + 1} ({a}, {b}) repeats an earlier edge", i)
+        seen[edge] = (a, b)
+    return count, tuple(seen.values())
 
 
 def _as_index(value) -> int | None:
@@ -730,6 +758,24 @@ def replay_noiseless(
     return ReplayTrace(survivors, Fraction(len(survivors), initial_size), steps)
 
 
+@dataclass(frozen=True)
+class Tape:
+    """An estimator's declaration. Every run starts from ``members`` over
+    ``universe`` and walks ``items``, one per stream item; the fire of the query
+    tagged t with outcome o ends it at law key ``key(t, o)``, and a run no query
+    ends, at ``end_key``. An instance builds its items once, as a tuple; a
+    one-off walk may pass a generator, walked once."""
+
+    universe: UniverseSpec
+    members: Iterable[int]
+    items: Iterable[tuple]
+    key: Callable[[object, QueryOutcome], Hashable]
+    end_key: Hashable
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self.items)
+
+
 #: ``replay_law``'s fire numerators: the least common multiple L of the
 #: ``FIRE_LAW`` scales, and per row each atom's (outcome, weight * L / scale).
 _LCM = math.lcm(*(scale for scale, _ in FIRE_LAW.values()))
@@ -739,18 +785,12 @@ _FIRE_NUMS = {
 }
 
 
-def replay_law(
-    universe: UniverseSpec,
-    members: Iterable[int],
-    items: Iterable[tuple],
-    key: Callable[[object, QueryOutcome], Hashable],
-    end_key: Hashable,
-) -> Law:
-    """Exact outcome law of ``run_tagged`` on the tape ``items``, from one lazy pass
-    of its noiseless replay.
+def replay_law(tape: Tape) -> Law:
+    """Exact outcome law of ``run_tagged`` on ``tape``, from one lazy pass of its
+    noiseless replay.
 
-    The fire atom of a query with tag t and outcome o goes to ``key(t, o)``,
-    and the survival mass to ``end_key``; atoms with equal keys add up, in
+    The fire atom of a query with tag t and outcome o goes to ``tape.key(t, o)``,
+    and the survival mass to ``tape.end_key``; atoms with equal keys add up, in
     order of first appearance.
 
     A query fires o with unconditional probability weight / (scale * |T0|)
@@ -761,10 +801,10 @@ def replay_law(
     |S|. The atoms add up as integer numerators, and each becomes one
     Fraction at the end.
     """
-    store = _MemberStore(universe, members)
+    store = _MemberStore(tape.universe, tape.members)
     initial_size = len(store.ids)
-    nums: dict = {}
-    for _, pair, _, _, tag, _, px, py in _replay(store, items):
+    key, end_key, nums = tape.key, tape.end_key, {}
+    for _, pair, _, _, tag, _, px, py in _replay(store, tape.items):
         for outcome, num in _FIRE_NUMS[pair, px + py]:
             atom = key(tag, outcome)
             nums[atom] = nums.get(atom, 0) + num
@@ -774,22 +814,21 @@ def replay_law(
 
 
 def run_tagged(
-    handle: SketchHandle, items: Iterable[tuple], key: Callable, end_key: Hashable,
-    observer: Callable[[int, set[int]], None] | None = None,
+    handle: SketchHandle, tape: Tape, observer: Callable[[int, set[int]], None] | None = None
 ) -> Hashable:
-    """Run the tape ``items`` on ``handle``, the live twin of ``replay_law``: return
-    ``key(tag, outcome)`` of the first query that fires, else ``end_key``.
+    """Run ``tape``'s items on ``handle``, the live twin of ``replay_law``: return
+    ``tape.key(tag, outcome)`` of the first query that fires, else ``tape.end_key``.
     ``observer`` (test hook) receives (item number from 1, member ids) after
     each item the handle survives."""
     update, query_group = handle.update, handle.query_group
-    for ell, item in enumerate(items, start=1):
+    for ell, item in enumerate(tape.items, start=1):
         for op, tags in item:
             if tags is None:
                 update(op)
                 continue
             hit = query_group(op)
             if hit is not None:
-                return key(tags[hit[0]], hit[1])
+                return tape.key(tags[hit[0]], hit[1])
         if observer is not None:
             observer(ell, handle.debug_members())
-    return end_key
+    return tape.end_key

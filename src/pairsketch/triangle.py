@@ -28,10 +28,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParamsError, ValidationError
+from .errors import InvalidParamsError
 from .permutation import PermutationSpec, SwapStage
-from .sketch import Law, QueryGroup, count_param, create, fire_probs, run_tagged
-from .tape import Tape
+from .sketch import Law, QueryGroup, Tape, count_param, create, edge_list, fire_probs, run_tagged
 from .universe import Block, IntRange, UniverseSpec
 
 
@@ -43,34 +42,29 @@ class EdgeStream:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"vertex count {self.n} must be positive")
-        object.__setattr__(
-            self, "edges", tuple((int(u), int(v)) for u, v in self.edges)
-        )
-        seen: set[frozenset[int]] = set()
-        for i, (u, v) in enumerate(self.edges):
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValidationError(f"edge {i + 1} ({u}, {v}) leaves [1, {self.n}]", i)
-            if u == v:
-                raise ValidationError(f"edge {i + 1} is a self-loop at {u}", i)
-            key = frozenset((u, v))
-            if key in seen:
-                raise ValidationError(f"edge {i + 1} ({u}, {v}) repeats an earlier edge", i)
-            seen.add(key)
+        n, edges = edge_list(self.n, self.edges, directed=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     @cached_property
-    def _tape(self) -> Tape:
-        """Every triangle run's tape, one item per edge (see ``_edge_ops``)."""
-        universe = triangle_universe(self)
-        off = universe.block_offset("scratch")
-        members = range(off, off + 2 * self.m)
-        items = tuple(_edge_ops(self.edges, self.n, universe, k) for k in range(self.m))
-        return Tape(universe, members, items)
+    def _universe(self) -> UniverseSpec:
+        return triangle_universe(self)
+
+    @cached_property
+    def _members(self) -> range:
+        """Every run's initial members: the 2m scratch ids."""
+        off = self._universe.block_offset("scratch")
+        return range(off, off + 2 * self.m)
+
+    @cached_property
+    def _items(self) -> tuple:
+        """Every triangle run's tape items, one per edge (see ``_edge_ops``); a run
+        walks each selected edge's whole item and the swap alone of the rest."""
+        return tuple(_edge_ops(self.edges, self.n, self._universe, k) for k in range(self.m))
 
     @cached_property
     def _laws(self) -> dict[int, Law]:
@@ -96,8 +90,7 @@ class TriangleParams:
     repetitions: tuple[int, int] | None = None  # (copies per group, groups)
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise InvalidParamsError(f"k must be >= 1, got {self.k}")
+        object.__setattr__(self, "k", count_param("k", self.k, 1))
         if not (0 < self.eps <= 1 and 0 < self.delta <= 1):
             raise InvalidParamsError("eps and delta must lie in (0, 1]")
         if self.T_prime <= 0 or self.Delta_E <= 0:
@@ -125,8 +118,7 @@ def oracle_t_split(stream: EdgeStream, k: int) -> TriangleOracleReport:
     earlier neighbour of both endpoints. ``per_triangle`` rows are
     (apex, v, w, d_v, d_w, weight), ordered by the triangle's sorted vertices.
     """
-    if k < 1:
-        raise InvalidParamsError(f"k must be >= 1, got {k}")
+    k = count_param("k", k, 1)
     arrival: list[dict[int, int]] = [{} for _ in range(stream.n + 1)]
     incident: list[list[int]] = [[] for _ in range(stream.n + 1)]
     damp = Fraction(k - 1, k)
@@ -192,17 +184,16 @@ def run_single(
     (edge index, member ids) after each completed edge while the sketch is
     alive.
     """
-    if k < 1:
-        raise InvalidParamsError(f"k must be >= 1, got {k}")
+    k = count_param("k", k, 1)
     m = stream.m
     if m == 0:
         return 0
-    tape = stream._tape
-    handle = create(tape.universe, tape.members, master_seed=seed, handle_id=handle_id)
     # the selection stream g: one draw per edge, as m calls of g.random()
     draws = np.random.default_rng(np.random.SeedSequence([seed, handle_id, 2])).random(m).tolist()
-    items = (item if g * k < 1.0 else item[1:] for item, g in zip(tape, draws))
-    return run_tagged(handle, items, lambda _, outcome: outcome.sign * k * m, 0, observer)
+    items = (item if g * k < 1.0 else item[1:] for item, g in zip(stream._items, draws))
+    tape = Tape(stream._universe, stream._members, items, lambda _, o: o.sign * k * m, 0)
+    handle = create(tape.universe, tape.members, master_seed=seed, handle_id=handle_id)
+    return run_tagged(handle, tape, observer)
 
 
 def estimate(stream: EdgeStream, params: TriangleParams, *, master_seed: int = 0) -> float:
@@ -258,8 +249,7 @@ def terminal_law(stream: EdgeStream, k: int) -> Law:
     in the order +km, -km, 0, each present only with positive mass. The
     stream builds each k's law on the first call and keeps it.
     """
-    if k < 1:
-        raise InvalidParamsError(f"k must be >= 1, got {k}")
+    k = count_param("k", k, 1)
     laws = stream._laws
     if k not in laws:
         laws[k] = _build_law(stream, k)

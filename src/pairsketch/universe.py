@@ -204,7 +204,3 @@ class _BlockLayout:
     end: int
     strides: tuple[int, ...]
     mod: int
-
-    def line(self, eid: int) -> int:
-        """First id of the cyclic line that holds ``eid``."""
-        return eid - (eid - self.offset) % self.mod

@@ -26,7 +26,7 @@ from pairsketch import (
 )
 from pairsketch import heavy_edges, pseudosnapshot
 from pairsketch.pseudosnapshot import DegreeGrid, HashOracles, SnapshotParams
-from pairsketch.sketch import replay_law, script_items
+from pairsketch.sketch import Tape, replay_law, script_items
 from pairsketch.permutation import Frame, compile_shift, frame_id
 from permutation_reference import fold, frame_steps
 from snapshot_reference import (
@@ -152,7 +152,8 @@ def _directed(n, m, seed):
 def _heavy_literal(stream, d_H, d_T, seed, hid):
     """(output, framed member set after each edge survived) of the literal script."""
     universe, script = heavy_edges.build_script(stream, d_H, d_T)
-    handle = create(universe, stream._tape.members, master_seed=seed, handle_id=hid)
+    members = heavy_edges._framed_edges(stream, d_H, d_T).members
+    handle = create(universe, members, master_seed=seed, handle_id=hid)
     seen = []
     for ell in range(stream.m):
         handle.update(script[2 * ell].perm)
@@ -187,9 +188,9 @@ def test_heavy_tape_items_equal_the_generic_fold():
     # the tape frames each swap by the lines' running degrees; a Frame folding
     # the literal stages edge by edge must give the same swap and rotations
     for stream in (_directed(8, 20, 2), _directed(12, 90, 5)):
-        universe = stream._tape.universe
+        universe = stream._universe
         frame = Frame(universe)
-        items = list(stream._tape)
+        items = list(stream._updates)
         assert len(items) == stream.m
         for k, (perm, turned) in enumerate(items):
             swaps, want = fold(frame, heavy_edges._edge_stages(stream.edges, stream.n, universe, k))
@@ -202,10 +203,11 @@ def test_heavy_law_equals_the_literal_replay():
     for d_H, d_T in ((1, 1), (2, 1), (3, 2)):
         universe, script = heavy_edges.build_script(stream, d_H, d_T)
         m = stream.m
-        want = replay_law(
-            universe, stream._tape.members, script_items(universe, ((op, None) for op in script)),
+        members = heavy_edges._framed_edges(stream, d_H, d_T).members
+        want = replay_law(Tape(
+            universe, members, script_items(universe, ((op, None) for op in script)),
             lambda _, o: o.sign * 2 * m, 0,
-        )
+        ))
         got = heavy_edges.terminal_law(stream, d_H, d_T)
         assert list(got.atoms.items()) == list(want.atoms.items())
 
@@ -317,10 +319,10 @@ def test_snapshot_law_equals_the_literal_replay(fix_plan):
     params = (FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS)
     key = pseudosnapshot._fire_key(*params, fix_plan.big_m)
     universe, tagged = literal_tagged_ops(*params)
-    want = replay_law(
+    want = replay_law(Tape(
         universe, range(fix_plan.big_m), script_items(universe, tagged), key,
         pseudosnapshot._end_key(fix_plan),
-    )
+    ))
     got = pseudosnapshot.terminal_law(*params, plan=fix_plan).law
     # terminal_law orders its atoms by the repr of their keys
     assert list(got.atoms.items()) == sorted(want.atoms.items(), key=lambda a: repr(a[0]))

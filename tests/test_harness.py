@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pairsketch import ConfigError, InvalidParamsError, ParseError
+from pairsketch import ConfigError, InvalidParamsError, ParseError, ValidationError
 from pairsketch import heavy_edges
 from pairsketch import pseudosnapshot as ps
 from pairsketch.bhm import BhmInstance
@@ -200,6 +200,22 @@ def test_edge_list_parse_errors(tmp_path, kind):
         with pytest.raises(ParseError) as err:
             parse_stream(path, kind)
         assert str(err.value).startswith(str(path)) and where in str(err.value)
+
+
+@pytest.mark.parametrize("make, n, edges, item", [
+    (EdgeStream, 4, [(1.7, 2)], 0),
+    (EdgeStream, 4.5, [(1, 2)], None),
+    (DirectedEdgeStream, 4, [(1, 2), (True, "2")], 1),
+])
+def test_edge_streams_take_integer_counts_and_endpoints_only(make, n, edges, item):
+    # a float, a bool or a string is no vertex; the error names the edge at fault
+    with pytest.raises(ValidationError) as err:
+        make(n, edges)
+    assert err.value.item == item
+    # numpy integers are integers, kept as ints
+    stream = make(np.int64(4), [(np.int64(1), 2), (3, np.int64(4))])
+    assert (stream.n, stream.edges) == (4, ((1, 2), (3, 4)))
+    assert {type(x) for x in (stream.n, *stream.edges[0], *stream.edges[1])} == {int}
 
 
 def test_bhm_alpha_with_an_exponent_fails_fast(tmp_path):

@@ -28,7 +28,7 @@ from pairsketch import bhm, heavy_edges, triangle
 from pairsketch import pseudosnapshot as ps
 from pairsketch import sketch
 from pairsketch.harness import ExperimentConfig, random_script, run_experiment
-from pairsketch.sketch import Law, replay_law, replay_noiseless, script_items
+from pairsketch.sketch import Law, Tape, replay_law, replay_noiseless, script_items
 from tape_reference import build_script, tagged_script
 from test_live_tapes import _directed, _gnp
 from test_universe import universes
@@ -89,9 +89,9 @@ def test_replay_law_keys_and_merges_in_first_appearance_order():
         (QueryOne(1), "one"),
         (QueryOne(3), "one"),
     ]
-    law = replay_law(
+    law = replay_law(Tape(
         EIGHT, [0, 1, 2, 3], script_items(EIGHT, ops), lambda tag, out: (tag, out.value), "end"
-    )
+    ))
     assert list(law.atoms) == [("pair", "Plus"), ("pair", "Minus"), ("one", "In"), "end"]
     assert law.atoms[("pair", "Plus")] == law.atoms[("pair", "Minus")] == Fraction(1, 8)
     # both single queries fire with 1/|T0| each: they merge under one key
@@ -107,17 +107,18 @@ def test_replay_law_checks_each_op_universe_as_the_handle_does():
 
     for item in (((swap_perm(other, (0, 1)), None),), ((QueryGroup(other, [1]), ("q",)),)):
         with pytest.raises(ScriptError, match="universe does not match"):
-            replay_law(EIGHT, [0, 1], [item], key, "end")
+            replay_law(Tape(EIGHT, [0, 1], [item], key, "end"))
     twin = UniverseSpec(EIGHT.blocks)  # equal, not the same object
-    law = replay_law(EIGHT, [0, 1], [((QueryGroup(twin, [1]), ("q",)),)], key, "end")
+    law = replay_law(Tape(EIGHT, [0, 1], [((QueryGroup(twin, [1]), ("q",)),)], key, "end"))
     assert law.atoms == {("q", "In"): Fraction(1, 2), "end": Fraction(1, 2)}
 
 
 @pytest.mark.parametrize("tags", [("a",), ("a", "b", "c")])
 def test_replay_law_needs_one_tag_per_query(tags):
     # a short tag tuple would drop the group's later queries from the law
+    items = [((QueryGroup(EIGHT, [0, 1]), tags),)]
     with pytest.raises(ScriptError, match="a group of 2 queries carries"):
-        replay_law(EIGHT, [0, 1], [((QueryGroup(EIGHT, [0, 1]), tags),)], lambda t, o: t, "end")
+        replay_law(Tape(EIGHT, [0, 1], items, lambda t, o: t, "end"))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -126,9 +127,9 @@ def test_replay_law_matches_the_quantum_first_hit_law(seed):
     members = sorted(int(x) for x in rng.choice(8, size=int(rng.integers(1, 6)), replace=False))
     script = random_script(EIGHT, rng, 8)
     tagged = [(op, k) for k, op in enumerate(script)]
-    law = replay_law(
+    law = replay_law(Tape(
         EIGHT, members, script_items(EIGHT, tagged), lambda k, out: (k, out.value), "end"
-    )
+    ))
     quantum = enumerate_distribution(EIGHT, members, script, "quantum")
     queries = [k for k, op in enumerate(script) if not isinstance(op, Update)]
     for key, p in law.atoms.items():
@@ -203,6 +204,13 @@ NEGATIVE_TRIALS = {
     "TriangleParams.repetitions.copies": (
         "copies per group must be >= 1", lambda: _triangle_params((-1, 1))),
     "TriangleParams.repetitions.groups": ("groups must be >= 1", lambda: _triangle_params((1, -1))),
+    "triangle.run_single": ("k must be >= 1", lambda: triangle.run_single(TRIANGLE, -1, 0)),
+    "triangle.oracle_t_split": ("k must be >= 1", lambda: triangle.oracle_t_split(TRIANGLE, -2)),
+    "heavy_edges.terminal_law": (
+        "d_H must be >= 1", lambda: heavy_edges.terminal_law(HEAVY, -1, 1)),
+    "heavy_edges.oracle_heavy_count": (
+        "d_T must be >= 1", lambda: heavy_edges.oracle_heavy_count(HEAVY, 1, -1)),
+    "HeavyParams.d_T": ("d_T must be >= 1", lambda: heavy_edges.HeavyParams(1, -1, 0.5)),
 }
 
 
@@ -244,6 +252,18 @@ COUNTED = {
         "copies per group", lambda n: triangle.estimate(TRIANGLE, _triangle_params((n, 2)))),
     "TriangleParams.repetitions.groups": (
         "groups", lambda n: triangle.estimate_sampled(TRIANGLE, _triangle_params((2, n)))),
+    "triangle.run_single": ("k", lambda n: triangle.run_single(TRIANGLE, n, 0)),
+    "triangle.terminal_law": ("k", lambda n: triangle.terminal_law(TRIANGLE, n)),
+    "triangle.oracle_t_split": ("k", lambda n: triangle.oracle_t_split(TRIANGLE, n)),
+    "TriangleParams.k": ("k", lambda n: triangle.TriangleParams(n, 1.0, 1.0, 0.5, 0.5).k),
+    "heavy_edges.run_single": ("d_H", lambda n: heavy_edges.run_single(HEAVY, n, 1, 0)),
+    "heavy_edges.terminal_law": ("d_T", lambda n: heavy_edges.terminal_law(HEAVY, 1, n)),
+    "heavy_edges.oracle_heavy_count.d_H": (
+        "d_H", lambda n: heavy_edges.oracle_heavy_count(HEAVY, n, 1)),
+    "heavy_edges.oracle_heavy_count.d_T": (
+        "d_T", lambda n: heavy_edges.oracle_heavy_count(HEAVY, 1, n)),
+    "HeavyParams.d_H": ("d_H", lambda n: heavy_edges.HeavyParams(n, 1, 0.5).d_H),
+    "HeavyParams.d_T": ("d_T", lambda n: heavy_edges.HeavyParams(1, n, 0.5).d_T),
 }
 
 
@@ -495,7 +515,7 @@ def test_integer_replay_law_matches_the_fraction_sum(case, fold, end_key):
     def key(k, out):  # folding tags makes atoms of different queries merge
         return k % fold, out.value
 
-    law = replay_law(universe, members, script_items(universe, tagged), key, end_key)
+    law = replay_law(Tape(universe, members, script_items(universe, tagged), key, end_key))
     _same_atoms(law, _fraction_replay_law(universe, members, tagged, key, end_key))
 
 
@@ -508,10 +528,9 @@ def test_estimator_laws_match_the_fraction_sum():
 
     stream = heavy_edges.DirectedEdgeStream(5, ((1, 2), (3, 2), (2, 4), (4, 1), (2, 5), (5, 1)))
     m = stream.m
-    tagged = tagged_script(heavy_edges._framed_edges(stream, 2, 1))
-    tape = stream._tape
+    tape = heavy_edges._framed_edges(stream, 2, 1)
     _same_atoms(heavy_edges.terminal_law(stream, 2, 1), _fraction_replay_law(
-        tape.universe, tape.members, tagged, lambda _, o: o.sign * 2 * m, 0))
+        tape.universe, tape.members, tagged_script(tape), lambda _, o: o.sign * 2 * m, 0))
 
     stream, hashes, grid, params = SNAPSHOT
     plan = ps.build_plan(stream, hashes, grid, params)

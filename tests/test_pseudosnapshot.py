@@ -567,6 +567,7 @@ def test_hash_budget_flag_path(fix_plan):
         capacity_edge=None,
         f_alpha=fix_plan.f_alpha,
         f_beta=fix_plan.f_beta,
+        fire_key=fix_plan.fire_key,
     )
     est = run_single(FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS, 0, plan=starved)
     assert est.terminated_by == "HashBudget"
@@ -578,6 +579,36 @@ def test_hash_budget_flag_path(fix_plan):
     # contributes at most two fires against an allowance of 2*kappa per edge
     assert fix_plan.hash_budget_ok
     assert sum(fix_plan.f_alpha) + sum(fix_plan.f_beta) <= 2 * FIX_PARAMS.kappa * FIX_STREAM.m
+
+
+def test_a_plan_builds_its_fire_keys_and_arrival_table_once(monkeypatch):
+    # the key map reads an O(m) arrival table; however many runs fire, the
+    # plan builds both once and its runs and law share them
+    from pairsketch import pseudosnapshot
+
+    made = {"keys": 0, "arrivals": 0}
+    fire_key, arrivals = pseudosnapshot._fire_key, _Arrivals.__init__
+
+    def counted_key(*args):
+        made["keys"] += 1
+        return fire_key(*args)
+
+    def counted_arrivals(self, stream):
+        made["arrivals"] += 1
+        arrivals(self, stream)
+
+    monkeypatch.setattr(pseudosnapshot, "_fire_key", counted_key)
+    monkeypatch.setattr(_Arrivals, "__init__", counted_arrivals)
+    plan = build_plan(FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS)
+    ends = [
+        run_single(FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS, 3, handle_id=h, plan=plan)
+        for h in range(40)
+    ]
+    assert sum(est.terminated_by != "StreamEnd" for est in ends) > 5
+    terminal_law(FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS, plan=plan)
+    estimate(FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS, master_seed=3, copies=40)
+    # the estimate builds a plan of its own, once for all its copies
+    assert made == {"keys": 2, "arrivals": 2}
 
 
 # -- the exact terminal law ------------------------------------------------

@@ -184,7 +184,7 @@ def test_fixed_op_sequences_frame_their_ids_by_arithmetic():
     sources = {
         "pseudosnapshot.py": ["build_plan", "_increments", *plan],
         "heavy_edges.py": [
-            "DirectedEdgeStream._tape", "_fresh_pairs", "_framed_update", "_framed_edges"
+            "DirectedEdgeStream._updates", "_fresh_pairs", "_framed_update", "_framed_edges"
         ],
     }
     for name, qualnames in sources.items():
