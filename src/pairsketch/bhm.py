@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import InvalidParamsError, ValidationError
 from .permutation import PermutationSpec, SwapStage
-from .sketch import Law, QueryGroup, QueryOutcome, Tape, count_param, create, replay_law
-from .sketch import run_tagged
+from .sketch import Law, QueryGroup, QueryOutcome, Tape, count_param, create, purpose_rng
+from .sketch import replay_law, run_tagged
 from .universe import Block, IntRange, UniverseSpec
 
 #: Pair-query bit patterns, probed in this order for every edge.
@@ -65,7 +65,8 @@ class BhmInstance:
     stream: tuple[StreamItem, ...]
 
     def __post_init__(self) -> None:
-        n, alpha = self.n, Fraction(self.alpha)
+        n, alpha = count_param("n", self.n), Fraction(self.alpha)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "alpha", alpha)
         m = alpha * n
         if n < 1 or m.denominator != 1 or not 1 <= m <= Fraction(n, 2):
@@ -138,7 +139,7 @@ def generate_instance(
     interleaving: str = "shuffle",
 ) -> BhmInstance:
     """Random instance with matching size alpha*n and consistent edge labels."""
-    alpha = Fraction(alpha)
+    n, alpha = count_param("n", n), Fraction(alpha)
     if interleaving not in INTERLEAVINGS:
         raise InvalidParamsError(f"interleaving must be one of {INTERLEAVINGS}")
     m = alpha * n
@@ -232,25 +233,16 @@ def terminal_slabs(inst: BhmInstance) -> Law:
     return inst._law
 
 
-def _rng(master_seed: int) -> np.random.Generator:
-    """The generator every draw from the exact law takes: tag 1 of ``master_seed``."""
-    return np.random.default_rng(np.random.SeedSequence([master_seed, 1]))
-
-
-def _codes(law: Law) -> np.ndarray:
-    """Each atom's output as an int8, -1 coding None."""
-    return np.array([-1 if out is None else out for _, out in law.atoms], dtype=np.int8)
-
-
 def sample_outputs(inst: BhmInstance, master_seed: int, trials: int) -> np.ndarray:
     """Vectorized draws from the exact run_single distribution (-1 codes None)."""
     law = terminal_slabs(inst)
-    return _codes(law)[law.sample(_rng(master_seed), trials)]
+    codes = np.array([-1 if out is None else out for _, out in law.atoms], dtype=np.int8)
+    return codes[law.sample(purpose_rng("bhm", master_seed), trials)]
 
 
 def sample_counts(inst: BhmInstance, master_seed: int, trials: int) -> np.ndarray:
-    """Per-atom counts, in ``terminal_slabs`` order, of the draws ``sample_outputs`` makes."""
-    return terminal_slabs(inst).sample_counts(_rng(master_seed), trials)
+    """Per-atom counts, in ``terminal_slabs`` order, of ``trials`` draws from it."""
+    return terminal_slabs(inst).draw_counts(purpose_rng("bhm", master_seed), trials)
 
 
 def sample_majority(
@@ -258,20 +250,13 @@ def sample_majority(
 ) -> np.ndarray:
     """Majority outputs of meta_trials independent vote committees.
 
-    Committee i votes with draws i * copies .. (i + 1) * copies - 1 of
-    ``sample_outputs(inst, master_seed, meta_trials * copies)``, counted a
-    block of whole committees at a time.
+    A committee's ones, zeros and aborts among its ``copies`` runs are one
+    multinomial draw over the three outputs of the exact law; it votes 1 when
+    its ones outnumber its zeros.
     """
     copies = default_copies(inst.alpha) if copies is None else count_param("copies", copies, 1)
     meta_trials = count_param("meta_trials", meta_trials)
     law = terminal_slabs(inst)
-    codes = _codes(law)
-    votes = np.empty(meta_trials, dtype=np.int8)
-    done = 0
-    for idx in law.blocks(_rng(master_seed), meta_trials * copies, copies):
-        draws = codes[idx].reshape(-1, copies)
-        ones = (draws == 1).sum(axis=1)
-        zeros = (draws == 0).sum(axis=1)
-        votes[done:done + len(draws)] = ones > zeros
-        done += len(draws)
-    return votes
+    outputs = Law({out: law.expect(lambda key: key[1] == out) for out in (1, 0, None)})
+    counts = outputs.draw_counts(purpose_rng("majority", master_seed), copies, meta_trials)
+    return (counts[:, 0] > counts[:, 1]).astype(np.int8)

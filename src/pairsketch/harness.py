@@ -7,14 +7,16 @@ aggregates against the exact oracles at a four-sigma gate, and returns a
 ``Report`` whose JSON form is canonical: the same config and seed always
 produce the same bytes. A gate's sigma is the standard error, at the trial
 count, of the exact law the draws come from (bhm's majority vote: sampled).
-The runners take their aggregates from per-atom draw counts
-(``Law.sample_counts``), which draw in fixed blocks the very uniforms, and
-so the very atoms, that ``Law.sample`` gives, in memory that does not grow
-with the trial count.
+The runners read only per-atom counts of their trials, and draw them as one
+multinomial (``Law.draw_counts``), so an experiment's sampling costs
+O(atoms) in time and memory whatever its trial count; bhm's majority vote
+draws each committee's ones, zeros and aborts from the three-output law.
 
-Per-trial randomness is keyed by ``SeedSequence([master_seed, index])`` (or by
-a single vectorized stream drawn from the master seed), so the numbers do not
-depend on execution order and a parallel driver would reproduce them.
+Every random purpose has its own stream of the master seed
+(``sketch.purpose_rng``): each sampler, the majority vote, and each
+equivalence script i, none of which is a live handle's ``[master_seed,
+handle_id]`` stream. So the numbers do not depend on execution order and a
+parallel driver would reproduce them.
 """
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ from .errors import ConfigError, InvalidParamsError, ParseError, ValidationError
 from .heavy_edges import DirectedEdgeStream
 from .permutation import CyclicShift, PermutationSpec, swap_perm
 from .qsim import enumerate_distribution
-from .sketch import Law, QueryOne, QueryPair, ScriptOp, Update
+from .sketch import Law, QueryOne, QueryPair, ScriptOp, Update, purpose_rng
 from .triangle import EdgeStream
 from .universe import Block, IntRange, UniverseSpec
 
@@ -118,11 +120,6 @@ class ExperimentConfig:
             "instance": dict(inst) if isinstance(inst, Mapping) else inst,
             "output": self.output,
         }
-
-
-def trial_seed(master_seed: int, index: int) -> int:
-    """Stable per-trial seed; independent of how trials are scheduled."""
-    return int(np.random.SeedSequence([master_seed, index]).generate_state(1)[0])
 
 
 # -- report ----------------------------------------------------------------------
@@ -557,7 +554,7 @@ def _run_bhm(inst: BhmInstance, params, trials, seed):
     }
 
     if meta_trials:
-        votes = _bhm.sample_majority(inst, trial_seed(seed, 1), meta_trials, copies)
+        votes = _bhm.sample_majority(inst, seed, meta_trials, copies)
         success = float(np.mean(votes == inst.b))
         # sampled: the exact majority law would be a convolution over the copies
         sigma_m = math.sqrt(max(success * (1 - success), 1e-12) / meta_trials)
@@ -722,7 +719,7 @@ def _run_equivalence(_instance, params, trials, seed):
     max_tv = 0.0
     covered: set[frozenset[int]] = set()
     for i in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        rng = purpose_rng("equivalence", seed, i)
         members = sorted(subsets[i % len(subsets)])
         script = random_script(universe, rng, max_len)
         classical = enumerate_distribution(universe, members, script)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InvalidParamsError
 from .permutation import CyclicShift, PermutationSpec, SwapStage, frame_id
 from .sketch import Law, QueryGroup, QueryPair, ScriptOp, Tape, Update, create, replay_law
-from .sketch import count_param, edge_list, run_tagged
+from .sketch import count_param, edge_list, purpose_rng, run_tagged, signed_key
 from .universe import Block, IntRange, Labels, UniverseSpec
 
 
@@ -181,7 +181,7 @@ def _framed_edges(stream: DirectedEdgeStream, d_H: int, d_T: int) -> Tape:
             items.append(((perm, None), (QueryGroup(universe, (x,), (y,)), (None,))))
         off = universe.block_offset("scratch")
         steps[d_H, d_T] = Tape(
-            universe, range(off, off + 4 * m), tuple(items), lambda _, o: o.sign * 2 * m, 0
+            universe, range(off, off + 4 * m), tuple(items), partial(signed_key, 2 * m), 0
         )
     return steps[d_H, d_T]
 
@@ -268,25 +268,20 @@ def terminal_law(stream: DirectedEdgeStream, d_H: int, d_T: int) -> Law:
     return laws[d_H, d_T]
 
 
-def _rng(master_seed: int) -> np.random.Generator:
-    """The generator every draw from the exact law takes: tag 4 of ``master_seed``."""
-    return np.random.default_rng(np.random.SeedSequence([master_seed, 4]))
-
-
 def sample_outputs(
     stream: DirectedEdgeStream, d_H: int, d_T: int, master_seed: int, trials: int
 ) -> np.ndarray:
     """Vectorized draws from the exact run_single output law."""
-    rng = _rng(master_seed)
     law = terminal_law(stream, d_H, d_T)
-    return np.array(list(law.atoms), dtype=np.int32)[law.sample(rng, trials)]
+    idx = law.sample(purpose_rng("heavy", master_seed), trials)
+    return np.array(list(law.atoms), dtype=np.int32)[idx]
 
 
 def sample_counts(
     stream: DirectedEdgeStream, d_H: int, d_T: int, master_seed: int, trials: int
 ) -> np.ndarray:
-    """Per-atom counts, in ``terminal_law`` order, of the draws ``sample_outputs`` makes."""
-    return terminal_law(stream, d_H, d_T).sample_counts(_rng(master_seed), trials)
+    """Per-atom counts, in ``terminal_law`` order, of ``trials`` draws from it."""
+    return terminal_law(stream, d_H, d_T).draw_counts(purpose_rng("heavy", master_seed), trials)
 
 
 def estimate_sampled(
@@ -296,8 +291,8 @@ def estimate_sampled(
     *,
     copies: int | None = None,
 ) -> float:
-    """Same aggregation as ``estimate``, drawing runs from their exact law and
-    counting them per atom, in memory that does not grow with ``copies``."""
+    """Same aggregation as ``estimate``, over the per-atom counts of ``copies``
+    runs drawn from their exact law (``sample_counts``)."""
     copies = _copies(stream, params, copies)
     counts = sample_counts(stream, params.d_H, params.d_T, seed, copies)
     law = terminal_law(stream, params.d_H, params.d_T)

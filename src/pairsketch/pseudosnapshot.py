@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from hashlib import blake2b
 from typing import Callable
 
@@ -28,7 +28,7 @@ from .errors import (
 from .heavy_edges import DirectedEdgeStream
 from .permutation import PermutationSpec, SwapStage, frame_id
 from .sketch import Law, QueryGroup, QueryOne, QueryOutcome, QueryPair, Tape, create, replay_law
-from .sketch import count_param, run_tagged
+from .sketch import count_param, purpose_rng, run_tagged
 from .universe import Block, IntRange, Labels, UniverseSpec
 
 FAMILIES = ("A", "B", "C", "D")
@@ -130,8 +130,8 @@ class HashOracles:
     eps: Fraction
 
     def __post_init__(self):
-        if self.kappa < 1:
-            raise InvalidParamsError("kappa must be at least 1")
+        object.__setattr__(self, "seed", count_param("seed", self.seed))
+        object.__setattr__(self, "kappa", count_param("kappa", self.kappa, 1))
         object.__setattr__(self, "eps", to_fraction(self.eps))
 
     def f(self, d: int, edge_index: int) -> bool:
@@ -164,8 +164,14 @@ class SnapshotParams:
         object.__setattr__(
             self, "thresholds", tuple(to_fraction(t) for t in self.thresholds)
         )
-        if self.kappa < 1:
-            raise InvalidParamsError("kappa must be at least 1")
+        object.__setattr__(self, "kappa", count_param("kappa", self.kappa, 1))
+        try:
+            a, b = self.class_pair
+        except (TypeError, ValueError):
+            raise InvalidParamsError(
+                f"class_pair must be (alpha, beta), got {self.class_pair!r}"
+            ) from None
+        object.__setattr__(self, "class_pair", (count_param("alpha", a), count_param("beta", b)))
         if not self.thresholds:
             raise InvalidParamsError("need at least one threshold")
         ts = self.thresholds
@@ -392,7 +398,7 @@ class EdgePlan:
 class ScriptPlan:
     """The ops of every run on one hash draw: ``edge_plans`` in framed ids,
     from ``initial_members()`` (scratch, which no shift moves). ``fire_key``
-    maps a fire to its law key (``_fire_key``)."""
+    maps a fire to its law key (``_FireKey``)."""
 
     universe: UniverseSpec
     edge_plans: tuple[EdgePlan, ...]
@@ -576,7 +582,7 @@ def build_plan(
         capacity_edge=capacity_edge,
         f_alpha=fa,
         f_beta=fb,
-        fire_key=_fire_key(stream, hashes, grid, params, plan.big_m),
+        fire_key=_FireKey(stream, hashes, grid, params, plan.big_m),
     )
 
 
@@ -585,40 +591,47 @@ def build_plan(
 # ---------------------------------------------------------------------------
 
 
-def _fire_key(stream, hashes, grid, params, big_m: int):
+class _FireKey:
     """``key(tag, outcome) -> (terminated_by, entry, value)`` for a fire, built
-    once per plan (``build_plan``) with its arrival table.
+    once per plan (``build_plan``) with its arrival table; a module-level class,
+    so a plan pickles.
 
     A cleanup (tag None) zeroes the run. A hit at tag (edge, x, i, j) selects
     an estimate entry: after a hit the estimator watches the rest of the
     stream, so the after-the-edge degree counts are exact; they come from the
     arrival table. The before counts are read off the hit coordinates: a hit
     at (i, j) puts the head at rounded degree d_a with i - 1 sampled
-    out-edges, and the tail at d_b with j - 1.
+    out-edges, and the tail at d_b with j - 1. ``entries`` keeps each
+    (edge, i, j)'s entry once computed.
     """
-    d_a, _, d_b, _ = params.validate_with(grid, hashes)
-    arrivals = _Arrivals(stream)
-    half = big_m // 2
 
-    @cache
-    def entry(edge_index: int, i: int, j: int) -> tuple[int, int] | None:
-        u, v = stream.edges[edge_index - 1]
-        _, bu = _pseudobias(hashes, u, d_a, i - 1, *arrivals.after(edge_index, u))
-        _, bv = _pseudobias(hashes, v, d_b, j - 1, *arrivals.after(edge_index, v))
-        iu, iv = params.bin_of(bu), params.bin_of(bv)
-        return None if iu is None or iv is None else (iu, iv)
+    def __init__(self, stream, hashes, grid, params, big_m: int) -> None:
+        self.d_a, _, self.d_b, _ = params.validate_with(grid, hashes)
+        self.stream, self.hashes, self.params = stream, hashes, params
+        self.arrivals = _Arrivals(stream)
+        self.half = big_m // 2
+        self.entries: dict[tuple[int, int, int], tuple[int, int] | None] = {}
 
-    def key(tag, outcome: QueryOutcome):
+    def entry(self, edge_index: int, i: int, j: int) -> tuple[int, int] | None:
+        at = (edge_index, i, j)
+        if at not in self.entries:
+            u, v = self.stream.edges[edge_index - 1]
+            after = self.arrivals.after
+            _, bu = _pseudobias(self.hashes, u, self.d_a, i - 1, *after(edge_index, u))
+            _, bv = _pseudobias(self.hashes, v, self.d_b, j - 1, *after(edge_index, v))
+            iu, iv = self.params.bin_of(bu), self.params.bin_of(bv)
+            self.entries[at] = None if iu is None or iv is None else (iu, iv)
+        return self.entries[at]
+
+    def __call__(self, tag, outcome: QueryOutcome):
         if tag is None:
             return ("Cleanup", None, 0)
         edge_index, x, i, j = tag
-        cell = entry(edge_index, i, j)
+        cell = self.entry(edge_index, i, j)
         # an out-of-class hit still terminates, but its output is the zero
         # matrix, so the key is what a run can actually show
-        value = 0 if cell is None else outcome.sign * (half if x in (1, 4) else -half)
+        value = 0 if cell is None else outcome.sign * (self.half if x in (1, 4) else -self.half)
         return (outcome.value, cell, value)
-
-    return key
 
 
 def _end_key(plan: ScriptPlan):
@@ -727,23 +740,18 @@ class SnapshotLaw:
         rows = np.array([k[1][0] if k[1] else -1 for k in keys], dtype=np.int64)
         cols = np.array([k[1][1] if k[1] else -1 for k in keys], dtype=np.int64)
         vals = np.array([k[2] for k in keys], dtype=np.int64)
-        idx = self.law.sample(_rng(master_seed), trials)
+        idx = self.law.sample(purpose_rng("snapshot", master_seed), trials)
         return rows[idx], cols[idx], vals[idx]
 
     def entry_sums(self, master_seed: int, trials: int) -> np.ndarray:
-        """The per-entry sums, an ell x ell int64 array, of the draws ``sample``
-        makes, counted per atom in memory that does not grow with ``trials``."""
-        counts = self.law.sample_counts(_rng(master_seed), trials)
+        """The per-entry sums, an ell x ell int64 array, of ``trials`` runs drawn
+        from ``law``, summed over their per-atom counts."""
+        counts = self.law.draw_counts(purpose_rng("snapshot", master_seed), trials)
         sums = np.zeros((self.ell, self.ell), dtype=np.int64)
         for (_, entry, value), count in zip(self.atoms, counts.tolist()):
             if entry is not None:
                 sums[entry] += count * value
         return sums
-
-
-def _rng(master_seed: int) -> np.random.Generator:
-    """The generator every draw from a ``SnapshotLaw`` takes: tag 6 of ``master_seed``."""
-    return np.random.default_rng(np.random.SeedSequence([master_seed, 6]))
 
 
 def terminal_law(

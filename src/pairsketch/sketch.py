@@ -108,10 +108,6 @@ def fire_probs(pair: bool, present: int, size: int) -> Iterator[tuple[QueryOutco
         yield outcome, Fraction(weight, scale * size)
 
 
-#: Uniforms per block of ``Law.blocks``; 2**14 was the fastest of 2**12..2**18.
-_DRAW_BLOCK = 1 << 14
-
-
 def count_param(name: str, value, least: int = 0) -> int:
     """``value`` as an int of at least ``least``, else ``InvalidParamsError`` naming ``name``.
 
@@ -165,10 +161,10 @@ def _as_index(value) -> int | None:
 class Law:
     """Exact finite output law: ``atoms`` maps each outcome key to a Fraction.
 
-    The atoms keep their insertion order, which fixes how ``sample`` maps
-    draws to atoms. Construction raises ``InvariantError`` unless the mass is
-    exactly one. ``atoms`` is read-only once built: ``expect`` and ``sample``
-    keep numbers derived from it.
+    The atoms keep their insertion order, which fixes how ``sample`` and
+    ``draw_counts`` map draws to atoms. Construction raises ``InvariantError``
+    unless the mass is exactly one. ``atoms`` is read-only once built: ``expect``
+    and the samplers keep numbers derived from it.
     """
 
     atoms: dict
@@ -193,70 +189,37 @@ class Law:
         return Fraction(sum(v * num for key, num in zip(self.atoms, nums) if (v := f(key))), den)
 
     @cached_property
-    def _guide(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cumulative bounds, guide table) of ``sample``, built on its first call.
+    def _floats(self) -> tuple[np.ndarray, np.ndarray]:
+        """(probabilities up to the last positive atom, cumulative bounds) as floats,
+        built on first use.
 
-        The bounds from the last positive atom on are pinned to 1, so float
-        rounding in the probabilities can never leave a draw on a zero-mass
-        atom after it or past the final atom. The table splits [0, 1) into
-        ``cells`` equal cells, a power of two at least eight per atom: cell j
-        holds the index every draw in [j/cells, (j+1)/cells) lands on, or -1
-        where a bound falls inside the cell.
+        The atoms past the last positive one have no probability in the first
+        array, so ``draw_counts`` never counts them; and the bounds from the last
+        positive atom on are pinned to 1, so float rounding can never leave a
+        ``sample`` draw on a zero-mass atom after it or past the final atom.
         """
-        probs = list(self.atoms.values())
-        cum = np.cumsum([float(p) for p in probs])
-        cum[max(k for k, p in enumerate(probs) if p):] = 1.0
-        cells = 1 << (8 * len(cum) - 1).bit_length()
-        edges = np.arange(cells + 1) / cells
-        lo = np.searchsorted(cum, edges[:-1], side="right")
-        hi = np.searchsorted(cum, edges[1:], side="left")
-        return cum, np.where(lo == hi, lo, -1)
-
-    def _indices(self, u: np.ndarray) -> np.ndarray:
-        """Atom index of each uniform in ``u``: ``np.searchsorted(cum, u,
-        side="right")`` over the pinned cumulative bounds.
-
-        The guide table answers every draw whose cell holds no bound, and the
-        search runs for the rest only. u * cells is exact, cells being a power
-        of two.
-        """
-        cum, table = self._guide
-        idx = table[(u * len(table)).astype(np.intp)]
-        miss = idx < 0
-        if miss.any():
-            idx[miss] = np.searchsorted(cum, u[miss], side="right")
-        return idx
+        probs = [float(p) for p in self.atoms.values()]
+        top = max(k for k, p in enumerate(probs) if p) + 1
+        cum = np.cumsum(probs)
+        cum[top - 1:] = 1.0
+        return np.array(probs[:top]), cum
 
     def sample(self, rng: np.random.Generator, trials: int) -> np.ndarray:
-        """Indices, in ``atoms`` order, of ``trials`` independent draws, one
-        uniform each."""
-        return self._indices(rng.random(count_param("trials", trials)))
+        """Indices, in ``atoms`` order, of ``trials`` independent draws: one uniform
+        u each, at ``np.searchsorted(cum, u, side="right")`` over the cumulative
+        bounds."""
+        return np.searchsorted(self._floats[1], rng.random(count_param("trials", trials)), "right")
 
-    def blocks(self, rng: np.random.Generator, trials: int, unit: int = 1) -> Iterator[np.ndarray]:
-        """The indices ``sample`` gives, a block of whole ``unit``-draw runs at a time.
-
-        A block holds as many whole units as fit in ``_DRAW_BLOCK`` draws, at
-        least one. Its uniforms go into one reused buffer: ``rng.random(b,
-        out=...)`` block after block gives the doubles of one
-        ``rng.random(trials)``. The counts are checked on the call.
-        """
-        trials, unit = count_param("trials", trials), count_param("unit", unit, 1)
-        size = max(1, _DRAW_BLOCK // unit) * unit
-        buf = np.empty(min(size, trials))
-
-        def block(start: int) -> np.ndarray:
-            u = buf[: min(size, trials - start)]
-            rng.random(len(u), out=u)
-            return self._indices(u)
-
-        return map(block, range(0, trials, size))
-
-    def sample_counts(self, rng: np.random.Generator, trials: int) -> np.ndarray:
-        """How many of the ``trials`` draws ``sample`` gives land on each atom,
-        in ``atoms`` order, in memory that does not grow with ``trials``."""
-        counts = np.zeros(len(self.atoms), dtype=np.int64)
-        for idx in self.blocks(rng, trials):
-            counts += np.bincount(idx, minlength=len(counts))
+    def draw_counts(self, rng: np.random.Generator, trials: int, groups: int | None = None):
+        """How many of ``trials`` independent draws land on each atom, in ``atoms``
+        order, as int64: one ``rng.multinomial`` draw, whose cost is O(atoms)
+        whatever ``trials`` is. With ``groups``, a ``groups`` x atoms array: one
+        row of counts per group of ``trials`` draws. Zero-mass atoms count 0."""
+        probs = self._floats[0]
+        size = None if groups is None else (count_param("groups", groups),)
+        drawn = rng.multinomial(count_param("trials", trials), probs, size)
+        counts = np.zeros(drawn.shape[:-1] + (len(self.atoms),), dtype=np.int64)
+        counts[..., :len(probs)] = drawn
         return counts
 
 
@@ -602,6 +565,26 @@ def _seed_key(name: str, value) -> int:
     return key
 
 
+#: The seed word of each purpose that draws from a master seed, other than the
+#: live handles and the triangle edge selection (see ``purpose_rng``).
+SEED_PURPOSES = {"bhm": 1, "triangle": 2, "heavy": 3, "snapshot": 4, "majority": 5,
+                 "equivalence": 6}
+
+
+def purpose_rng(purpose: str, seed: int, index: int = 0) -> np.random.Generator:
+    """The generator of ``purpose`` (a ``SEED_PURPOSES`` key) at (``seed``, ``index``).
+
+    A live handle draws from the seed words ``[seed, handle_id]`` (``create``),
+    a triangle run's edge selection from ``[seed, handle_id, 2]``, and numpy
+    pads either with zeros to four words. A purpose takes ``[seed, index]``,
+    padded to four words, and then its own nonzero fifth word (a spawn key),
+    which no live handle, selection or other purpose has: while seeds and
+    indices stay below 2**32, no two of these streams coincide.
+    """
+    words = np.random.SeedSequence([seed, index], spawn_key=(SEED_PURPOSES[purpose],))
+    return np.random.default_rng(words)
+
+
 # -- scripts ---------------------------------------------------------------
 
 
@@ -775,6 +758,12 @@ class Tape:
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.items)
 
+
+
+def signed_key(value: int, tag, outcome: QueryOutcome) -> int:
+    """A fire's key under ``partial(signed_key, value)``, whatever its tag: +value
+    for Plus, -value for Minus."""
+    return outcome.sign * value
 
 #: ``replay_law``'s fire numerators: the least common multiple L of the
 #: ``FIRE_LAW`` scales, and per row each atom's (outcome, weight * L / scale).

@@ -23,14 +23,15 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidParamsError
 from .permutation import PermutationSpec, SwapStage
-from .sketch import Law, QueryGroup, Tape, count_param, create, edge_list, fire_probs, run_tagged
+from .sketch import Law, QueryGroup, Tape, count_param, create, edge_list, fire_probs, purpose_rng
+from .sketch import run_tagged, signed_key
 from .universe import Block, IntRange, UniverseSpec
 
 
@@ -96,7 +97,12 @@ class TriangleParams:
         if self.T_prime <= 0 or self.Delta_E <= 0:
             raise InvalidParamsError("T_prime and Delta_E must be positive")
         if self.repetitions is not None:
-            copies, groups = self.repetitions
+            try:
+                copies, groups = self.repetitions
+            except (TypeError, ValueError):
+                raise InvalidParamsError(
+                    f"repetitions must be (copies per group, groups), got {self.repetitions!r}"
+                ) from None
             object.__setattr__(self, "repetitions", (
                 count_param("copies per group", copies, 1), count_param("groups", groups, 1)))
 
@@ -191,7 +197,7 @@ def run_single(
     # the selection stream g: one draw per edge, as m calls of g.random()
     draws = np.random.default_rng(np.random.SeedSequence([seed, handle_id, 2])).random(m).tolist()
     items = (item if g * k < 1.0 else item[1:] for item, g in zip(stream._items, draws))
-    tape = Tape(stream._universe, stream._members, items, lambda _, o: o.sign * k * m, 0)
+    tape = Tape(stream._universe, stream._members, items, partial(signed_key, k * m), 0)
     handle = create(tape.universe, tape.members, master_seed=seed, handle_id=handle_id)
     return run_tagged(handle, tape, observer)
 
@@ -206,19 +212,13 @@ def estimate(stream: EdgeStream, params: TriangleParams, *, master_seed: int = 0
 def estimate_sampled(
     stream: EdgeStream, params: TriangleParams, *, master_seed: int = 0
 ) -> float:
-    """Same aggregation as ``estimate`` but drawing runs from their exact law a
-    block at a time, so memory grows with ``groups`` alone. A group's sum is
-    a whole number, exact in float64 in any order while below 2**53, so its
-    mean is the one a mean over the group's draws gives."""
+    """Same aggregation as ``estimate``, over each group's per-atom counts of its
+    runs drawn from their exact law: one multinomial draw per group. A group's
+    sum is a whole number, exact in float64 while below 2**53."""
     copies, groups = _repetitions(stream, params)
     law = terminal_law(stream, params.k)
-    values = np.array(list(law.atoms), dtype=np.float64)
-    sums, done = np.zeros(groups), 0
-    for idx in law.blocks(_rng(master_seed), copies * groups):
-        group = np.arange(done, done + len(idx)) // copies
-        sums[group[0]:group[-1] + 1] += np.bincount(group - group[0], weights=values[idx])
-        done += len(idx)
-    return float(np.median(sums / copies))
+    counts = law.draw_counts(purpose_rng("triangle", master_seed), copies, groups)
+    return float(np.median(counts @ np.array(list(law.atoms), dtype=np.float64) / copies))
 
 
 def _repetitions(stream: EdgeStream, params: TriangleParams) -> tuple[int, int]:
@@ -299,20 +299,15 @@ def _build_law(stream: EdgeStream, k: int) -> Law:
     return Law({x: p for x, p in atoms.items() if p})
 
 
-def _rng(master_seed: int) -> np.random.Generator:
-    """The generator every draw from ``terminal_law`` takes: tag 3 of ``master_seed``."""
-    return np.random.default_rng(np.random.SeedSequence([master_seed, 3]))
-
-
 def sample_outputs(
     stream: EdgeStream, k: int, master_seed: int, trials: int
 ) -> np.ndarray:
     """Draw ``trials`` independent run_single outputs from ``terminal_law``."""
-    rng = _rng(master_seed)
     law = terminal_law(stream, k)
-    return np.array(list(law.atoms), dtype=np.int32)[law.sample(rng, trials)]
+    idx = law.sample(purpose_rng("triangle", master_seed), trials)
+    return np.array(list(law.atoms), dtype=np.int32)[idx]
 
 
 def sample_counts(stream: EdgeStream, k: int, master_seed: int, trials: int) -> np.ndarray:
-    """Per-atom counts, in ``terminal_law`` order, of the draws ``sample_outputs`` makes."""
-    return terminal_law(stream, k).sample_counts(_rng(master_seed), trials)
+    """Per-atom counts, in ``terminal_law`` order, of ``trials`` draws from it."""
+    return terminal_law(stream, k).draw_counts(purpose_rng("triangle", master_seed), trials)

@@ -153,3 +153,28 @@ def test_run_step_refuses_trees_with_different_benchmarks(tmp_path, capsys):
     ]) == 2
     assert "different perfbench/ files" in capsys.readouterr().err
     assert not (tmp_path / "w").exists() and not (tmp_path / "o").exists()
+
+
+# a stub that, as perfbench/run.py's check_digests does, fails a run whose
+# report digest differs from the one its .perfbench store already holds
+STUB_DIGESTS = STUB_RUN.replace('sys.exit(side["exit"])', '''store = Path(".perfbench/digests.json")
+known = json.loads(store.read_text()) if store.exists() else side["side"]
+store.write_text(json.dumps(known))
+sys.exit(3 if known != side["side"] else side["exit"])''')
+
+
+def test_run_step_gives_each_side_its_own_digest_store(tmp_path, capsys):
+    # the two sides report different bytes, as a change that moves them by design does
+    parent = tree(tmp_path / "p", "parent", 2.0, stub=STUB_DIGESTS)
+    change = tree(tmp_path / "c", "change", 1.0, stub=STUB_DIGESTS)
+    work = tmp_path / "work"
+    assert bench_pairs.main([
+        "--label", "x", "--parent", str(tmp_path / "rp"), "--change", str(tmp_path / "rc"),
+        "--parent-sha", "a", "--change-sha", "b", "--out", str(tmp_path / "o"),
+        "--run", str(parent), str(change), "--workdir", str(work),
+        "--workload", "estimators", "--seed", "5", "--pairs", "2",
+    ]) == 0
+    assert "exited" not in capsys.readouterr().err
+    for side in ("parent", "change"):
+        assert json.loads((work / f".perfbench-{side}" / "digests.json").read_text()) == side
+        assert len(list((work / f".perfbench-{side}" / "results").glob("*.json"))) == 1

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 from fractions import Fraction
@@ -6,7 +7,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from pairsketch import InvalidParamsError, ValidationError, bhm, enumerate_distribution, sketch
+from pairsketch import InvalidParamsError, ValidationError, bhm, enumerate_distribution
 from pairsketch.bhm import (
     INTERLEAVINGS,
     QUERY_ORDER,
@@ -208,24 +209,28 @@ def test_majority_recovers_the_hidden_bit():
     assert float(np.mean(maj == 1)) > 2 / 3
 
 
-def _reshape_majority(inst, master_seed, meta_trials, copies):
-    """The reference vote: one draw array of every committee, cut by a reshape."""
-    draws = sample_outputs(inst, master_seed, meta_trials * copies).reshape(meta_trials, copies)
-    return ((draws == 1).sum(axis=1) > (draws == 0).sum(axis=1)).astype(np.int8)
+def _vote_one(inst, copies):
+    """P(a committee of ``copies`` runs votes 1): its ones outnumber its zeros,
+    summed over the trinomial of its ones, zeros and aborts."""
+    law = terminal_slabs(inst)
+    p1, p0, pa = (float(law.expect(lambda key: key[1] == out)) for out in (1, 0, None))
+    return sum(
+        math.comb(copies, ones) * math.comb(copies - ones, zeros)
+        * p1**ones * p0**zeros * pa ** (copies - ones - zeros)
+        for ones in range(copies + 1)
+        for zeros in range(min(ones, copies - ones + 1))
+    )
 
 
-BLOCK = sketch._DRAW_BLOCK
-
-
-@pytest.mark.parametrize(
-    "copies, meta_trials",
-    [(1, 3 * BLOCK + 7), (2, 9000), (193, 600), (BLOCK - 1, 5), (BLOCK, 4), (BLOCK + 1, 3)],
-)
-def test_blocked_majority_equals_one_reshaped_draw_array(copies, meta_trials):
+@pytest.mark.parametrize("copies, meta_trials", [(1, 20000), (2, 20000), (24, 20000), (193, 4000)])
+def test_majority_votes_follow_the_exact_committee_law(copies, meta_trials):
     inst = generate_instance(8, Fraction(1, 4), 1, seed=5)
-    got = sample_majority(inst, 13, meta_trials, copies)
-    want = _reshape_majority(inst, 13, meta_trials, copies)
-    assert got.dtype == want.dtype == np.int8 and np.array_equal(got, want)
+    votes = sample_majority(inst, 13, meta_trials, copies)
+    assert votes.dtype == np.int8 and votes.shape == (meta_trials,)
+    assert set(np.unique(votes)) <= {0, 1}
+    p = _vote_one(inst, copies)
+    assert abs(float(votes.mean()) - p) <= 5 * math.sqrt(p * (1 - p) / meta_trials) + 1e-9
+    assert np.array_equal(votes, sample_majority(inst, 13, meta_trials, copies))
 
 
 @pytest.mark.parametrize("copies", [0, -3])

@@ -279,7 +279,7 @@ def test_snapshot_plans_hold_swaps_only(fix_plan):
 
 
 def test_snapshot_runs_equal_the_literal_moves(fix_plan):
-    key = pseudosnapshot._fire_key(FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS, fix_plan.big_m)
+    key = pseudosnapshot._FireKey(FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS, fix_plan.big_m)
     # every run that passes an edge holds the same members after it, so the
     # literal ones are read in the first run to pass it and framed once
     literal_at, framed_at = {}, {}
@@ -317,7 +317,7 @@ def test_snapshot_runs_equal_the_literal_moves(fix_plan):
 
 def test_snapshot_law_equals_the_literal_replay(fix_plan):
     params = (FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS)
-    key = pseudosnapshot._fire_key(*params, fix_plan.big_m)
+    key = pseudosnapshot._FireKey(*params, fix_plan.big_m)
     universe, tagged = literal_tagged_ops(*params)
     want = replay_law(Tape(
         universe, range(fix_plan.big_m), script_items(universe, tagged), key,

@@ -35,10 +35,10 @@ CONFIGS = {
 }
 
 DIGESTS = {
-    "bhm": "da6cf890bc3e9c7e7afae751e36ef115b5974ae5b6a3d5d0bba0c52c88451222",
-    "triangle": "d513ac27ea9ad71890afa4713436bbe1b3aff5b9b982e30418641a86e79ddd84",
-    "heavy": "b305cfcfc8a7c96b8bf273c5bc32809769985d88ac3a94f965dcde3c68ea5340",
-    "snapshot": "2f61e4806345f89ec1940a4f325b087a6d41fa915a1a315abd46ee0679189440",
+    "bhm": "0a44c3a45cf827030f8596a59da6cc7c93b2ab081e3026581c7691eb5111449b",
+    "triangle": "7f809484ed1242fa82ff35dfc967823a4c0610c90dd19776701f393ddc127bff",
+    "heavy": "5177491cb54cf8543c4bb541767f1434f4d7b3b2d0532ea01b4cf1443d682b29",
+    "snapshot": "2a42e595e9c05d543045032a4e76c295ea92bea0a4a98c5ca3a9f619bb84c300",
     "equivalence": "c35e5f0813e858d98599aaa631b69de59f12eb53532b6794caaa57d74edfaccf",
 }
 

@@ -21,7 +21,6 @@ from pairsketch.harness import (
     generate_graph,
     parse_stream,
     run_experiment,
-    trial_seed,
     write_instance,
 )
 from pairsketch.heavy_edges import DirectedEdgeStream
@@ -71,13 +70,6 @@ def test_config_from_dict_round_trip():
              "master_seed": 0, "seeds": [1]}
         )
     assert "unknown" in str(err.value)
-
-
-def test_trial_seeds_are_stable_and_spread():
-    seeds = [trial_seed(42, i) for i in range(64)]
-    assert seeds == [trial_seed(42, i) for i in range(64)]
-    assert len(set(seeds)) == 64
-    assert trial_seed(43, 0) != seeds[0]
 
 
 # -- generators --------------------------------------------------------------------

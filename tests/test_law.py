@@ -158,7 +158,6 @@ def _snapshot_law():
 
 BHM_LAW = bhm.terminal_slabs(BHM)
 THIRDS = Law({k: Fraction(1, 3) for k in range(3)})
-BLOCK = sketch._DRAW_BLOCK
 
 
 HEAVY_PARAMS = heavy_edges.HeavyParams(1, 1, 0.5)
@@ -189,7 +188,9 @@ NEGATIVE_TRIALS = {
     "heavy_edges.sample_counts": (TRIALS, lambda: heavy_edges.sample_counts(HEAVY, 2, 1, 0, -1)),
     "triangle.sample_counts": (TRIALS, lambda: triangle.sample_counts(TRIANGLE, 2, 0, -1)),
     "SnapshotLaw.entry_sums": (TRIALS, lambda: _snapshot_law().entry_sums(0, -1)),
-    "Law.sample_counts": (TRIALS, lambda: THIRDS.sample_counts(np.random.default_rng(0), -1)),
+    "Law.draw_counts": (TRIALS, lambda: THIRDS.draw_counts(np.random.default_rng(0), -1)),
+    "Law.draw_counts.groups": (
+        "groups must be >= 0", lambda: THIRDS.draw_counts(np.random.default_rng(0), 2, -1)),
     "heavy_edges.estimate": (
         "copies must be >= 1", lambda: heavy_edges.estimate(HEAVY, HEAVY_PARAMS, 0, copies=-1)),
     "heavy_edges.estimate_sampled": ("copies must be >= 1", lambda: heavy_edges.estimate_sampled(
@@ -211,6 +212,12 @@ NEGATIVE_TRIALS = {
     "heavy_edges.oracle_heavy_count": (
         "d_T must be >= 1", lambda: heavy_edges.oracle_heavy_count(HEAVY, 1, -1)),
     "HeavyParams.d_T": ("d_T must be >= 1", lambda: heavy_edges.HeavyParams(1, -1, 0.5)),
+    "HashOracles.seed": ("seed must be >= 0", lambda: ps.HashOracles(-1, 1, "1/2")),
+    "HashOracles.kappa": ("kappa must be >= 1", lambda: ps.HashOracles(0, -1, "1/2")),
+    "SnapshotParams.kappa": ("kappa must be >= 1", lambda: _snapshot_params(kappa=-1)),
+    "SnapshotParams.class_pair": (
+        "beta must be >= 0", lambda: _snapshot_params(class_pair=(0, -1))),
+    "bhm.generate_instance": ("n must be >= 0", lambda: bhm.generate_instance(-4, "1/4", 1, 0)),
 }
 
 
@@ -223,8 +230,9 @@ def test_samplers_reject_negative_trial_counts(message, call):
 # each sampling and counting path, with ``n`` in the place of one count
 COUNTED = {
     "Law.sample": ("trials", lambda n: THIRDS.sample(np.random.default_rng(0), n)),
-    "Law.sample_counts": ("trials", lambda n: THIRDS.sample_counts(np.random.default_rng(0), n)),
-    "Law.blocks": ("trials", lambda n: list(THIRDS.blocks(np.random.default_rng(0), n))),
+    "Law.draw_counts": ("trials", lambda n: THIRDS.draw_counts(np.random.default_rng(0), n)),
+    "Law.draw_counts.groups": (
+        "groups", lambda n: THIRDS.draw_counts(np.random.default_rng(0), 4, n)),
     "bhm.sample_outputs": ("trials", lambda n: bhm.sample_outputs(BHM, 1, n)),
     "bhm.sample_counts": ("trials", lambda n: bhm.sample_counts(BHM, 1, n)),
     "bhm.sample_majority.meta_trials": (
@@ -264,6 +272,14 @@ COUNTED = {
         "d_T", lambda n: heavy_edges.oracle_heavy_count(HEAVY, 1, n)),
     "HeavyParams.d_H": ("d_H", lambda n: heavy_edges.HeavyParams(n, 1, 0.5).d_H),
     "HeavyParams.d_T": ("d_T", lambda n: heavy_edges.HeavyParams(1, n, 0.5).d_T),
+    "HashOracles.seed": ("seed", lambda n: ps.HashOracles(n, 1, "1/2").seed),
+    "HashOracles.kappa": ("kappa", lambda n: ps.HashOracles(0, n, "1/2").kappa),
+    "SnapshotParams.kappa": ("kappa", lambda n: _snapshot_params(kappa=n).kappa),
+    "SnapshotParams.class_pair.alpha": (
+        "alpha", lambda n: _snapshot_params(class_pair=(n, 0)).class_pair),
+    "SnapshotParams.class_pair.beta": (
+        "beta", lambda n: _snapshot_params(class_pair=(0, n)).class_pair),
+    "bhm.generate_instance": ("n", lambda n: bhm.generate_instance(n, "1/5", 1, 0).n),
 }
 
 
@@ -292,74 +308,95 @@ def test_count_params_refuse_a_bool_and_keep_numpy_integers_as_int():
         _triangle_params((True, 1))
     assert type(_snapshot_params(copies=np.int64(3)).copies) is int
     assert _triangle_params((np.int64(3), np.int64(2))).repetitions == (3, 2)
+    assert type(ps.HashOracles(np.int64(3), np.int64(2), "1/2").kappa) is int
+    assert _snapshot_params(class_pair=(np.int64(1), np.int64(0))).class_pair == (1, 0)
+    assert type(dataclasses.replace(BHM, n=np.int64(8)).n) is int
 
 
-# -- counting in blocks against one draw array ----------------------------------
-
-def test_thirds_have_guide_cells_that_hold_a_bound():
-    # so their draws take the search path as well as the table
-    assert (THIRDS._guide[1] < 0).any()
-
-
-@pytest.mark.parametrize("trials", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
-@pytest.mark.parametrize("law", [THIRDS, BHM_LAW], ids=["thirds", "bhm"])
-def test_counts_equal_the_bincount_of_one_draw_array(law, trials):
-    got = law.sample_counts(np.random.default_rng(11), trials)
-    want = np.bincount(law.sample(np.random.default_rng(11), trials), minlength=len(law.atoms))
-    assert got.dtype == np.int64 and np.array_equal(got, want)
-    # the blocks are the one array, cut
-    blocks = list(law.blocks(np.random.default_rng(11), trials))
-    assert all(len(b) == BLOCK for b in blocks[:-1])
-    whole = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.intp)
-    assert np.array_equal(whole, law.sample(np.random.default_rng(11), trials))
+@pytest.mark.parametrize("shape", [(1, 2, 3), (4,), 4, None, "abc"])
+def test_pairs_of_counts_must_be_pairs(shape):
+    # a wrong shape raises InvalidParamsError, not a bare ValueError or TypeError
+    if shape is not None:
+        with pytest.raises(InvalidParamsError, match="repetitions must be"):
+            _triangle_params(shape)
+    with pytest.raises(InvalidParamsError, match="class_pair must be"):
+        _snapshot_params(class_pair=shape)
 
 
-@pytest.mark.parametrize("trials", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
-def test_counts_of_top_draws_skip_a_trailing_zero_atom(trials):
-    law = Law({**{k: Fraction(1, 10) for k in range(10)}, "abort": Fraction(0)})
-    got = law.sample_counts(_TopDraw(), trials)
-    assert np.array_equal(got, np.bincount(law.sample(_TopDraw(), trials), minlength=11))
-    assert got.tolist() == [0] * 9 + [trials, 0]
+# -- per-atom counts: one multinomial draw ---------------------------------------
+
+ZERO_ENDS = Law({"first": Fraction(0), "a": Fraction(1, 3), "mid": Fraction(0),
+                 "b": Fraction(2, 3), "last": Fraction(0), "later": Fraction(0)})
+TENTHS = Law({**{k: Fraction(1, 10) for k in range(10)}, "abort": Fraction(0)})
 
 
-@pytest.mark.parametrize("unit", [1, 7, BLOCK - 1, BLOCK, BLOCK + 3])
-def test_blocks_hold_whole_units(unit):
-    trials = unit * max(3, 3 * BLOCK // unit)  # three blocks or more
-    sizes = [len(b) for b in THIRDS.blocks(np.random.default_rng(2), trials, unit)]
-    assert sum(sizes) == trials and all(size % unit == 0 for size in sizes)
-    assert max(sizes) == max(1, BLOCK // unit) * unit
+@pytest.mark.parametrize("trials", [0, 1, 16385, 10**6, 10**15])
+@pytest.mark.parametrize(
+    "law", [THIRDS, BHM_LAW, ZERO_ENDS, TENTHS], ids=["thirds", "bhm", "zero-ends", "tenths"])
+def test_draw_counts_sum_to_trials_and_skip_zero_mass_atoms(law, trials):
+    got = law.draw_counts(np.random.default_rng(11), trials)
+    assert got.dtype == np.int64 and got.shape == (len(law.atoms),)
+    assert got.sum() == trials and got.min() >= 0
+    zero = np.array([p == 0 for p in law.atoms.values()])
+    assert not got[zero].any()
+    groups = law.draw_counts(np.random.default_rng(11), trials, 3)
+    assert groups.shape == (3, len(law.atoms)) and (groups.sum(axis=1) == trials).all()
+    assert not groups[:, zero].any()
 
 
-def test_blocks_check_their_counts_on_the_call():
-    rng = np.random.default_rng(0)
-    with pytest.raises(InvalidParamsError, match="trials must be >= 0, got -1"):
-        THIRDS.blocks(rng, -1)
-    with pytest.raises(InvalidParamsError, match="unit must be >= 1, got 0"):
-        THIRDS.blocks(rng, 4, 0)
-    with pytest.raises(InvalidParamsError, match="unit must be an integer, got 1.0"):
-        THIRDS.blocks(rng, 4, 1.0)
+def test_equal_rng_states_draw_equal_counts():
+    for law in (THIRDS, BHM_LAW, ZERO_ENDS):
+        a = law.draw_counts(np.random.default_rng(7), 10**5)
+        assert np.array_equal(a, law.draw_counts(np.random.default_rng(7), 10**5))
+        # a group is one draw: the rows are successive draws from one generator
+        rng = np.random.default_rng(7)
+        rows = np.stack([law.draw_counts(rng, 500) for _ in range(4)])
+        assert np.array_equal(law.draw_counts(np.random.default_rng(7), 500, 4), rows)
 
 
-# -- sampled estimates, counted in blocks ---------------------------------------
+def test_counts_follow_the_law():
+    # 10**6 draws: each atom's count within five sigma of its binomial mean
+    trials = 10**6
+    got = BHM_LAW.draw_counts(np.random.default_rng(3), trials)
+    for count, p in zip(got.tolist(), BHM_LAW.atoms.values()):
+        mean, var = trials * float(p), trials * float(p) * (1 - float(p))
+        assert abs(count - mean) <= 5 * var**0.5 + 1e-9
 
-# floats the sampled estimates returned when they drew one array of all runs:
+
+def test_a_huge_draw_holds_one_count_per_atom():
+    # 10**15 draws of a 2000-atom law: the cost grows with the atoms, not the draws
+    law = Law({k: Fraction(1, 2000) for k in range(2000)})
+    law.draw_counts(np.random.default_rng(0), 1)  # the float probabilities, once
+    tracemalloc.start()
+    try:
+        got = law.draw_counts(np.random.default_rng(0), 10**15, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (got.sum(axis=1) == 10**15).all()
+    assert peak < 200_000  # two rows of 2000 int64 counts, and the draw's own row
+
+
+# -- sampled estimates, from per-atom counts ---------------------------------------
+
+# floats the sampled estimates return from their multinomial per-atom counts:
 # heavy_edges.estimate_sampled on _directed(8, 20, 2) at seed 5 and eps 1/2,
 # keyed (d_H, d_T, copies)
 SAMPLED_HEAVY = {
-    (1, 1, 75): "0x1.2222222222222p+4",
-    (1, 1, 16385): "0x1.3b8711e3b8712p+4",
-    (2, 1, 16384): "0x1.f108000000000p+3",
-    (2, 1, 100003): "0x1.fc6d251739e72p+3",
-    (3, 2, 100003): "0x1.7d84a5c538134p+3",
+    (1, 1, 75): "0x1.3333333333333p+4",
+    (1, 1, 16385): "0x1.4176fa24176fap+4",
+    (2, 1, 16384): "0x1.00fe000000000p+4",
+    (2, 1, 100003): "0x1.0070b7f222ad4p+4",
+    (3, 2, 100003): "0x1.80cec2874ffadp+3",
 }
 # triangle.estimate_sampled on _gnp() at master seed 3, keyed (k, copies, groups)
 SAMPLED_TRIANGLE = {
-    (1, 1000, 1): "-0x1.10624dd2f1aa0p-3",
-    (1, 7, 9): "0x1.5b6db6db6db6ep+1",
-    (1, 16385, 3): "-0x1.1cfb8c11cfb8cp-6",
-    (2, 40000, 1): "0x1.0fa786c22680ap+0",
-    (5, 16385, 3): "0x1.9e1d8789e1d88p+1",
-    (5, 1000, 1): "0x1.b5c28f5c28f5cp+0",
+    (1, 1000, 1): "-0x1.f9db22d0e5604p-2",
+    (1, 7, 9): "0x0.0p+0",
+    (1, 16385, 3): "0x1.1cfb8c11cfb8cp-6",
+    (2, 40000, 1): "0x1.e37b4a2339c0fp-1",
+    (5, 16385, 3): "0x1.54a4ad6d4a4adp+1",
+    (5, 1000, 1): "0x1.0b851eb851eb8p+1",
 }
 
 
@@ -380,7 +417,7 @@ def test_sampled_triangle_estimates_are_pinned(key):
 
 
 def test_sampled_estimates_run_in_bounded_memory():
-    # 2 * 10**6 runs each, drawn a block at a time: no array of one entry per
+    # 2 * 10**6 runs each, drawn as per-atom counts: no array of one entry per
     # run, nor of one entry per copy of a group
     heavy, gnp = _directed(8, 20, 2), _gnp()
     heavy_edges.terminal_law(heavy, 2, 1)
@@ -397,15 +434,7 @@ def test_sampled_estimates_run_in_bounded_memory():
     assert peak < 4 << 20
 
 
-# -- the guide-table draw path against one search per draw ----------------------
-
-
-def _searchsorted_sample(law, rng, trials):
-    """The reference draw path: one search per draw over the pinned cumulative bounds."""
-    probs = list(law.atoms.values())
-    cum = np.cumsum([float(p) for p in probs])
-    cum[max(k for k, p in enumerate(probs) if p):] = 1.0
-    return np.searchsorted(cum, rng.random(trials), side="right")
+# -- where a sampled draw lands -----------------------------------------------------
 
 
 class _Uniforms:
@@ -439,26 +468,26 @@ def weighted_laws(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(weighted_laws(), st.sampled_from([0, 1, 10**5]), st.integers(0, 2**32 - 1))
-def test_guide_table_draws_match_one_search_per_draw(law, trials, seed):
-    got = law.sample(np.random.default_rng(seed), trials)
-    want = _searchsorted_sample(law, np.random.default_rng(seed), trials)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
-    # draws on and beside every bound and every cell edge
-    cum, table = law._guide
-    cells = len(table)
-    edges = np.arange(cells) / cells
-    u = np.concatenate([edges, cum, np.nextafter(cum, 0), np.nextafter(edges[1:], 0), [0.0]])
-    u = u[(u >= 0) & (u < 1)]
-    got = law.sample(_Uniforms(u), len(u))
-    assert np.array_equal(got, _searchsorted_sample(law, _Uniforms(u), len(u)))
+@given(weighted_laws())
+def test_draws_on_and_beside_every_bound_land_on_positive_atoms(law):
+    cum = np.cumsum([float(p) for p in law.atoms.values()])
+    u = np.sort(np.concatenate([cum, np.nextafter(cum, 0), np.nextafter(cum, 1), [0.0]]))
+    u = u[u < 1]
+    idx = law.sample(_Uniforms(u), len(u))
+    positive = np.array([p > 0 for p in law.atoms.values()])
+    assert positive[idx].all() and (np.diff(idx) >= 0).all()
+    # a draw lands on the first atom whose cumulative bound lies above it
+    inner = u < cum[np.flatnonzero(positive)[-1]]
+    at, lower = idx[inner], np.concatenate([[0.0], cum])[idx[inner]]
+    assert ((lower <= u[inner]) & (u[inner] < cum[at])).all()
 
 
-def test_guide_table_has_a_power_of_two_cells_at_least_eight_per_atom():
-    for n in (1, 2, 3, 20, 321):
-        law = Law({k: Fraction(1, n) for k in range(n)})
-        cells = len(law._guide[1])
-        assert cells >= 8 * n and cells & (cells - 1) == 0 and cells < 16 * n
+@settings(max_examples=60, deadline=None)
+@given(weighted_laws(), st.sampled_from([1, 10**5, 10**15]), st.integers(0, 2**32 - 1))
+def test_draw_counts_of_any_law_skip_its_zero_mass_atoms(law, trials, seed):
+    got = law.draw_counts(np.random.default_rng(seed), trials)
+    positive = np.array([p > 0 for p in law.atoms.values()])
+    assert got.sum() == trials and got.min() >= 0 and not got[~positive].any()
 
 
 # -- integer replay against the per-atom Fraction sum ---------------------------
@@ -536,7 +565,7 @@ def test_estimator_laws_match_the_fraction_sum():
     plan = ps.build_plan(stream, hashes, grid, params)
     tagged = tagged_script(eplan.item for eplan in plan.edge_plans)
     atoms = _fraction_replay_law(plan.universe, plan.initial_members(), tagged,
-                                 ps._fire_key(stream, hashes, grid, params, plan.big_m),
+                                 ps._FireKey(stream, hashes, grid, params, plan.big_m),
                                  ps._end_key(plan))
     _same_atoms(_snapshot_law().law, dict(sorted(atoms.items(), key=lambda a: repr(a[0]))))
 

@@ -587,7 +587,7 @@ def test_a_plan_builds_its_fire_keys_and_arrival_table_once(monkeypatch):
     from pairsketch import pseudosnapshot
 
     made = {"keys": 0, "arrivals": 0}
-    fire_key, arrivals = pseudosnapshot._fire_key, _Arrivals.__init__
+    fire_key, arrivals = pseudosnapshot._FireKey, _Arrivals.__init__
 
     def counted_key(*args):
         made["keys"] += 1
@@ -597,7 +597,7 @@ def test_a_plan_builds_its_fire_keys_and_arrival_table_once(monkeypatch):
         made["arrivals"] += 1
         arrivals(self, stream)
 
-    monkeypatch.setattr(pseudosnapshot, "_fire_key", counted_key)
+    monkeypatch.setattr(pseudosnapshot, "_FireKey", counted_key)
     monkeypatch.setattr(_Arrivals, "__init__", counted_arrivals)
     plan = build_plan(FIX_STREAM, FIX_HASHES, FIX_GRID, FIX_PARAMS)
     ends = [

@@ -1,10 +1,11 @@
-"""Report digests of the sampled experiments at trial counts that span many draw blocks.
+"""Report digests of the sampled experiments at 100_003 trials.
 
 Each digest is the SHA-256 of ``canonical_json(report.to_dict())`` for the
 instances of ``tests/test_golden.py`` at 100_003 trials; bhm also votes
-600 committees of 193 copies, so a committee's draws can straddle any
-power-of-two block edge. A sampler that draws in blocks must give the very
-doubles, and so the very bytes, of one draw per trial in one call.
+600 committees of 193 copies. Every experiment reads per-atom counts, drawn
+as one multinomial per law (and one per committee over its three outputs),
+from a stream of the master seed of its own; a change to any of these
+draws moves the bytes.
 """
 import dataclasses
 import hashlib
@@ -18,10 +19,10 @@ from test_golden import CONFIGS, SNAPSHOT_STREAM
 TRIALS = 100_003
 
 DIGESTS = {
-    "bhm": "9212e72002f1428c60347f5ac13f81848e867b3a24a113876c701326ee607f78",
-    "heavy": "889f08a5aa42b7e25ba823242186749bddd907600d462e1c1e32d08a2a79fe83",
-    "snapshot": "dac6977c12a271acff3a4f88a644ea1f79b0dc0b7ee1b9b3c8251965a65c0b5e",
-    "triangle": "13d81a9082365e90e93b9fcbdc9f6479001d165cc221d7c521340952613809dd",
+    "bhm": "ee31db11afff7f990f2713b38a9eacf7c35f05c8c2f0bba1eed40364ac45cfee",
+    "heavy": "a951479584388272cc612c90ec13d6d3e16c2dfbb2a302da8969c97458a1b3a1",
+    "snapshot": "060f00e2b6e69ab43304f523989556250f35bf1c5a33056f0ae0a2d4a09f30c4",
+    "triangle": "40be2a3604019e13be18d0c1ca5eb5fb30483c6c47e9580b70e962f3e82dfe23",
 }
 
 

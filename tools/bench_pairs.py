@@ -9,9 +9,11 @@
 With ``--run``, the run step first runs ``perfbench/run.py`` ``--pairs`` times
 per side in ``--workdir``, each for the ``run_seconds`` of ``BENCHMARK.json``.
 There ``perfbench`` links to the change tree's benchmark (both trees must
-hold the same one) and ``src`` to the source of the side whose turn it is,
-so both sides share one ``.perfbench`` directory and its report digests.
-Odd pairs run the parent first, even pairs the change. ``--traced`` adds one
+hold the same one), and ``src`` and ``.perfbench`` to the source and the
+digest store (``.perfbench-parent`` or ``.perfbench-change``) of the side
+whose turn it is: each side's report digests are checked against its own
+earlier runs only, so a change that moves report bytes by design still
+runs. Odd pairs run the parent first, even pairs the change. ``--traced`` adds one
 ``--trace 1`` run per side, saved under ``trace/`` and used as
 ``--trace-*``. A run that exits nonzero is reported; its record still
 counts, with the failed ops in ``op_fail_frac``.
@@ -45,8 +47,8 @@ METRICS = ("setup_s", "wall_s", "verdict_s", "live_run_p50_ms", "live_run_tail_m
 COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds 60 --trace 0"
 METHOD = (
     "alternating pairs: odd pairs run the parent first, even pairs the change; both sides "
-    "run in one directory with identical perfbench/ files, so report digests are compared "
-    "across sides; quartiles are inclusive; every metric is better lower"
+    "run in one directory with identical perfbench/ files, each side with its own .perfbench "
+    "digest store; quartiles are inclusive; every metric is better lower"
 )
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
@@ -81,6 +83,9 @@ def run_pairs(trees: dict, workdir: Path, records: dict, workload: str, seed: in
     problems = []
     for side, trace in runs:
         _link(workdir / "src", trees[side] / "src")
+        store = workdir / f".perfbench-{side}"
+        store.mkdir(exist_ok=True)
+        _link(workdir / ".perfbench", store)
         record = workdir / ".perfbench" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
         record.unlink(missing_ok=True)
         code = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
