@@ -206,11 +206,13 @@ class Law:
 
     def sample(self, rng: np.random.Generator, trials: int) -> np.ndarray:
         """Indices, in ``atoms`` order, of ``trials`` independent draws: one uniform
-        u each, at ``np.searchsorted(cum, u, side="right")`` over the cumulative
-        bounds."""
+        u each, at ``np.searchsorted(cum, u, side="right")`` over the pinned
+        cumulative bounds."""
         return np.searchsorted(self._floats[1], rng.random(count_param("trials", trials)), "right")
 
-    def draw_counts(self, rng: np.random.Generator, trials: int, groups: int | None = None):
+    def draw_counts(
+        self, rng: np.random.Generator, trials: int, groups: int | None = None
+    ) -> np.ndarray:
         """How many of ``trials`` independent draws land on each atom, in ``atoms``
         order, as int64: one ``rng.multinomial`` draw, whose cost is O(atoms)
         whatever ``trials`` is. With ``groups``, a ``groups`` x atoms array: one
@@ -759,11 +761,11 @@ class Tape:
         return iter(self.items)
 
 
-
 def signed_key(value: int, tag, outcome: QueryOutcome) -> int:
     """A fire's key under ``partial(signed_key, value)``, whatever its tag: +value
     for Plus, -value for Minus."""
     return outcome.sign * value
+
 
 #: ``replay_law``'s fire numerators: the least common multiple L of the
 #: ``FIRE_LAW`` scales, and per row each atom's (outcome, weight * L / scale).

@@ -222,7 +222,7 @@ def _vote_one(inst, copies):
     )
 
 
-@pytest.mark.parametrize("copies, meta_trials", [(1, 20000), (2, 20000), (24, 20000), (193, 4000)])
+@pytest.mark.parametrize("copies, meta_trials", [(1, 49159), (2, 9000), (24, 20000), (193, 600)])
 def test_majority_votes_follow_the_exact_committee_law(copies, meta_trials):
     inst = generate_instance(8, Fraction(1, 4), 1, seed=5)
     votes = sample_majority(inst, 13, meta_trials, copies)

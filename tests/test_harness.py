@@ -635,8 +635,8 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
 
 @pytest.mark.parametrize("algorithm", ["bhm", "heavy", "snapshot", "triangle"])
 def test_sampled_experiment_memory_does_not_grow_with_trials(algorithm, tmp_path, monkeypatch):
-    # the draws are counted per atom, a block at a time: two million trials
-    # need no array of two million entries
+    # the draws are counted per atom, in one multinomial draw: two million
+    # trials need no array of two million entries
     monkeypatch.chdir(tmp_path)
     write_instance(SNAPSHOT_STREAM, "snapshot.txt")
     config = dataclasses.replace(CONFIGS[algorithm], trials=2_000_000)
@@ -650,3 +650,18 @@ def test_sampled_experiment_memory_does_not_grow_with_trials(algorithm, tmp_path
         tracemalloc.stop()
     assert report.passed
     assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("algorithm", ["bhm", "heavy", "snapshot", "triangle"])
+def test_sampling_time_does_not_grow_with_trials(algorithm, tmp_path, monkeypatch):
+    # 10**12 trials cost what 10**3 do: the counts are one draw over the atoms
+    monkeypatch.chdir(tmp_path)
+    write_instance(SNAPSHOT_STREAM, "snapshot.txt")
+    times = []
+    for trials in (10**3, 10**12, 10**3, 10**12):
+        config = dataclasses.replace(CONFIGS[algorithm], trials=trials)
+        start = time.perf_counter()
+        report = run_experiment(config)
+        times.append(time.perf_counter() - start)
+        assert report.results["gates"]  # a report with its gates, whatever its verdicts
+    assert min(times[1::2]) < 3 * min(times[::2]) + 0.05

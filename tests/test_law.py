@@ -330,7 +330,7 @@ ZERO_ENDS = Law({"first": Fraction(0), "a": Fraction(1, 3), "mid": Fraction(0),
 TENTHS = Law({**{k: Fraction(1, 10) for k in range(10)}, "abort": Fraction(0)})
 
 
-@pytest.mark.parametrize("trials", [0, 1, 16385, 10**6, 10**15])
+@pytest.mark.parametrize("trials", [0, 1, 16383, 16384, 16385, 49159, 10**15])
 @pytest.mark.parametrize(
     "law", [THIRDS, BHM_LAW, ZERO_ENDS, TENTHS], ids=["thirds", "bhm", "zero-ends", "tenths"])
 def test_draw_counts_sum_to_trials_and_skip_zero_mass_atoms(law, trials):
@@ -342,6 +342,12 @@ def test_draw_counts_sum_to_trials_and_skip_zero_mass_atoms(law, trials):
     groups = law.draw_counts(np.random.default_rng(11), trials, 3)
     assert groups.shape == (3, len(law.atoms)) and (groups.sum(axis=1) == trials).all()
     assert not groups[:, zero].any()
+
+
+@pytest.mark.parametrize("copies", [1, 7, 16383, 16384, 16387])
+def test_groups_of_counts_hold_whole_groups(copies):
+    got = THIRDS.draw_counts(np.random.default_rng(2), copies, 5)
+    assert got.shape == (5, 3) and (got.sum(axis=1) == copies).all()
 
 
 def test_equal_rng_states_draw_equal_counts():
