@@ -6,6 +6,7 @@ from typing import Sequence
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from pairsketch import InvalidParamsError, ValidationError, bhm, enumerate_distribution
 from pairsketch.bhm import (
@@ -220,6 +221,37 @@ def _vote_one(inst, copies):
         for ones in range(copies + 1)
         for zeros in range(min(ones, copies - ones + 1))
     )
+
+
+def _vote_one_binomial(inst, copies):
+    """``_vote_one`` for any ``copies``: ``d`` of the runs decide (do not abort),
+    a binomial, and the committee votes 1 when more than half of those ``d``
+    are ones, a binomial of its own given ``d``."""
+    law = terminal_slabs(inst)
+    p1, p0 = (float(law.expect(lambda key: key[1] == out)) for out in (1, 0))
+    d = np.arange(copies + 1)
+    p = np.sum(stats.binom.pmf(d, copies, p1 + p0) * stats.binom.sf(d // 2, d, p1 / (p1 + p0)))
+    return min(1.0, float(p))  # the float sum may round past 1
+
+
+@pytest.mark.parametrize(
+    "copies, meta_trials",
+    [(1, 49159), (2, 9000), (193, 600), (16383, 5), (16384, 4), (16385, 3)],
+)
+def test_blocked_majority_equals_one_reshaped_draw_array(copies, meta_trials):
+    # equal in law: the votes of the trinomial committee counts and those of
+    # one array of sample_outputs draws, cut by a reshape, both sit near the
+    # exact probability that a committee votes 1
+    inst = generate_instance(8, Fraction(1, 4), 1, seed=5)
+    got = sample_majority(inst, 13, meta_trials, copies)
+    draws = sample_outputs(inst, 13, meta_trials * copies).reshape(meta_trials, copies)
+    want = ((draws == 1).sum(axis=1) > (draws == 0).sum(axis=1)).astype(np.int8)
+    assert got.dtype == want.dtype == np.int8 and got.shape == want.shape == (meta_trials,)
+    p = _vote_one_binomial(inst, copies)
+    if copies <= 193:
+        assert math.isclose(p, _vote_one(inst, copies), rel_tol=1e-9, abs_tol=1e-12)
+    for votes in (got, want):
+        assert abs(float(votes.mean()) - p) <= 5 * math.sqrt(p * (1 - p) / meta_trials) + 1e-9
 
 
 @pytest.mark.parametrize("copies, meta_trials", [(1, 49159), (2, 9000), (24, 20000), (193, 600)])

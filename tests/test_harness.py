@@ -24,6 +24,7 @@ from pairsketch.harness import (
     write_instance,
 )
 from pairsketch.heavy_edges import DirectedEdgeStream
+from pairsketch.sketch import purpose_rng
 from pairsketch.triangle import EdgeStream, oracle_t_split
 from test_golden import CONFIGS, SNAPSHOT_STREAM
 
@@ -70,6 +71,17 @@ def test_config_from_dict_round_trip():
              "master_seed": 0, "seeds": [1]}
         )
     assert "unknown" in str(err.value)
+
+
+def test_trial_seeds_are_stable_and_spread():
+    # the equivalence experiment draws script i from purpose_rng("equivalence", seed, i)
+    def state(seed, i):
+        return purpose_rng("equivalence", seed, i).bit_generator.state["state"]["state"]
+
+    seeds = [state(42, i) for i in range(64)]
+    assert seeds == [state(42, i) for i in range(64)]
+    assert len(set(seeds)) == 64
+    assert state(43, 0) != seeds[0]
 
 
 # -- generators --------------------------------------------------------------------

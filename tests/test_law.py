@@ -344,10 +344,45 @@ def test_draw_counts_sum_to_trials_and_skip_zero_mass_atoms(law, trials):
     assert not groups[:, zero].any()
 
 
-@pytest.mark.parametrize("copies", [1, 7, 16383, 16384, 16387])
-def test_groups_of_counts_hold_whole_groups(copies):
-    got = THIRDS.draw_counts(np.random.default_rng(2), copies, 5)
-    assert got.shape == (5, 3) and (got.sum(axis=1) == copies).all()
+def _within_five_sigma(counts, law, trials):
+    """Whether each atom's count lies within five sigma of its binomial mean,
+    give or take the one draw a whole count may round to."""
+    return all(
+        abs(count - trials * float(p)) <= 5 * (trials * float(p) * (1 - float(p)))**0.5 + 1
+        for count, p in zip(counts.tolist(), law.atoms.values())
+    )
+
+
+@pytest.mark.parametrize("trials", [0, 1, 16383, 16384, 16385, 49159])
+@pytest.mark.parametrize("law", [THIRDS, BHM_LAW], ids=["thirds", "bhm"])
+def test_counts_equal_the_bincount_of_one_draw_array(law, trials):
+    # equal in law: the multinomial counts and the bincount of one array of
+    # ``sample`` draws (the path of every ``sample_outputs``) both sum to
+    # ``trials``, leave the zero-mass atoms empty and sit near each atom's mean
+    got = law.draw_counts(np.random.default_rng(11), trials)
+    want = np.bincount(law.sample(np.random.default_rng(11), trials), minlength=len(law.atoms))
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert got.sum() == want.sum() == trials
+    zero = np.array([p == 0 for p in law.atoms.values()])
+    assert not got[zero].any() and not want[zero].any()
+    assert _within_five_sigma(got, law, trials) and _within_five_sigma(want, law, trials)
+
+
+@pytest.mark.parametrize("trials", [1, 16383, 16384, 16385, 49159])
+def test_counts_of_top_draws_skip_a_trailing_zero_atom(trials):
+    # the largest uniform lands on the last positive atom, never on the
+    # zero-mass atom after it; the multinomial counts leave that atom empty too
+    drawn = np.bincount(TENTHS.sample(_TopDraw(), trials), minlength=11)
+    assert drawn.tolist() == [0] * 9 + [trials, 0]
+    got = TENTHS.draw_counts(np.random.default_rng(trials), trials)
+    assert got.sum() == trials and got[-1] == 0
+
+
+@pytest.mark.parametrize("unit", [1, 7, 16383, 16384, 16387])
+def test_blocks_hold_whole_units(unit):
+    # a block of grouped counts: each of its rows is one group of ``unit`` draws
+    got = THIRDS.draw_counts(np.random.default_rng(2), unit, 5)
+    assert got.shape == (5, 3) and (got.sum(axis=1) == unit).all()
 
 
 def test_equal_rng_states_draw_equal_counts():
@@ -486,6 +521,39 @@ def test_draws_on_and_beside_every_bound_land_on_positive_atoms(law):
     inner = u < cum[np.flatnonzero(positive)[-1]]
     at, lower = idx[inner], np.concatenate([[0.0], cum])[idx[inner]]
     assert ((lower <= u[inner]) & (u[inner] < cum[at])).all()
+
+
+def _guide_table_sample(law, u):
+    """The reference draw path of an earlier ``Law.sample``: a guide table of a
+    power of two cells, at least eight per atom, answers each uniform whose
+    cell holds no cumulative bound, and a search over the pinned bounds the rest."""
+    probs = list(law.atoms.values())
+    cum = np.cumsum([float(p) for p in probs])
+    cum[max(k for k, p in enumerate(probs) if p):] = 1.0
+    cells = 1 << (8 * len(cum) - 1).bit_length()
+    edges = np.arange(cells + 1) / cells
+    lo = np.searchsorted(cum, edges[:-1], side="right")
+    hi = np.searchsorted(cum, edges[1:], side="left")
+    table = np.where(lo == hi, lo, -1)
+    idx = table[(u * cells).astype(np.intp)]
+    miss = idx < 0
+    idx[miss] = np.searchsorted(cum, u[miss], side="right")
+    return idx, cum, cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_laws(), st.sampled_from([0, 1, 10**5]), st.integers(0, 2**32 - 1))
+def test_guide_table_draws_match_one_search_per_draw(law, trials, seed):
+    # ``sample`` is one search per draw; it lands every uniform where the
+    # guide table did, so the draws of ``sample_outputs`` keep their indices
+    got = law.sample(np.random.default_rng(seed), trials)
+    want, cum, cells = _guide_table_sample(law, np.random.default_rng(seed).random(trials))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # draws on and beside every bound and every cell edge
+    edges = np.arange(cells) / cells
+    u = np.concatenate([edges, cum, np.nextafter(cum, 0), np.nextafter(edges[1:], 0), [0.0]])
+    u = u[(u >= 0) & (u < 1)]
+    assert np.array_equal(law.sample(_Uniforms(u), len(u)), _guide_table_sample(law, u)[0])
 
 
 @settings(max_examples=60, deadline=None)
