@@ -13,6 +13,7 @@ import sys
 
 from .errors import PairsketchError
 from .harness import (
+    EXPERIMENTS,
     ExperimentConfig,
     GENERATOR_KINDS,
     Report,
@@ -24,58 +25,63 @@ from .harness import (
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # an experiment's flags store into its param names, `instance` and `trials`
     parser = argparse.ArgumentParser(
         prog="pairsketch",
         description="Seeded experiments for the pair-sampling sketch estimators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, default_trials: int) -> None:
-        p.add_argument("--trials", type=int, default=default_trials)
+    def common(p: argparse.ArgumentParser, trials: int | None = None) -> None:
+        if trials is not None:
+            p.add_argument("--trials", type=int, default=trials)
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--out", default=None, help="write JSON report (and .csv) here")
+
+    def stream(p: argparse.ArgumentParser, help: str) -> None:
+        p.add_argument("--stream", dest="instance", metavar="STREAM", required=True, help=help)
 
     p = sub.add_parser("bhm", help="hidden-matching sign estimation")
     p.add_argument("--instance", default=None, help="instance file (header 'n alpha b')")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--alpha", default="1/4")
     p.add_argument("--b", type=int, choices=(0, 1), default=None)
-    p.add_argument("--meta-trials", type=int, default=0, help="majority-vote committees")
+    p.add_argument("--meta-trials", type=int, default=None, help="majority-vote committees")
     p.add_argument("--copies", type=int, default=None, help="votes per committee")
     common(p, 200_000)
 
     p = sub.add_parser("triangle", help="estimate the damped triangle count T_less")
-    p.add_argument("--stream", required=True, help="undirected stream file")
+    stream(p, "undirected stream file")
     p.add_argument("--k", type=int, required=True)
     common(p, 200_000)
 
     p = sub.add_parser("heavy", help="count head-and-tail-heavy directed edges")
-    p.add_argument("--stream", required=True, help="directed stream file")
-    p.add_argument("--dh", type=int, required=True, help="head degree threshold")
-    p.add_argument("--dt", type=int, required=True, help="tail degree threshold")
+    stream(p, "directed stream file")
+    p.add_argument("--dh", dest="d_H", metavar="DH", type=int, required=True,
+                   help="head degree threshold")
+    p.add_argument("--dt", dest="d_T", metavar="DT", type=int, required=True,
+                   help="tail degree threshold")
     common(p, 200_000)
 
     p = sub.add_parser("snapshot", help="binned degree-bias matrix estimation")
-    p.add_argument("--stream", required=True, help="directed stream file")
+    stream(p, "directed stream file")
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--eps", required=True, help="grid parameter, e.g. 1/2")
-    p.add_argument(
-        "--thresholds", required=True, help="comma list, e.g. --thresholds=-1,0"
-    )
+    p.add_argument("--thresholds", required=True, help="comma list, e.g. --thresholds=-1,0",
+                   type=lambda text: [t.strip() for t in text.split(",") if t.strip()])
     p.add_argument("--alpha", type=int, required=True, help="head degree level index")
     p.add_argument("--beta", type=int, required=True, help="tail degree level index")
-    p.add_argument("--copies", type=int, default=300_000, help="independent runs")
+    p.add_argument("--copies", dest="trials", metavar="COPIES", type=int, default=300_000,
+                   help="independent runs")
     p.add_argument("--hash-seed", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--out", default=None, help="write JSON report (and .csv) here")
+    common(p)
 
     p = sub.add_parser("equivalence", help="stochastic vs quantum backend agreement")
     p.add_argument("--universe", type=int, default=8)
     p.add_argument("--max-size", type=int, default=4)
     p.add_argument("--max-len", type=int, default=5)
-    p.add_argument("--scripts", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--out", default=None, help="write JSON report (and .csv) here")
+    p.add_argument("--scripts", dest="trials", metavar="SCRIPTS", type=int, default=200)
+    common(p)
 
     p = sub.add_parser("gen", help="write a seeded instance file")
     p.add_argument("--kind", required=True, choices=GENERATOR_KINDS)
@@ -89,56 +95,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _set_flags(args: argparse.Namespace, names) -> dict:
+    """The values of the flags ``names`` that are set (not None), by name."""
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+
+
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    if args.command == "bhm":
-        if args.instance is not None:
-            instance: str | dict = args.instance
-        else:
-            instance = {"kind": "matching", "n": args.n, "alpha": args.alpha}
-            if args.b is not None:
-                instance["b"] = args.b
-        params: dict = {}
-        if args.meta_trials:
-            params["meta_trials"] = args.meta_trials
-        if args.copies is not None:
-            params["copies"] = args.copies
-        return ExperimentConfig(
-            "bhm", params, args.trials, args.seed, instance, args.out
-        )
-    if args.command == "triangle":
-        return ExperimentConfig(
-            "triangle", {"k": args.k}, args.trials, args.seed, args.stream, args.out
-        )
-    if args.command == "heavy":
-        return ExperimentConfig(
-            "heavy",
-            {"d_H": args.dh, "d_T": args.dt},
-            args.trials,
-            args.seed,
-            args.stream,
-            args.out,
-        )
-    if args.command == "snapshot":
-        params = {
-            "kappa": args.kappa,
-            "eps": args.eps,
-            "thresholds": [t.strip() for t in args.thresholds.split(",") if t.strip()],
-            "alpha": args.alpha,
-            "beta": args.beta,
-        }
-        if args.hash_seed is not None:
-            params["hash_seed"] = args.hash_seed
-        return ExperimentConfig(
-            "snapshot", params, args.copies, args.seed, args.stream, args.out
-        )
-    params = {
-        "universe": args.universe,
-        "max_size": args.max_size,
-        "max_len": args.max_len,
-    }
-    return ExperimentConfig(
-        "equivalence", params, args.scripts, args.seed, None, args.out
-    )
+    # a param that no flag sets keeps its default in the harness table
+    params = _set_flags(args, EXPERIMENTS[args.command].params)
+    instance = getattr(args, "instance", None)
+    if args.command == "bhm" and instance is None:
+        instance = {"kind": "matching", **_set_flags(args, ("n", "alpha", "b"))}
+    return ExperimentConfig(args.command, params, args.trials, args.seed, instance, args.out)
 
 
 def _print_report(report: Report) -> None:
@@ -157,15 +125,7 @@ def _print_report(report: Report) -> None:
 
 
 def _run_gen(args: argparse.Namespace) -> int:
-    params: dict = {"n": args.n}
-    if args.p is not None:
-        params["p"] = args.p
-    if args.t is not None:
-        params["t"] = args.t
-    if args.alpha is not None:
-        params["alpha"] = args.alpha
-    if args.b is not None:
-        params["b"] = args.b
+    params = _set_flags(args, ("n", "p", "t", "alpha", "b"))
     obj, sidecar = generate_graph(args.kind, params, seed_override(args.seed))
     write_instance(obj, args.out)
     lines = [f"wrote {args.out}"]

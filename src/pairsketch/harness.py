@@ -1,12 +1,14 @@
 """Seeded experiments over the streaming estimators, with reproducible reports.
 
 An ``ExperimentConfig`` names an algorithm, an instance (a stream file or a
-generator spec), parameters, a trial count, and a master seed.
-``run_experiment`` dispatches to the matching estimator, compares Monte-Carlo
-aggregates against the exact oracles at a four-sigma gate, and returns a
-``Report`` whose JSON form is canonical: the same config and seed always
-produce the same bytes. A gate's sigma is the standard error, at the trial
-count, of the exact law the draws come from (bhm's majority vote: sampled).
+generator spec), parameters, a trial count, and a master seed. The table
+``EXPERIMENTS`` declares each algorithm's instance, runner and params; a
+param it does not list is a ``ConfigError``. ``run_experiment`` runs the
+algorithm's runner, which compares Monte-Carlo aggregates against the exact
+oracles at four-sigma gates, and returns a ``Report`` whose JSON form is
+canonical: the same config and seed always produce the same bytes. A gate's
+sigma is the standard error, at the trial count, of the exact law the draws
+come from (bhm's majority vote: sampled).
 The runners read only per-atom counts of their trials, and draw them as one
 multinomial (``Law.draw_counts``), so an experiment's sampling costs
 O(atoms) in time and memory whatever its trial count; bhm's majority vote
@@ -50,17 +52,8 @@ from .triangle import EdgeStream
 from .universe import Block, IntRange, UniverseSpec
 
 SCHEMA_VERSION = 1
-ALGORITHMS = ("bhm", "triangle", "heavy", "snapshot", "equivalence")
 GENERATOR_KINDS = ("gnp", "star", "planted-triangles", "matching")
 SEED_ENV = "PAIRSKETCH_SEED"
-
-# Stream-file kind expected by each algorithm; equivalence takes no instance.
-_STREAM_KIND = {
-    "bhm": "bhm",
-    "triangle": "undirected",
-    "heavy": "directed",
-    "snapshot": "directed",
-}
 
 
 # -- configuration ---------------------------------------------------------------
@@ -91,9 +84,9 @@ class ExperimentConfig:
         if not isinstance(self.params, Mapping):
             raise ConfigError(f"params must be a mapping, got {type(self.params).__name__}")
         object.__setattr__(self, "params", dict(self.params))
-        if self.algorithm == "equivalence":
+        if EXPERIMENTS[self.algorithm].instance_type is None:
             if self.instance is not None:
-                raise ConfigError("equivalence experiments take no instance")
+                raise ConfigError(f"{self.algorithm} experiments take no instance")
         elif self.instance is None:
             raise ConfigError(f"{self.algorithm} experiments need an instance")
         elif not isinstance(self.instance, (str, Mapping)):
@@ -425,10 +418,10 @@ def generate_graph(kind: str, params: Mapping[str, Any], seed: int):
     raise ConfigError(f"unknown generator kind {kind!r}; know {GENERATOR_KINDS}")
 
 
-_MISSING = object()
+REQUIRED = object()  # the default of a param that has none
 
 
-def _int_param(kind: str, params: dict, field: str, default: Any = _MISSING) -> Any:
+def _int_param(kind: str, params: dict, field: str, default: Any = REQUIRED) -> Any:
     """Pop integer ``field`` from ``params``; ``default`` when absent.
 
     ``kind`` names the generator or algorithm the params are for. Raises
@@ -437,7 +430,7 @@ def _int_param(kind: str, params: dict, field: str, default: Any = _MISSING) -> 
     integer.
     """
     value = params.pop(field, default)
-    if value is _MISSING:
+    if value is REQUIRED:
         raise ConfigError(f"{kind} needs an integer {field!r}")
     if value is default:
         return value
@@ -455,17 +448,18 @@ def _required(kind: str, params: dict, field: str) -> Any:
     return params.pop(field)
 
 
-def _reject_extras(kind: str, leftovers: dict) -> None:
+def _reject_extras(kind: str, leftovers: dict, role: str = "generator") -> None:
     if leftovers:
-        raise ConfigError(f"{kind} generator got unknown params: {sorted(leftovers)}")
+        raise ConfigError(f"{kind} {role} got unknown params: {sorted(leftovers)}")
 
 
 def _load_instance(config: ExperimentConfig):
-    if config.algorithm == "equivalence":
-        return None
+    algorithm = EXPERIMENTS[config.algorithm]
     src = config.instance
+    if src is None:
+        return None
     if isinstance(src, str):
-        obj = parse_stream(src, kind=_STREAM_KIND[config.algorithm])
+        obj = parse_stream(src, kind=algorithm.stream_kind)
     else:
         spec = dict(src)
         kind = spec.pop("kind", None)
@@ -473,15 +467,10 @@ def _load_instance(config: ExperimentConfig):
             raise ConfigError("generator spec needs a 'kind' entry")
         gen_seed = _int_param(kind, spec, "seed", config.master_seed)
         obj, _ = generate_graph(kind, spec, gen_seed)
-    expected = {
-        "bhm": BhmInstance,
-        "triangle": EdgeStream,
-        "heavy": DirectedEdgeStream,
-        "snapshot": DirectedEdgeStream,
-    }[config.algorithm]
-    if not isinstance(obj, expected):
+    if not isinstance(obj, algorithm.instance_type):
         raise ConfigError(
-            f"{config.algorithm} needs a {expected.__name__}, got {type(obj).__name__}"
+            f"{config.algorithm} needs a {algorithm.instance_type.__name__}, "
+            f"got {type(obj).__name__}"
         )
     return obj
 
@@ -508,9 +497,7 @@ def _within(gate: dict[str, float]) -> bool:
     return abs(gate["value"] - gate["oracle"]) <= 4 * gate["sigma"]
 
 
-def _run_bhm(inst: BhmInstance, params, trials, seed):
-    meta_trials = _int_param("bhm", params, "meta_trials", 0)
-    copies = _int_param("bhm", params, "copies", None)
+def _run_bhm(inst: BhmInstance, trials, seed, meta_trials, copies):
     if meta_trials < 0 or (copies is not None and copies < 1):
         raise ConfigError(f"need meta_trials >= 0 and copies >= 1, got {meta_trials}, {copies}")
     if copies is not None and not meta_trials:
@@ -583,8 +570,7 @@ def _signed_run(oracle, law: Law, counts: np.ndarray, trials: int, name: str):
     return results, verdicts, {f"mean_matches_{name}": gate}
 
 
-def _run_triangle(stream: EdgeStream, params, trials, seed):
-    k = _int_param("triangle", params, "k")
+def _run_triangle(stream: EdgeStream, trials, seed, k):
     report = _tri.oracle_t_split(stream, k)
     law = _tri.terminal_law(stream, k)
     counts = _tri.sample_counts(stream, k, seed, trials)
@@ -599,30 +585,27 @@ def _run_triangle(stream: EdgeStream, params, trials, seed):
     return results, verdicts, gates
 
 
-def _run_heavy(stream: DirectedEdgeStream, params, trials, seed):
-    d_h, d_t = _int_param("heavy", params, "d_H"), _int_param("heavy", params, "d_T")
-    count = _heavy.oracle_heavy_count(stream, d_h, d_t)
-    law = _heavy.terminal_law(stream, d_h, d_t)
-    counts = _heavy.sample_counts(stream, d_h, d_t, seed, trials)
+def _run_heavy(stream: DirectedEdgeStream, trials, seed, d_H, d_T):
+    count = _heavy.oracle_heavy_count(stream, d_H, d_T)
+    law = _heavy.terminal_law(stream, d_H, d_T)
+    counts = _heavy.sample_counts(stream, d_H, d_T, seed, trials)
     results, verdicts, gates = _signed_run(count, law, counts, trials, "count")
-    results.update(n=stream.n, m=stream.m, d_H=d_h, d_T=d_t, heavy_count=count)
+    results.update(n=stream.n, m=stream.m, d_H=d_H, d_T=d_T, heavy_count=count)
     return results, verdicts, gates
 
 
-def _run_snapshot(stream: DirectedEdgeStream, params, trials, seed):
-    def integer(field: str, default: Any = _MISSING) -> int:
-        return _int_param("snapshot", params, field, default)
-
+def _run_snapshot(stream: DirectedEdgeStream, trials, seed, kappa, eps, thresholds, alpha,
+                  beta, capacity_c, hash_seed):
     sp = _snap.SnapshotParams(
-        kappa=integer("kappa"),
-        eps=params["eps"],
-        thresholds=tuple(params["thresholds"]),
-        class_pair=(integer("alpha"), integer("beta")),
-        capacity_c=integer("capacity_c", 32),
+        kappa=kappa,
+        eps=eps,
+        thresholds=tuple(thresholds),
+        class_pair=(alpha, beta),
+        capacity_c=capacity_c,
         copies=trials,
     )
     grid = _snap.DegreeGrid.from_eps(stream.n, sp.eps)
-    hashes = _snap.HashOracles(integer("hash_seed", seed), sp.kappa, sp.eps)
+    hashes = _snap.HashOracles(seed if hash_seed is None else hash_seed, sp.kappa, sp.eps)
     plan = _snap.build_plan(stream, hashes, grid, sp)
     law = _snap.terminal_law(stream, hashes, grid, sp, plan=plan)
     oracle = _snap.lemma_expectation(stream, hashes, grid, sp)
@@ -693,65 +676,85 @@ def random_script(
     return ops
 
 
-def _run_equivalence(_instance, params, trials, seed):
-    universe_n = _int_param("equivalence", params, "universe", 8)
-    max_size = _int_param("equivalence", params, "max_size", 4)
-    max_len = _int_param("equivalence", params, "max_len", 5)
-    tolerance = params.get("tolerance", 1e-9)
-    if isinstance(tolerance, bool) or not (
-        isinstance(tolerance, numbers.Real) and math.isfinite(tolerance) and tolerance >= 0
-    ):
-        raise ConfigError(
-            f"equivalence 'tolerance' must be a finite number >= 0, got {tolerance!r:.40}"
-        )
-    tolerance = float(tolerance)
-    if universe_n < 1 or max_size < 1 or max_len < 1:
+EQUIVALENCE_TOLERANCE = 1e-9  # the two backends' laws differ by float rounding only
+
+
+def _run_equivalence(_instance, trials, seed, universe, max_size, max_len):
+    if universe < 1 or max_size < 1 or max_len < 1:
         raise ConfigError("equivalence needs positive universe, max_size, max_len")
 
-    universe = UniverseSpec((Block("v", (IntRange(1, universe_n),)),))
-    ids = range(universe_n)
-    subsets = [
-        frozenset(c)
-        for size in range(1, min(max_size, universe_n) + 1)
-        for c in itertools.combinations(ids, size)
-    ]
+    spec = UniverseSpec((Block("v", (IntRange(1, universe),)),))
+    sizes = range(1, min(max_size, universe) + 1)
+    total = sum(math.comb(universe, size) for size in sizes)
+    # script i starts from subset i mod total, in order of size and then of
+    # itertools.combinations; only the subsets that some script reaches are built
+    subsets = list(itertools.islice(
+        itertools.chain.from_iterable(itertools.combinations(range(universe), s) for s in sizes),
+        trials,
+    ))
 
     max_tv = 0.0
-    covered: set[frozenset[int]] = set()
     for i in range(trials):
-        rng = purpose_rng("equivalence", seed, i)
-        members = sorted(subsets[i % len(subsets)])
-        script = random_script(universe, rng, max_len)
-        classical = enumerate_distribution(universe, members, script)
-        quantum = enumerate_distribution(universe, members, script, "quantum")
+        members = subsets[i % total]
+        script = random_script(spec, purpose_rng("equivalence", seed, i), max_len)
+        classical = enumerate_distribution(spec, members, script)
+        quantum = enumerate_distribution(spec, members, script, "quantum")
         max_tv = max(max_tv, classical.tv(quantum))
-        covered.add(subsets[i % len(subsets)])
 
-    gate = {"oracle": 0.0, "value": max_tv, "sigma": tolerance / 4}
+    gate = {"oracle": 0.0, "value": max_tv, "sigma": EQUIVALENCE_TOLERANCE / 4}
     verdicts = {
-        "max_tv_within_tolerance": max_tv <= tolerance,
-        "every_subset_exercised": len(covered) == len(subsets),
+        "max_tv_within_tolerance": max_tv <= EQUIVALENCE_TOLERANCE,
+        "every_subset_exercised": len(subsets) == total,
     }
     results = {
-        "universe": universe_n,
+        "universe": universe,
         "max_size": max_size,
         "max_len": max_len,
-        "subsets_total": len(subsets),
-        "subsets_covered": len(covered),
+        "subsets_total": total,
+        "subsets_covered": len(subsets),
         "scripts": trials,
         "max_tv": max_tv,
-        "tolerance": tolerance,
+        "tolerance": EQUIVALENCE_TOLERANCE,
     }
     return results, verdicts, {"max_tv_within_tolerance": gate}
 
 
-_RUNNERS = {
-    "bhm": _run_bhm,
-    "triangle": _run_triangle,
-    "heavy": _run_heavy,
-    "snapshot": _run_snapshot,
-    "equivalence": _run_equivalence,
+# -- the algorithm table ------------------------------------------------------------
+
+AS_GIVEN = object()  # the default of a required param that is not an integer
+
+# One entry per algorithm: the parse_stream kind and the type of its instance
+# (None and None when it takes no instance), its runner, called as
+# runner(instance, trials, seed, **params) for (results, verdicts, gates), and
+# each param's default (REQUIRED or AS_GIVEN when it has none).
+Algorithm = collections.namedtuple("Algorithm", "stream_kind instance_type runner params")
+EXPERIMENTS = {
+    "bhm": Algorithm("bhm", BhmInstance, _run_bhm, dict(meta_trials=0, copies=None)),
+    "triangle": Algorithm("undirected", EdgeStream, _run_triangle, dict(k=REQUIRED)),
+    "heavy": Algorithm("directed", DirectedEdgeStream, _run_heavy,
+                       dict(d_H=REQUIRED, d_T=REQUIRED)),
+    "snapshot": Algorithm("directed", DirectedEdgeStream, _run_snapshot, dict(
+        kappa=REQUIRED, eps=AS_GIVEN, thresholds=AS_GIVEN, alpha=REQUIRED, beta=REQUIRED,
+        capacity_c=32, hash_seed=None)),
+    "equivalence": Algorithm(None, None, _run_equivalence, dict(universe=8, max_size=4, max_len=5)),
 }
+ALGORITHMS = tuple(EXPERIMENTS)
+
+
+def _read_params(name: str, params: Mapping[str, Any]) -> dict[str, Any]:
+    """Each param of algorithm ``name``, from ``params`` or its default.
+
+    ``ConfigError`` names the algorithm and field of a missing required, a
+    non-integral integer, or an unknown param.
+    """
+    given = dict(params)
+    values = {
+        field: _required(name, given, field) if default is AS_GIVEN
+        else _int_param(name, given, field, default)
+        for field, default in EXPERIMENTS[name].params.items()
+    }
+    _reject_extras(name, given, role="experiment")
+    return values
 
 
 # -- top-level dispatch --------------------------------------------------------------
@@ -774,13 +777,10 @@ def run_experiment(config: ExperimentConfig) -> Report:
     """
     config = dataclasses.replace(config, master_seed=seed_override(config.master_seed))
     instance = _load_instance(config)
-    runner = _RUNNERS[config.algorithm]
-    try:
-        results, verdicts, gates = runner(
-            instance, dict(config.params), config.trials, config.master_seed
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{config.algorithm} params missing {exc.args[0]!r}") from None
+    params = _read_params(config.algorithm, config.params)
+    results, verdicts, gates = EXPERIMENTS[config.algorithm].runner(
+        instance, config.trials, config.master_seed, **params
+    )
     results["gates"] = gates
     report = Report(
         schema_version=SCHEMA_VERSION,

@@ -70,10 +70,6 @@ class DegreeGrid:
         # the powers of 1 + eps^3 below only grow past n when eps > 0
         if not (0 < e <= 1):
             raise InvalidParamsError("eps must be in (0, 1]")
-        if n * e**3 <= 1:
-            # below n each step raises the power by less than one, so the
-            # floors take every value in 1..n
-            return cls(eps=e, levels=tuple(range(1, n + 1)))
         return cls(eps=e, levels=_power_floors(n, e**3))
 
     def index_for_degree(self, d: int) -> int:

@@ -1,8 +1,14 @@
-"""The experiment config each CLI subcommand builds, pinned argv by argv."""
+"""The experiment config each CLI subcommand builds, pinned argv by argv,
+and the README's table of experiment params."""
+import argparse
+from pathlib import Path
+
 import pytest
 
 from pairsketch import cli
-from pairsketch.harness import Report
+from pairsketch.harness import AS_GIVEN, EXPERIMENTS, REQUIRED, Report
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 CASES = [
     (
@@ -90,3 +96,33 @@ def test_each_subcommand_builds_its_pinned_config(argv, expected, monkeypatch, c
     assert cli.main(argv) == 0
     assert recorded == [expected]
     capsys.readouterr()
+
+
+def test_the_readme_param_table_matches_the_harness_table_and_the_flags():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| algorithm | param | default | flag |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append(tuple(cell.strip().strip("`") for cell in line.strip("|").split("|")))
+
+    subparsers = next(
+        action for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    expected = []
+    for algorithm, entry in EXPERIMENTS.items():
+        flags = {
+            action.dest: action.option_strings[0] for action in subparsers[algorithm]._actions
+        }
+        for param, default in entry.params.items():
+            if default is REQUIRED or default is AS_GIVEN:
+                shown = "required"
+            elif default is None:
+                shown = next(row[2] for row in rows if row[:2] == (algorithm, param))
+                assert shown.startswith("none ("), (algorithm, param)
+            else:
+                shown = str(default)
+            expected.append((algorithm, param, shown, flags.get(param, "none")))
+    assert rows == expected

@@ -313,18 +313,12 @@ def test_emit_report_writes_json_and_csv(tmp_path):
 # -- running experiments ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("bad", ["x", float("nan"), float("inf"), -1.0, True])
-def test_equivalence_tolerance_is_a_finite_nonnegative_number(bad):
-    config = ExperimentConfig("equivalence", {"universe": 3, "tolerance": bad}, 4, 0)
-    with pytest.raises(ConfigError) as err:
-        run_experiment(config)
-    assert "'tolerance'" in str(err.value) and repr(bad) in str(err.value)
-
-
 def test_equivalence_experiment_covers_subsets():
     cfg = ExperimentConfig("equivalence", {"universe": 4, "max_size": 2}, 10, 3)
     report = run_experiment(cfg)
     assert report.results["subsets_total"] == 10
+    assert report.results["tolerance"] == 1e-9
+    assert report.results["gates"]["max_tv_within_tolerance"]["sigma"] == 1e-9 / 4
     assert report.verdicts["every_subset_exercised"]
     assert report.verdicts["max_tv_within_tolerance"]
     assert report.results["max_tv"] <= 1e-9
@@ -334,7 +328,23 @@ def test_equivalence_experiment_covers_subsets():
         ExperimentConfig("equivalence", {"universe": 4, "max_size": 2}, 6, 3)
     )
     assert not short.verdicts["every_subset_exercised"]
+    assert short.results["subsets_covered"] == 6
     assert not short.passed
+
+
+def test_equivalence_builds_only_the_subsets_its_scripts_start_from():
+    # 102,090 subsets of at most 4 of 40 ids; ten scripts start from the first ten
+    cfg = ExperimentConfig("equivalence", {"universe": 40, "max_size": 4}, 10, 0)
+    tracemalloc.start()
+    try:
+        report = run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.results["subsets_total"] == 102_090
+    assert report.results["subsets_covered"] == 10
+    assert report.verdicts["max_tv_within_tolerance"]
+    assert peak < 2 << 20
 
 
 def test_triangle_experiment_is_exact_on_k3(tmp_path):
@@ -535,6 +545,24 @@ def test_experiment_integers_are_checked(algorithm, field, bad):
     with pytest.raises(ConfigError) as err:
         _experiment(algorithm, **{field: bad})
     assert all(word in str(err.value) for word in (algorithm, repr(field), repr(bad)))
+
+
+# One param per algorithm that its table entry does not list.
+UNKNOWN_PARAMS = [
+    ("bhm", "meta_trial", 1000),  # a typo of meta_trials, which would skip the vote
+    ("triangle", "K", 2),
+    ("heavy", "d_h", 2),
+    ("snapshot", "hash-seed", 0),
+    ("equivalence", "tolerance", 1e-9),  # a constant since it became one
+]
+
+
+@pytest.mark.parametrize("algorithm, field, value", UNKNOWN_PARAMS,
+                         ids=[f"{a}-{f}" for a, f, _ in UNKNOWN_PARAMS])
+def test_unknown_experiment_params_are_refused(algorithm, field, value):
+    with pytest.raises(ConfigError) as err:
+        _experiment(algorithm, **{field: value})
+    assert str(err.value) == f"{algorithm} experiment got unknown params: [{field!r}]"
 
 
 @pytest.mark.parametrize("algorithm", EXPERIMENT_PARAMS)

@@ -106,7 +106,7 @@ def _stepped_levels(n, eps):
 
 @pytest.mark.parametrize("eps", ["1", "1/2", "2/5", "1/3", "1/4", "1/5"])
 def test_grid_equals_the_stepped_powers(eps):
-    # n * eps^3 <= 1 takes the every-degree shortcut; larger n steps
+    # n * eps^3 <= 1 lists every degree; larger n steps
     for n in range(1, 31):
         assert DegreeGrid.from_eps(n, eps).levels == _stepped_levels(n, Fraction(eps)), n
 
@@ -140,6 +140,16 @@ def test_grid_for_tiny_eps_lists_every_degree_without_stepping():
     grid = DegreeGrid.from_eps(1000, "1/50")
     assert time.perf_counter() - start < 0.1
     assert grid.levels == tuple(range(1, 1001))
+
+
+def test_grid_lists_every_degree_while_the_steps_stay_below_one():
+    # n * eps^3 <= 1: every step of the powers of 1 + eps^3 below n is below
+    # one, so the floors take every value in 1..n. Over eps = a/b, b <= 40,
+    # at the small n, the middle and the top two n of that range.
+    for eps in sorted({Fraction(a, b) for b in range(1, 41) for a in range(1, b + 1)}):
+        top = math.floor(1 / eps**3)
+        for n in {*range(1, min(top, 30) + 1), top // 2, top - 1, top} - {0}:
+            assert DegreeGrid.from_eps(n, eps).levels == tuple(range(1, n + 1)), (eps, n)
 
 
 @given(n=st.integers(2, 60), eps_num=st.integers(1, 4))

@@ -245,3 +245,38 @@ def test_the_live_handle_draws_its_uniforms_in_one_place():
                     and call.func.attr == "random"
                 ]
     assert sorted(sites) == ["Law.sample", "SketchHandle._refill"]
+
+
+def _compares(node):
+    """Every comparison under ``node``, as the list of its operands."""
+    return [[c.left, *c.comparators] for c in ast.walk(node) if isinstance(c, ast.Compare)]
+
+
+def test_only_the_algorithm_table_names_the_algorithms():
+    # harness.EXPERIMENTS holds every per-algorithm fact, so no other code
+    # branches on an algorithm's name. parse_stream compares stream kinds,
+    # one of which is also called "bhm"; the CLI branches on "gen", which is
+    # no experiment, and on "bhm", whose default instance is a generator spec.
+    from pairsketch.harness import ALGORITHMS
+
+    found = [
+        f"harness.py:{operand.lineno}"
+        for node in _tree("harness.py").body
+        if getattr(node, "name", None) != "parse_stream"
+        for operands in _compares(node)
+        for operand in operands
+        if isinstance(operand, ast.Constant) and operand.value in ALGORITHMS
+    ]
+    assert found == []
+
+    def is_command(node):
+        return isinstance(node, ast.Attribute) and node.attr == "command"
+
+    compared = [
+        operand.value if isinstance(operand, ast.Constant) else ast.dump(operand)
+        for operands in _compares(_tree("cli.py"))
+        if any(is_command(operand) for operand in operands)
+        for operand in operands
+        if not is_command(operand)
+    ]
+    assert sorted(compared) == ["bhm", "gen"]
