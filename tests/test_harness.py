@@ -14,6 +14,7 @@ from pairsketch import pseudosnapshot as ps
 from pairsketch.bhm import BhmInstance
 from pairsketch.cli import main
 from pairsketch.harness import (
+    EQUIVALENCE_TOLERANCE,
     ExperimentConfig,
     Report,
     canonical_json,
@@ -311,6 +312,17 @@ def test_emit_report_writes_json_and_csv(tmp_path):
 
 
 # -- running experiments ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", ["x", float("nan"), float("inf"), -1.0, True])
+def test_equivalence_tolerance_is_a_finite_nonnegative_number(bad):
+    # the tolerance is the constant EQUIVALENCE_TOLERANCE; a value given as a param,
+    # well-formed or not, is refused before it could replace it
+    assert math.isfinite(EQUIVALENCE_TOLERANCE) and EQUIVALENCE_TOLERANCE >= 0
+    config = ExperimentConfig("equivalence", {"universe": 3, "tolerance": bad}, 4, 0)
+    with pytest.raises(ConfigError) as err:
+        run_experiment(config)
+    assert str(err.value) == "equivalence experiment got unknown params: ['tolerance']"
 
 
 def test_equivalence_experiment_covers_subsets():
