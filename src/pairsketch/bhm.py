@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import chain
 from typing import Union
 
 import numpy as np
@@ -92,10 +93,19 @@ class BhmInstance:
                 raise ValidationError(
                     f"edge ({u}, {v}) has label {z}, inconsistent with its endpoints", i
                 )
-        want: list[StreamItem] = [VertexBit(v, self.x[v - 1]) for v in range(1, n + 1)]
-        want += [EdgeLabel(u, v, z) for (u, v), z in zip(self.matching, self.z)]
-        if sorted(map(repr, self.stream)) != sorted(map(repr, want)):
-            raise ValidationError("stream is not a permutation of the instance items")
+        # the stream holds exactly the items when its item maps equal the instance's and
+        # every number is a plain int; else the sorted reprs decide, telling True from 1
+        stream = self.stream
+        bits = {it.v: it.bit for it in stream if type(it) is VertexBit}
+        labels = {(it.u, it.v): it.z for it in stream if type(it) is EdgeLabel}
+        if not (len(bits) + len(labels) == len(stream) and bits == dict(enumerate(self.x, 1))
+                and labels == dict(zip(self.matching, self.z)) and {*map(type, chain(
+                    bits, bits.values(), chain.from_iterable(labels), labels.values(),
+                    self.x, chain.from_iterable(self.matching), self.z))} <= {int}):
+            want: list[StreamItem] = [VertexBit(v, self.x[v - 1]) for v in range(1, n + 1)]
+            want += [EdgeLabel(u, v, z) for (u, v), z in zip(self.matching, self.z)]
+            if sorted(map(repr, stream)) != sorted(map(repr, want)):
+                raise ValidationError("stream is not a permutation of the instance items")
 
     @property
     def m(self) -> int:

@@ -249,8 +249,13 @@ def _parse_edge_list(path, lines, cls):
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise ParseError(f"{path}:{lno}: non-integer header field") from None
-    edges = []
-    for lno, ln in lines[1:]:
+    rows = [ln.split() for _, ln in lines[1:]]
+    try:  # every field in one conversion; on a fault, the loop names its line
+        ends = [*map(int, itertools.chain.from_iterable(rows))] if {*map(len, rows)} <= {2} else ()
+    except ValueError:
+        ends = ()
+    edges = [*zip(ends[::2], ends[1::2])]
+    for lno, ln in lines[1:] if len(edges) < len(rows) else ():
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError(f"{path}:{lno}: expected 'u v'")
@@ -596,6 +601,8 @@ def _run_heavy(stream: DirectedEdgeStream, trials, seed, d_H, d_T):
 
 def _run_snapshot(stream: DirectedEdgeStream, trials, seed, kappa, eps, thresholds, alpha,
                   beta, capacity_c, hash_seed):
+    if not isinstance(thresholds, (list, tuple)):
+        raise ConfigError(f"snapshot 'thresholds' must be a list, got {thresholds!r:.40}")
     sp = _snap.SnapshotParams(
         kappa=kappa,
         eps=eps,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Union
 
 import numpy as np
@@ -52,9 +52,11 @@ class SwapStage:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "pairs", tuple((_swap_id(a), _swap_id(b)) for a, b in self.pairs)
-        )
+        pairs = self.pairs  # kept as given when it is a tuple of 2-tuples of plain ints
+        if type(pairs) is not tuple or not all(
+            type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int for p in pairs
+        ):
+            object.__setattr__(self, "pairs", tuple((_swap_id(a), _swap_id(b)) for a, b in pairs))
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,7 @@ class PermutationSpec:
     def __post_init__(self) -> None:
         stages = tuple(self.stages)
         object.__setattr__(self, "stages", stages)
-        size = self.universe.size  # read once for every swap stage
+        size = self.universe.layout()[-1].end  # the cached size, for every swap stage
         segments: list[tuple[tuple[tuple[int, int], ...], _CompiledShift | None]] = []
         run: list[SwapStage] = []
         for stage in stages:
@@ -153,7 +155,11 @@ class PermutationSpec:
 
 def _check_swap(size: int, stage: SwapStage) -> None:
     """Raise unless ``stage``'s ids lie below ``size`` and its pairs are disjoint
-    transpositions. ``SwapStage`` made every id a plain int."""
+    transpositions. ``SwapStage`` made every id a plain int. One pass over all ids
+    accepts a valid stage; the loop finds the first fault, pair by pair."""
+    ids = [*chain.from_iterable(stage.pairs)]
+    if not ids or 0 <= min(ids) and max(ids) < size and len(set(ids)) == len(ids):
+        return
     seen: set[int] = set()
     for a, b in stage.pairs:
         for eid in (a, b):

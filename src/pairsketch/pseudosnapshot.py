@@ -27,8 +27,8 @@ from .errors import (
 )
 from .heavy_edges import DirectedEdgeStream
 from .permutation import PermutationSpec, SwapStage, frame_id
-from .sketch import Law, QueryGroup, QueryOne, QueryOutcome, QueryPair, Tape, create, replay_law
-from .sketch import count_param, purpose_rng, run_tagged
+from .sketch import Law, QueryGroup, QueryOne, QueryOutcome, QueryPair, Tape, create
+from .sketch import count_param, purpose_rng, replay_numerators, run_tagged
 from .universe import Block, IntRange, Labels, UniverseSpec
 
 FAMILIES = ("A", "B", "C", "D")
@@ -439,6 +439,7 @@ class _Plan:
         if self.universe.block_offset("scratch") != 0:
             raise InvariantError("the scratch block must come first in the universe")
         self._s_copy = self.positions
+        self._copies = range(0, self.copies * self._s_copy, self._s_copy)  # copy t's line - copy 1's
         self._s_fam = self.copies * self.positions
         self._s_vert = len(FAMILIES) * self._s_fam
         self.cursor = 0
@@ -457,7 +458,8 @@ class _Plan:
     def increment(self, fam: str, w: int, r: int, framed: bool) -> list[tuple[int, int]]:
         """Shift the whole (w, fam) stack up by r, and return the swap pairs
         that move the next 2k^2*r scratch elements into the vacated bottom
-        positions 1..r of its copies, addressed after the shift."""
+        positions 1..r of its copies, addressed after the shift. Each position is
+        framed once; its copies lie at the offsets ``_copies`` from it."""
         need = self.copies * r
         if self.cursor + need > self.big_m:
             raise CapacityError(
@@ -469,13 +471,8 @@ class _Plan:
         if self.tops[(w, fam)] >= self.positions:
             raise InvariantError(f"stack ({w}, {fam}) grew past {self.positions} positions")
         line, rot = self._stack(w, fam, framed)
-        mod, pairs = self.positions, []
-        for _ in range(self.copies):
-            for pos in range(1, r + 1):
-                pairs.append((k, frame_id(line + pos, line, rot, mod)))
-                k += 1
-            line += self._s_copy
-        return pairs
+        slots = [line + frame_id(pos, 0, rot, self.positions) for pos in range(1, r + 1)]
+        return list(zip(range(k, k + need), [at + c for c in self._copies for at in slots]))
 
     def query_slots(self, u: int, v: int, framed: bool) -> list[tuple[int, int, tuple]]:
         """(x id, y id, hit coordinates) of the edge's 4k^2 pair queries,
@@ -512,8 +509,7 @@ class _Plan:
         """The ids of the edge's single queries: every threshold-aligned index,
         base included, of all copies of both endpoints' stacks, bounded by
         stack extents."""
-        out = []
-        mod = self.positions
+        out: list[int] = []
         for w in (u, v):
             for fam, base, step in (
                 ("A", self.d_a, self.d_a1),
@@ -523,10 +519,8 @@ class _Plan:
             ):
                 first, rot = self._stack(w, fam, framed)
                 for pos in range(base, self.tops[(w, fam)] + 1, step):
-                    line = first
-                    for _ in range(self.copies):
-                        out.append(frame_id(line + pos, line, rot, mod))
-                        line += self._s_copy
+                    at = first + frame_id(pos, 0, rot, self.positions)
+                    out += [at + c for c in self._copies]
         return out
 
 
@@ -551,7 +545,7 @@ def build_plan(
     fa = tuple(hashes.f(plan.d_a, k) for k in range(1, stream.m + 1))
     fb = tuple(hashes.f(plan.d_b, k) for k in range(1, stream.m + 1))
     budget_ok = sum(fa) + sum(fb) <= 2 * params.kappa * stream.m
-    edge_plans, capacity_edge, copies = [], None, range(plan.copies)
+    edge_plans, capacity_edge = [], None
     if budget_ok:
         for k, (u, v) in enumerate(stream.edges, start=1):
             incs = _increments(plan, u, v, fa[k - 1], fb[k - 1])
@@ -561,7 +555,7 @@ def build_plan(
                 capacity_edge = k
                 break
             stacks = [plan._stack(w, fam, True) for fam, w, _ in incs]
-            turned = {line + c * plan._s_copy: r for line, r in stacks for c in copies}
+            turned = {line + c: r for line, r in stacks for c in plan._copies}
             xs, ys, coords = zip(*plan.query_slots(u, v, True))
             cleanups = plan.cleanup_slots(u, v, True)
             item = (
@@ -764,8 +758,9 @@ def terminal_law(
         return SnapshotLaw(ell, 0, Law({("StreamEnd", None, 0): Fraction(1)}))
     if plan is None:
         plan = build_plan(stream, hashes, grid, params)
-    atoms = replay_law(plan.tape).atoms
-    return SnapshotLaw(ell, plan.big_m, Law(dict(sorted(atoms.items(), key=lambda a: repr(a[0])))))
+    den, nums = replay_numerators(plan.tape)
+    nums = dict(sorted(nums.items(), key=lambda a: repr(a[0])))
+    return SnapshotLaw(ell, plan.big_m, Law.from_numerators(den, nums))
 
 
 # ---------------------------------------------------------------------------

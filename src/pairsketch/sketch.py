@@ -55,7 +55,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -131,6 +131,13 @@ def edge_list(n, edges, directed: bool) -> tuple[int, tuple[tuple[int, int], ...
         raise ValidationError(f"vertex count {n!r} must be an integer")
     if count < 1:
         raise ValidationError(f"vertex count {count} must be positive")
+    edges = tuple(edges)  # a few passes accept a valid list; the loop finds the first fault
+    if {*map(type, edges)} <= {tuple} and {*map(len, edges)} <= {2}:
+        ends = [*chain.from_iterable(edges)]
+        keys = [*edges] if directed else [*edges, *zip(ends[1::2], ends[::2])]
+        if ({*map(type, ends)} <= {int} and (not ends or 1 <= min(ends) and max(ends) <= count)
+                and not any(map(operator.eq, ends[::2], ends[1::2])) and len(set(keys)) == len(keys)):
+            return count, edges
     seen: dict[tuple[int, int], tuple[int, int]] = {}
     for i, (u, v) in enumerate(edges):
         a, b = _as_index(u), _as_index(v)
@@ -174,10 +181,21 @@ class Law:
         if sum(nums) != den:
             raise InvariantError(f"law carries mass {Fraction(sum(nums), den)}, not 1")
 
+    @classmethod
+    def from_numerators(cls, den: int, nums: dict) -> Law:
+        """The law whose atom ``key`` has mass ``nums[key] / den``, in ``nums`` order, with
+        ``_scaled`` (``den``, the numerators); equal numerators share one Fraction."""
+        probs = {num: Fraction(num, den) for num in set(nums.values())}
+        law = cls.__new__(cls)
+        object.__setattr__(law, "atoms", {key: probs[num] for key, num in nums.items()})
+        law.__dict__["_scaled"] = den, list(nums.values())
+        law.__post_init__()
+        return law
+
     @cached_property
     def _scaled(self) -> tuple[int, list[int]]:
-        """(D, numerators): each atom's mass as a whole number of 1/D, D the least
-        common denominator of the atoms."""
+        """(D, numerators): each atom's mass as a whole number of 1/D, D a common
+        denominator of the atoms: the least one, unless ``from_numerators`` gave it."""
         probs = self.atoms.values()
         den = math.lcm(*(p.denominator for p in probs))
         return den, [p.numerator * (den // p.denominator) for p in probs]
@@ -198,7 +216,8 @@ class Law:
         positive atom on are pinned to 1, so float rounding can never leave a
         ``sample`` draw on a zero-mass atom after it or past the final atom.
         """
-        probs = [float(p) for p in self.atoms.values()]
+        den, nums = self._scaled
+        probs = [num / den for num in nums]  # int division rounds as float(Fraction) does
         top = max(k for k, p in enumerate(probs) if p) + 1
         cum = np.cumsum(probs)
         cum[top - 1:] = 1.0
@@ -334,7 +353,7 @@ class QueryGroup:
         self.ys = ys = None if ys is None else tuple(ys)
         if ys is not None and len(ys) != len(xs):
             raise InvalidQueryError(f"a pair group has {len(xs)} xs but {len(ys)} ys")
-        size = universe.size  # read once
+        size = universe.layout()[-1].end  # the cached size
         ids = xs if ys is None else xs + ys
         if (
             all(type(eid) is int for eid in ids)
@@ -356,6 +375,9 @@ class QueryGroup:
             return tuple(map(QueryOne, self.xs))
         return tuple(map(QueryPair, self.xs, self.ys))
 
+
+#: ``query_group``'s ``FIRE_LAW`` rows, (one present, two present), per pair flag.
+_GROUP_LAW = {pair: (FIRE_LAW[pair, 1], FIRE_LAW[True, 2]) for pair in (False, True)}
 
 #: A handle draws its uniforms in blocks of ``_FIRST_BLOCK``, then twice as
 #: many per refill up to ``_LAST_BLOCK``: a short run pays for few draws it
@@ -512,7 +534,7 @@ class SketchHandle:
         if frame is not None:
             xs = [frame(x) for x in xs]
             ys = [frame(y) for y in ys] if pair else None
-        one, two = FIRE_LAW[pair, 1], FIRE_LAW[True, 2]
+        one, two = _GROUP_LAW[pair]
         for i, (x, y) in enumerate(zip(xs, ys) if pair else zip(xs, repeat(None))):
             if x in ids:  # y = None is never a member
                 size = len(ids)
@@ -777,8 +799,13 @@ _FIRE_NUMS = {
 
 
 def replay_law(tape: Tape) -> Law:
-    """Exact outcome law of ``run_tagged`` on ``tape``, from one lazy pass of its
-    noiseless replay.
+    """Exact outcome law of ``run_tagged`` on ``tape``: ``replay_numerators`` as a ``Law``."""
+    return Law.from_numerators(*replay_numerators(tape))
+
+
+def replay_numerators(tape: Tape) -> tuple[int, dict]:
+    """(D, numerators): the exact outcome law of ``run_tagged`` on ``tape`` as integer
+    masses over D, from one lazy pass of its noiseless replay.
 
     The fire atom of a query with tag t and outcome o goes to ``tape.key(t, o)``,
     and the survival mass to ``tape.end_key``; atoms with equal keys add up, in
@@ -789,8 +816,7 @@ def replay_law(tape: Tape) -> Law:
     which cancels the |T| of its own law, and updates keep the size. So every
     mass is a whole multiple of 1/D, D = ``_LCM`` * |T0|: a fire atom is its
     ``_FIRE_NUMS`` numerator of them, and the survival |S|/|T0| is ``_LCM`` *
-    |S|. The atoms add up as integer numerators, and each becomes one
-    Fraction at the end.
+    |S|. The atoms add up as integer numerators.
     """
     store = _MemberStore(tape.universe, tape.members)
     initial_size = len(store.ids)
@@ -800,8 +826,7 @@ def replay_law(tape: Tape) -> Law:
             atom = key(tag, outcome)
             nums[atom] = nums.get(atom, 0) + num
     nums[end_key] = nums.get(end_key, 0) + _LCM * len(store.ids)
-    den = _LCM * initial_size
-    return Law({atom: Fraction(num, den) for atom, num in nums.items()})
+    return _LCM * initial_size, nums
 
 
 def run_tagged(

@@ -123,23 +123,25 @@ def oracle_t_split(stream: EdgeStream, k: int) -> TriangleOracleReport:
     Each triangle is found once, at its closing edge, through its apex: an
     earlier neighbour of both endpoints. ``per_triangle`` rows are
     (apex, v, w, d_v, d_w, weight), ordered by the triangle's sorted vertices.
+    T_less sums integer numerators over k^max; each weight is built once per power.
     """
     k = count_param("k", k, 1)
     arrival: list[dict[int, int]] = [{} for _ in range(stream.n + 1)]
     incident: list[list[int]] = [[] for _ in range(stream.n + 1)]
-    damp = Fraction(k - 1, k)
     rows = {}
     for a3, (x, y) in enumerate(stream.edges, start=1):
         for apex in arrival[x].keys() & arrival[y].keys():
             (a1, v), (a2, w) = sorted(((arrival[x][apex], x), (arrival[y][apex], y)))
             d_v = len(incident[v]) - bisect_right(incident[v], a1)
             d_w = len(incident[w]) - bisect_right(incident[w], a2)
-            rows[tuple(sorted((apex, x, y)))] = (apex, v, w, d_v, d_w, damp ** (d_v + d_w))
+            rows[tuple(sorted((apex, x, y)))] = (apex, v, w, d_v, d_w)
         arrival[x][y] = arrival[y][x] = a3
         incident[x].append(a3)
         incident[y].append(a3)
-    per_triangle = tuple(rows[key] for key in sorted(rows))
-    total_less = sum((row[5] for row in per_triangle), Fraction(0))
+    exps = Counter(d_v + d_w for *_, d_v, d_w in rows.values())  # exponent -> triangles
+    top, weight = max(exps, default=0), {d: Fraction(k - 1, k) ** d for d in exps}
+    per_triangle = tuple((*row, weight[row[3] + row[4]]) for row in map(rows.get, sorted(rows)))
+    total_less = Fraction(sum(c * (k - 1) ** d * k ** (top - d) for d, c in exps.items()), k**top)
     T = len(per_triangle)
     return TriangleOracleReport(T, total_less, T - total_less, per_triangle)
 
@@ -259,7 +261,7 @@ def terminal_law(stream: EdgeStream, k: int) -> Law:
 def _build_law(stream: EdgeStream, k: int) -> Law:
     """``terminal_law``'s sums as polynomials in q with integer coefficients:
     the pass counts how often each power of q occurs in them, and each
-    polynomial is evaluated once at the end."""
+    polynomial is evaluated once at the end, at q = (k - 1)/k."""
     m = stream.m
     if m == 0:
         return Law({0: Fraction(1)})
@@ -280,13 +282,13 @@ def _build_law(stream: EdgeStream, k: int) -> Law:
     for n in range(max(earlier), 0, -1):
         above += earlier[n]
         reach[n - 1] = above
-    q = 1 - Fraction(1, k)
+    top = max(both.keys() | reach.keys(), default=0)
 
     def at_q(counts: Counter[int]) -> Fraction:
-        value = Fraction(0)
-        for d in range(max(counts, default=0), -1, -1):  # Horner's rule
-            value = value * q + counts[d]
-        return value
+        value = 0  # Horner's rule on k^top times the polynomial, in integers
+        for d in range(top, -1, -1):
+            value = value * (k - 1) + counts[d] * k ** (top - d)
+        return Fraction(value, k**top)
 
     # present count -> sum over edges of E[such queries | the edge is selected]
     b = at_q(both)

@@ -559,6 +559,15 @@ def test_experiment_integers_are_checked(algorithm, field, bad):
     assert all(word in str(err.value) for word in (algorithm, repr(field), repr(bad)))
 
 
+@pytest.mark.parametrize("bad", ["-1", 5, None], ids=repr)
+def test_snapshot_thresholds_must_be_a_list(bad):
+    # a string would split into characters, and a number is no sequence at all
+    with pytest.raises(ConfigError) as err:
+        _experiment("snapshot", thresholds=bad)
+    assert str(err.value) == f"snapshot 'thresholds' must be a list, got {bad!r}"
+    assert _experiment("snapshot", thresholds=("-1",)).passed
+
+
 # One param per algorithm that its table entry does not list.
 UNKNOWN_PARAMS = [
     ("bhm", "meta_trial", 1000),  # a typo of meta_trials, which would skip the vote

@@ -733,3 +733,58 @@ def test_a_law_is_kept_per_instance_and_parameter(monkeypatch):
     bhm.sample_majority(inst, 1, 4, copies=3)
     assert bhm.terminal_slabs(inst) is law and len(calls) == 1
     assert law == bhm.terminal_slabs(bhm.generate_instance(8, Fraction(1, 4), 0, seed=1))
+
+
+# -- laws built from numerators ------------------------------------------------------
+
+
+def _equivalence_laws(seed=11, scripts=20):
+    """The laws of the equivalence experiment's scripts, keyed as ``qsim`` keys them."""
+    universe = UniverseSpec((Block("v", (IntRange(1, 6),)),))
+    for i in range(scripts):
+        script = random_script(universe, sketch.purpose_rng("equivalence", seed, i), 8)
+        tagged = [(op, k) for k, op in enumerate(script)]
+        yield replay_law(Tape(universe, [i % 6, (i + 2) % 6], script_items(universe, tagged),
+                              lambda k, out: (k, out.value), "end"))
+
+
+def _numerator_laws():
+    yield BHM_LAW
+    yield bhm.terminal_slabs(bhm.generate_instance(64, Fraction(1, 4), 0, seed=9))
+    for stream, pair in ((HEAVY, (1, 1)), (_directed(8, 20, 3), (2, 1))):
+        yield heavy_edges.terminal_law(stream, *pair)
+    for k in (1, 2, 5):
+        yield triangle.terminal_law(_gnp(), k)
+    yield _snapshot_law().law
+    yield from _equivalence_laws()
+
+
+@pytest.mark.parametrize("index", range(len(list(_numerator_laws()))))
+def test_a_law_from_numerators_equals_the_law_of_its_fractions(index):
+    law = list(_numerator_laws())[index]
+    twin = Law(dict(law.atoms))
+    assert list(law.atoms.items()) == list(twin.atoms.items())
+    for f in (lambda key: 1, lambda key: hash(key) % 7, lambda key: len(repr(key))):
+        assert law.expect(f) == twin.expect(f)
+    for ours, theirs in zip(law._floats, twin._floats):
+        assert ours.tolist() == theirs.tolist()
+    for trials, groups in ((10**6, None), (500, 3)):
+        drawn = [x.draw_counts(np.random.default_rng(5), trials, groups) for x in (law, twin)]
+        assert np.array_equal(*drawn)
+    assert np.array_equal(law.sample(np.random.default_rng(6), 1000),
+                          twin.sample(np.random.default_rng(6), 1000))
+
+
+def test_numerators_keep_their_denominator_and_order():
+    law = Law.from_numerators(12, {"b": 6, "a": 0, "c": 4, "d": 2})
+    assert list(law.atoms.items()) == [
+        ("b", Fraction(1, 2)), ("a", Fraction(0)), ("c", Fraction(1, 3)), ("d", Fraction(1, 6))]
+    assert law._scaled == (12, [6, 0, 4, 2])  # a common denominator, not the least one
+    assert law == Law(dict(law.atoms)) and Law(dict(law.atoms))._scaled == (6, [3, 0, 2, 1])
+    assert law.expect(lambda key: key in "bd") == Fraction(2, 3)
+
+
+@pytest.mark.parametrize("nums", [{"a": 1, "b": 4}, {"a": 7}, {"a": 3, "b": 3, "c": 1}, {}])
+def test_numerators_off_their_denominator_raise(nums):
+    with pytest.raises(InvariantError, match="^law carries mass .*, not 1$"):
+        Law.from_numerators(6, nums)
