@@ -250,12 +250,13 @@ def _parse_edge_list(path, lines, cls):
     except ValueError:
         raise ParseError(f"{path}:{lno}: non-integer header field") from None
     rows = [ln.split() for _, ln in lines[1:]]
-    try:  # every field in one conversion; on a fault, the loop names its line
-        ends = [*map(int, itertools.chain.from_iterable(rows))] if {*map(len, rows)} <= {2} else ()
+    try:  # every field in one conversion; on a fault, the loop below names its line
+        ends = None if {*map(len, rows)} - {2} else [
+            *map(int, itertools.chain.from_iterable(rows))]
     except ValueError:
-        ends = ()
-    edges = [*zip(ends[::2], ends[1::2])]
-    for lno, ln in lines[1:] if len(edges) < len(rows) else ():
+        ends = None
+    edges = [] if ends is None else [*zip(ends[::2], ends[1::2])]
+    for lno, ln in lines[1:] if ends is None else ():
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError(f"{path}:{lno}: expected 'u v'")

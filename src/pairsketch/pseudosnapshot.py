@@ -439,7 +439,7 @@ class _Plan:
         if self.universe.block_offset("scratch") != 0:
             raise InvariantError("the scratch block must come first in the universe")
         self._s_copy = self.positions
-        self._copies = range(0, self.copies * self._s_copy, self._s_copy)  # copy t's line - copy 1's
+        self._copy_offsets = range(0, self.copies * self._s_copy, self._s_copy)
         self._s_fam = self.copies * self.positions
         self._s_vert = len(FAMILIES) * self._s_fam
         self.cursor = 0
@@ -459,7 +459,7 @@ class _Plan:
         """Shift the whole (w, fam) stack up by r, and return the swap pairs
         that move the next 2k^2*r scratch elements into the vacated bottom
         positions 1..r of its copies, addressed after the shift. Each position is
-        framed once; its copies lie at the offsets ``_copies`` from it."""
+        framed once; its copies lie at the offsets ``_copy_offsets`` from it."""
         need = self.copies * r
         if self.cursor + need > self.big_m:
             raise CapacityError(
@@ -472,7 +472,7 @@ class _Plan:
             raise InvariantError(f"stack ({w}, {fam}) grew past {self.positions} positions")
         line, rot = self._stack(w, fam, framed)
         slots = [line + frame_id(pos, 0, rot, self.positions) for pos in range(1, r + 1)]
-        return list(zip(range(k, k + need), [at + c for c in self._copies for at in slots]))
+        return list(zip(range(k, k + need), [at + c for c in self._copy_offsets for at in slots]))
 
     def query_slots(self, u: int, v: int, framed: bool) -> list[tuple[int, int, tuple]]:
         """(x id, y id, hit coordinates) of the edge's 4k^2 pair queries,
@@ -520,7 +520,7 @@ class _Plan:
                 first, rot = self._stack(w, fam, framed)
                 for pos in range(base, self.tops[(w, fam)] + 1, step):
                     at = first + frame_id(pos, 0, rot, self.positions)
-                    out += [at + c for c in self._copies]
+                    out += [at + c for c in self._copy_offsets]
         return out
 
 
@@ -555,7 +555,7 @@ def build_plan(
                 capacity_edge = k
                 break
             stacks = [plan._stack(w, fam, True) for fam, w, _ in incs]
-            turned = {line + c: r for line, r in stacks for c in plan._copies}
+            turned = {line + c: r for line, r in stacks for c in plan._copy_offsets}
             xs, ys, coords = zip(*plan.query_slots(u, v, True))
             cleanups = plan.cleanup_slots(u, v, True)
             item = (

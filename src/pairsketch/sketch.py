@@ -134,9 +134,10 @@ def edge_list(n, edges, directed: bool) -> tuple[int, tuple[tuple[int, int], ...
     edges = tuple(edges)  # a few passes accept a valid list; the loop finds the first fault
     if {*map(type, edges)} <= {tuple} and {*map(len, edges)} <= {2}:
         ends = [*chain.from_iterable(edges)]
-        keys = [*edges] if directed else [*edges, *zip(ends[1::2], ends[::2])]
+        heads, tails = ends[::2], ends[1::2]
+        keys = [*edges] if directed else [*edges, *zip(tails, heads)]
         if ({*map(type, ends)} <= {int} and (not ends or 1 <= min(ends) and max(ends) <= count)
-                and not any(map(operator.eq, ends[::2], ends[1::2])) and len(set(keys)) == len(keys)):
+                and not any(map(operator.eq, heads, tails)) and len(set(keys)) == len(keys)):
             return count, edges
     seen: dict[tuple[int, int], tuple[int, int]] = {}
     for i, (u, v) in enumerate(edges):
