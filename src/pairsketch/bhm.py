@@ -69,13 +69,7 @@ class BhmInstance:
         n, alpha = count_param("n", self.n), Fraction(self.alpha)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "alpha", alpha)
-        m = alpha * n
-        if n < 1 or m.denominator != 1 or not 1 <= m <= Fraction(n, 2):
-            raise InvalidParamsError(
-                f"need alpha*n a positive integer and 2*alpha*n <= n; "
-                f"got n={n}, alpha={alpha}"
-            )
-        m = int(m)
+        m = _matching_size(n, alpha)
         if len(self.matching) != m or len(self.z) != m:
             raise ValidationError(f"expected {m} matching edges with labels")
         if len(self.x) != n or any(bit not in (0, 1) for bit in self.x):
@@ -141,6 +135,16 @@ class BhmInstance:
         return out
 
 
+def _matching_size(n: int, alpha: Fraction) -> int:
+    """alpha*n, the matching size; ``InvalidParamsError`` unless a whole number in [1, n/2]."""
+    m = alpha * n
+    if n < 1 or m.denominator != 1 or not 1 <= m <= Fraction(n, 2):
+        raise InvalidParamsError(
+            f"need alpha*n a positive integer and 2*alpha*n <= n; got n={n}, alpha={alpha}"
+        )
+    return int(m)
+
+
 def generate_instance(
     n: int,
     alpha: Fraction | float | str,
@@ -152,12 +156,7 @@ def generate_instance(
     n, alpha = count_param("n", n), Fraction(alpha)
     if interleaving not in INTERLEAVINGS:
         raise InvalidParamsError(f"interleaving must be one of {INTERLEAVINGS}")
-    m = alpha * n
-    if n < 1 or m.denominator != 1 or not 1 <= m <= Fraction(n, 2):
-        raise InvalidParamsError(
-            f"need alpha*n a positive integer and 2*alpha*n <= n; got n={n}, alpha={alpha}"
-        )
-    m = int(m)
+    m = _matching_size(n, alpha)
     rng = np.random.default_rng(seed)
     verts = rng.permutation(n)[: 2 * m] + 1
     matching = tuple(

@@ -64,9 +64,7 @@ class DegreeGrid:
 
     @classmethod
     def from_eps(cls, n: int, eps) -> "DegreeGrid":
-        e = to_fraction(eps)
-        if n < 1:
-            raise InvalidParamsError("n must be positive")
+        n, e = count_param("n", n, 1), to_fraction(eps)
         # the powers of 1 + eps^3 below only grow past n when eps > 0
         if not (0 < e <= 1):
             raise InvalidParamsError("eps must be in (0, 1]")

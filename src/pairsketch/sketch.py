@@ -17,14 +17,15 @@ fires, the handle is destroyed and every further operation raises
 ``SketchDestroyedError``. A sketch whose member set has been whittled down to
 nothing keeps answering ``Bot``.
 
-``FIRE_LAW`` states these rules once; the live handle, the noiseless replay
-and every exact estimator law read it from there (``fire_probs``).
+``FIRE_LAW`` states these rules once, checked at import; the live handle, the
+noiseless replay and every exact estimator law read it from there.
 
-A live query is a presence test plus an in-place delete on the handle's
-member set; only a query with an endpoint present draws a uniform. Each handle
-takes its uniforms in order from the generator keyed by (seed, handle id), a
-block at a time (``rng.random(n)``), and these are the same doubles that one
-``rng.random()`` call per draw would give, so blocks change no outcome.
+A live query deletes its present endpoints through ``_MemberStore.take``,
+the replay's own miss path; only a query with an endpoint present draws a
+uniform. Each handle takes its uniforms in order from the generator keyed by
+(seed, handle id), a block at a time (``rng.random(n)``), and these are the
+same doubles that one ``rng.random()`` call per draw would give, so blocks
+change no outcome.
 
 A ``QueryGroup`` is a burst of single or pair queries on pairwise-distinct
 ids, validated once when it is built; ``SketchHandle.query_group`` runs it in
@@ -55,7 +56,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -98,6 +99,31 @@ FIRE_LAW: dict[tuple[bool, int], tuple[int, tuple[tuple[QueryOutcome, int], ...]
     (True, 0): (1, ()),
     (True, 1): (2, ((QueryOutcome.PLUS, 1), (QueryOutcome.MINUS, 1))),
     (True, 2): (1, ((QueryOutcome.PLUS, 2),)),
+}
+
+
+def _check_fire_law(law: dict = FIRE_LAW) -> None:
+    """Raise unless every row of ``law`` fires with total weight scale * present,
+    so that a query with ``present`` endpoints in T fires with probability
+    present/|T|: exactly the share of T its miss deletes."""
+    for row, (scale, atoms) in law.items():
+        total = sum(weight for _, weight in atoms)
+        if total != scale * row[1]:
+            raise InvariantError(
+                f"FIRE_LAW row {row} fires with total weight {total}, not {scale} * {row[1]}"
+            )
+
+
+_check_fire_law()
+#: The live draw table: ``_FIRE_BOUNDS[pair][present]`` is that ``FIRE_LAW`` row as
+#: (scale, ((outcome, cumulative weight), ...)), nested because a tuple key costs each
+#: lookup a hash. A draw u fires the first outcome whose bound is above u * scale * |T|.
+_FIRE_BOUNDS = {
+    pair: tuple(
+        (scale, tuple(zip([o for o, _ in atoms], accumulate(w for _, w in atoms))))
+        for scale, atoms in (FIRE_LAW[pair, present] for present in range(2 + pair))
+    )
+    for pair in (False, True)
 }
 
 
@@ -293,10 +319,8 @@ class _MemberStore:
             raise InvalidInitError("initial member set is empty")
 
     def take(self, x: int, y: int | None = None) -> tuple[int, bool, bool]:
-        """The miss branch of a query: delete the present endpoints.
-
-        Returns (size before, x present, y present).
-        """
+        """The miss branch of every single query, live or replayed: delete the
+        present endpoints; return (size before, x present, y present)."""
         ids, frame = self.ids, self.frame
         if frame is not None:
             x, y = frame(x), y if y is None else frame(y)
@@ -377,9 +401,6 @@ class QueryGroup:
         return tuple(map(QueryPair, self.xs, self.ys))
 
 
-#: ``query_group``'s ``FIRE_LAW`` rows, (one present, two present), per pair flag.
-_GROUP_LAW = {pair: (FIRE_LAW[pair, 1], FIRE_LAW[True, 2]) for pair in (False, True)}
-
 #: A handle draws its uniforms in blocks of ``_FIRST_BLOCK``, then twice as
 #: many per refill up to ``_LAST_BLOCK``: a short run pays for few draws it
 #: never uses, and a long one refills rarely.
@@ -455,40 +476,31 @@ class SketchHandle:
     def _fire(self, pair: bool, size: int, present: int) -> QueryOutcome:
         """Draw the next uniform u and fire by ``FIRE_LAW``; ``present`` is at least 1.
 
-        Each atom fires while the float u * scale * size is below its cumulative
-        weight. Rounding moves at most the one double just below a boundary
-        across it (``tests/test_sketch.py`` checks every row at sizes 1..64),
-        so each atom's probability is within 2^-53 of weight / (scale * size).
+        The first outcome whose bound is above the float u * scale * size fires.
+        Rounding moves at most the one double just below a bound across it
+        (``tests/test_sketch.py`` checks every row at sizes 1..64), so each
+        atom's probability is within 2^-53 of weight / (scale * size).
         """
-        scale, atoms = FIRE_LAW[pair, present]
+        scale, bounds = _FIRE_BOUNDS[pair][present]
         u = (self._draws or self._refill()).pop() * scale * size
-        acc = 0
-        for outcome, weight in atoms:
-            acc += weight
-            if u < acc:
+        for outcome, bound in bounds:
+            if u < bound:
                 self._outcome = outcome
                 self._store = None  # type: ignore[assignment]
                 return outcome
         return QueryOutcome.BOT
 
-    # A query tests its endpoints in place: with none present it is Bot and
-    # changes nothing; otherwise it deletes them (the miss branch) and draws.
-    # A fire then discards the store, so deleting beforehand changes nothing
-    # observable. The full checks run only if the inline one fails.
+    # A query deletes its present endpoints by ``take`` (the miss branch), then
+    # draws by ``_fire`` if any was present; with none it is Bot and changed
+    # nothing. A fire then discards the store, so deleting beforehand changes
+    # nothing observable. The full checks run only if the inline one fails.
 
     def query_one(self, x: int) -> QueryOutcome:
         if self._outcome is not None or type(x) is not int or not 0 <= x < self._size:
             self._require_alive()
             _check_query(self._size, x)
-        store = self._store
-        ids = store.ids
-        if store.frame is not None:
-            x = store.frame(x)
-        if x not in ids:
-            return QueryOutcome.BOT
-        size = len(ids)
-        ids.remove(x)
-        return self._fire(False, size, 1)
+        size, present, _ = self._store.take(x)
+        return self._fire(False, size, 1) if present else QueryOutcome.BOT
 
     def query_pair(self, x: int, y: int) -> QueryOutcome:
         size = self._size
@@ -497,21 +509,8 @@ class SketchHandle:
         ):
             self._require_alive()
             _check_query(size, x, y)
-        store = self._store
-        ids = store.ids
-        if store.frame is not None:
-            x, y = store.frame(x), store.frame(y)
-        size = len(ids)
-        if x in ids:
-            ids.remove(x)
-            if y in ids:
-                ids.remove(y)
-                return self._fire(True, size, 2)
-        elif y in ids:
-            ids.remove(y)
-        else:
-            return QueryOutcome.BOT
-        return self._fire(True, size, 1)
+        size, px, py = self._store.take(x, y)
+        return self._fire(True, size, px + py) if px or py else QueryOutcome.BOT
 
     def query_group(self, group: QueryGroup) -> tuple[int, QueryOutcome] | None:
         """Run ``group``'s queries in order until one fires; return its index in
@@ -519,10 +518,13 @@ class SketchHandle:
 
         Each query is what ``query_one`` or ``query_pair`` does, draw for draw:
         a presence test and delete in place, then, with an endpoint present,
-        the next uniform u fires by the query's ``FIRE_LAW`` row as ``_fire``
+        the next uniform u fires by the query's ``_FIRE_BOUNDS`` row as ``_fire``
         does, on the float u * scale * size. The group was validated when it
         was built. Its endpoints are distinct, so its own deletes leave the
         presence of its later queries as it was.
+
+        The loop inlines ``take`` and ``_fire``: every estimator's live run is
+        made of groups, and a call per query would slow them by 13-28%.
         """
         if self._outcome is not None or group.universe is not self.universe:
             self._require_alive()
@@ -535,27 +537,23 @@ class SketchHandle:
         if frame is not None:
             xs = [frame(x) for x in xs]
             ys = [frame(y) for y in ys] if pair else None
-        one, two = _GROUP_LAW[pair]
+        rows = _FIRE_BOUNDS[pair]
         for i, (x, y) in enumerate(zip(xs, ys) if pair else zip(xs, repeat(None))):
             if x in ids:  # y = None is never a member
-                size = len(ids)
+                size, present = len(ids), 1
                 ids.remove(x)
                 if y in ids:
                     ids.remove(y)
-                    scale, atoms = two
-                else:
-                    scale, atoms = one
+                    present = 2
             elif y in ids:
-                size = len(ids)
+                size, present = len(ids), 1
                 ids.remove(y)
-                scale, atoms = one
             else:
                 continue
+            scale, bounds = rows[present]
             u = (self._draws or self._refill()).pop() * scale * size
-            acc = 0
-            for outcome, weight in atoms:
-                acc += weight
-                if u < acc:
+            for outcome, bound in bounds:
+                if u < bound:
                     self._outcome = outcome
                     self._store = None  # type: ignore[assignment]
                     return i, outcome
@@ -674,18 +672,6 @@ class ReplayTrace:
     steps: tuple[ReplayStep, ...]
 
 
-def _check_fire_law() -> None:
-    """Raise unless every ``FIRE_LAW`` row fires with total weight scale * present,
-    so that a query with ``present`` endpoints in T fires with probability
-    present/|T|: exactly the share of T its miss deletes."""
-    for row, (scale, atoms) in FIRE_LAW.items():
-        total = sum(weight for _, weight in atoms)
-        if total != scale * row[1]:
-            raise InvariantError(
-                f"FIRE_LAW row {row} fires with total weight {total}, not {scale} * {row[1]}"
-            )
-
-
 def _replay(store: _MemberStore, items: Iterable[tuple]) -> Iterator[tuple]:
     """Walk the tape ``items`` on ``store`` with every query missing; yield (item index,
     pair?, x, y, tag, size before, x present, y present) per query. Op universes are
@@ -693,7 +679,6 @@ def _replay(store: _MemberStore, items: Iterable[tuple]) -> Iterator[tuple]:
     endpoints were checked when built.
     Raises ``InvariantError`` unless each query meets the initial size minus the earlier
     present endpoints, and ``store`` ends with exactly that many survivors."""
-    _check_fire_law()
     universe = store.universe
     initial_size = left = len(store.ids)
     take = store.take

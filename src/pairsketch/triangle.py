@@ -31,7 +31,7 @@ import numpy as np
 from .errors import InvalidParamsError
 from .permutation import PermutationSpec, SwapStage
 from .sketch import Law, QueryGroup, Tape, count_param, create, edge_list, fire_probs, purpose_rng
-from .sketch import run_tagged, signed_key
+from .sketch import _seed_key, run_tagged, signed_key
 from .universe import Block, IntRange, UniverseSpec
 
 
@@ -196,7 +196,8 @@ def run_single(
     m = stream.m
     if m == 0:
         return 0
-    # the selection stream g: one draw per edge, as m calls of g.random()
+    # the selection stream g: one draw per edge, as m calls of g.random(), keyed as create keys
+    seed, handle_id = _seed_key("master_seed", seed), _seed_key("handle_id", handle_id)
     draws = np.random.default_rng(np.random.SeedSequence([seed, handle_id, 2])).random(m).tolist()
     items = (item if g * k < 1.0 else item[1:] for item, g in zip(stream._items, draws))
     tape = Tape(stream._universe, stream._members, items, partial(signed_key, k * m), 0)

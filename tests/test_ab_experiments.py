@@ -16,9 +16,11 @@ def test_one_tree_against_itself_gives_equal_reports_and_a_table(tmp_path, capsy
     assert ab_experiments.main([str(src), str(src), "--rounds", "2",
                                 "--workdir", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "best of 2 alternating rounds, seed 37; reports equal"
+    assert lines[0] == "best of 2 alternating rounds, seed 37; outputs equal"
     rows = {line.split()[0]: line.split()[1:] for line in lines[2:]}
-    assert list(rows) == ["snapshot", "bhm", "heavy", "triangle", "plan", "experiments"]
+    assert list(rows) == ["snapshot", "bhm", "heavy", "triangle", "plan", "live-snapshot",
+                          "live-bhm", "live-heavy", "live-triangle", "live-small",
+                          "experiments", "live"]
     assert all(float(ms) > 0 for cells in rows.values() for ms in cells[-3:-1])
     assert sorted(p.name for p in tmp_path.glob("*.txt")) == [
         "bhm.txt", "heavy.txt", "snapshot.txt", "triangle.txt"]

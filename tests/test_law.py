@@ -1,5 +1,6 @@
 """The exact ``Law`` type, ``replay_law``, and the samplers built on them."""
 import dataclasses
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from pairsketch import (
     Block,
     CyclicShift,
     IntRange,
+    InvalidInitError,
     InvalidParamsError,
     InvariantError,
     PermutationSpec,
@@ -218,6 +220,7 @@ NEGATIVE_TRIALS = {
     "SnapshotParams.class_pair": (
         "beta must be >= 0", lambda: _snapshot_params(class_pair=(0, -1))),
     "bhm.generate_instance": ("n must be >= 0", lambda: bhm.generate_instance(-4, "1/4", 1, 0)),
+    "DegreeGrid.from_eps": ("n must be >= 1", lambda: ps.DegreeGrid.from_eps(-1, "1/2")),
 }
 
 
@@ -280,6 +283,7 @@ COUNTED = {
     "SnapshotParams.class_pair.beta": (
         "beta", lambda n: _snapshot_params(class_pair=(0, n)).class_pair),
     "bhm.generate_instance": ("n", lambda n: bhm.generate_instance(n, "1/5", 1, 0).n),
+    "DegreeGrid.from_eps": ("n", lambda n: ps.DegreeGrid.from_eps(n, "1/2").levels),
 }
 
 
@@ -295,6 +299,27 @@ def test_samplers_reject_non_integer_counts(name, bad):
 def test_samplers_take_numpy_integer_counts(name):
     field, call = COUNTED[name]
     assert np.array_equal(call(np.int64(5)), call(5))
+
+
+# each estimator's live run on a non-empty stream, keyed (master seed, handle id)
+RUN_SINGLES = {
+    "bhm": lambda seed, h: bhm.run_single(BHM, master_seed=seed, handle_id=h),
+    "heavy_edges": lambda seed, h: heavy_edges.run_single(HEAVY, 2, 1, seed, handle_id=h),
+    "triangle": lambda seed, h: triangle.run_single(TRIANGLE, 2, seed, handle_id=h),
+    "pseudosnapshot": lambda seed, h: ps.run_single(*SNAPSHOT, seed, handle_id=h),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, None, True, "3"])
+@pytest.mark.parametrize("key", ["master_seed", "handle_id"])
+@pytest.mark.parametrize("name", RUN_SINGLES)
+def test_run_singles_refuse_a_bad_seed_key_as_create_does(name, key, bad):
+    # a triangle run draws its edge selection from the same keys before it
+    # creates the handle, so it checks them first, by create's rule
+    keys = {"master_seed": 0, "handle_id": 0, key: bad}
+    message = f"{key} must be a nonnegative integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(InvalidInitError, match=message):
+        RUN_SINGLES[name](*keys.values())
 
 
 def test_count_params_refuse_a_bool_and_keep_numpy_integers_as_int():
@@ -644,15 +669,16 @@ def test_estimator_laws_match_the_fraction_sum():
     _same_atoms(_snapshot_law().law, dict(sorted(atoms.items(), key=lambda a: repr(a[0]))))
 
 
-def test_a_fire_law_row_off_its_mass_raises(monkeypatch):
+def test_a_fire_law_row_off_its_mass_raises():
+    # the check runs once, at import, on the table the live draws and the
+    # replay's numerators are derived from
     from pairsketch import sketch
 
     bad = dict(sketch.FIRE_LAW)
     scale, atoms = bad[True, 2]
     bad[True, 2] = (scale, ((atoms[0][0], 3),))
-    monkeypatch.setattr(sketch, "FIRE_LAW", bad)
     with pytest.raises(InvariantError, match=r"\(True, 2\)"):
-        replay_noiseless(EIGHT, [0, 1, 2], [QueryPair(0, 1)])
+        sketch._check_fire_law(bad)
 
 
 def test_a_store_that_skips_a_deletion_raises(monkeypatch):

@@ -55,8 +55,8 @@ def test_estimators_compute_ids_without_the_validating_encoder():
         assert calls == [], name
 
 
-def _functions(name, *qualnames):
-    """The function definitions ``qualnames`` (``Class.method`` or ``function``) of a module."""
+def _qualified(name):
+    """Every top-level function and method of a module, by ``Class.method`` or ``function``."""
     out = {}
     for node in _tree(name).body:
         if isinstance(node, ast.FunctionDef):
@@ -65,6 +65,12 @@ def _functions(name, *qualnames):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
                     out[f"{node.name}.{item.name}"] = item
+    return out
+
+
+def _functions(name, *qualnames):
+    """The function definitions ``qualnames`` (``Class.method`` or ``function``) of a module."""
+    out = _qualified(name)
     return [out[q] for q in qualnames]
 
 
@@ -210,6 +216,23 @@ def test_each_fire_rule_is_written_once():
         for func in funcs:
             attrs = {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)}
             assert not attrs & {"PLUS", "MINUS"}, (name, func.name)
+
+
+def test_the_query_law_has_one_miss_path_and_one_checked_table():
+    # a miss deletes its present endpoints in _MemberStore.take, which the
+    # replay and the single queries share, or in query_group's inline loop;
+    # apply only moves members (each remove has its add). FIRE_LAW is checked
+    # once, at import, not per replay.
+    deleting = [
+        qualname for qualname, func in _qualified("sketch.py").items()
+        if _called(func) & {"remove", "discard"} and "add" not in _called(func)
+    ]
+    assert sorted(deleting) == ["SketchHandle.query_group", "_MemberStore.take"]
+    for func in _functions("sketch.py", "SketchHandle.query_one", "SketchHandle.query_pair"):
+        assert {"take", "_fire"} <= _called(func), func.name
+        assert not _names(func) & {"ids", "frame", "remove", "discard"}, func.name
+    (replay,) = _functions("sketch.py", "_replay")
+    assert "_check_fire_law" not in _names(replay)
 
 
 def test_cyclic_line_arithmetic_lives_in_the_permutation_module():

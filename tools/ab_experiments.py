@@ -1,4 +1,4 @@
-"""Time the ``estimators`` experiments of two source trees in one process.
+"""Time the ``estimators`` experiments and live runs of two source trees in one process.
 
     python3 tools/ab_experiments.py PARENT_SRC CHANGE_SRC [--rounds N] [--seed S] \
         [--workdir DIR]
@@ -6,23 +6,31 @@
 Each ``*_SRC`` is a ``src`` directory holding a ``pairsketch`` package; the two
 are imported side by side as ``pairsketch_parent`` and ``pairsketch_change``,
 which works because the package imports its own modules only relatively (the
-script checks that first). The ``estimators`` workload of ``perfbench`` is
-built once, on the change tree, with seed S (default 37): it writes the four
-experiment instance files to DIR and gives the experiment configs and the
-m = 30 snapshot stream. Each of the N rounds (default 20) then runs the four
-experiments and builds the m = 30 snapshot plan on both sides: odd rounds run
-the parent first, even rounds the change, and each pair of rounds pins the
-process to the next CPU it may use. Every experiment's canonical report bytes must be
-equal on both sides. The script prints, per experiment, the plan and their
-total, each side's fastest time in ms and the ratio change/parent.
+script checks that first). The ``estimators`` and ``small-sketches``
+workloads of ``perfbench`` are built with seed S (default 37) on each tree.
+The change tree's ``estimators`` build writes the four experiment instance
+files to DIR and gives the experiment configs and the m = 30 snapshot stream,
+which both sides run; each side's own builds (the parent's under DIR/parent)
+give its live runs: the four ``estimators`` live blocks (``live-bhm``,
+``live-heavy``, ``live-triangle``, ``live-snapshot``, their copies at
+``LIVE_SEED``) and the first ``SMALL_SCRIPTS`` blocks of ``small-sketches``
+as one (``live-small``). Each of the N rounds (default 20) then runs the four
+experiments, builds the m = 30 snapshot plan and runs the live blocks on both
+sides: odd rounds run the parent first, even rounds the change, and each pair
+of rounds pins the process to the next CPU it may use. Every experiment's
+canonical report bytes and every live run's kept result must be equal on both
+sides. The script prints, per op, each side's fastest time in ms and the ratio
+change/parent, and the totals of the experiments and of the live blocks.
 
 The traced per-layer rows of ``perfbench`` time whole library calls, so they
-cannot show where a set-up saving sits; these per-experiment times can.
+cannot show where a set-up or a live-path saving sits; these per-op times can.
 """
 from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
+import enum
 import importlib
 import importlib.util
 import os
@@ -33,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+SMALL_SCRIPTS = 20  # the small-sketches blocks timed, of 100 handles each
 
 
 def relative_only(package: Path) -> None:
@@ -60,40 +69,76 @@ def load(src: Path, name: str):
     return module
 
 
-def build_inputs(change, seed: int, workdir: Path):
-    """Build the ``estimators`` workload on ``change``: the experiment configs, as
-    dicts by label, and the m = 30 snapshot stream's edges and parameters.
+def build_workloads(pkg, seed: int, workdir: Path) -> dict:
+    """The ``estimators`` and ``small-sketches`` workloads, by name, built on ``pkg``.
 
-    ``perfbench`` imports ``pairsketch`` by name, so for the build that name
-    stands for ``change``; the modules imported before are restored after it."""
+    ``perfbench`` imports ``pairsketch`` by name, so for the builds that name
+    stands for ``pkg``; the modules imported before are restored after them."""
     def ours(key: str) -> bool:
         return key.split(".")[0] in ("pairsketch", "perfbench")
 
     saved = {key: sys.modules.pop(key) for key in [k for k in sys.modules if ours(k)]}
-    name = change.__name__
+    name = pkg.__name__
     for key in [k for k in sys.modules if k.split(".")[0] == name]:
         sys.modules["pairsketch" + key[len(name):]] = sys.modules[key]
     sys.path.insert(0, str(ROOT))
     try:
         workloads = importlib.import_module("perfbench.workloads")
-        wl = workloads.build("estimators", seed, workdir)
+        return {wl: workloads.build(wl, seed, workdir) for wl in ("estimators", "small-sketches")}
     finally:
         sys.path.remove(str(ROOT))
         for key in [k for k in sys.modules if ours(k)]:
             del sys.modules[key]
         sys.modules.update(saved)
+
+
+def experiment_inputs(change, wl):
+    """The experiment configs of the ``estimators`` workload ``wl`` built on
+    ``change``, as dicts by label, and the m = 30 snapshot stream's edges and
+    parameters."""
     configs = {}
     for op in wl.ops:
         if op.kind == "experiment":  # the config the op's closure runs
             (config,) = [cell.cell_contents for cell in op.run.__closure__
                          if isinstance(cell.cell_contents, change.harness.ExperimentConfig)]
             configs[op.label] = config.to_dict()
-    return configs, wl.inputs["snapshot"]["edges"], workloads.PARAMS["estimators"]["snapshot"]
+    return configs, wl.inputs["snapshot"]["edges"], wl.params["snapshot"]
 
 
-def side_ops(pkg, configs: dict, edges, p: dict) -> dict:
+def plain(value):
+    """``value`` with enums as their values, dataclasses as their fields and sets
+    sorted, so that results of the two trees' own classes compare."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if dataclasses.is_dataclass(value):
+        return tuple(plain(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, (set, frozenset)):
+        return sorted(map(plain, value))
+    if isinstance(value, (tuple, list)):
+        return tuple(map(plain, value))
+    return value
+
+
+def live_ops(workloads: dict) -> dict:
+    """Label -> zero-argument call of each live block of one side's workloads,
+    returning the block's results reduced by its ``keep``. The snapshot plan the
+    snapshot runs read is built here, once."""
+    def block(ops):
+        return lambda: [op.keep(op.run(h)) for op in ops for h in range(op.copies)]
+
+    est = workloads["estimators"].ops
+    for op in est:
+        if op.kind == "prep":
+            op.run(0)
+    ops = {f"live-{op.label}": block([op]) for op in est if op.kind == "live"}
+    small = [op for op in workloads["small-sketches"].ops if op.kind == "live"]
+    ops["live-small"] = block(small[:SMALL_SCRIPTS])
+    return ops
+
+
+def side_ops(pkg, configs: dict, edges, p: dict, workloads: dict) -> dict:
     """Label -> zero-argument call of each timed op of one side; an experiment
-    returns its canonical report text."""
+    returns its canonical report text, a live block its kept results."""
     harness, snap = pkg.harness, pkg.pseudosnapshot
 
     def experiment(config):
@@ -106,14 +151,16 @@ def side_ops(pkg, configs: dict, edges, p: dict) -> dict:
     sp = snap.SnapshotParams(kappa=p["kappa"], eps=p["eps"], thresholds=tuple(p["thresholds"]),
                              class_pair=tuple(p["class_pair"]))
     ops["plan m=30"] = lambda: snap.build_plan(stream, hashes, grid, sp) and None
-    return ops
+    return {**ops, **live_ops(workloads)}
 
 
 def run(trees: dict, rounds: int, seed: int, workdir: Path) -> dict:
     """Best seconds per side and op over ``rounds`` alternating rounds."""
     pkgs = {side: load(trees[side], f"pairsketch_{side}") for side in SIDES}
-    configs, edges, p = build_inputs(pkgs["change"], seed, workdir)
-    ops = {side: side_ops(pkgs[side], configs, edges, p) for side in SIDES}
+    built = {side: build_workloads(pkgs[side], seed, workdir / side if side == "parent"
+                                   else workdir) for side in SIDES}
+    configs, edges, p = experiment_inputs(pkgs["change"], built["change"]["estimators"])
+    ops = {side: side_ops(pkgs[side], configs, edges, p, built[side]) for side in SIDES}
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     best = {side: dict.fromkeys(ops[side], float("inf")) for side in SIDES}
     for r in range(rounds):
@@ -125,20 +172,22 @@ def run(trees: dict, rounds: int, seed: int, workdir: Path) -> dict:
                 t0 = time.perf_counter()
                 out[side, label] = call()
                 best[side][label] = min(best[side][label], time.perf_counter() - t0)
-        for label in configs:
-            if out["parent", label] != out["change", label]:
-                raise AssertionError(f"{label} reports differ between the trees (round {r + 1})")
+        for label in ops["change"]:
+            if plain(out["parent", label]) != plain(out["change", label]):
+                raise AssertionError(f"{label} outputs differ between the trees (round {r + 1})")
     if cpus:
         os.sched_setaffinity(0, set(cpus))
     return best
 
 
-def table(best: dict, experiments) -> list[str]:
-    rows = [f"{'op':<12} {'parent ms':>10} {'change ms':>10} {'ratio':>7}"]
-    total = {side: sum(best[side][label] for label in experiments) for side in SIDES}
+def table(best: dict, totals: dict) -> list[str]:
+    """One row per op, then one per total (a label -> the op labels it sums)."""
+    rows = [f"{'op':<14} {'parent ms':>10} {'change ms':>10} {'ratio':>7}"]
+    sums = {name: tuple(sum(best[side][label] for label in labels) for side in SIDES)
+            for name, labels in totals.items()}
     for label, (a, b) in [*((k, (best["parent"][k], best["change"][k])) for k in best["parent"]),
-                          ("experiments", (total["parent"], total["change"]))]:
-        rows.append(f"{label:<12} {a * 1e3:>10.3f} {b * 1e3:>10.3f} {b / a:>7.3f}")
+                          *sums.items()]:
+        rows.append(f"{label:<14} {a * 1e3:>10.3f} {b * 1e3:>10.3f} {b / a:>7.3f}")
     return rows
 
 
@@ -153,9 +202,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         best = run({"parent": args.parent, "change": args.change}, args.rounds, args.seed,
                    args.workdir or Path(tmp))
-    experiments = [label for label in best["parent"] if label != "plan m=30"]
-    print(f"best of {args.rounds} alternating rounds, seed {args.seed}; reports equal")
-    print("\n".join(table(best, experiments)))
+    live = [label for label in best["parent"] if label.startswith("live-")]
+    experiments = [label for label in best["parent"] if label not in live + ["plan m=30"]]
+    print(f"best of {args.rounds} alternating rounds, seed {args.seed}; outputs equal")
+    print("\n".join(table(best, {"experiments": experiments, "live": live})))
     return 0
 
 
